@@ -17,6 +17,7 @@ from .errors import (
     EmptyClassError,
     NotAtomicError,
     NotAtomPreservingError,
+    ParseError,
     PreconditionError,
     SearchBudgetExceededError,
     TargetMismatchError,
@@ -296,7 +297,12 @@ def _search_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get("ATOMON_BUDGET")
-    return int(env) if env else DEFAULT_SEARCH_BUDGET
+    if not env:
+        return DEFAULT_SEARCH_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"ATOMON_BUDGET must be an integer, not {env!r}") from None
 
 
 def _candidate_atoms(family: Family, w: ReducedWord) -> list[tuple[Letter, ...]]:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+import operator
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -28,15 +31,28 @@ PROPERTIES = ("atomic", "dedekind_finite", "acyclic", "unit_cancellative", "canc
 
 
 class FiniteMonoid:
-    """A validated finite monoid. Immutable after construction."""
+    """A validated finite monoid. Immutable after construction.
 
-    __slots__ = ("names", "table", "identity", "size", "_units", "_atoms", "_layers")
+    ``generators`` is a small generating set G, found by ``new_monoid``: every
+    element is a product of members of G. The table algorithms
+    (associativity and hom checks, hom search, congruence closure) work over G
+    instead of over all elements.
+    """
 
-    def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], identity: int):
+    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_layers")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        table: Sequence[Sequence[int]],
+        identity: int,
+        generators: Sequence[int],
+    ):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.identity = identity
         self.size = len(self.names)
+        self.generators = tuple(generators)
         self._units = None
         self._atoms = None
         self._layers = None
@@ -66,8 +82,113 @@ class FiniteMonoid:
         return f"FiniteMonoid(size={self.size}, names={self.names})"
 
 
+def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
+    """Each of the values (there is at least one) must be an int, not a bool,
+    in [0, bound). The checks run in C; only a failure scans in Python for the
+    culprit."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValidationError(f"{what} {bad!r} is not an integer")
+    if not (0 <= min(values) and max(values) < bound):
+        bad = next(v for v in values if not 0 <= v < bound)
+        raise ValidationError(f"{what} {bad} out of range [0, {bound})")
+
+
+def _closure(table, frontier: list[int], gens: Sequence[int], found: dict) -> list[int]:
+    """Grow ``found`` by every product x·g1·…·gk with x in ``frontier`` and
+    each g_i in ``gens``, breadth first.
+
+    ``found`` maps each element to the pair (x, g) it was first reached from
+    as x·g, or to None for a starting element; frontier elements must already
+    be in it. Returns the elements added, in the order they were found.
+    """
+    added = []
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in found:
+                    found[y] = (x, g)
+                    nxt.append(y)
+        added += nxt
+        frontier = nxt
+    return added
+
+
+def _generating_set(table, identity: int) -> tuple[int, ...]:
+    """A small generating set, by greedy right-multiplication closure.
+
+    Candidates go rarest product first: an element that is no product of two
+    non-identity elements must be a generator, and a frequent product is
+    likely reached anyway. Counting the whole table adds exactly two to every
+    non-identity element (its identity row and column entries), so it ranks
+    as counting the non-identity products alone would; the sort is stable,
+    so ties go by index.
+    """
+    counts = Counter(itertools.chain.from_iterable(table))
+    found = {identity: None}
+    gens: list[int] = []
+    for c in sorted(range(len(table)), key=counts.__getitem__):
+        if len(found) == len(table):
+            break
+        if c in found:
+            continue
+        gens.append(c)
+        # the old elements are closed under the old generators: multiply them
+        # by c alone, then close whatever is new under all generators
+        _closure(table, _closure(table, list(found), [c], found), gens, found)
+    return tuple(gens)
+
+
+def _closure_steps(table, identity: int, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The closure of ``gens`` from the identity as a tree: (y, x, p) with
+    y = x·gens[p] for every element y but the identity, each x listed before
+    the y it reaches."""
+    position = {g: p for p, g in enumerate(gens)}
+    found = {identity: None}
+    _closure(table, [identity], gens, found)
+    return [(y, x, position[g]) for y, (x, g) in itertools.islice(found.items(), 1, None)]
+
+
+def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[list[bool]]) -> tuple[int, int, int]:
+    """The lexicographically first (i, j, k) with (i·j)·k != i·(j·k).
+
+    Write L_x for row x as a map, so row i is associative when
+    L_(i·j) = L_i∘L_j for every j, and ``good[p][x]`` says whether this holds
+    for i = x and j = gens[p]. Walk j along the closure of G from the
+    identity: if j = j1·g and row i already holds at j1, then
+    L_(i·j) = L_((i·j1)·g) = L_(i·j1)∘L_g = L_i∘L_j1∘L_g = L_i∘L_j, provided
+    ``good`` holds at (i·j1, g) and at (j1, g). Only the other j are compared
+    as whole rows, so the rows before the first failing one cost O(n) each
+    when the fault is local; the failing row is then scanned for its first j
+    and k.
+    """
+    # (j, j1, good at g, good at (j1, g)) for each j = j1·g
+    steps = [(j, j1, good[p], good[p][j1]) for j, j1, p in _closure_steps(tab, identity, gens)]
+
+    def holds(row_i, j) -> bool:  # (i·j)·k == i·(j·k) for every k
+        return tab[row_i[j]] == tuple(map(row_i.__getitem__, tab[j]))
+
+    n = len(tab)
+    for i, row_i in enumerate(tab):
+        for j, j1, good_g, parent_good in steps:
+            if not (parent_good and good_g[row_i[j1]]) and not holds(row_i, j):
+                j = next(j for j in range(n) if not holds(row_i, j))
+                return i, j, next(k for k in range(n) if tab[row_i[j]][k] != row_i[tab[j][k]])
+    raise ValueError("table is associative")
+
+
 def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: int) -> FiniteMonoid:
-    """Validate a multiplication table and wrap it as a FiniteMonoid."""
+    """Validate a multiplication table and wrap it as a FiniteMonoid.
+
+    Associativity is decided by Light's test over the generating set G:
+    (x·g)·y = x·(g·y) for all x, y and every g in G. The elements g passing it
+    are closed under the product, and G generates, so this is sound without
+    assuming associativity. A failure reports the same lexicographically
+    first triple as a full i-j-k scan.
+    """
     names = tuple(str(n) for n in names)
     n = len(names)
     if n == 0:
@@ -76,25 +197,24 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
         raise DuplicateNameError("names must be distinct non-empty strings")
     if len(table) != n or any(len(row) != n for row in table):
         raise ValidationError(f"table must be {n}x{n}")
-    tab = tuple(tuple(int(v) for v in row) for row in table)
-    for row in tab:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValidationError(f"table entry {v} out of range [0, {n})")
+    tab = tuple(map(tuple, table))
+    _check_indices(tuple(itertools.chain.from_iterable(tab)), n, "table entry")
+    if type(identity) is not int:
+        raise ValidationError(f"identity index {identity!r} is not an integer")
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
-    for x in range(n):
-        if tab[identity][x] != x or tab[x][identity] != x:
-            raise BadIdentityError(x)
-    for i in range(n):
-        for j in range(n):
-            ij = tab[i][j]
-            row_ij = tab[ij]
-            row_i = tab[i]
-            for k in range(n):
-                if row_ij[k] != row_i[tab[j][k]]:
-                    raise NonAssociativeError(i, j, k)
-    return FiniteMonoid(names, tab, identity)
+    cols = tuple(zip(*tab))
+    ident = tuple(range(n))
+    if tab[identity] != ident or cols[identity] != ident:
+        raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
+    gens = _generating_set(tab, identity)
+    # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p]; the rows
+    # of x·g against row x read through row g, compared in C (a generator
+    # exists only when n >= 2, so each itemgetter returns a tuple)
+    good = [list(map(operator.eq, map(tab.__getitem__, cols[g]), map(itemgetter(*tab[g]), tab))) for g in gens]
+    if not all(map(all, good)):
+        raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
+    return FiniteMonoid(names, tab, identity, gens)
 
 
 def units(m: FiniteMonoid) -> frozenset[int]:
@@ -122,13 +242,10 @@ def atoms(m: FiniteMonoid) -> frozenset[int]:
 
 def _atom_closure(m: FiniteMonoid) -> frozenset[int]:
     # all non-empty products of atoms, by right-extension to a fixpoint
-    ats = atoms(m)
-    seen = set(ats)
-    frontier = set(ats)
-    while frontier:
-        frontier = {m.mul(x, a) for x in frontier for a in ats} - seen
-        seen |= frontier
-    return frozenset(seen)
+    ats = sorted(atoms(m))
+    found = dict.fromkeys(ats)
+    _closure(m.table, ats, ats, found)
+    return frozenset(found)
 
 
 def check_property(m: FiniteMonoid, prop: str) -> bool:
@@ -207,22 +324,53 @@ class MonoidHom:
 
 
 def new_hom(source: FiniteMonoid, target: FiniteMonoid, mapping: Sequence[int]) -> MonoidHom:
-    """Validate a map as identity- and product-preserving."""
-    mp = tuple(int(v) for v in mapping)
+    """Validate a map as identity- and product-preserving.
+
+    Products are checked against the source's generators only; a failure
+    reports the same first failing pair (x, y) as a check of all pairs.
+    """
+    try:
+        mp = tuple(mapping)
+    except TypeError:
+        raise ValidationError(f"map must be a sequence, not {type(mapping).__name__}") from None
     if len(mp) != source.size:
         raise ValidationError(f"map must have length {source.size}")
-    for v in mp:
-        if not 0 <= v < target.size:
-            raise ValidationError(f"map value {v} out of range")
+    _check_indices(mp, target.size, "map value")
     if mp[source.identity] != target.identity:
         raise NotIdentityPreservingError("map does not send identity to identity")
-    for x in range(source.size):
-        for y in range(source.size):
-            if mp[source.mul(x, y)] != target.mul(mp[x], mp[y]):
-                raise NotMultiplicativeError(x, y)
+    if not _respects_generators(source, target, mp):
+        raise NotMultiplicativeError(*_first_nonmultiplicative(source, target, mp))
+    return _hom(source, target, mp)
+
+
+def _respects_generators(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> bool:
+    """Whether mp(x·g) = mp(x)·mp(g) for every x and every generator g.
+
+    With mp(1) = 1 this makes mp a hom: both tables are associative and every
+    element is a product of generators.
+    """
+    image = mp.__getitem__
+    for g in source.generators:
+        right = tuple(map(itemgetter(mp[g]), target.table))  # y -> y·mp(g)
+        if list(map(image, map(itemgetter(g), source.table))) != list(map(right.__getitem__, mp)):
+            return False
+    return True
+
+
+def _first_nonmultiplicative(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> tuple[int, int]:
+    """The first pair (x, y) with mp(x·y) != mp(x)·mp(y), one row at a time."""
+    for x, row in enumerate(source.table):
+        left = list(map(mp.__getitem__, row))
+        right = list(map(target.table[mp[x]].__getitem__, mp))
+        if left != right:
+            return x, next(y for y in range(source.size) if left[y] != right[y])
+    raise ValueError("map is multiplicative")
+
+
+def _hom(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> MonoidHom:
+    """Wrap a map already checked to be a hom, deciding atom preservation."""
     tgt_atoms = atoms(target)
-    preserving = all(mp[a] in tgt_atoms for a in atoms(source))
-    return MonoidHom(source, target, mp, preserving)
+    return MonoidHom(source, target, mp, all(mp[a] in tgt_atoms for a in atoms(source)))
 
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
@@ -296,50 +444,36 @@ def enumerate_homs(
     target: FiniteMonoid,
     atom_preserving_only: bool = True,
 ) -> Iterator[MonoidHom]:
-    """All homomorphisms source -> target, by exhaustive map enumeration.
+    """All homomorphisms source -> target, in increasing order of their maps.
 
-    Intended for desk-scale uniqueness checks; the search space is
-    target.size ** (source.size - 1) with the identity pinned.
+    A hom is fixed by its images of the source's generating set G. Each of
+    the target.size ** len(G) choices of images is extended along the
+    closure of G and kept if it respects the generators. Still exponential
+    in |G|: intended for desk-scale uniqueness checks.
     """
-    n, k = source.size, target.size
-    free = [x for x in range(n) if x != source.identity]
-    for values in itertools.product(range(k), repeat=len(free)):
-        mp = [0] * n
-        mp[source.identity] = target.identity
-        for pos, v in zip(free, values):
-            mp[pos] = v
-        if any(
-            mp[source.mul(x, y)] != target.mul(mp[x], mp[y])
-            for x in range(n)
-            for y in range(n)
-        ):
-            continue
-        hom = MonoidHom(source, target, tuple(mp), _is_atom_preserving(source, target, mp))
+    gens = source.generators
+    steps = _closure_steps(source.table, source.identity, gens)
+    tgt = target.table
+    maps = []
+    for images in itertools.product(range(target.size), repeat=len(gens)):
+        mp = [target.identity] * source.size
+        for y, x, p in steps:
+            mp[y] = tgt[mp[x]][images[p]]
+        mp = tuple(mp)
+        if _respects_generators(source, target, mp):
+            maps.append(mp)
+    for mp in sorted(maps):
+        hom = _hom(source, target, mp)
         if atom_preserving_only and not hom.atom_preserving:
             continue
         yield hom
 
 
-def _is_atom_preserving(source: FiniteMonoid, target: FiniteMonoid, mp: Sequence[int]) -> bool:
-    tgt_atoms = atoms(target)
-    return all(mp[a] in tgt_atoms for a in atoms(source))
-
-
 def submonoid_closure(m: FiniteMonoid, generators: Iterable[int]) -> list[int]:
     """Sorted element indices of the submonoid generated by the given elements."""
-    seen = {m.identity}
-    frontier = [m.identity]
-    gens = sorted(set(generators))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = m.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    found = {m.identity: None}
+    _closure(m.table, [m.identity], sorted(set(generators)), found)
+    return sorted(found)
 
 
 def restrict_to_submonoid(m: FiniteMonoid, elements: Sequence[int]) -> tuple[FiniteMonoid, MonoidHom]:

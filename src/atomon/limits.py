@@ -108,10 +108,14 @@ class Congruence:
 def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest monoid congruence containing the given pairs.
 
-    Union-find with a worklist: every merge enqueues its left and right
-    translates. Compatibility is re-verified at the fixpoint.
+    Union-find with a worklist: merging x and y enqueues only the translates
+    (g·x, g·y) and (x·g, y·g) by the generators g of m, which suffices because
+    they generate m and the table is associative. The fixpoint is re-verified
+    by generators too: x·g and leader(x)·g share a leader, and so do g·x and
+    g·leader(x).
     """
     n = m.size
+    tab, gens = m.table, m.generators
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -129,19 +133,16 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
         if ry < rx:
             rx, ry = ry, rx
         parent[ry] = rx
-        for a in range(n):
-            queue.append((m.mul(a, x), m.mul(a, y)))
-            queue.append((m.mul(x, a), m.mul(y, a)))
+        row_x, row_y = tab[x], tab[y]
+        for g in gens:
+            queue.append((tab[g][x], tab[g][y]))
+            queue.append((row_x[g], row_y[g]))
     leader = tuple(find(x) for x in range(n))
-    for x in range(n):
-        for y in range(n):
-            if leader[x] != leader[y]:
-                continue
-            for a in range(n):
-                if leader[m.mul(a, x)] != leader[m.mul(a, y)]:
-                    raise ValidationError("congruence closure reached an incompatible fixpoint")
-                if leader[m.mul(x, a)] != leader[m.mul(y, a)]:
-                    raise ValidationError("congruence closure reached an incompatible fixpoint")
+    lead = leader.__getitem__
+    for g in gens:
+        for translate in (tuple(row[g] for row in tab), tab[g]):  # x -> x·g, x -> g·x
+            if list(map(lead, translate)) != list(map(lead, map(translate.__getitem__, leader))):
+                raise ValidationError("congruence closure reached an incompatible fixpoint")
     return Congruence(m, leader)
 
 

@@ -40,10 +40,11 @@ from .core import (
     compose,
     enumerate_homs,
     eval_word,
+    new_monoid,
     terminal_monoid,
     units,
 )
-from .errors import PreconditionError, UnknownSuiteError
+from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import (
     EMPTY,
     brute_force_lengths,
@@ -782,6 +783,82 @@ def suite_core_axioms(rng, budget):
     return cases, mismatches
 
 
+# ---------------------------------------------------------------------------
+# generator-based table algorithms against the exhaustive ones they replaced
+
+
+def _ijk_scan(table):
+    """Oracle: the first (i, j, k) with (i*j)*k != i*(j*k), by the plain n^3
+    scan, or None for an associative table."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            row_ij = table[table[i][j]]
+            row_i = table[i]
+            for k in range(n):
+                if row_ij[k] != row_i[table[j][k]]:
+                    return (i, j, k)
+    return None
+
+
+def _exhaustive_homs(source: FiniteMonoid, target: FiniteMonoid):
+    """Oracle: (map, atom-preserving) for every hom, in map order, by trying
+    every map with the identity pinned and checking every product."""
+    src, tgt = source.table, target.table
+    src_atoms, tgt_atoms = atoms(source), atoms(target)
+    out = []
+    for values in itertools.product(range(target.size), repeat=source.size - 1):
+        mp = list(values)
+        mp.insert(source.identity, target.identity)
+        if all([mp[v] for v in src[x]] == [tgt[mp[x]][w] for w in mp] for x in range(source.size)):
+            out.append((tuple(mp), all(mp[a] in tgt_atoms for a in src_atoms)))
+    return out
+
+
+_PERTURBED_COPIES = 4
+_HOM_SPACE_LIMIT = 4096
+
+
+def suite_generator_oracles(rng, budget):
+    cases, mismatches = 0, []
+    monoids = _oracle_monoids()
+    for name, m in monoids:
+        # copies with one entry changed off the identity row and column, so
+        # the identity law still holds and only associativity can fail:
+        # every such copy of a named fixture, a seeded sample of the others
+        others = [x for x in range(m.size) if x != m.identity]
+        changes = [(x, y, v) for x in others for y in others for v in range(m.size) if v != m.table[x][y]]
+        if name not in _NAMED:
+            changes = rng.sample(changes, min(_PERTURBED_COPIES, len(changes)))
+        tables = [(name, m.table)]
+        for x, y, v in changes:
+            table = [list(row) for row in m.table]
+            table[x][y] = v
+            tables.append((f"{name} with {x}*{y}={v}", table))
+        for label, table in tables:
+            cases += 1
+            try:
+                new_monoid(m.names, table, m.identity)
+                got = None
+            except NonAssociativeError as exc:
+                got = exc.triple
+            expected = _ijk_scan(table)
+            if got != expected:
+                mismatches.append(f"{label}: Light's test gives {got}, the scan {expected}")
+    # equal tables have equal hom lists, so each distinct table is kept once
+    distinct: dict = {}
+    for name, m in monoids:
+        distinct.setdefault((m.table, m.identity), (name, m))
+    for (sn, s), (tn, t) in itertools.product(distinct.values(), repeat=2):
+        if t.size ** (s.size - 1) > _HOM_SPACE_LIMIT:
+            continue
+        cases += 1
+        got = [(h.map, h.atom_preserving) for h in enumerate_homs(s, t, atom_preserving_only=False)]
+        if got != _exhaustive_homs(s, t):
+            mismatches.append(f"homs {sn}->{tn}: generator search disagrees with exhaustive search")
+    return cases, mismatches
+
+
 SUITES = {
     "length-oracle": suite_length_oracle,
     "length-invariance": suite_length_invariance,
@@ -798,6 +875,7 @@ SUITES = {
     "coequalizers": suite_coequalizers,
     "terminal-uniqueness": suite_terminal_uniqueness,
     "core-axioms": suite_core_axioms,
+    "generator-oracles": suite_generator_oracles,
 }
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,29 @@ def test_validate(files, capsys):
     assert code == 0 and "valid monoid" in out
     code = main(["validate", files["bad"]])
     assert code == 1
+
+
+@pytest.mark.parametrize("entry", [1.7, True, "x", None])
+def test_validate_refuses_non_integer_entries(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"names": ["1", "x"], "identity": 0, "table": [[0, 1], [1, entry]]}))
+    assert main(["validate", str(path)]) == 1
+    assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [1.0, False, "1"])
+def test_hom_map_refuses_non_integer_values(files, capsys, entry):
+    path = Path(files["one"]).parent / "hom.json"
+    path.write_text(json.dumps({"source": "one.json", "target": "one.json", "map": [0, entry, 2]}))
+    assert main(["limits", "equalizer", str(path), str(path)]) == 1
+    assert "is not an integer" in capsys.readouterr().err
+
+
+def test_hom_map_must_be_a_sequence(files, capsys):
+    path = Path(files["one"]).parent / "hom.json"
+    path.write_text(json.dumps({"source": "one.json", "target": "one.json", "map": 5}))
+    assert main(["limits", "equalizer", str(path), str(path)]) == 1
+    assert "map must be a sequence" in capsys.readouterr().err
 
 
 def test_analyze(files, capsys):
@@ -135,6 +159,12 @@ def test_verify_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--suite", "epset-arithmetic", "--seed", "3")
     _, second = run(capsys, "verify", "--suite", "epset-arithmetic", "--seed", "3")
     assert first == second
+
+
+def test_budget_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ATOMON_BUDGET", "abc")
+    assert main(["verify", "--all"]) == 1
+    assert "ATOMON_BUDGET must be an integer" in capsys.readouterr().err
 
 
 def test_budget_env_caps_oracle(files, capsys, monkeypatch):
