@@ -21,7 +21,6 @@ from atomon import (
     units,
 )
 from atomon.fixtures import c2, m31, one
-from atomon.product import ap_closure
 from atomon.serialize import eps_to_text
 
 
@@ -38,14 +37,13 @@ def main():
         print(f"  {t}: contains={ap_contains(fam, t)}")
 
     print("\nMaterialized, the product here is a 3-element monoid again:")
-    mat = ap_materialize(fam, 60)
+    mat, projections = ap_materialize(fam, 60)
     print(f"  elements: {mat.names}")
     print(f"  (a,a) is an atom: {ap_is_atom(fam, (1, 1))}")
     print(f"  (1,1) is a unit:  {ap_is_unit(fam, (0, 0))}")
 
     print("\nLength sets are intersections, and they match the table:")
-    order = ap_closure(fam, 60)
-    for i, t in enumerate(order):
+    for i, t in enumerate(zip(*(p.map for p in projections))):
         formula = ap_length_set(fam, t)
         table = length_set(mat, i)
         print(f"  L{t} = {eps_to_text(formula)}  table agrees: {formula == table}")
@@ -59,7 +57,7 @@ def main():
     print("\nA family of groups has no atom tuples; the product is the")
     print("direct product group:")
     groups = Family([c2(), c2()])
-    g = ap_materialize(groups, 60)
+    g, _ = ap_materialize(groups, 60)
     print(f"  size {g.size}, all units: {units(g) == frozenset(range(g.size))}")
 
     print("\nThe induced map into the product is componentwise application:")

@@ -27,7 +27,6 @@ from .core import (
 from .coproduct import (
     EPS_WORD,
     Family,
-    IndexBlockDecomposition,
     Letter,
     ReducedWord,
     coprojection,
@@ -41,7 +40,6 @@ from .coproduct import (
     fp_mul,
     fp_union_k,
     gamma_admissible,
-    index_block_decomposition,
     reduce,
     reduced_words_upto,
 )
@@ -80,7 +78,6 @@ from .limits import (
 )
 from .product import (
     ProductGenerators,
-    ap_closure,
     ap_contains,
     ap_generators,
     ap_is_atom,

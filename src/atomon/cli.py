@@ -194,7 +194,7 @@ def cmd_product(args) -> int:
         u = ap_union_k(fam, args.k)
         _emit({"k": args.k, "union": eps_to_json(u)}, [eps_to_text(u)], args.json)
         return 0
-    mat = ap_materialize(fam, args.cap)
+    mat, _ = ap_materialize(fam, args.cap)
     _emit(
         monoid_to_json(mat),
         [f"materialized product with {mat.size} elements"]

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import FiniteMonoid, MonoidHom, atoms, check_property, units
 from .errors import (
-    EmptyClassError,
     NotAtomicError,
     NotAtomPreservingError,
     ParseError,
@@ -112,35 +111,6 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
 
 def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
     return reduce(family, x.letters + y.letters)
-
-
-@dataclass(frozen=True)
-class IndexBlockDecomposition:
-    """Maximal same-member runs of a word, with empty-class runs removed."""
-
-    blocks: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def index_block_decomposition(family: Family, word: Iterable[tuple[int, int]]) -> IndexBlockDecomposition:
-    """Split a word into blocks (member, letters) whose products are non-identity.
-
-    Raises EmptyClassError when the word is congruent to the empty word.
-    """
-    # stack entries: [member, letter list, running product]
-    stack: list[list] = []
-    for raw in word:
-        i, x = family.check_letter(raw)
-        member = family.members[i]
-        if stack and stack[-1][0] == i:
-            stack[-1][1].append(x)
-            stack[-1][2] = member.mul(stack[-1][2], x)
-            if stack[-1][2] == member.identity:
-                stack.pop()
-        elif x != member.identity:
-            stack.append([i, [x], x])
-    if not stack:
-        raise EmptyClassError("word is congruent to the empty word")
-    return IndexBlockDecomposition(tuple((i, tuple(letters)) for i, letters, _ in stack))
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:

@@ -13,10 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 import operator
 from operator import itemgetter
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadIdentityError,
+    CapExceededError,
     DuplicateNameError,
     ImageNotAtomError,
     NonAssociativeError,
@@ -94,24 +95,27 @@ def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
         raise ValidationError(f"{what} {bad} out of range [0, {bound})")
 
 
-def _closure(table, frontier: list[int], gens: Sequence[int], found: dict) -> list[int]:
+def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: int | None = None) -> list:
     """Grow ``found`` by every product x·g1·…·gk with x in ``frontier`` and
-    each g_i in ``gens``, breadth first.
+    each g_i in ``gens``, breadth first, where ``mul(x, g)`` is x·g.
 
     ``found`` maps each element to the pair (x, g) it was first reached from
     as x·g, or to None for a starting element; frontier elements must already
-    be in it. Returns the elements added, in the order they were found.
+    be in it, and its insertion order is the discovery order. Returns the
+    elements added, in the order they were found. Raises CapExceededError as
+    soon as ``found`` holds more than ``cap`` elements.
     """
     added = []
     while frontier:
         nxt = []
         for x in frontier:
-            row = table[x]
             for g in gens:
-                y = row[g]
+                y = mul(x, g)
                 if y not in found:
                     found[y] = (x, g)
                     nxt.append(y)
+                    if cap is not None and len(found) > cap:
+                        raise CapExceededError(cap)
         added += nxt
         frontier = nxt
     return added
@@ -128,6 +132,7 @@ def _generating_set(table, identity: int) -> tuple[int, ...]:
     so ties go by index.
     """
     counts = Counter(itertools.chain.from_iterable(table))
+    mul = lambda x, g: table[x][g]
     found = {identity: None}
     gens: list[int] = []
     for c in sorted(range(len(table)), key=counts.__getitem__):
@@ -138,7 +143,7 @@ def _generating_set(table, identity: int) -> tuple[int, ...]:
         gens.append(c)
         # the old elements are closed under the old generators: multiply them
         # by c alone, then close whatever is new under all generators
-        _closure(table, _closure(table, list(found), [c], found), gens, found)
+        _closure(_closure(list(found), [c], mul, found), gens, mul, found)
     return tuple(gens)
 
 
@@ -148,7 +153,7 @@ def _closure_steps(table, identity: int, gens: Sequence[int]) -> list[tuple[int,
     the y it reaches."""
     position = {g: p for p, g in enumerate(gens)}
     found = {identity: None}
-    _closure(table, [identity], gens, found)
+    _closure([identity], gens, lambda x, g: table[x][g], found)
     return [(y, x, position[g]) for y, (x, g) in itertools.islice(found.items(), 1, None)]
 
 
@@ -244,7 +249,7 @@ def _atom_closure(m: FiniteMonoid) -> frozenset[int]:
     # all non-empty products of atoms, by right-extension to a fixpoint
     ats = sorted(atoms(m))
     found = dict.fromkeys(ats)
-    _closure(m.table, ats, ats, found)
+    _closure(ats, ats, m.mul, found)
     return frozenset(found)
 
 
@@ -472,7 +477,7 @@ def enumerate_homs(
 def submonoid_closure(m: FiniteMonoid, generators: Iterable[int]) -> list[int]:
     """Sorted element indices of the submonoid generated by the given elements."""
     found = {m.identity: None}
-    _closure(m.table, [m.identity], sorted(set(generators)), found)
+    _closure([m.identity], sorted(set(generators)), m.mul, found)
     return sorted(found)
 
 

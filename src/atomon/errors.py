@@ -64,10 +64,6 @@ class PeriodViolatedError(AtomonError):
         self.position = n
 
 
-class EmptyClassError(AtomonError):
-    """The word is congruent to the empty word."""
-
-
 class SourceMismatchError(AtomonError):
     pass
 

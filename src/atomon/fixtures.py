@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from .core import FiniteMonoid, check_property, new_monoid, terminal_monoid, trivial_monoid
+from .core import FiniteMonoid, _closure, check_property, new_monoid, terminal_monoid, trivial_monoid
+from .errors import CapExceededError
 
 
 def zero() -> FiniteMonoid:
@@ -78,24 +79,14 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
             tuple(rng.randrange(base) for _ in range(base))
             for _ in range(rng.randint(1, 2))
         ]
-        elements = [ident]
-        seen = {ident}
-        frontier = [ident]
-        too_big = False
-        while frontier and not too_big:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    fg = _compose(f, g)
-                    if fg not in seen:
-                        seen.add(fg)
-                        elements.append(fg)
-                        nxt.append(fg)
-                        if len(elements) > max_size:
-                            too_big = True
-            frontier = nxt
-        if too_big or len(elements) < 2:
+        found = {ident: None}
+        try:
+            _closure([ident], gens, _compose, found, max_size)
+        except CapExceededError:
             continue
+        if len(found) < 2:
+            continue
+        elements = list(found)
         index = {f: i for i, f in enumerate(elements)}
         table = [[index[_compose(f, g)] for g in elements] for f in elements]
         names = ["t" + "".join(str(v) for v in f) for f in elements]

@@ -34,22 +34,8 @@ class EPSet:
     def is_empty(self) -> bool:
         return not self.head and not self.tail
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.tail
-
     def has_positive(self) -> bool:
         return bool(self.tail) or any(h > 0 for h in self.head)
-
-    def min_element(self) -> int | None:
-        if self.head:
-            return min(self.head)
-        if not self.tail:
-            return None
-        return min(self.threshold + ((r - self.threshold) % self.period) for r in self.tail)
-
-    def bits(self, window: int) -> list[bool]:
-        return [n in self for n in range(window)]
 
     def members_upto(self, bound: int) -> list[int]:
         """Sorted members n with n <= bound."""
@@ -94,7 +80,12 @@ def eps_finite(members: Iterable[int]) -> EPSet:
 
 
 def eps_cofinite(start: int) -> EPSet:
-    """All naturals n >= start."""
+    """All naturals n >= start.
+
+    Kept although no library code calls it: {n >= s} is the length set of an
+    absorbing element first reached at length s (L(0) = {n >= 2} in
+    {1, a, 0}), and tests state many expected length sets with it.
+    """
     return _canonical(start, (), 1, (0,))
 
 

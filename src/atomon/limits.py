@@ -27,6 +27,7 @@ from .errors import (
     TargetMismatchError,
     ValidationError,
 )
+from .product import _product_submonoid
 
 
 def initial() -> FiniteMonoid:
@@ -54,37 +55,15 @@ def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
 
 def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, MonoidHom]:
     """Pairs over a cospan: the submonoid of the direct product generated by
-    agreeing atom pairs and agreeing unit pairs, with both projections."""
+    agreeing atom pairs and agreeing unit pairs, with both projections. Built
+    by the same routine as the materialized product, so elements are indexed
+    in discovery order and named "(x,y)"."""
     if f.target != g.target:
         raise TargetMismatchError("pullback needs a common target")
     h, k = f.source, g.source
-    gens = sorted(
-        {(x, y) for x in atoms(h) for y in atoms(k) if f.map[x] == g.map[y]}
-        | {(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]}
-    )
-    ident = (h.identity, k.identity)
-    order = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for (x, y) in frontier:
-            for (gx, gy) in gens:
-                pair = (h.mul(x, gx), k.mul(y, gy))
-                if pair not in seen:
-                    seen.add(pair)
-                    order.append(pair)
-                    nxt.append(pair)
-        frontier = nxt
-    index = {pair: i for i, pair in enumerate(order)}
-    table = [
-        [index[(h.mul(x1, x2), k.mul(y1, y2))] for (x2, y2) in order]
-        for (x1, y1) in order
-    ]
-    names = [f"({h.names[x]},{k.names[y]})" for (x, y) in order]
-    p = new_monoid(names, table, index[ident])
-    p1 = new_hom(p, h, tuple(x for (x, _) in order))
-    p2 = new_hom(p, k, tuple(y for (_, y) in order))
+    gens = [(x, y) for x in atoms(h) for y in atoms(k) if f.map[x] == g.map[y]]
+    gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
+    p, (p1, p2) = _product_submonoid((h, k), gens)
     return p, p1, p2
 
 
@@ -94,9 +73,6 @@ class Congruence:
 
     carrier: FiniteMonoid
     leader: tuple[int, ...]
-
-    def same(self, x: int, y: int) -> bool:
-        return self.leader[x] == self.leader[y]
 
     def classes(self) -> list[frozenset[int]]:
         buckets: dict[int, set[int]] = {}

@@ -2,19 +2,21 @@
 product generated by all-unit tuples and all-atom tuples.
 
 Membership and length sets are decided by exact length-set intersection;
-materialization is optional and size-capped.
+materialization is optional and size-capped. ``_product_submonoid`` builds
+the submonoid of a direct product generated by given tuples, with its
+projections; it materializes the product here and the pullback in
+``limits``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, MonoidHom, atoms, new_monoid, units
+from .core import FiniteMonoid, MonoidHom, _closure, atoms, new_hom, new_monoid, units
 from .coproduct import Family
 from .errors import (
-    CapExceededError,
     NotAtomPreservingError,
     NotInProductError,
     SourceMismatchError,
@@ -83,42 +85,42 @@ def identity_tuple(family: Family) -> TupleElem:
     return tuple(m.identity for m in family.members)
 
 
-def ap_closure(family: Family, cap: int) -> list[TupleElem]:
-    """Elements of the product in deterministic discovery order."""
+def _product_submonoid(
+    members: Sequence[FiniteMonoid],
+    generators: Iterable[TupleElem],
+    cap: int | None = None,
+) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:
+    """The submonoid of the direct product of the members generated by the
+    given tuples, with one projection onto each member.
+
+    Elements are indexed in breadth-first discovery order from the identity
+    tuple over the sorted generators and named "(x1,...,xk)". Raises
+    CapExceededError once more than ``cap`` elements are found.
+    """
+    def mul(s: TupleElem, t: TupleElem) -> TupleElem:
+        return tuple(m.mul(x, y) for m, x, y in zip(members, s, t))
+
+    found = {tuple(m.identity for m in members): None}
+    _closure(list(found), sorted(set(generators)), mul, found, cap)
+    index = {t: i for i, t in enumerate(found)}
+    table = [[index[mul(s, t)] for t in index] for s in index]
+    names = ["(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")" for t in index]
+    apex = new_monoid(names, table, 0)
+    return apex, tuple(
+        new_hom(apex, m, tuple(t[i] for t in index)) for i, m in enumerate(members)
+    )
+
+
+def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:
+    """Materialize the product as a multiplication table with its projections,
+    if it has at most ``cap`` elements.
+
+    The tuple of element i is ``tuple(p.map[i] for p in projections)``.
+    """
     if cap < 1:
         raise ValidationError("cap must be positive")
     gens = ap_generators(family)
-    generators = sorted(gens.unit_tuples | gens.atom_tuples)
-    ident = identity_tuple(family)
-    order = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in generators:
-                prod = tuple_mul(family, t, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    nxt.append(prod)
-                    if len(order) > cap:
-                        raise CapExceededError(cap)
-        frontier = nxt
-    return order
-
-
-def tuple_name(family: Family, t: TupleElem) -> str:
-    return "(" + ",".join(m.names[x] for m, x in zip(family.members, t)) + ")"
-
-
-def ap_materialize(family: Family, cap: int) -> FiniteMonoid:
-    """Materialize the product as a multiplication table, if it fits the cap."""
-    order = ap_closure(family, cap)
-    index = {t: i for i, t in enumerate(order)}
-    table = [[index[tuple_mul(family, s, t)] for t in order] for s in order]
-    names = [tuple_name(family, t) for t in order]
-    return new_monoid(names, table, index[identity_tuple(family)])
+    return _product_submonoid(family.members, gens.unit_tuples | gens.atom_tuples, cap)
 
 
 def ap_is_unit(family: Family, t: Sequence[int]) -> bool:

@@ -143,13 +143,3 @@ def parse_tuple(family: Family, text: str) -> tuple[int, ...]:
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
     return tuple(out)
-
-
-def hom_to_json(h: MonoidHom) -> dict:
-    """Inline form used for CLI output (monoids embedded, not referenced)."""
-    return {
-        "source": monoid_to_json(h.source),
-        "target": monoid_to_json(h.target),
-        "map": list(h.map),
-        "atom_preserving": h.atom_preserving,
-    }

@@ -7,6 +7,7 @@ names are stable identifiers used by the CLI `verify` command.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -40,6 +41,7 @@ from .core import (
     compose,
     enumerate_homs,
     eval_word,
+    new_hom,
     new_monoid,
     terminal_monoid,
     units,
@@ -59,7 +61,6 @@ from .lengths import (
 )
 from .limits import congruence_closure, coequalizer, equalizer, pullback
 from .product import (
-    ap_closure,
     ap_contains,
     ap_generators,
     ap_length_set,
@@ -125,8 +126,12 @@ class VerifyReport:
         return [header] + [f"  mismatch: {m}" for m in self.mismatches]
 
 
+# built once, on first use rather than at import; the monoids are immutable
+_named_fixtures = functools.cache(fixtures.named_fixtures)
+
+
 def _named(name: str) -> FiniteMonoid:
-    return fixtures.named_fixtures()[name]
+    return _named_fixtures()[name]
 
 
 def _family(names) -> Family:
@@ -391,7 +396,7 @@ def suite_preserved_properties(rng, budget):
     props = ("acyclic", "unit_cancellative", "cancellative")
     for names in GROUP_FAMILIES:
         fam = _family(names)
-        mat = ap_materialize(fam, 60)
+        mat, _ = ap_materialize(fam, 60)
         for prop in props:
             cases += 1
             try:
@@ -422,9 +427,9 @@ def suite_product_formulas(rng, budget):
     cases, mismatches = 0, []
     for names in PRODUCT_FAMILIES:
         fam = _family(names)
-        order = ap_closure(fam, 60)
+        mat, projections = ap_materialize(fam, 60)
+        order = list(zip(*(p.map for p in projections)))
         index = {t: i for i, t in enumerate(order)}
-        mat = ap_materialize(fam, 60)
         gens = ap_generators(fam)
         # formula length sets match table-level dynamic programming
         for t, i in index.items():
@@ -470,7 +475,7 @@ def suite_product_unions(rng, budget):
     cases, mismatches = 0, []
     for names in PRODUCT_FAMILIES:
         fam = _family(names)
-        mat = ap_materialize(fam, 60)
+        mat, _ = ap_materialize(fam, 60)
         for k in range(0, 7):
             cases += 1
             if ap_union_k(fam, k) != union_k(mat, k):
@@ -514,8 +519,6 @@ def _equalizer_up(cases, mismatches):
                         )
                         continue
                     try:
-                        from .core import new_hom
-
                         tau = new_hom(w, e_monoid, [image[alpha.map[x]] for x in range(w.size)])
                     except Exception as exc:
                         mismatches.append(f"equalizer {hn}->{kn}: factorization invalid: {exc}")
@@ -589,17 +592,10 @@ def _coproduct_up(cases, mismatches):
 
 
 def _product_up(cases, mismatches):
-    from .core import new_hom
-
     for names in (("one", "one"), ("one", "c2"), ("h2", "h2")):
         fam = _family(names)
-        order = ap_closure(fam, 60)
-        index = {t: i for i, t in enumerate(order)}
-        mat = ap_materialize(fam, 60)
-        projections = [
-            new_hom(mat, member, tuple(t[i] for t in order))
-            for i, member in enumerate(fam.members)
-        ]
+        mat, projections = ap_materialize(fam, 60)
+        index = {t: i for i, t in enumerate(zip(*(p.map for p in projections)))}
         for wn, w in _apexes():
             for cone in itertools.product(*(_hom_list(w, m) for m in fam.members)):
                 cases += 1

@@ -22,13 +22,11 @@ from atomon import (
     fp_union_k,
     gamma_admissible,
     identity_hom,
-    index_block_decomposition,
     new_hom,
     reduce,
     reduced_words_upto,
 )
 from atomon.errors import (
-    EmptyClassError,
     NotAtomicError,
     PreconditionError,
     SearchBudgetExceededError,
@@ -74,16 +72,6 @@ def test_fp_mul_examples(two_ones, one_c2):
     assert fp_mul(two_ones, a, EPS_WORD) == a
     u = reduce(one_c2, [(1, 1)])
     assert fp_mul(one_c2, u, u) == EPS_WORD
-
-
-def test_index_blocks(one_c2):
-    blocks = index_block_decomposition(one_c2, [(0, 1), (0, 1), (1, 1)]).blocks
-    assert blocks == ((0, (1, 1)), (1, (1,)))
-    assert index_block_decomposition(one_c2, [(0, 1)]).blocks == ((0, (1,)),)
-    with pytest.raises(EmptyClassError):
-        index_block_decomposition(one_c2, [(0, 0), (1, 0)])
-    with pytest.raises(EmptyClassError):
-        index_block_decomposition(one_c2, [(1, 1), (1, 1)])  # u*u = 1
 
 
 def test_unit_and_atom_recognition(one_c2):

@@ -29,6 +29,16 @@ def test_random_monoids_are_valid_and_deterministic():
         assert check_property(m1, "dedekind_finite")
 
 
+def test_random_monoid_tables_are_pinned():
+    m = random_monoid(0)
+    assert m.names == ("t012", "t111")
+    assert m.table == ((0, 1), (1, 1))
+    m = random_monoid(2)
+    assert m.names == ("t01", "t10", "t00", "t11")
+    assert m.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 2, 2, 2), (3, 3, 3, 3))
+    assert m.identity == 0
+
+
 def test_random_fixture_batch():
     batch = random_fixtures(5)
     assert len(batch) == 5

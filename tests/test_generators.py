@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomon.core import enumerate_homs, new_hom, new_monoid, submonoid_closure
-from atomon.errors import NonAssociativeError, NotMultiplicativeError, ValidationError
+from atomon.core import _closure, enumerate_homs, new_hom, new_monoid, submonoid_closure
+from atomon.errors import CapExceededError, NonAssociativeError, NotMultiplicativeError, ValidationError
 from atomon.fixtures import named_fixtures, random_monoid
 from atomon.limits import congruence_closure
 from atomon.verify import _exhaustive_homs, _ijk_scan
@@ -165,6 +165,19 @@ def test_generating_sets_of_known_size():
     assert len(t3.generators) == 3
     assert len(null8.generators) == 6  # every atom is needed
     assert len(monogenic(30).generators) == 1
+
+
+def test_closure_stops_at_the_first_element_past_the_cap():
+    t3, _ = LARGER
+    for m in (monogenic(30), t3):
+        found = {m.identity: None}
+        _closure([m.identity], m.generators, m.mul, found, cap=m.size)
+        assert len(found) == m.size
+        for cap in (1, m.size // 2, m.size - 1):
+            found = {m.identity: None}
+            with pytest.raises(CapExceededError):
+                _closure([m.identity], m.generators, m.mul, found, cap)
+            assert len(found) == cap + 1
 
 
 @pytest.mark.parametrize("entry", [1.5, True, "1", None])

@@ -62,7 +62,8 @@ def test_random_round_trip_window(seeded_rng=random.Random(7)):
             p,
             {r for r in range(p) if seeded_rng.random() < 0.4},
         )
-        again = eps_from_window(s.bits(s.threshold + 3 * s.period), s.period, s.threshold)
+        bits = [n in s for n in range(s.threshold + 3 * s.period)]
+        again = eps_from_window(bits, s.period, s.threshold)
         assert again == s
 
 

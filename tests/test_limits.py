@@ -75,6 +75,16 @@ def test_pullback_diagonal():
     assert p1.map == p2.map
 
 
+def test_pullback_element_order_and_names():
+    # breadth-first from (1,1) over the sorted agreeing pairs
+    fold = new_hom(h2(), one(), (0, 1, 1, 2))
+    p, p1, p2 = pullback(fold, fold)
+    assert p.names == ("(1,1)", "(a,a)", "(a,b)", "(b,a)", "(b,b)", "(0,0)")
+    assert p1.map == (0, 1, 1, 2, 2, 3)
+    assert p2.map == (0, 1, 2, 1, 2, 3)
+    assert p1.target == h2() and p2.target == h2()
+
+
 def test_pullback_against_terminal_recovers_source():
     f = canonical_to_terminal(h2())
     p, p1, p2 = pullback(f, identity_hom(one()))

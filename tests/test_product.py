@@ -6,7 +6,6 @@ from atomon import (
     EMPTY,
     Family,
     ZERO_ONLY,
-    ap_closure,
     ap_contains,
     ap_generators,
     ap_is_atom,
@@ -31,6 +30,7 @@ from atomon.errors import (
     NotAtomPreservingError,
     NotInProductError,
     SourceMismatchError,
+    ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, one, zero
 from atomon.product import identity_tuple, tuple_mul
@@ -63,16 +63,41 @@ def test_contains_examples(two_ones):
 
 
 def test_materialize_examples(two_ones):
-    mat = ap_materialize(two_ones, 100)
+    mat, _ = ap_materialize(two_ones, 100)
     assert mat.size == 3
     assert check_property(mat, "atomic")
 
-    group = ap_materialize(Family([c2(), c2()]), 100)
+    group, _ = ap_materialize(Family([c2(), c2()]), 100)
     assert group.size == 4
     assert units(group) == frozenset(range(4))
 
     with pytest.raises(CapExceededError):
         ap_materialize(Family([one(), one(), one()]), 2)
+    with pytest.raises(ValidationError):
+        ap_materialize(two_ones, 0)
+
+
+def test_materialize_element_order_and_names(two_ones):
+    # breadth-first from the identity tuple over the sorted generator tuples
+    mat, projections = ap_materialize(two_ones, 100)
+    assert mat.names == ("(1,1)", "(a,a)", "(0,0)")
+    assert [p.map for p in projections] == [(0, 1, 2), (0, 1, 2)]
+    mat, projections = ap_materialize(Family([h2(), m31()]), 100)
+    assert mat.names == ("(1,1)", "(a,g)", "(b,g)", "(0,g2)", "(0,g3)")
+    assert [p.map for p in projections] == [(0, 1, 2, 3, 3), (0, 1, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [(one(), one()), (h2(), m31()), (one(), one(), one()), (c2(), c2(), c2())],
+    ids=["one*one", "h2*m31", "one*one*one", "c2*c2*c2"],
+)
+def test_materialize_cap_boundary(members):
+    fam = Family(list(members))
+    size = ap_materialize(fam, 100)[0].size
+    assert ap_materialize(fam, size)[0].size == size
+    with pytest.raises(CapExceededError):
+        ap_materialize(fam, size - 1)
 
 
 def test_unit_and_atom_membership(two_ones):
@@ -133,9 +158,8 @@ def test_formula_matches_materialized_tables():
         Family([one(), one(), one()]),
     ]
     for fam in families:
-        order = ap_closure(fam, 60)
-        index = {t: i for i, t in enumerate(order)}
-        mat = ap_materialize(fam, 60)
+        mat, projections = ap_materialize(fam, 60)
+        index = {tuple(p.map[i] for p in projections): i for i in range(mat.size)}
         for t, i in index.items():
             assert ap_length_set(fam, t) == length_set(mat, i)
         assert ap_length_system(fam).entries == length_system(mat).entries
@@ -155,9 +179,13 @@ def test_unit_conjugates_of_atom_tuples_are_atom_tuples():
 
 
 def test_projections_preserve_atoms():
-    fam = Family([h2(), m31()])
-    order = ap_closure(fam, 60)
-    mat = ap_materialize(fam, 60)
-    for comp, member in enumerate(fam.members):
-        proj = new_hom(mat, member, tuple(t[comp] for t in order))
-        assert proj.atom_preserving
+    for members in ([one(), one()], [h2(), m31()], [one(), c2(), m31()], [c2(), c2()]):
+        fam = Family(members)
+        mat, projections = ap_materialize(fam, 60)
+        assert [p.target for p in projections] == members
+        assert all(p.source is mat and p.atom_preserving for p in projections)
+        # the projections are the components of the element tuples
+        for i in range(mat.size):
+            t = tuple(p.map[i] for p in projections)
+            assert ap_contains(fam, t)
+            assert mat.names[i] == "(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")"
