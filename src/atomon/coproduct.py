@@ -7,6 +7,7 @@ letters, adjacent letters from distinct members.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .lengths import (
     ZERO_ONLY,
     EPSet,
     LengthSystem,
+    eps_minkowski_sum,
     eps_sum_many,
     eps_union,
     length_set,
@@ -167,52 +169,57 @@ def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
     return all(a != b for a, b in zip(index_word, index_word[1:]))
 
 
+def _follows(family: Family) -> list[list[int]]:
+    """follows[i]: the members that may precede member i. A non-empty index
+    word is admissible iff each adjacent pair is, in all three regimes."""
+    size = len(family.members)
+    return [[h for h in range(size) if gamma_admissible(family, (h, i))] for i in range(size)]
+
+
 def fp_length_system_bounded(family: Family, max_blocks: int) -> LengthSystem:
     """Sums of member non-zero length sets over admissible index words of
-    bounded length. Truncated, never presented as the full system."""
+    bounded length. Truncated, never presented as the full system.
+
+    A DP over the last member: sums[i] holds the distinct sums over the words
+    of the current length that end in i. The words one block longer ending in
+    i extend those ending in a member that may precede i, and these are all
+    the admissible ones, since admissibility is a condition on adjacent pairs.
+    """
     if max_blocks < 1:
         raise ValidationError("max_blocks must be at least 1")
-    member_systems = [
-        sorted(length_system(m, nonzero_only=True), key=EPSet.sort_key)
-        for m in family.members
-    ]
-    entries: set[EPSet] = set()
-    for n in range(1, max_blocks + 1):
-        for index_word in itertools.product(range(len(family.members)), repeat=n):
-            if not gamma_admissible(family, index_word):
-                continue
-            for choice in itertools.product(*(member_systems[i] for i in index_word)):
-                entries.add(eps_sum_many(choice))
-    entries.discard(EMPTY)
+    systems = [length_system(m, nonzero_only=True).entries for m in family.members]
+    follows = _follows(family)
+    sums = [set(system) for system in systems]
+    entries = set().union(*sums)
+    for _ in range(1, max_blocks):
+        before = [set().union(*(sums[h] for h in hs)) for hs in follows]
+        sums = [{eps_minkowski_sum(s, e) for s in prev for e in system} for prev, system in zip(before, systems)]
+        entries.update(*sums)
     return LengthSystem(frozenset(entries), truncated_at=max_blocks)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def fp_union_k(family: Family, k: int) -> EPSet:
-    """Exact union of length sets containing k, via compositions of k over
-    admissible index words (every part is positive, so word length <= k)."""
+    """Exact union of the length sets containing k: the union of the sums
+    U_{i_1}(k_1) + ... + U_{i_n}(k_n), U_i(j) = union_k(member i, j), over
+    admissible index words and compositions of k into positive parts.
+
+    A DP: ends[j][i], that union over the words ending in i with parts
+    totalling j, is U_i(j) ∪ ⋃_{s<j, h may precede i} ends[s][h] + U_i(j-s).
+    Exact because the Minkowski sum distributes over union, admissibility is
+    a condition on adjacent pairs, and an empty summand already sums to
+    EMPTY. O(k²·|family| + k·|family|²) EPSet operations.
+    """
     if k < 1:
         raise ValidationError("k must be positive")
-    member_unions = [[None] + [union_k(m, kk) for kk in range(1, k + 1)] for m in family.members]
-    acc = EMPTY
-    for n in range(1, k + 1):
-        for index_word in itertools.product(range(len(family.members)), repeat=n):
-            if not gamma_admissible(family, index_word):
-                continue
-            for parts in _compositions(k, n):
-                summands = [member_unions[i][kk] for i, kk in zip(index_word, parts)]
-                if any(s.is_empty for s in summands):
-                    continue
-                acc = eps_union(acc, eps_sum_many(summands))
-    return acc
+    unions = [[union_k(m, j) for j in range(k + 1)] for m in family.members]
+    follows = _follows(family)
+    # into[s][i]: ends[s][h] united over the members h that may precede i
+    ends, into = [[]], [[]]
+    for j in range(1, k + 1):
+        sums = [[eps_sum_many((into[s][i], u[j - s])) for s in range(1, j)] for i, u in enumerate(unions)]
+        ends.append([functools.reduce(eps_union, terms, u[j]) for terms, u in zip(sums, unions)])
+        into.append([functools.reduce(eps_union, (ends[j][h] for h in hs), EMPTY) for hs in follows])
+    return functools.reduce(eps_union, ends[k], EMPTY)
 
 
 def coprojection(family: Family, i: int, x: int) -> ReducedWord:

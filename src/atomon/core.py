@@ -302,6 +302,7 @@ class ElemClass(enum.Enum):
 
 def classify(m: FiniteMonoid, x: int) -> ElemClass:
     """Trichotomy: unit, atom, or non-unit that factors into two non-units."""
+    _check_indices((x,), m.size, "element index")
     if x in units(m):
         return ElemClass.UNIT
     if x in atoms(m):

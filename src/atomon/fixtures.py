@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .core import FiniteMonoid, _closure, check_property, new_monoid, terminal_monoid, trivial_monoid
-from .errors import CapExceededError
+from .errors import CapExceededError, ValidationError
 
 
 def zero() -> FiniteMonoid:
@@ -71,6 +71,8 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
     associative by construction; oversized closures are rejected and
     redrawn. Deterministic per seed.
     """
+    if max_size < 2:
+        raise ValidationError(f"max_size must be at least 2, not {max_size}")
     rng = random.Random(seed)
     while True:
         base = rng.randint(2, 3)

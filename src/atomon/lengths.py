@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, atoms, units
+from .core import FiniteMonoid, _check_indices, atoms, units
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -128,49 +128,32 @@ def eps_intersect(a: EPSet, b: EPSet) -> EPSet:
 
 
 def _mask(s: EPSet, window: int) -> int:
-    m = 0
-    for n in range(window):
-        if n in s:
-            m |= 1 << n
-    return m
-
-
-def _sum_mask(a: EPSet, b: EPSet, window: int) -> int:
-    bm = _mask(b, window)
-    cut = (1 << window) - 1
-    out = 0
-    am = _mask(a, window)
-    n = 0
-    while am:
-        if am & 1:
-            out |= bm << n
-        am >>= 1
-        n += 1
-    return out & cut
+    return int("".join("1" if n in s else "0" for n in reversed(range(window))), 2)
 
 
 def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
     """Exact Minkowski sum {x + y : x in A, y in B}.
 
-    The sum is lcm(p_a, p_b)-periodic from T_a + T_b + lcm onward; the
-    window is deliberately larger than that bound, and the extracted set is
-    re-verified against a direct convolution on a second window of the same
-    length before being returned.
+    With L = lcm(p_a, p_b), n is in A+B iff n+L is, once n >= T_a+T_b+L:
+    if n = x+y >= T_a+T_b, then x >= T_a or y >= T_b, and adding L to that
+    summand keeps it in its set; if n+L = x+y >= T_a+T_b+2L, then x >= T_a+L
+    or y >= T_b+L, and subtracting L keeps it in its set. The window T_a+T_b+3L
+    holds that threshold and the two periods eps_from_window needs, and the
+    result is certified against a direct convolution on twice that window.
     """
     if a.is_empty or b.is_empty:
         return EMPTY
     lcm = math.lcm(a.period, b.period)
-    window = a.threshold + b.threshold + 4 * lcm + a.period * b.period
-    conv = _sum_mask(a, b, window)
-    result = eps_from_window(
-        [bool(conv >> n & 1) for n in range(window)],
-        period=lcm,
-        threshold=a.threshold + b.threshold + lcm,
-    )
-    check = _sum_mask(a, b, 2 * window)
-    for n in range(2 * window):
-        if (n in result) != bool(check >> n & 1):
-            raise PeriodViolatedError(n)
+    window = a.threshold + b.threshold + 3 * lcm
+    bm, conv = _mask(b, 2 * window), 0
+    for n in a.members_upto(2 * window - 1):
+        conv |= bm << n
+    conv &= (1 << 2 * window) - 1
+    bits = [bit == "1" for bit in reversed(format(conv, f"0{2 * window}b")[window:])]
+    result = eps_from_window(bits, period=lcm, threshold=a.threshold + b.threshold + lcm)
+    diff = _mask(result, 2 * window) ^ conv
+    if diff:
+        raise PeriodViolatedError((diff & -diff).bit_length() - 1)
     return result
 
 
@@ -224,6 +207,7 @@ def _layers_of(m: FiniteMonoid) -> LayerSequence:
 
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
     """L(x): lengths of factorizations of x into atoms, as an exact EPSet."""
+    _check_indices((x,), m.size, "element index")
     if x == m.identity:
         return ZERO_ONLY
     if x in units(m):
@@ -277,6 +261,7 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
     Plain dynamic programming over (length, element) with no periodicity
     reasoning, kept independent from length_set on purpose.
     """
+    _check_indices((x,), m.size, "element index")
     if bound < 0:
         raise ValidationError("bound must be non-negative")
     found = set()

@@ -82,9 +82,13 @@ def eps_to_json(s: EPSet) -> dict:
 
 def eps_from_json(data: dict) -> EPSet:
     try:
-        return _canonical(data["threshold"], data["head"], data["period"], data["tail"])
+        threshold, head, period, tail = data["threshold"], data["head"], data["period"], data["tail"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed EPSet object: {exc}") from None
+    fields = [threshold, period, *head, *tail] if type(head) is list and type(tail) is list else [None]
+    if any(type(n) is not int for n in fields) or period < 1 or min(fields) < 0:
+        raise ParseError("an EPSet needs int threshold >= 0, int period >= 1 and lists of ints >= 0")
+    return _canonical(threshold, head, period, tail)
 
 
 def eps_to_text(s: EPSet) -> str:

@@ -29,6 +29,7 @@ from .coproduct import (
     fp_length_system_bounded,
     fp_mul,
     fp_union_k,
+    gamma_admissible,
     reduce,
     reduced_words_upto,
 )
@@ -52,6 +53,7 @@ from .lengths import (
     brute_force_lengths,
     eps_intersect,
     eps_minkowski_sum,
+    eps_sum_many,
     eps_union,
     length_set,
     length_system,
@@ -348,13 +350,37 @@ def suite_coproduct_lengths(rng, budget):
     return cases, mismatches
 
 
+def _admissible_words(fam: Family, max_len: int):
+    words = (w for n in range(1, max_len + 1) for w in itertools.product(range(len(fam)), repeat=n))
+    return [w for w in words if gamma_admissible(fam, w)]
+
+
+def _union_k_oracle(fam: Family, k: int):
+    """Oracle: fp_union_k over all admissible index words × compositions of k."""
+    acc = EMPTY
+    for word in _admissible_words(fam, k):
+        for cuts in itertools.combinations(range(1, k), len(word) - 1):
+            parts = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
+            acc = eps_union(acc, eps_sum_many(union_k(fam[i], p) for i, p in zip(word, parts)))
+    return acc
+
+
+def _system_oracle(fam: Family, max_blocks: int):
+    """Oracle: fp_length_system_bounded over all admissible index words × choices."""
+    systems = [length_system(m, nonzero_only=True).entries for m in fam.members]
+    words = _admissible_words(fam, max_blocks)
+    return {eps_sum_many(choice) for w in words for choice in itertools.product(*(systems[i] for i in w))}
+
+
 def suite_coproduct_unions(rng, budget):
     cases, mismatches = 0, []
     for names in UNION_FAMILIES:
         fam = _family(names)
         for k in range(1, 5):
-            cases += 1
+            cases += 2
             formula = fp_union_k(fam, k)
+            if formula != _union_k_oracle(fam, k):
+                mismatches.append(f"{names} k={k}: {formula!r} vs the composition oracle")
             direct = EMPTY
             for w in reduced_words_upto(fam, k):
                 ls = fp_length_set(fam, w)
@@ -371,6 +397,9 @@ def suite_coproduct_systems(rng, budget):
     for names in COPRODUCT_FAMILIES:
         fam = _family(names)
         system = fp_length_system_bounded(fam, max_blocks)
+        cases += 1
+        if system.entries != _system_oracle(fam, max_blocks):
+            mismatches.append(f"{names}: system differs from the index-word oracle")
         # every short non-unit word's length set is listed
         for w in reduced_words_upto(fam, max_blocks):
             if not w.letters or fp_is_unit(fam, w):

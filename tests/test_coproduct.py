@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomon import (
     EMPTY,
@@ -31,8 +33,9 @@ from atomon.errors import (
     PreconditionError,
     SearchBudgetExceededError,
 )
-from atomon.fixtures import c2, h2, m31, one, sl2
+from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_union
+from atomon.verify import _system_oracle, _union_k_oracle
 
 
 @pytest.fixture
@@ -224,3 +227,19 @@ def test_empty_class_words_have_only_unit_letters(one_c2):
         for raw in itertools.product(alphabet, repeat=length):
             if reduce(one_c2, raw) == EPS_WORD:
                 assert all(x in units(one_c2.members[i]) for i, x in raw)
+
+
+ATOMIC = list(atomic_fixtures().values())
+FAMILIES = st.lists(st.sampled_from(ATOMIC), min_size=1, max_size=3).map(Family)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(FAMILIES, st.integers(1, 6))
+def test_union_k_dp_matches_the_composition_oracle(fam, k):
+    assert fp_union_k(fam, k) == _union_k_oracle(fam, k)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(FAMILIES, st.integers(1, 3))
+def test_system_dp_matches_the_index_word_oracle(fam, blocks):
+    assert fp_length_system_bounded(fam, blocks).entries == _system_oracle(fam, blocks)

@@ -89,6 +89,12 @@ def test_classify_trichotomy_on_terminal():
     assert classify(m, 2) is ElemClass.REDUCIBLE
 
 
+@pytest.mark.parametrize("x", [99, 3, -1, True, 1.0, "1"])
+def test_classify_refuses_bad_element_indices(x):
+    with pytest.raises(ValidationError):
+        classify(terminal_monoid(), x)
+
+
 def test_new_hom_examples():
     m = one()
     ident = new_hom(m, m, (0, 1, 2))

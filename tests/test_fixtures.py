@@ -1,4 +1,7 @@
+import pytest
+
 from atomon import check_property
+from atomon.errors import ValidationError
 from atomon.fixtures import (
     atomic_fixtures,
     named_fixtures,
@@ -43,3 +46,9 @@ def test_random_fixture_batch():
     batch = random_fixtures(5)
     assert len(batch) == 5
     assert any(m1 != m2 for m1 in batch for m2 in batch)
+
+
+@pytest.mark.parametrize("max_size", [1, 0, -3])
+def test_random_monoid_needs_room_for_two_elements(max_size):
+    with pytest.raises(ValidationError):
+        random_monoid(0, max_size)

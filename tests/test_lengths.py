@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomon import (
     EMPTY,
@@ -19,7 +22,7 @@ from atomon import (
     union_k,
 )
 from atomon.core import atoms, units
-from atomon.errors import PeriodViolatedError, WindowTooShortError
+from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
 from atomon.lengths import _canonical
 
@@ -233,3 +236,34 @@ def test_minkowski_against_window_convolution():
             x + y for x in members(a, 60) for y in members(b, 60) if x + y <= 60
         }
         assert set(eps_minkowski_sum(a, b).members_upto(60)) == direct
+
+
+@pytest.mark.parametrize("lengths_of", [length_set, lambda m, x: brute_force_lengths(m, x, 5)])
+@pytest.mark.parametrize("x", [99, 4, -1, True, 2.0])
+def test_element_index_must_be_in_range(lengths_of, x):
+    with pytest.raises(ValidationError):
+        lengths_of(m31(), x)
+
+
+@st.composite
+def epsets(draw, max_threshold=30, max_period=24):
+    t = draw(st.integers(0, max_threshold))
+    p = draw(st.integers(1, max_period))
+    head = draw(st.sets(st.integers(0, t - 1))) if t else set()
+    return _canonical(t, head, p, draw(st.sets(st.integers(0, p - 1))))
+
+
+def bitmask(s, bound):
+    return sum(1 << n for n in s.members_upto(bound))
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(epsets(), epsets())
+def test_minkowski_sum_matches_a_direct_mask_convolution(a, b):
+    # three times the window T_a + T_b + 3·lcm, beyond the twice-window
+    # the sum certifies itself on
+    bound = 3 * (a.threshold + b.threshold + 3 * math.lcm(a.period, b.period))
+    bm, conv = bitmask(b, bound), 0
+    for x in a.members_upto(bound):
+        conv |= bm << x
+    assert bitmask(eps_minkowski_sum(a, b), bound) == conv & ((2 << bound) - 1)

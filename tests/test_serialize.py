@@ -62,6 +62,30 @@ def test_eps_json_round_trip():
         assert eps_from_json(eps_to_json(s)) == s
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"period": 0},
+        {"period": -2},
+        {"period": True},
+        {"period": 2.0},
+        {"threshold": 1.5},
+        {"threshold": -1},
+        {"threshold": False},
+        {"head": [0, -1]},
+        {"head": [True]},
+        {"head": "01"},
+        {"tail": [-1]},
+        {"tail": [0.5]},
+        {"tail": None},
+    ],
+)
+def test_eps_json_refuses_bad_fields(change):
+    data = dict(eps_to_json(_canonical(3, {1}, 2, {0})), **change)
+    with pytest.raises(ParseError):
+        eps_from_json(data)
+
+
 def test_eps_text_forms():
     assert eps_to_text(eps_finite({0})) == "{0}"
     assert eps_to_text(eps_cofinite(2)) == "(2 + {0} mod 1)"
