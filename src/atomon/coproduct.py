@@ -203,23 +203,23 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     U_{i_1}(k_1) + ... + U_{i_n}(k_n), U_i(j) = union_k(member i, j), over
     admissible index words and compositions of k into positive parts.
 
-    A DP: ends[j][i], that union over the words ending in i with parts
-    totalling j, is U_i(j) ∪ ⋃_{s<j, h may precede i} ends[s][h] + U_i(j-s).
-    Exact because the Minkowski sum distributes over union, admissibility is
-    a condition on adjacent pairs, and an empty summand already sums to
-    EMPTY. O(k²·|family| + k·|family|²) EPSet operations.
+    Admissibility does not change that union. In any monoid L(x) + L(y) is
+    in L(xy), so U_i(a) + U_i(b) is in U_i(a + b): merging two adjacent
+    blocks of one member gives a word whose sum contains the longer word's.
+    Merging every adjacent repeat ends in a non-empty word with no repeat,
+    which all three regimes admit. So the union may run over all words: with
+    the pooled U(j) = U_1(j) ∪ ... ∪ U_n(j), it is totals[k] for the DP
+    totals[j] = U(j) ∪ ⋃_{1<=s<j} totals[s] + U(j-s), exact because the
+    Minkowski sum distributes over union. O(k² + k·|family|) EPSet operations.
     """
     if k < 1:
         raise ValidationError("k must be positive")
-    unions = [[union_k(m, j) for j in range(k + 1)] for m in family.members]
-    follows = _follows(family)
-    # into[s][i]: ends[s][h] united over the members h that may precede i
-    ends, into = [[]], [[]]
+    pooled = [functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY) for j in range(k + 1)]
+    totals = [EMPTY]
     for j in range(1, k + 1):
-        sums = [[eps_sum_many((into[s][i], u[j - s])) for s in range(1, j)] for i, u in enumerate(unions)]
-        ends.append([functools.reduce(eps_union, terms, u[j]) for terms, u in zip(sums, unions)])
-        into.append([functools.reduce(eps_union, (ends[j][h] for h in hs), EMPTY) for hs in follows])
-    return functools.reduce(eps_union, ends[k], EMPTY)
+        sums = (eps_sum_many((totals[s], pooled[j - s])) for s in range(1, j))
+        totals.append(functools.reduce(eps_union, sums, pooled[j]))
+    return totals[k]
 
 
 def coprojection(family: Family, i: int, x: int) -> ReducedWord:
@@ -272,14 +272,19 @@ def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
 
 def _search_budget(budget: int | None) -> int:
     if budget is not None:
+        if budget < 0:
+            raise ValidationError(f"search budget must be non-negative, not {budget}")
         return budget
     env = os.environ.get("ATOMON_BUDGET")
     if not env:
         return DEFAULT_SEARCH_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise ParseError(f"ATOMON_BUDGET must be an integer, not {env!r}") from None
+    if value < 0:
+        raise ParseError(f"ATOMON_BUDGET must be non-negative, not {env!r}")
+    return value
 
 
 def _candidate_atoms(family: Family, w: ReducedWord) -> list[tuple[Letter, ...]]:

@@ -4,11 +4,20 @@ An EPSet is stored in canonical form: the period is the minimal eventual
 period of the set, and the threshold is the least one compatible with that
 period. Canonical form makes structural equality coincide with extensional
 equality, which the length-system deduplication relies on.
+
+The EPSet operations work on membership windows held as one int bitmask,
+bit n for n: the head bits, then the tail's one-period pattern tiled up to
+the window by doubling shifts, so a window costs O(log(window / period))
+big-int operations rather than one membership test per position.
+Membership (``in``, ``members_upto``) stays a per-integer test, so checks
+against it are independent of the masks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,23 +57,57 @@ class EPSet:
         return f"EPSet(T={self.threshold}, head={sorted(self.head)}, p={self.period}, tail={sorted(self.tail)})"
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitmask(members: Iterable[int], width: int) -> int:
+    """The int with bit n set for each member n in [0, width). The others are
+    left out, as ``in`` ignores head members past the threshold."""
+    digits = bytearray(b"0" * (width + 1))
+    for n in members:
+        if 0 <= n < width:
+            digits[width - n] = ord("1")
+    return int(digits, 2)
+
+
+def _members(mask: int, width: int) -> frozenset[int]:
+    """The n < width whose bit is set in mask."""
+    mask &= (1 << width) - 1
+    if not mask:
+        return frozenset()
+    digits = format(mask, f"0{width}b").encode().translate(_DIGIT_VALUES)
+    return frozenset(itertools.compress(range(width - 1, -1, -1), digits))
+
+
+def _tile(pattern: int, period: int, width: int) -> int:
+    """OR of pattern << (j * period) over j >= 0, cut to width bits: the
+    shifted copies double each round."""
+    span = period
+    while span < width:
+        pattern |= pattern << span
+        span *= 2
+    return pattern & ((1 << width) - 1)
+
+
 def _canonical(threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
     """Normalize to minimal period, then minimal threshold."""
-    head = {n for n in head if 0 <= n < threshold}
-    tail = {r % period for r in tail}
+    return _normalize(_bitmask(head, threshold), threshold, period, _bitmask((r % period for r in tail), period))
+
+
+def _normalize(mask: int, threshold: int, period: int, residues: int) -> EPSet:
+    """_canonical of the set whose members below the threshold are the set
+    bits of mask, and beyond it the n with bit n % period set in residues."""
     # minimal eventual period divides every eventual period, so scan divisors
     for d in range(1, period + 1):
-        if period % d:
-            continue
-        if all(((r + d) % period in tail) == (r in tail) for r in range(period)):
-            tail = {r % d for r in tail}
+        if period % d == 0 and _tile(residues & ((1 << d) - 1), d, period) == residues:
+            residues &= (1 << d) - 1
             period = d
             break
-    t = threshold
-    while t > 0 and ((t - 1) in head) == (((t - 1) % period) in tail):
-        head.discard(t - 1)
-        t -= 1
-    return EPSet(t, frozenset(head), period, frozenset(tail))
+    # the least threshold: one past the last n < threshold where mask and the
+    # periodic pattern disagree
+    head = mask & ((1 << threshold) - 1)
+    t = (head ^ _tile(residues, period, threshold)).bit_length()
+    return EPSet(t, _members(head, t), period, _members(residues, period))
 
 
 EMPTY = _canonical(0, (), 1, ())
@@ -96,39 +139,54 @@ def eps_from_window(bits: Sequence[bool], period: int, threshold: int) -> EPSet:
     the bits must actually repeat with the claimed period beyond the
     threshold; both are verified, not trusted.
     """
-    window = len(bits)
+    mask = int("0" + "".join("1" if bit else "0" for bit in reversed(bits)), 2)
+    return _from_mask(mask, len(bits), period, threshold)
+
+
+def _from_mask(mask: int, window: int, period: int, threshold: int) -> EPSet:
+    """eps_from_window on the bitmask of a window of the given length."""
     if period < 1 or threshold < 0:
         raise ValidationError("need period >= 1 and threshold >= 0")
     if window < threshold + 2 * period:
         raise WindowTooShortError(
             f"window of {window} bits cannot certify threshold {threshold} and period {period}"
         )
-    for n in range(threshold, window - period):
-        if bool(bits[n]) != bool(bits[n + period]):
-            raise PeriodViolatedError(n)
-    head = {n for n in range(threshold) if bits[n]}
-    tail = {n % period for n in range(threshold, threshold + period) if bits[n]}
-    return _canonical(threshold, head, period, tail)
+    # bit n of diff: bits n and n + period of the window differ, n >= threshold
+    diff = ((mask >> threshold) ^ (mask >> (threshold + period))) & ((1 << (window - period - threshold)) - 1)
+    if diff:
+        raise PeriodViolatedError(threshold + (diff & -diff).bit_length() - 1)
+    return _decode(mask, period, threshold)
+
+
+def _decode(mask: int, period: int, threshold: int) -> EPSet:
+    """The EPSet whose bits below threshold + period are those of mask and
+    that repeats with the period from the threshold on."""
+    # bit j of one period from the threshold is residue (threshold + j) % period
+    cycle, shift = (mask >> threshold) & ((1 << period) - 1), threshold % period
+    residues = ((cycle << shift) | (cycle >> (period - shift))) & ((1 << period) - 1)
+    return _normalize(mask, threshold, period, residues)
+
+
+def _mask(s: EPSet, window: int) -> int:
+    """Bit n set iff n is in s, for n < window."""
+    mask = _bitmask(s.head, s.threshold)
+    if s.tail and window > s.threshold:
+        mask |= _tile(_bitmask(s.tail, s.period), s.period, window) >> s.threshold << s.threshold
+    return mask & ((1 << window) - 1)
 
 
 def _pointwise(a: EPSet, b: EPSet, keep) -> EPSet:
     t = max(a.threshold, b.threshold)
     p = math.lcm(a.period, b.period)
-    head = {n for n in range(t) if keep(n in a, n in b)}
-    tail = {n % p for n in range(t, t + p) if keep(n in a, n in b)}
-    return _canonical(t, head, p, tail)
+    return _decode(keep(_mask(a, t + p), _mask(b, t + p)), p, t)
 
 
 def eps_union(a: EPSet, b: EPSet) -> EPSet:
-    return _pointwise(a, b, lambda x, y: x or y)
+    return _pointwise(a, b, operator.or_)
 
 
 def eps_intersect(a: EPSet, b: EPSet) -> EPSet:
-    return _pointwise(a, b, lambda x, y: x and y)
-
-
-def _mask(s: EPSet, window: int) -> int:
-    return int("".join("1" if n in s else "0" for n in reversed(range(window))), 2)
+    return _pointwise(a, b, operator.and_)
 
 
 def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
@@ -140,17 +198,29 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
     or y >= T_b+L, and subtracting L keeps it in its set. The window T_a+T_b+3L
     holds that threshold and the two periods eps_from_window needs, and the
     result is certified against a direct convolution on twice that window.
+
+    The convolution shifts B's mask by each member of A: once per head
+    element, and once per tail residue into a pattern that is then tiled
+    with A's period. A is the operand with fewer head and tail entries; the
+    sum is symmetric and its canonical form unique, so the swap cannot
+    change the answer.
     """
     if a.is_empty or b.is_empty:
         return EMPTY
+    if len(a.head) + len(a.tail) > len(b.head) + len(b.tail):
+        a, b = b, a
     lcm = math.lcm(a.period, b.period)
     window = a.threshold + b.threshold + 3 * lcm
     bm, conv = _mask(b, 2 * window), 0
-    for n in a.members_upto(2 * window - 1):
-        conv |= bm << n
+    for h in a.head:
+        conv |= bm << h
+    if a.tail:
+        pattern = 0
+        for r in a.tail:
+            pattern |= bm << ((r - a.threshold) % a.period)
+        conv |= _tile(pattern, a.period, 2 * window - a.threshold) << a.threshold
     conv &= (1 << 2 * window) - 1
-    bits = [bit == "1" for bit in reversed(format(conv, f"0{2 * window}b")[window:])]
-    result = eps_from_window(bits, period=lcm, threshold=a.threshold + b.threshold + lcm)
+    result = _from_mask(conv & ((1 << window) - 1), window, lcm, a.threshold + b.threshold + lcm)
     diff = _mask(result, 2 * window) ^ conv
     if diff:
         raise PeriodViolatedError((diff & -diff).bit_length() - 1)

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from atomon.cli import main
+from atomon.errors import ParseError, ValidationError
 from atomon.fixtures import c2, h2, one, zero
 from atomon.serialize import monoid_to_json
+from atomon.verify import cmd_verify
 
 
 @pytest.fixture
@@ -165,6 +167,20 @@ def test_budget_env_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("ATOMON_BUDGET", "abc")
     assert main(["verify", "--all"]) == 1
     assert "ATOMON_BUDGET must be an integer" in capsys.readouterr().err
+
+
+def test_budget_must_be_non_negative(capsys, monkeypatch):
+    assert main(["verify", "--suite", "coproduct-lengths", "--budget", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "search budget must be non-negative" in err and "exceeded" not in err
+    with pytest.raises(ValidationError):
+        cmd_verify("coproduct-lengths", budget=-1)
+    monkeypatch.setenv("ATOMON_BUDGET", "-5")
+    assert main(["verify", "--suite", "coproduct-lengths"]) == 1
+    err = capsys.readouterr().err
+    assert "ATOMON_BUDGET must be non-negative" in err and "exceeded" not in err
+    with pytest.raises(ParseError):
+        cmd_verify("coproduct-lengths")
 
 
 def test_budget_env_caps_oracle(files, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from atomon import (
 from atomon.core import atoms, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
-from atomon.lengths import _canonical
+from atomon.lengths import EPSet, _canonical, _mask
 
 
 def members(s, bound=40):
@@ -257,13 +257,58 @@ def bitmask(s, bound):
     return sum(1 << n for n in s.members_upto(bound))
 
 
+# short windows, and long thresholds over short periods, where the window
+# spans many periods and the doubling tile runs several rounds
+epset_pairs = st.one_of(st.tuples(epsets(), epsets()), st.tuples(epsets(400, 6), epsets(400, 6)))
+
+
 @settings(deadline=None, database=None, max_examples=150)
-@given(epsets(), epsets())
-def test_minkowski_sum_matches_a_direct_mask_convolution(a, b):
+@given(epset_pairs)
+def test_minkowski_sum_matches_a_direct_mask_convolution(pair):
+    a, b = pair
     # three times the window T_a + T_b + 3·lcm, beyond the twice-window
     # the sum certifies itself on
     bound = 3 * (a.threshold + b.threshold + 3 * math.lcm(a.period, b.period))
     bm, conv = bitmask(b, bound), 0
     for x in a.members_upto(bound):
         conv |= bm << x
-    assert bitmask(eps_minkowski_sum(a, b), bound) == conv & ((2 << bound) - 1)
+    total = eps_minkowski_sum(a, b)
+    assert bitmask(total, bound) == conv & ((2 << bound) - 1)
+    assert eps_minkowski_sum(b, a) == total
+
+
+# built directly, not canonical: head members past the threshold and tail
+# residues past the period, which membership ignores
+raw_epsets = st.builds(
+    EPSet,
+    st.integers(0, 20),
+    st.frozensets(st.integers(-3, 30)),
+    st.integers(1, 8),
+    st.frozensets(st.integers(0, 12)),
+)
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(
+    st.one_of(st.just(EMPTY), st.builds(eps_finite, st.sets(st.integers(0, 40))), epsets(), epsets(400, 6), raw_epsets),
+    st.sampled_from([0, 1, -1]),
+    st.integers(0, 3),
+)
+def test_mask_matches_membership(s, offset, periods):
+    # windows below, at and above threshold + period, then whole periods on
+    window = s.threshold + s.period + offset + periods * s.period
+    assert _mask(s, window) == bitmask(s, window - 1)
+
+
+# random_monoid draws mostly groups; these seeds give monoids with atoms
+PREMISE_MONOIDS = [zero(), one(), c2(), h2(), m31(), sl2()] + [random_monoid(seed) for seed in (9, 17, 34)]
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(st.sampled_from(PREMISE_MONOIDS), st.integers(0, 8), st.integers(0, 8))
+def test_unions_of_one_monoid_add_into_the_union_of_the_sum(m, a, b):
+    # L(x) + L(y) lies in L(xy), so U(a) + U(b) lies in U(a + b): the reason
+    # fp_union_k may ignore admissibility
+    total, whole = eps_minkowski_sum(union_k(m, a), union_k(m, b)), union_k(m, a + b)
+    bound = max(total.threshold, whole.threshold) + math.lcm(total.period, whole.period)
+    assert set(total.members_upto(bound)) <= set(whole.members_upto(bound))
