@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, atoms, check_property, units
+from .core import FiniteMonoid, MonoidHom, _check_indices, atoms, check_property, units
 from .errors import (
     NotAtomicError,
     NotAtomPreservingError,
@@ -68,7 +68,13 @@ class Family:
         return self.members[i]
 
     def check_letter(self, letter) -> Letter:
-        i, x = letter
+        """The letter as a Letter: a pair of ints (not bools), each in range."""
+        try:
+            i, x = letter
+        except (TypeError, ValueError):
+            raise ValidationError(f"letter {letter!r} is not a (member, element) pair") from None
+        if type(i) is not int or type(x) is not int:
+            raise ValidationError(f"letter {letter!r} does not hold two integers")
         if not 0 <= i < len(self.members):
             raise ValidationError(f"member index {i} out of range")
         if not 0 <= x < self.members[i].size:
@@ -153,9 +159,8 @@ def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
     repeats of that member only, none forces non-empty strictly alternating
     words.
     """
-    for i in index_word:
-        if not 0 <= i < len(family.members):
-            raise ValidationError(f"member index {i} out of range")
+    if index_word:
+        _check_indices(index_word, len(family.members), "member index")
     nr = family.non_reduced
     if len(nr) >= 2:
         return True

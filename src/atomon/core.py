@@ -40,7 +40,7 @@ class FiniteMonoid:
     instead of over all elements.
     """
 
-    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_layers")
+    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_lengths")
 
     def __init__(
         self,
@@ -56,7 +56,7 @@ class FiniteMonoid:
         self.generators = tuple(generators)
         self._units = None
         self._atoms = None
-        self._layers = None
+        self._lengths = None
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -223,24 +223,28 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
 
 
 def units(m: FiniteMonoid) -> frozenset[int]:
-    """The group of units: elements with a two-sided inverse."""
+    """The group of units: the elements whose row holds the identity.
+
+    A right inverse is two-sided in a finite monoid: x·y = 1 makes z ↦ y·z
+    injective, hence onto, so y·z = 1 for some z, and z = x·y·z = x.
+    """
     if m._units is None:
-        found = set()
-        for u in range(m.size):
-            for v in range(m.size):
-                if m.mul(u, v) == m.identity and m.mul(v, u) == m.identity:
-                    found.add(u)
-                    break
-        m._units = frozenset(found)
+        m._units = frozenset(x for x, row in enumerate(m.table) if m.identity in row)
     return m._units
 
 
 def atoms(m: FiniteMonoid) -> frozenset[int]:
-    """Non-units that are not a product of two non-units."""
+    """Non-units that are not a product of two non-units.
+
+    The non-units N form an ideal, so N·N is the right ideal generated by
+    {x·g : x in N, g in G∖U}, G the generators and U the units: write y in N
+    as g1·…·gk and split x·y at the first gi that is not a unit.
+    """
     if m._atoms is None:
         us = units(m)
         non_units = [x for x in range(m.size) if x not in us]
-        reducible = {m.mul(x, y) for x in non_units for y in non_units}
+        reducible = dict.fromkeys(m.table[x][g] for g in m.generators if g not in us for x in non_units)
+        _closure(list(reducible), m.generators, m.mul, reducible)
         m._atoms = frozenset(x for x in non_units if x not in reducible)
     return m._atoms
 
@@ -261,12 +265,8 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
         covered = _atom_closure(m)
         return all(x in covered for x in range(n) if x not in us)
     if prop == "dedekind_finite":
-        return all(
-            m.mul(y, x) == m.identity
-            for x in range(n)
-            for y in range(n)
-            if m.mul(x, y) == m.identity
-        )
+        # x·y = 1 puts the identity in row x, so x is one of the units
+        return all(m.mul(y, x) == m.identity for x in us for y, xy in enumerate(m.table[x]) if xy == m.identity)
     if prop == "acyclic":
         for y in range(n):
             for z in range(n):

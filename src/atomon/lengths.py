@@ -11,17 +11,22 @@ the window by doubling shifts, so a window costs O(log(window / period))
 big-int operations rather than one membership test per position.
 Membership (``in``, ``members_upto``) stays a per-integer test, so checks
 against it are independent of the masks.
+
+The length sets of a finite monoid are one table per monoid: one walk of
+the power layers gives each element its mask of lengths, and each distinct
+mask is decoded once. ``length_set``, ``length_system`` and ``union_k`` read it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, _check_indices, atoms, units
+from .core import FiniteMonoid, _check_indices, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -269,24 +274,28 @@ def power_layers(m: FiniteMonoid) -> LayerSequence:
     return LayerSequence(tuple(layers), preperiod, k - preperiod)
 
 
-def _layers_of(m: FiniteMonoid) -> LayerSequence:
-    if m._layers is None:
-        m._layers = power_layers(m)
-    return m._layers
+def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
+    """L(x) for every element x, built on first use and cached on m.
+
+    Bit k of x's mask says x is in S_k. Only the identity is a product of no
+    atoms, and no unit is a product of atoms, so the identity's mask is 1.
+    """
+    if m._lengths is None:
+        seq = power_layers(m)
+        masks = [0] * m.size
+        masks[m.identity] = 1
+        for k, layer in enumerate(seq.layers, 1):
+            for x in layer:
+                masks[x] |= 1 << k
+        decoded = {mask: _decode(mask, seq.period, seq.preperiod) for mask in set(masks)}
+        m._lengths = tuple(map(decoded.__getitem__, masks))
+    return m._lengths
 
 
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
     """L(x): lengths of factorizations of x into atoms, as an exact EPSet."""
     _check_indices((x,), m.size, "element index")
-    if x == m.identity:
-        return ZERO_ONLY
-    if x in units(m):
-        return EMPTY
-    seq = _layers_of(m)
-    t, p = seq.preperiod, seq.period
-    head = {k for k in range(1, t) if x in seq.layer(k)}
-    tail = {k % p for k in range(t, t + p) if x in seq.layer(k)}
-    return _canonical(t, head, p, tail)
+    return _length_sets(m)[x]
 
 
 @dataclass(frozen=True)
@@ -307,7 +316,7 @@ class LengthSystem:
 
 
 def length_system(m: FiniteMonoid, nonzero_only: bool = False) -> LengthSystem:
-    entries = {length_set(m, x) for x in range(m.size)}
+    entries = set(_length_sets(m))
     entries.discard(EMPTY)
     if nonzero_only:
         entries.discard(ZERO_ONLY)
@@ -318,11 +327,7 @@ def union_k(m: FiniteMonoid, k: int) -> EPSet:
     """Union of all length sets of m containing k."""
     if k < 0:
         raise ValidationError("k must be non-negative")
-    acc = EMPTY
-    for entry in length_system(m):
-        if k in entry:
-            acc = eps_union(acc, entry)
-    return acc
+    return functools.reduce(eps_union, (s for s in set(_length_sets(m)) if k in s), EMPTY)
 
 
 def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:

@@ -10,11 +10,12 @@ projections; it materializes the product here and the pullback in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _closure, atoms, new_hom, new_monoid, units
+from .core import FiniteMonoid, MonoidHom, _check_indices, _closure, atoms, new_hom, new_monoid, units
 from .coproduct import Family
 from .errors import (
     NotAtomPreservingError,
@@ -43,12 +44,22 @@ class ProductGenerators:
 
 
 def _check_tuple(family: Family, t: Sequence[int]) -> TupleElem:
+    t = tuple(t)
     if len(t) != len(family.members):
         raise ValidationError(f"tuple must have {len(family.members)} components")
-    for i, x in enumerate(t):
-        if not 0 <= x < family.members[i].size:
+    _check_indices(t, max(m.size for m in family.members), "component")
+    for i, (m, x) in enumerate(zip(family.members, t)):
+        if x >= m.size:
             raise ValidationError(f"component {i} out of range")
-    return tuple(t)
+    return t
+
+
+def _product_element(family: Family, t: Sequence[int]) -> TupleElem:
+    """t, checked, if it lies in the product; else NotInProductError."""
+    t = _check_tuple(family, t)
+    if not ap_contains(family, t):
+        raise NotInProductError(f"{t} is not in the product")
+    return t
 
 
 def ap_generators(family: Family) -> ProductGenerators:
@@ -58,13 +69,7 @@ def ap_generators(family: Family) -> ProductGenerators:
 
 
 def _intersection(family: Family, t: TupleElem) -> EPSet:
-    acc = None
-    for m, x in zip(family.members, t):
-        ls = length_set(m, x)
-        acc = ls if acc is None else eps_intersect(acc, ls)
-        if acc.is_empty:
-            return EMPTY
-    return acc
+    return functools.reduce(eps_intersect, map(length_set, family.members, t))
 
 
 def ap_contains(family: Family, t: Sequence[int]) -> bool:
@@ -124,41 +129,27 @@ def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[Monoid
 
 
 def ap_is_unit(family: Family, t: Sequence[int]) -> bool:
-    t = _check_tuple(family, t)
-    if not ap_contains(family, t):
-        raise NotInProductError(f"{t} is not in the product")
-    return t in ap_generators(family).unit_tuples
+    """Whether t is a unit tuple: every component a unit of its member."""
+    t = _product_element(family, t)
+    return all(x in units(m) for m, x in zip(family.members, t))
 
 
 def ap_is_atom(family: Family, t: Sequence[int]) -> bool:
-    t = _check_tuple(family, t)
-    if not ap_contains(family, t):
-        raise NotInProductError(f"{t} is not in the product")
-    return t in ap_generators(family).atom_tuples
+    """Whether t is an atom tuple: every component an atom of its member."""
+    t = _product_element(family, t)
+    return all(x in atoms(m) for m, x in zip(family.members, t))
 
 
 def ap_length_set(family: Family, t: Sequence[int]) -> EPSet:
     """Length set in the product: the intersection of the component length sets."""
-    t = _check_tuple(family, t)
-    if not ap_contains(family, t):
-        raise NotInProductError(f"{t} is not in the product")
-    return _intersection(family, t)
+    return _intersection(family, _product_element(family, t))
 
 
 def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem:
     """All non-empty intersections of one length set per member. Exact."""
-    member_systems = [
-        sorted(length_system(m), key=EPSet.sort_key) for m in family.members
-    ]
-    entries = set()
-    for choice in itertools.product(*member_systems):
-        acc = choice[0]
-        for part in choice[1:]:
-            acc = eps_intersect(acc, part)
-            if acc.is_empty:
-                break
-        if not acc.is_empty:
-            entries.add(acc)
+    systems = (length_system(m).entries for m in family.members)
+    entries = {functools.reduce(eps_intersect, choice) for choice in itertools.product(*systems)}
+    entries.discard(EMPTY)
     if nonzero_only:
         entries.discard(ZERO_ONLY)
     return LengthSystem(frozenset(entries))
@@ -169,13 +160,7 @@ def ap_union_k(family: Family, k: int) -> EPSet:
     member unions."""
     if k < 0:
         raise ValidationError("k must be non-negative")
-    acc = None
-    for m in family.members:
-        u = union_k(m, k)
-        acc = u if acc is None else eps_intersect(acc, u)
-        if acc.is_empty:
-            return EMPTY
-    return acc
+    return functools.reduce(eps_intersect, (union_k(m, k) for m in family.members))
 
 
 def ap_universal(homs: Sequence[MonoidHom], w: int) -> TupleElem:

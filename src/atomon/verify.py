@@ -140,14 +140,9 @@ def _family(names) -> Family:
     return Family([_named(n) for n in names])
 
 
-_HOM_CACHE: dict = {}
-
-
+@functools.cache
 def _hom_list(source: FiniteMonoid, target: FiniteMonoid):
-    key = (source, target)
-    if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = tuple(enumerate_homs(source, target))
-    return _HOM_CACHE[key]
+    return tuple(enumerate_homs(source, target))
 
 
 def _fmt_word(w: ReducedWord) -> str:
@@ -840,6 +835,25 @@ def _exhaustive_homs(source: FiniteMonoid, target: FiniteMonoid):
     return out
 
 
+def _units_by_pairs(m: FiniteMonoid) -> frozenset[int]:
+    """Oracle: the elements with a two-sided inverse, by trying every pair."""
+    found = set()
+    for u in range(m.size):
+        for v in range(m.size):
+            if m.mul(u, v) == m.identity and m.mul(v, u) == m.identity:
+                found.add(u)
+                break
+    return frozenset(found)
+
+
+def _atoms_by_pairs(m: FiniteMonoid) -> frozenset[int]:
+    """Oracle: the non-units outside the set of all products of two non-units."""
+    us = _units_by_pairs(m)
+    non_units = [x for x in range(m.size) if x not in us]
+    reducible = {m.mul(x, y) for x in non_units for y in non_units}
+    return frozenset(x for x in non_units if x not in reducible)
+
+
 _PERTURBED_COPIES = 4
 _HOM_SPACE_LIMIT = 4096
 
@@ -848,6 +862,11 @@ def suite_generator_oracles(rng, budget):
     cases, mismatches = 0, []
     monoids = _oracle_monoids()
     for name, m in monoids:
+        cases += 2
+        if units(m) != _units_by_pairs(m):
+            mismatches.append(f"{name}: units {sorted(units(m))} vs the pair scan")
+        if atoms(m) != _atoms_by_pairs(m):
+            mismatches.append(f"{name}: atoms {sorted(atoms(m))} vs the pair scan")
         # copies with one entry changed off the identity row and column, so
         # the identity law still holds and only associativity can fail:
         # every such copy of a named fixture, a seeded sample of the others

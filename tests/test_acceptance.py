@@ -7,7 +7,7 @@ or `atomon verify --all` for the same checks through the CLI.
 
 import pytest
 
-from atomon.verify import cmd_verify
+from atomon.verify import SUITES, cmd_verify
 
 CRITERIA = [
     (1, "length-set oracle", ("length-oracle",), 10.0),
@@ -39,14 +39,23 @@ def test_acceptance_criterion(number, label, suites, limit):
     assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s (target {limit}s)"
 
 
+# module invariants not tied to a numbered criterion still must hold
+INVARIANT_SUITES = (
+    "core-axioms",
+    "length-invariance",
+    "coproduct-reduction",
+    "coproduct-systems",
+    "generator-oracles",
+)
+
+
 def test_remaining_invariant_suites():
-    # module invariants not tied to a numbered criterion still must hold
-    for suite in (
-        "core-axioms",
-        "length-invariance",
-        "coproduct-reduction",
-        "coproduct-systems",
-    ):
+    for suite in INVARIANT_SUITES:
         report = cmd_verify(suite, seed=0)
         print(f"INVARIANTS {suite}: {'PASS' if report.ok else 'FAIL'} ({report.cases} cases)")
         assert report.ok, f"{suite} mismatches: {report.mismatches[:5]}"
+
+
+def test_every_verify_suite_is_gated():
+    gated = {suite for _, _, suites, _ in CRITERIA for suite in suites} | set(INVARIANT_SUITES)
+    assert gated == set(SUITES)

@@ -32,6 +32,7 @@ from atomon.errors import (
     NotAtomicError,
     PreconditionError,
     SearchBudgetExceededError,
+    ValidationError,
 )
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_union
@@ -117,6 +118,43 @@ def test_gamma_cases():
     assert not gamma_admissible(no_units, (0, 0))
     assert gamma_admissible(no_units, (0, 1, 0))
     assert not gamma_admissible(no_units, ())
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ([(0, True)], "two integers"),
+        ([(0, 1.0)], "two integers"),
+        ([(0, "a")], "two integers"),
+        ([(False, 1)], "two integers"),
+        ([(0, 1), (0, 1.0)], "two integers"),
+        ([(0,)], "pair"),
+        ([(0, 1, 2)], "pair"),
+        ([5], "pair"),
+        ([None], "pair"),
+        ([(2, 1)], "member index 2 out of range"),
+        ([(-1, 1)], "member index -1 out of range"),
+        ([(1, 2)], "element 2 out of range"),
+    ],
+)
+def test_letters_must_be_pairs_of_indices_in_range(one_c2, word, message):
+    with pytest.raises(ValidationError, match=message):
+        reduce(one_c2, word)
+
+
+@pytest.mark.parametrize(
+    "index_word,message",
+    [
+        ((0, 1.0), "is not an integer"),
+        ((True,), "is not an integer"),
+        (("a", 0), "is not an integer"),
+        ((0, 2), "out of range"),
+        ((-1,), "out of range"),
+    ],
+)
+def test_index_words_must_hold_member_indices(one_c2, index_word, message):
+    with pytest.raises(ValidationError, match=message):
+        gamma_admissible(one_c2, index_word)
 
 
 def test_bounded_length_system(two_ones):

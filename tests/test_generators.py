@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomon.core import _closure, enumerate_homs, new_hom, new_monoid, submonoid_closure
+from atomon.core import _closure, atoms, check_property, enumerate_homs, new_hom, new_monoid, submonoid_closure, units
 from atomon.errors import CapExceededError, NonAssociativeError, NotMultiplicativeError, ValidationError
 from atomon.fixtures import named_fixtures, random_monoid
 from atomon.limits import congruence_closure
-from atomon.verify import _exhaustive_homs, _ijk_scan
+from atomon.verify import _atoms_by_pairs, _exhaustive_homs, _ijk_scan, _units_by_pairs
 
 FIXTURES = list(named_fixtures().values()) + [random_monoid(seed) for seed in range(20)]
 
@@ -113,6 +113,17 @@ def test_hom_check_reports_the_first_failing_pair(source, target, data):
         assert failing and exc.pair == failing[0]
     else:
         assert not failing
+
+
+def test_units_and_atoms_match_the_pair_scans():
+    monoids = FIXTURES + LARGER + [random_monoid(seed, 8) for seed in range(200)]
+    monoids += [monogenic(n) for n in range(2, 41)]
+    for m in monoids:
+        assert units(m) == _units_by_pairs(m)
+        assert atoms(m) == _atoms_by_pairs(m)
+        pairs = itertools.product(range(m.size), repeat=2)
+        two_sided = all(m.mul(y, x) == m.identity for x, y in pairs if m.mul(x, y) == m.identity)
+        assert check_property(m, "dedekind_finite") == two_sided
 
 
 def brute_force_congruence(m, pairs):

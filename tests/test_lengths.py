@@ -21,10 +21,11 @@ from atomon import (
     power_layers,
     union_k,
 )
-from atomon.core import atoms, units
+from atomon.core import atoms, new_monoid, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
 from atomon.lengths import EPSet, _canonical, _mask
+from test_generators import full_transformation_3
 
 
 def members(s, bound=40):
@@ -199,12 +200,34 @@ def test_brute_force_examples():
     assert brute_force_lengths(c2(), 1, 5) == set()
 
 
+def cyclic(i, p):
+    """C(i, p): the monoid generated by one element a with a^(i+p) = a^i."""
+    n = i + p
+    table = [[j + k if j + k < n else i + (j + k - i) % p for k in range(n)] for j in range(n)]
+    return new_monoid([f"a{j}" for j in range(n)], table, 0)
+
+
+def test_cyclic_monoid_layers_have_a_shifted_preperiod():
+    # a preperiod that is no multiple of the period pins the residue rotation
+    for i, p in ((3, 4), (5, 3), (2, 6)):
+        m = cyclic(i, p)
+        seq = power_layers(m)
+        assert (seq.preperiod, seq.period) == (i, p)
+        assert length_set(m, i + 1) == _canonical(i, (), p, {(i + 1) % p})
+
+
 def test_length_set_matches_oracle_on_fixtures():
     mons = [zero(), one(), c2(), h2(), m31(), sl2()]
     mons += [random_monoid(i) for i in range(6)]
+    mons += [cyclic(i, p) for i, p in ((1, 1), (3, 4), (5, 3), (2, 6))] + [full_transformation_3()]
+    bound = 24
     for m in mons:
+        oracle = [brute_force_lengths(m, x, bound) for x in range(m.size)]
         for x in range(m.size):
-            assert set(length_set(m, x).members_upto(12)) == brute_force_lengths(m, x, 12)
+            assert set(length_set(m, x).members_upto(bound)) == oracle[x]
+        for k in range(13):
+            expected = set().union(*(lengths for lengths in oracle if k in lengths))
+            assert set(union_k(m, k).members_upto(bound)) == expected
 
 
 def test_unit_translation_invariance():

@@ -32,7 +32,7 @@ from atomon.errors import (
     SourceMismatchError,
     ValidationError,
 )
-from atomon.fixtures import c2, h2, m31, one, zero
+from atomon.fixtures import c2, h2, m31, named_fixtures, one, zero
 from atomon.product import identity_tuple, tuple_mul
 
 
@@ -107,6 +107,42 @@ def test_unit_and_atom_membership(two_ones):
     assert not ap_is_unit(two_ones, (2, 2)) and not ap_is_atom(two_ones, (2, 2))
     with pytest.raises(NotInProductError):
         ap_is_unit(two_ones, (1, 0))
+
+
+@pytest.mark.parametrize("names", [("one", "c2", "m31"), ("h2", "m31"), ("c2", "c2")])
+def test_unit_and_atom_tests_match_the_generator_tuples(names):
+    fam = Family([named_fixtures()[n] for n in names])
+    gens = ap_generators(fam)
+    for t in itertools.product(*(range(m.size) for m in fam.members)):
+        if not ap_contains(fam, t):
+            with pytest.raises(NotInProductError):
+                ap_is_unit(fam, t)
+            with pytest.raises(NotInProductError):
+                ap_is_atom(fam, t)
+            continue
+        assert ap_is_unit(fam, t) == (t in gens.unit_tuples)
+        assert ap_is_atom(fam, t) == (t in gens.atom_tuples)
+
+
+@pytest.mark.parametrize(
+    "t,message",
+    [
+        (("a", 0), "is not an integer"),
+        ((0, True), "is not an integer"),
+        ((1.0, 0), "is not an integer"),
+        ((None, 0), "is not an integer"),
+        ((-1, 0), "out of range"),
+        ((0, 5), "out of range"),
+        ((3, 0), "out of range"),
+        ((0,), "2 components"),
+        ((0, 0, 0), "2 components"),
+    ],
+)
+def test_tuples_must_hold_one_index_per_member(t, message):
+    fam = Family([one(), c2()])
+    for check in (ap_contains, ap_is_unit, ap_is_atom, ap_length_set):
+        with pytest.raises(ValidationError, match=message):
+            check(fam, t)
 
 
 def test_length_set_examples(two_ones):
