@@ -3,6 +3,10 @@
 A word over a family is a sequence of letters (member index, element index).
 Congruence classes are represented by their unique reduced word: no identity
 letters, adjacent letters from distinct members.
+
+Two reduced words can only cancel where they meet, so products merge at the
+junction (``_join``); ``reduce`` is for raw words only. Every public function
+taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from .lengths import (
     ZERO_ONLY,
     EPSet,
     LengthSystem,
+    _length_sets,
     eps_minkowski_sum,
     eps_sum_many,
     eps_union,
-    length_set,
     length_system,
     union_k,
 )
@@ -117,12 +121,49 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
+def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
+    """w's letters, each checked by ``Family.check_letter``; w must be reduced:
+    no identity letter and no two adjacent letters from one member."""
+    if not isinstance(w, ReducedWord):
+        raise ValidationError(f"{w!r} is not a ReducedWord")
+    letters = tuple(map(family.check_letter, w.letters))
+    for pos, (i, x) in enumerate(letters):
+        if x == family.members[i].identity:
+            raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
+        if pos and letters[pos - 1].mon == i:
+            raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
+    return letters
+
+
+def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The reduced word of x·y, for reduced letter tuples x and y.
+
+    Inside x and inside y no letter is an identity and adjacent letters come
+    from distinct members, so the only place a reduction can apply is the
+    junction. If x's last and y's first letter share a member they merge. A
+    merged letter that is not the member's identity has neighbours from other
+    members on both sides (x and y are reduced), so nothing more reduces. Only
+    an identity is dropped, and then the letters it separated meet: the
+    cascade goes on with them. The result is reduced and congruent to x·y,
+    so it is the normal form ``reduce`` gives for the concatenation.
+    """
+    i, j = len(x), 0
+    while i and j < len(y) and x[i - 1].mon == y[j].mon:
+        member = family.members[y[j].mon]
+        z = member.mul(x[i - 1].elem, y[j].elem)
+        if z != member.identity:
+            return x[: i - 1] + (Letter(y[j].mon, z),) + y[j + 1 :]
+        i, j = i - 1, j + 1
+    return x[:i] + y[j:]
+
+
 def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
-    return reduce(family, x.letters + y.letters)
+    """Product of two reduced words, merged at the junction."""
+    return ReducedWord(_join(family, _check_word(family, x), _check_word(family, y)))
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:
-    return all(x in units(family.members[i]) for i, x in w.letters)
+    return all(x in units(family.members[i]) for i, x in _check_word(family, w))
 
 
 def fp_is_unit_letter(family: Family, letter: Letter) -> bool:
@@ -131,7 +172,7 @@ def fp_is_unit_letter(family: Family, letter: Letter) -> bool:
 
 def fp_is_atom(family: Family, w: ReducedWord) -> bool:
     """Exactly one non-unit letter, and that letter is an atom of its member."""
-    non_unit = [lt for lt in w.letters if not fp_is_unit_letter(family, lt)]
+    non_unit = [lt for lt in _check_word(family, w) if not fp_is_unit_letter(family, lt)]
     if len(non_unit) != 1:
         return False
     i, x = non_unit[0]
@@ -139,16 +180,15 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
 
 
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
-    """Length set of a reduced word: the sum of its non-unit letters' length sets."""
-    if not w.letters:
+    """Length set of a reduced word: the sum of its non-unit letters' length
+    sets, read from each member's cached table."""
+    letters = _check_word(family, w)
+    if not letters:
         return ZERO_ONLY
-    if fp_is_unit(family, w):
+    non_unit = [lt for lt in letters if not fp_is_unit_letter(family, lt)]
+    if not non_unit:
         return EMPTY
-    return eps_sum_many(
-        length_set(family.members[i], x)
-        for i, x in w.letters
-        if not fp_is_unit_letter(family, Letter(i, x))
-    )
+    return eps_sum_many(_length_sets(family.members[i])[x] for i, x in non_unit)
 
 
 def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
@@ -248,7 +288,7 @@ def fp_couniversal(
         if not h.atom_preserving:
             raise NotAtomPreservingError(i)
     acc = target.identity
-    for i, x in w.letters:
+    for i, x in _check_word(family, w):
         acc = target.mul(acc, homs[i].map[x])
     return acc
 
@@ -313,8 +353,7 @@ def _candidate_atoms(family: Family, w: ReducedWord) -> list[tuple[Letter, ...]]
         for a in atoms(m):
             for left in decorations:
                 for right in decorations:
-                    cand = reduce(family, left + (Letter(i, a),) + right)
-                    pool.add(cand.letters)
+                    pool.add(_join(family, _join(family, left, (Letter(i, a),)), right))
     return sorted(pool)
 
 
@@ -379,7 +418,7 @@ def fp_brute_force_lengths(
                 expansions += 1
                 if expansions > limit:
                     raise SearchBudgetExceededError(limit)
-                prod = reduce(family, state + cand).letters
+                prod = _join(family, state, cand)
                 if _can_extend_to(family, prod, target, pad):
                     nxt.add(prod)
         if target in nxt:
@@ -398,15 +437,16 @@ def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
     for i, m in enumerate(family.members):
         if not check_property(m, prop):
             raise PreconditionError(f"family member {i} does not satisfy {prop}")
-    words = list(reduced_words_upto(family, max_len))
-    is_unit = {w: fp_is_unit(family, w) for w in words}
+    words = [w.letters for w in reduced_words_upto(family, max_len)]
+    is_unit = {w: all(fp_is_unit_letter(family, lt) for lt in w) for w in words}
+    mul = functools.partial(_join, family)
     if prop == "acyclic":
         for y in words:
             for z in words:
                 if is_unit[y] and is_unit[z]:
                     continue
                 for x in words:
-                    if fp_mul(family, fp_mul(family, y, x), z) == x:
+                    if mul(mul(y, x), z) == x:
                         return False
         return True
     if prop == "unit_cancellative":
@@ -414,13 +454,13 @@ def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
             if is_unit[y]:
                 continue
             for x in words:
-                if fp_mul(family, x, y) == x or fp_mul(family, y, x) == x:
+                if mul(x, y) == x or mul(y, x) == x:
                     return False
         return True
     for x, y in itertools.combinations(words, 2):
         for z in words:
-            if fp_mul(family, x, z) == fp_mul(family, y, z):
+            if mul(x, z) == mul(y, z):
                 return False
-            if fp_mul(family, z, x) == fp_mul(family, z, y):
+            if mul(z, x) == mul(z, y):
                 return False
     return True

@@ -223,13 +223,20 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
 
 
 def units(m: FiniteMonoid) -> frozenset[int]:
-    """The group of units: the elements whose row holds the identity.
+    """The group of units: the closure of the identity under the generators
+    whose row holds the identity.
 
     A right inverse is two-sided in a finite monoid: x·y = 1 makes z ↦ y·z
-    injective, hence onto, so y·z = 1 for some z, and z = x·y·z = x.
+    injective, hence onto, so y·z = 1 for some z, and z = x·y·z = x. So if
+    x·y is a unit with inverse v, then x has the right inverse y·v and y the
+    left inverse v·x, and both are units. By induction a product g1·…·gk of
+    generators is a unit only if every gi is, and every element is such a
+    product, so the units are the products of unit generators. O(n·|G|).
     """
     if m._units is None:
-        m._units = frozenset(x for x, row in enumerate(m.table) if m.identity in row)
+        found = {m.identity: None}
+        _closure([m.identity], [g for g in m.generators if m.identity in m.table[g]], m.mul, found)
+        m._units = frozenset(found)
     return m._units
 
 

@@ -233,12 +233,18 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
 
 
 def eps_sum_many(parts: Iterable[EPSet]) -> EPSet:
-    """Minkowski sum of several sets; the empty family sums to {0}."""
-    acc = ZERO_ONLY
+    """Minkowski sum of several sets; the empty family sums to {0}.
+
+    The sum starts from the first part, not from {0} + first part: the
+    library builds every EPSet through ``_normalize``, so the part is already
+    in the canonical form that sum would have.
+    """
+    parts = iter(parts)
+    acc = next(parts, ZERO_ONLY)
     for part in parts:
-        acc = eps_minkowski_sum(acc, part)
         if acc.is_empty:
             return EMPTY
+        acc = eps_minkowski_sum(acc, part)
     return acc
 
 

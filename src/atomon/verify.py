@@ -292,6 +292,15 @@ def suite_coproduct_reduction(rng, budget):
                     x in units(fam.members[i]) for i, x in raw
                 ):
                     mismatches.append(f"non-unit letters in empty-class word {raw}")
+    # the junction product against the normal form of the concatenation;
+    # c2's unit letters make the merges cascade
+    for names in (("one", "c2"), ("one", "one"), ("h2", "c2")):
+        fam = _family(names)
+        words = list(reduced_words_upto(fam, 3))
+        for x, y in itertools.product(words, repeat=2):
+            cases += 1
+            if fp_mul(fam, x, y) != reduce(fam, x.letters + y.letters):
+                mismatches.append(f"{names}: fp_mul differs from reduce on {_fmt_word(x)} * {_fmt_word(y)}")
     return cases, mismatches
 
 

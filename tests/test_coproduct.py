@@ -9,6 +9,7 @@ from atomon import (
     EPS_WORD,
     Family,
     Letter,
+    ReducedWord,
     ZERO_ONLY,
     coprojection,
     eps_cofinite,
@@ -34,6 +35,7 @@ from atomon.errors import (
     SearchBudgetExceededError,
     ValidationError,
 )
+from atomon.coproduct import _join
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_union
 from atomon.verify import _system_oracle, _union_k_oracle
@@ -142,6 +144,43 @@ def test_letters_must_be_pairs_of_indices_in_range(one_c2, word, message):
         reduce(one_c2, word)
 
 
+def _couniversal(fam, w):
+    return fp_couniversal(fam, [identity_hom(one()), new_hom(c2(), one(), (0, 0))], w)
+
+
+WORD_CONSUMERS = {
+    "fp_length_set": fp_length_set,
+    "fp_is_unit": fp_is_unit,
+    "fp_is_atom": fp_is_atom,
+    "fp_couniversal": _couniversal,
+    "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 3),
+    "fp_mul left": lambda fam, w: fp_mul(fam, w, EPS_WORD),
+    "fp_mul right": lambda fam, w: fp_mul(fam, EPS_WORD, w),
+}
+
+
+@pytest.mark.parametrize("consumer", WORD_CONSUMERS)
+@pytest.mark.parametrize(
+    "letters,message",
+    [
+        ((Letter(-1, 1),), "member index -1 out of range"),
+        ((Letter(5, 1),), "member index 5 out of range"),
+        (((0, True),), "two integers"),
+        (((0, 0),), "identity of member 0"),
+        (((0, 1), (0, 1)), "both from member 0"),
+    ],
+    ids=["negative-member", "member-5", "bool-element", "identity-letter", "same-member-neighbours"],
+)
+def test_reduced_word_inputs_are_checked(one_c2, consumer, letters, message):
+    with pytest.raises(ValidationError, match=message):
+        WORD_CONSUMERS[consumer](one_c2, ReducedWord(letters))
+
+
+def test_fp_mul_refuses_a_raw_word(one_c2):
+    with pytest.raises(ValidationError, match="not a ReducedWord"):
+        fp_mul(one_c2, [(0, 1)], EPS_WORD)
+
+
 @pytest.mark.parametrize(
     "index_word,message",
     [
@@ -234,6 +273,23 @@ def test_brute_force_budget(two_ones):
         fp_brute_force_lengths(two_ones, w, 10, budget=5)
 
 
+@pytest.mark.parametrize(
+    "names,raw,least",
+    [
+        ((one, c2), [(0, 2), (1, 1), (0, 1)], 132),
+        ((one, c2, m31), [(2, 1), (1, 1), (0, 1)], 40),
+    ],
+)
+def test_brute_force_budget_is_pinned(names, raw, least):
+    # the least budgets that let the search finish: how products are merged
+    # must not change which states the search expands, or how many
+    fam = Family([make() for make in names])
+    w = reduce(fam, raw)
+    fp_brute_force_lengths(fam, w, 10, budget=least)
+    with pytest.raises(SearchBudgetExceededError):
+        fp_brute_force_lengths(fam, w, 10, budget=least - 1)
+
+
 def test_formula_matches_search(one_c2):
     for w in reduced_words_upto(one_c2, 3):
         formula = set(fp_length_set(one_c2, w).members_upto(10))
@@ -271,13 +327,34 @@ ATOMIC = list(atomic_fixtures().values())
 FAMILIES = st.lists(st.sampled_from(ATOMIC), min_size=1, max_size=3).map(Family)
 
 
-@settings(deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(FAMILIES, st.integers(1, 6))
 def test_union_k_dp_matches_the_composition_oracle(fam, k):
     assert fp_union_k(fam, k) == _union_k_oracle(fam, k)
 
 
-@settings(deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(FAMILIES, st.integers(1, 3))
 def test_system_dp_matches_the_index_word_oracle(fam, blocks):
     assert fp_length_system_bounded(fam, blocks).entries == _system_oracle(fam, blocks)
+
+
+JOIN_FAMILIES = [Family([h2(), c2()]), Family([one(), m31(), c2()])]
+
+
+@st.composite
+def reduced_letters(draw, fam):
+    """A reduced word of up to 8 letters, drawn letter by letter."""
+    alphabet = [Letter(i, x) for i, m in enumerate(fam.members) for x in range(m.size) if x != m.identity]
+    letters = ()
+    for _ in range(draw(st.integers(0, 8))):
+        letters += (draw(st.sampled_from([lt for lt in alphabet if not letters or lt.mon != letters[-1].mon])),)
+    return letters
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(JOIN_FAMILIES).flatmap(lambda f: st.tuples(st.just(f), reduced_letters(f), reduced_letters(f))))
+def test_join_matches_reducing_the_concatenation(case):
+    fam, x, y = case
+    assert _join(fam, x, y) == reduce(fam, x + y).letters
+    assert fp_mul(fam, ReducedWord(x), ReducedWord(y)).letters == _join(fam, x, y)

@@ -16,7 +16,7 @@ from atomon.verify import _atoms_by_pairs, _exhaustive_homs, _ijk_scan, _units_b
 
 FIXTURES = list(named_fixtures().values()) + [random_monoid(seed) for seed in range(20)]
 
-PROPERTY = settings(deadline=None, database=None, max_examples=150)
+PROPERTY = settings(max_examples=150)
 
 
 def monogenic(n):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -285,7 +286,7 @@ def bitmask(s, bound):
 epset_pairs = st.one_of(st.tuples(epsets(), epsets()), st.tuples(epsets(400, 6), epsets(400, 6)))
 
 
-@settings(deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(epset_pairs)
 def test_minkowski_sum_matches_a_direct_mask_convolution(pair):
     a, b = pair
@@ -311,7 +312,7 @@ raw_epsets = st.builds(
 )
 
 
-@settings(deadline=None, database=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     st.one_of(st.just(EMPTY), st.builds(eps_finite, st.sets(st.integers(0, 40))), epsets(), epsets(400, 6), raw_epsets),
     st.sampled_from([0, 1, -1]),
@@ -327,7 +328,7 @@ def test_mask_matches_membership(s, offset, periods):
 PREMISE_MONOIDS = [zero(), one(), c2(), h2(), m31(), sl2()] + [random_monoid(seed) for seed in (9, 17, 34)]
 
 
-@settings(deadline=None, database=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.sampled_from(PREMISE_MONOIDS), st.integers(0, 8), st.integers(0, 8))
 def test_unions_of_one_monoid_add_into_the_union_of_the_sum(m, a, b):
     # L(x) + L(y) lies in L(xy), so U(a) + U(b) lies in U(a + b): the reason
@@ -335,3 +336,15 @@ def test_unions_of_one_monoid_add_into_the_union_of_the_sum(m, a, b):
     total, whole = eps_minkowski_sum(union_k(m, a), union_k(m, b)), union_k(m, a + b)
     bound = max(total.threshold, whole.threshold) + math.lcm(total.period, whole.period)
     assert set(total.members_upto(bound)) <= set(whole.members_upto(bound))
+
+
+sum_parts = st.lists(st.one_of(st.just(EMPTY), st.just(ZERO_ONLY), epsets(12, 6)), max_size=4)
+
+
+@settings(max_examples=150)
+@given(sum_parts.flatmap(lambda parts: st.tuples(st.just(parts), st.permutations(parts))))
+def test_sum_many_is_the_fold_from_zero_in_any_order(case):
+    parts, reordered = case
+    fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
+    assert eps_sum_many(parts) == fold
+    assert eps_sum_many(iter(reordered)) == fold
