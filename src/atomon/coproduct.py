@@ -12,12 +12,11 @@ taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_indices, atoms, check_property, units
+from .core import _LAWS, FiniteMonoid, MonoidHom, _check_indices, _laws_hold, atoms, check_property, units
 from .errors import (
     NotAtomicError,
     NotAtomPreservingError,
@@ -166,13 +165,13 @@ def fp_is_unit(family: Family, w: ReducedWord) -> bool:
     return all(x in units(family.members[i]) for i, x in _check_word(family, w))
 
 
-def fp_is_unit_letter(family: Family, letter: Letter) -> bool:
+def _is_unit_letter(family: Family, letter: Letter) -> bool:
     return letter.elem in units(family.members[letter.mon])
 
 
 def fp_is_atom(family: Family, w: ReducedWord) -> bool:
     """Exactly one non-unit letter, and that letter is an atom of its member."""
-    non_unit = [lt for lt in _check_word(family, w) if not fp_is_unit_letter(family, lt)]
+    non_unit = [lt for lt in _check_word(family, w) if not _is_unit_letter(family, lt)]
     if len(non_unit) != 1:
         return False
     i, x = non_unit[0]
@@ -185,7 +184,7 @@ def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
-    non_unit = [lt for lt in letters if not fp_is_unit_letter(family, lt)]
+    non_unit = [lt for lt in letters if not _is_unit_letter(family, lt)]
     if not non_unit:
         return EMPTY
     return eps_sum_many(_length_sets(family.members[i])[x] for i, x in non_unit)
@@ -337,7 +336,7 @@ def _candidate_atoms(family: Family, w: ReducedWord) -> list[tuple[Letter, ...]]
     decorations: set[tuple[Letter, ...]] = {()}
     run: list[Letter] = []
     for lt in w.letters + (None,):
-        if lt is not None and fp_is_unit_letter(family, lt):
+        if lt is not None and _is_unit_letter(family, lt):
             run.append(lt)
             continue
         for a in range(len(run)):
@@ -369,7 +368,7 @@ def _can_extend_to(family: Family, state: tuple[Letter, ...], target: tuple[Lett
         return False
     last_nu = None
     for pos in range(len(state) - 1, -1, -1):
-        if not fp_is_unit_letter(family, state[pos]):
+        if not _is_unit_letter(family, state[pos]):
             last_nu = pos
             break
     if last_nu is None:
@@ -380,7 +379,7 @@ def _can_extend_to(family: Family, state: tuple[Letter, ...], target: tuple[Lett
         return False
     ti, tx = target[last_nu]
     si, sx = state[last_nu]
-    if si != ti or fp_is_unit_letter(family, target[last_nu]):
+    if si != ti or _is_unit_letter(family, target[last_nu]):
         return False
     return sx == tx or _left_divides(family.members[si], sx, tx)
 
@@ -432,35 +431,11 @@ def fp_brute_force_lengths(
 def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
     """Verify a cancellativity-style property over all reduced words of
     bounded length. Members must already satisfy the property."""
-    if prop not in ("acyclic", "unit_cancellative", "cancellative"):
+    if prop not in _LAWS:
         raise ValidationError(f"unsupported property {prop!r}")
     for i, m in enumerate(family.members):
         if not check_property(m, prop):
             raise PreconditionError(f"family member {i} does not satisfy {prop}")
     words = [w.letters for w in reduced_words_upto(family, max_len)]
-    is_unit = {w: all(fp_is_unit_letter(family, lt) for lt in w) for w in words}
-    mul = functools.partial(_join, family)
-    if prop == "acyclic":
-        for y in words:
-            for z in words:
-                if is_unit[y] and is_unit[z]:
-                    continue
-                for x in words:
-                    if mul(mul(y, x), z) == x:
-                        return False
-        return True
-    if prop == "unit_cancellative":
-        for y in words:
-            if is_unit[y]:
-                continue
-            for x in words:
-                if mul(x, y) == x or mul(y, x) == x:
-                    return False
-        return True
-    for x, y in itertools.combinations(words, 2):
-        for z in words:
-            if mul(x, z) == mul(y, z):
-                return False
-            if mul(z, x) == mul(z, y):
-                return False
-    return True
+    is_unit = {w: all(_is_unit_letter(family, lt) for lt in w) for w in words}
+    return _laws_hold(prop, words, functools.partial(_join, family), is_unit.__getitem__)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import operator
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -29,6 +29,7 @@ from .errors import (
 )
 
 PROPERTIES = ("atomic", "dedekind_finite", "acyclic", "unit_cancellative", "cancellative")
+_LAWS = ("acyclic", "unit_cancellative", "cancellative")  # decided by _laws_hold
 
 
 class FiniteMonoid:
@@ -274,31 +275,42 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     if prop == "dedekind_finite":
         # x·y = 1 puts the identity in row x, so x is one of the units
         return all(m.mul(y, x) == m.identity for x in us for y, xy in enumerate(m.table[x]) if xy == m.identity)
+    if prop in _LAWS:
+        return _laws_hold(prop, range(n), m.mul, us.__contains__)
+    raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+
+
+def _laws_hold(prop: str, elements: Sequence, mul: Callable, is_unit: Callable) -> bool:
+    """Decide one of the cancellation laws ``_LAWS`` over a list of distinct
+    elements, with their product and unit test.
+
+    acyclic: no y·x·z = x unless y and z are both units. unit_cancellative:
+    no x·y = x or y·x = x with y a non-unit. cancellative: every left and
+    right translation is injective on ``elements``, which is the same as no
+    x != y with x·z = y·z or z·x = z·y.
+    """
     if prop == "acyclic":
-        for y in range(n):
-            for z in range(n):
-                if y in us and z in us:
+        for y in elements:
+            for z in elements:
+                if is_unit(y) and is_unit(z):
                     continue
-                for x in range(n):
-                    if m.mul(m.mul(y, x), z) == x:
+                for x in elements:
+                    if mul(mul(y, x), z) == x:
                         return False
         return True
     if prop == "unit_cancellative":
-        for y in range(n):
-            if y in us:
+        for y in elements:
+            if is_unit(y):
                 continue
-            for x in range(n):
-                if m.mul(x, y) == x or m.mul(y, x) == x:
+            for x in elements:
+                if mul(x, y) == x or mul(y, x) == x:
                     return False
         return True
-    if prop == "cancellative":
-        for z in range(n):
-            left = [m.mul(z, x) for x in range(n)]
-            right = [m.mul(x, z) for x in range(n)]
-            if len(set(left)) != n or len(set(right)) != n:
-                return False
-        return True
-    raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    n = len(elements)
+    for z in elements:
+        if len({mul(z, x) for x in elements}) != n or len({mul(x, z) for x in elements}) != n:
+            return False
+    return True
 
 
 class ElemClass(enum.Enum):
@@ -327,7 +339,11 @@ class MonoidHom:
     source: FiniteMonoid
     target: FiniteMonoid
     map: tuple[int, ...]
-    atom_preserving: bool
+    atom_preserving: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        tgt_atoms = atoms(self.target)
+        object.__setattr__(self, "atom_preserving", all(self.map[a] in tgt_atoms for a in atoms(self.source)))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -353,7 +369,7 @@ def new_hom(source: FiniteMonoid, target: FiniteMonoid, mapping: Sequence[int]) 
         raise NotIdentityPreservingError("map does not send identity to identity")
     if not _respects_generators(source, target, mp):
         raise NotMultiplicativeError(*_first_nonmultiplicative(source, target, mp))
-    return _hom(source, target, mp)
+    return MonoidHom(source, target, mp)
 
 
 def _respects_generators(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> bool:
@@ -378,12 +394,6 @@ def _first_nonmultiplicative(source: FiniteMonoid, target: FiniteMonoid, mp: tup
         if left != right:
             return x, next(y for y in range(source.size) if left[y] != right[y])
     raise ValueError("map is multiplicative")
-
-
-def _hom(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> MonoidHom:
-    """Wrap a map already checked to be a hom, deciding atom preservation."""
-    tgt_atoms = atoms(target)
-    return MonoidHom(source, target, mp, all(mp[a] in tgt_atoms for a in atoms(source)))
 
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
@@ -476,7 +486,7 @@ def enumerate_homs(
         if _respects_generators(source, target, mp):
             maps.append(mp)
     for mp in sorted(maps):
-        hom = _hom(source, target, mp)
+        hom = MonoidHom(source, target, mp)
         if atom_preserving_only and not hom.atom_preserving:
             continue
         yield hom

@@ -181,15 +181,20 @@ class Reachability(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _rewrites(presentation: PushoutPresentation, word: tuple[Letter, ...]):
+def _rules(presentation: PushoutPresentation) -> list[tuple[tuple[Letter, ...], tuple[Letter, ...]]]:
+    """Each relation reduced and oriented both ways, as (pattern, replacement)."""
     family = presentation.family
-    sides = []
+    rules = []
     for lhs, rhs in presentation.relation_pairs:
         l = reduce(family, lhs).letters
         r = reduce(family, rhs).letters
-        sides.append((l, r))
-        sides.append((r, l))
-    for pattern, replacement in sides:
+        rules.append((l, r))
+        rules.append((r, l))
+    return rules
+
+
+def _rewrites(family: Family, rules, word: tuple[Letter, ...]):
+    for pattern, replacement in rules:
         span = len(pattern)
         for start in range(len(word) - span + 1):
             if word[start : start + span] == pattern:
@@ -211,6 +216,7 @@ def pushout_eq_bounded(
     """
     if depth < 0:
         raise ValidationError("depth must be non-negative")
+    rules = _rules(presentation)
     visited = ({w1.letters}, {w2.letters})
     frontiers = [{w1.letters}, {w2.letters}]
     if visited[0] & visited[1]:
@@ -220,7 +226,7 @@ def pushout_eq_bounded(
         for side in (0, 1):
             nxt = set()
             for word in frontiers[side]:
-                for rewritten in _rewrites(presentation, word):
+                for rewritten in _rewrites(presentation.family, rules, word):
                     if rewritten not in visited[side]:
                         visited[side].add(rewritten)
                         nxt.add(rewritten)

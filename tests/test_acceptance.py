@@ -7,6 +7,8 @@ or `atomon verify --all` for the same checks through the CLI.
 
 import pytest
 
+from atomon import verify
+from atomon.errors import SearchBudgetExceededError
 from atomon.verify import SUITES, cmd_verify
 
 CRITERIA = [
@@ -59,3 +61,50 @@ def test_remaining_invariant_suites():
 def test_every_verify_suite_is_gated():
     gated = {suite for _, _, suites, _ in CRITERIA for suite in suites} | set(INVARIANT_SUITES)
     assert gated == set(SUITES)
+
+
+# cases each suite reports at seed 0; a suite that drops, doubles or adds a
+# case shows here even when all its cases pass
+CASES_AT_SEED_0 = {
+    "coequalizers": 283,
+    "coproduct-lengths": 306,
+    "coproduct-recognition": 147,
+    "coproduct-reduction": 4756,
+    "coproduct-systems": 366,
+    "coproduct-unions": 56,
+    "core-axioms": 512,
+    "epset-arithmetic": 1500,
+    "generator-oracles": 307,
+    "length-invariance": 75,
+    "length-oracle": 70,
+    "preserved-properties": 21,
+    "product-formulas": 202,
+    "product-unions": 56,
+    "terminal-uniqueness": 9,
+    "universal-properties": 1281,
+}
+
+
+def test_case_counts_at_seed_0():
+    assert {suite: cmd_verify(suite, seed=0).cases for suite in SUITES} == CASES_AT_SEED_0
+
+
+def test_runner_counts_one_outcome_per_case(monkeypatch):
+    def fake(rng, budget):
+        yield None
+        yield False
+        yield "bad"
+
+    monkeypatch.setitem(verify.SUITES, "fake", fake)
+    report = cmd_verify("fake")
+    assert (report.cases, report.mismatches) == (3, ["bad"])
+
+
+def test_runner_propagates_a_suite_error(monkeypatch):
+    def failing(rng, budget):
+        yield None
+        raise SearchBudgetExceededError(7)
+
+    monkeypatch.setitem(verify.SUITES, "failing", failing)
+    with pytest.raises(SearchBudgetExceededError):
+        cmd_verify("failing")

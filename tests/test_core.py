@@ -18,7 +18,7 @@ from atomon import (
     new_monoid,
     units,
 )
-from atomon.core import terminal_monoid
+from atomon.core import MonoidHom, terminal_monoid
 from atomon.errors import (
     BadIdentityError,
     DuplicateNameError,
@@ -107,6 +107,17 @@ def test_new_hom_examples():
         new_hom(m, m, (1, 1, 2))
     with pytest.raises(ValidationError):
         new_hom(m, m, (0, 1))
+
+
+def test_atom_preserving_is_derived_not_supplied():
+    with pytest.raises(TypeError):
+        MonoidHom(c2(), c2(), (0, 1), atom_preserving=True)
+    atomic = (zero(), one(), c2(), h2(), m31())
+    for source, target in itertools.product(atomic, repeat=2):
+        for h in enumerate_homs(source, target, atom_preserving_only=False):
+            expected = all(h.map[a] in atoms(target) for a in atoms(source))
+            assert h.atom_preserving == expected
+            assert MonoidHom(h.source, h.target, h.map).atom_preserving == expected
 
 
 def test_is_atomon_mono():

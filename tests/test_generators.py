@@ -126,6 +126,28 @@ def test_units_and_atoms_match_the_pair_scans():
         assert check_property(m, "dedekind_finite") == two_sided
 
 
+def laws_by_triples(m):
+    """The cancellation laws by their definitions, over all triples."""
+    us, triples = units(m), list(itertools.product(range(m.size), repeat=3))
+    return {
+        "acyclic": not any(m.mul(m.mul(y, x), z) == x for x, y, z in triples if not (y in us and z in us)),
+        "unit_cancellative": not any(
+            m.mul(x, y) == x or m.mul(y, x) == x for x, y, _ in triples if y not in us
+        ),
+        "cancellative": not any(
+            m.mul(x, z) == m.mul(y, z) or m.mul(z, x) == m.mul(z, y) for x, y, z in triples if x != y
+        ),
+    }
+
+
+def test_cancellation_laws_match_their_definitions():
+    monoids = list(named_fixtures().values()) + [full_transformation_3()]
+    monoids += [random_monoid(seed, 8) for seed in range(100)]
+    for m in monoids:
+        expected = laws_by_triples(m)
+        assert {prop: check_property(m, prop) for prop in expected} == expected
+
+
 def brute_force_congruence(m, pairs):
     """Leader (least member) of each class of the congruence generated by
     the pairs: a worklist in which every merge enqueues its translates by
