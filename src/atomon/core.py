@@ -29,7 +29,7 @@ from .errors import (
 )
 
 PROPERTIES = ("atomic", "dedekind_finite", "acyclic", "unit_cancellative", "cancellative")
-_LAWS = ("acyclic", "unit_cancellative", "cancellative")  # decided by _laws_hold
+_LAWS = ("acyclic", "unit_cancellative", "cancellative")  # cancellation laws, see check_property
 
 
 class FiniteMonoid:
@@ -266,7 +266,18 @@ def _atom_closure(m: FiniteMonoid) -> frozenset[int]:
 
 
 def check_property(m: FiniteMonoid, prop: str) -> bool:
-    """Exhaustively decide one of the supported predicates on m."""
+    """Decide one of the supported predicates on m.
+
+    The three cancellation laws ``_LAWS`` each hold exactly when every
+    element is a unit. In a group the first two forbid only equations with
+    a non-unit, of which there is none, and every translation is a
+    bijection, so all three hold. Otherwise take a non-unit x and its
+    idempotent power e = x^k, which a finite monoid has. e is a non-unit,
+    since a product is a unit only if every factor is (see ``units``). Then
+    e·e·e = e breaks acyclicity, e·e = e breaks unit cancellativity, and
+    e·e = e·1 with e != 1 breaks cancellativity.
+    ``verify`` checks this against ``_laws_hold`` on its oracle monoids.
+    """
     n = m.size
     us = units(m)
     if prop == "atomic":
@@ -276,7 +287,7 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
         # x·y = 1 puts the identity in row x, so x is one of the units
         return all(m.mul(y, x) == m.identity for x in us for y, xy in enumerate(m.table[x]) if xy == m.identity)
     if prop in _LAWS:
-        return _laws_hold(prop, range(n), m.mul, us.__contains__)
+        return len(us) == n
     raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
 

@@ -12,6 +12,10 @@ big-int operations rather than one membership test per position.
 Membership (``in``, ``members_upto``) stays a per-integer test, so checks
 against it are independent of the masks.
 
+``eps_sum_many`` sums equal parts by binary doubling (c·A from A, 2A, 4A,
+...), so n parts with d distinct values cost O(d·log n) Minkowski sums
+rather than n - 1; a free-product word repeats few letter length sets.
+
 The length sets of a finite monoid are one table per monoid: one walk of
 the power layers gives each element its mask of lengths, and each distinct
 mask is decoded once. ``length_set``, ``length_system`` and ``union_k`` read it.
@@ -19,6 +23,7 @@ mask is decoded once. ``length_set``, ``length_system`` and ``union_k`` read it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -235,17 +240,34 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
 def eps_sum_many(parts: Iterable[EPSet]) -> EPSet:
     """Minkowski sum of several sets; the empty family sums to {0}.
 
-    The sum starts from the first part, not from {0} + first part: the
-    library builds every EPSet through ``_normalize``, so the part is already
-    in the canonical form that sum would have.
+    Equal parts are summed together: c copies of A by binary doubling, from
+    A, 2A, 4A, ... and the doubles at the set bits of c, then the distinct
+    results are folded. n parts with d distinct values cost O(d·log n)
+    Minkowski sums, never more than the n - 1 of a plain fold. The sum is
+    associative and commutative and canonical form is unique, so grouping
+    cannot change the answer. No sum starts from {0}: the library builds
+    every EPSet through ``_normalize``, so a lone part is already in the
+    canonical form {0} + part would have, and comes back as given.
     """
-    parts = iter(parts)
-    acc = next(parts, ZERO_ONLY)
-    for part in parts:
-        if acc.is_empty:
-            return EMPTY
-        acc = eps_minkowski_sum(acc, part)
-    return acc
+    counts = collections.Counter(parts)
+    if not counts:
+        return ZERO_ONLY
+    if len(counts) > 1 and any(part.is_empty for part in counts):
+        return EMPTY
+    return functools.reduce(eps_minkowski_sum, itertools.starmap(_multiple, counts.items()))
+
+
+def _multiple(a: EPSet, c: int) -> EPSet:
+    """c·A = A + ... + A for c >= 1: the sum of the doubles 2^i·A over the
+    set bits i of c, bit_length(c) + popcount(c) - 2 Minkowski sums."""
+    result = None
+    while True:
+        if c & 1:
+            result = a if result is None else eps_minkowski_sum(result, a)
+        c >>= 1
+        if not c:
+            return result
+        a = eps_minkowski_sum(a, a)
 
 
 @dataclass(frozen=True)

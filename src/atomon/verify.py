@@ -52,10 +52,13 @@ from .core import (
     new_monoid,
     terminal_monoid,
     units,
+    _LAWS,
+    _laws_hold,
 )
 from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import (
     EMPTY,
+    ZERO_ONLY,
     brute_force_lengths,
     eps_intersect,
     eps_minkowski_sum,
@@ -226,6 +229,14 @@ def suite_epset_arithmetic(rng, budget):
             yield set(result.members_upto(bound)) != expected and (
                 f"{label} of {a!r} and {b!r} wrong on [0,{bound}]"
             )
+    # eps_sum_many sums equal parts by doubling; the plain fold is its oracle
+    for _ in range(40):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            parts += [_random_eps(rng)] * rng.randint(1, 8)
+        rng.shuffle(parts)
+        fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
+        yield eps_sum_many(parts) != fold and f"sum of {parts!r} is not the fold {fold!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +795,11 @@ def suite_generator_oracles(rng, budget):
     for name, m in monoids:
         yield units(m) != _units_by_pairs(m) and f"{name}: units {sorted(units(m))} vs the pair scan"
         yield atoms(m) != _atoms_by_pairs(m) and f"{name}: atoms {sorted(atoms(m))} vs the pair scan"
+        # check_property decides the cancellation laws by counting units
+        for prop in _LAWS:
+            got = check_property(m, prop)
+            expected = _laws_hold(prop, range(m.size), m.mul, units(m).__contains__)
+            yield got != expected and f"{name}: {prop} is {got}, the law scan says {expected}"
         # copies with one entry changed off the identity row and column, so
         # the identity law still holds and only associativity can fail:
         # every such copy of a named fixture, a seeded sample of the others

@@ -73,8 +73,8 @@ CASES_AT_SEED_0 = {
     "coproduct-systems": 366,
     "coproduct-unions": 56,
     "core-axioms": 512,
-    "epset-arithmetic": 1500,
-    "generator-oracles": 307,
+    "epset-arithmetic": 1540,
+    "generator-oracles": 385,
     "length-invariance": 75,
     "length-oracle": 70,
     "preserved-properties": 21,

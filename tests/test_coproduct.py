@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -35,9 +37,11 @@ from atomon.errors import (
     SearchBudgetExceededError,
     ValidationError,
 )
+from atomon import lengths
 from atomon.coproduct import _join
+from atomon.core import units
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
-from atomon.lengths import eps_union
+from atomon.lengths import eps_minkowski_sum, eps_union, length_set
 from atomon.verify import _system_oracle, _union_k_oracle
 
 
@@ -358,3 +362,29 @@ def test_join_matches_reducing_the_concatenation(case):
     fam, x, y = case
     assert _join(fam, x, y) == reduce(fam, x + y).letters
     assert fp_mul(fam, ReducedWord(x), ReducedWord(y)).letters == _join(fam, x, y)
+
+
+def test_long_word_length_set_needs_few_sums(monkeypatch):
+    # equal letter length sets are summed by doubling: O(d·log n) Minkowski
+    # sums for n non-unit letters with d distinct length sets, not n - 1
+    fam = Family([one(), m31(), c2()])
+    rng = random.Random(7)
+    letters = []
+    for _ in range(400):
+        i = rng.choice([i for i in range(3) if not letters or letters[-1].mon != i])
+        m = fam.members[i]
+        letters.append(Letter(i, rng.choice([x for x in range(m.size) if x != m.identity])))
+    w = reduce(fam, letters)
+    assert len(w.letters) == 400
+    parts = [length_set(fam.members[i], x) for i, x in w.letters if x not in units(fam.members[i])]
+    n, d = len(parts), len(set(parts))
+    fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return eps_minkowski_sum(a, b)
+
+    monkeypatch.setattr(lengths, "eps_minkowski_sum", counted)
+    assert fp_length_set(fam, w) == fold
+    assert n > 200 and len(calls) <= 2 * d * math.ceil(math.log2(n))

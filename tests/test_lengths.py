@@ -348,3 +348,31 @@ def test_sum_many_is_the_fold_from_zero_in_any_order(case):
     fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
     assert eps_sum_many(parts) == fold
     assert eps_sum_many(iter(reordered)) == fold
+
+
+# up to three distinct sets, each repeated up to 40 times, so the doubling
+# in eps_sum_many runs several rounds and meets EMPTY and {0} among them
+repeated_parts = st.lists(
+    st.tuples(st.one_of(st.just(EMPTY), st.just(ZERO_ONLY), epsets(12, 6)), st.integers(0, 40)), max_size=3
+).map(lambda groups: [part for part, count in groups for _ in range(count)])
+
+
+@settings(max_examples=100)
+@given(repeated_parts.flatmap(lambda parts: st.tuples(st.just(parts), st.permutations(parts))))
+def test_sum_many_of_repeated_parts_is_the_fold_and_the_sumset(case):
+    parts, reordered = case
+    fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
+    assert eps_sum_many(reordered) == fold
+    # per-integer sumset on a window, one part at a time
+    bound = 60
+    window = {0}
+    for part in parts:
+        members_of_part = part.members_upto(bound)
+        window = {x + y for x in window for y in members_of_part if x + y <= bound}
+    assert set(fold.members_upto(bound)) == window
+
+
+@settings(max_examples=150)
+@given(epsets(), epsets(), epsets())
+def test_minkowski_sum_distributes_over_union(a, b, c):
+    assert eps_minkowski_sum(a, eps_union(b, c)) == eps_union(eps_minkowski_sum(a, b), eps_minkowski_sum(a, c))
