@@ -1,10 +1,18 @@
-"""Command-line front end. JSON files in, human-readable or JSON out."""
+"""Command-line front end. JSON files in, human-readable or JSON out.
+
+Each leaf command is bound to one handler by ``set_defaults(func=...)``. A
+handler takes the parsed arguments and returns ``(data, lines)`` or
+``(data, lines, status)``; ``main`` alone prints, ``data`` as JSON under
+``--json`` and the text ``lines`` otherwise, and returns the status (0 when
+the handler gives none, 1 on an ``AtomonError``).
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import verify as verify_mod
 from .coproduct import (
@@ -49,350 +57,268 @@ from .serialize import (
 )
 
 
-def _emit(data: dict, text_lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _system_payload(system) -> list[dict]:
-    return [eps_to_json(entry) for entry in system]
+def _eps_result(key: str, eps, **data) -> tuple[dict, list[str]]:
+    """One EPSet under ``key`` beside ``data``; its text form is the one line."""
+    return {**data, key: eps_to_json(eps)}, [eps_to_text(eps)]
 
 
-def _system_text(system) -> str:
-    entries = "; ".join(eps_to_text(entry) for entry in system) or "(empty)"
+def _system(system) -> tuple[list[dict], str]:
+    """A length system as a JSON list of entries and as one line of text."""
+    text = "; ".join(eps_to_text(entry) for entry in system) or "(empty)"
     if system.truncated_at is not None:
-        entries += f"  [truncated at {system.truncated_at} blocks]"
-    return entries
+        text += f"  [truncated at {system.truncated_at} blocks]"
+    return [eps_to_json(entry) for entry in system], text
 
 
-def cmd_validate(args) -> int:
-    m = load_monoid(args.monoid)
-    _emit(
-        {"valid": True, "size": m.size, "identity": m.identity},
-        [f"valid monoid with {m.size} elements, identity {m.names[m.identity]!r}"],
-        args.json,
-    )
-    return 0
+def _checked(data: dict, ls, bound: int | None, oracle):
+    """A length set, cross-checked on [0, bound] against ``oracle(bound)``
+    when a bound is given; a mismatch gives exit status 1."""
+    data, lines = _eps_result("length_set", ls, **data)
+    if bound is None:
+        return data, lines
+    agrees = set(ls.members_upto(bound)) == oracle(bound)
+    data.update(oracle_bound=bound, oracle_agrees=agrees)
+    lines.append(f"oracle on [0,{bound}]: {'agrees' if agrees else 'MISMATCH'}")
+    return data, lines, 0 if agrees else 1
 
 
-def cmd_analyze(args) -> int:
-    m = load_monoid(args.monoid)
-    props = {p: check_property(m, p) for p in PROPERTIES}
-    system = length_system(m)
-    data = {
-        "size": m.size,
-        "identity": m.identity,
-        "elements": [
-            {"index": x, "name": m.names[x], "class": classify(m, x).value}
-            for x in range(m.size)
-        ],
-        "units": sorted(m.names[u] for u in units(m)),
-        "atoms": sorted(m.names[a] for a in atoms(m)),
-        "properties": props,
-        "length_system": _system_payload(system),
-    }
-    lines = [f"monoid: {m.size} elements, identity {m.names[m.identity]!r}"]
-    for x in range(m.size):
-        lines.append(f"  {x}: {m.names[x]} [{classify(m, x).value}]")
-    lines.append("units: " + (", ".join(sorted(m.names[u] for u in units(m))) or "(none)"))
-    lines.append("atoms: " + (", ".join(sorted(m.names[a] for a in atoms(m))) or "(none)"))
-    lines.append("properties: " + " ".join(f"{p}={'yes' if v else 'no'}" for p, v in props.items()))
-    lines.append("length system: " + _system_text(system))
-    _emit(data, lines, args.json)
-    return 0
-
-
-def cmd_lengthset(args) -> int:
-    m = load_monoid(args.monoid)
-    x = m.elem(args.element)
-    ls = length_set(m, x)
-    data = {"element": args.element, "length_set": eps_to_json(ls)}
-    lines = [eps_to_text(ls)]
-    status = 0
-    if args.bound is not None:
-        closed = set(ls.members_upto(args.bound))
-        oracle = brute_force_lengths(m, x, args.bound)
-        agrees = closed == oracle
-        data["oracle_bound"] = args.bound
-        data["oracle_agrees"] = agrees
-        lines.append(f"oracle on [0,{args.bound}]: {'agrees' if agrees else 'MISMATCH'}")
-        if not agrees:
-            status = 1
-    _emit(data, lines, args.json)
-    return status
-
-
-def cmd_unions(args) -> int:
-    m = load_monoid(args.monoid)
-    u = union_k(m, args.k)
-    _emit({"k": args.k, "union": eps_to_json(u)}, [eps_to_text(u)], args.json)
-    return 0
-
-
-def cmd_coproduct(args) -> int:
-    fam = load_family(args.family)
-    if args.operation == "reduce":
-        w = parse_word(fam, args.word)
-        _emit({"reduced": word_to_text(fam, w)}, [word_to_text(fam, w)], args.json)
-        return 0
-    if args.operation == "mul":
-        w = fp_mul(fam, parse_word(fam, args.word), parse_word(fam, args.word2))
-        _emit({"product": word_to_text(fam, w)}, [word_to_text(fam, w)], args.json)
-        return 0
-    if args.operation == "atom":
-        w = parse_word(fam, args.word)
-        is_atom, is_unit = fp_is_atom(fam, w), fp_is_unit(fam, w)
-        data = {"word": word_to_text(fam, w), "atom": is_atom, "unit": is_unit}
-        _emit(data, [f"atom: {'yes' if is_atom else 'no'}; unit: {'yes' if is_unit else 'no'}"], args.json)
-        return 0
-    if args.operation == "lengthset":
-        w = parse_word(fam, args.word)
-        ls = fp_length_set(fam, w)
-        data = {"word": word_to_text(fam, w), "length_set": eps_to_json(ls)}
-        lines = [eps_to_text(ls)]
-        status = 0
-        if args.bound is not None:
-            closed = set(ls.members_upto(args.bound))
-            oracle = fp_brute_force_lengths(fam, w, args.bound)
-            agrees = closed == oracle
-            data["oracle_agrees"] = agrees
-            lines.append(f"oracle on [0,{args.bound}]: {'agrees' if agrees else 'MISMATCH'}")
-            if not agrees:
-                status = 1
-        _emit(data, lines, args.json)
-        return status
-    if args.operation == "unionk":
-        u = fp_union_k(fam, args.k)
-        _emit({"k": args.k, "union": eps_to_json(u)}, [eps_to_text(u)], args.json)
-        return 0
-    system = fp_length_system_bounded(fam, args.max_blocks)
-    data = {"truncated_at": system.truncated_at, "entries": _system_payload(system)}
-    _emit(data, [_system_text(system)], args.json)
-    return 0
-
-
-def cmd_product(args) -> int:
-    fam = load_family(args.family)
-    if args.operation == "contains":
-        t = parse_tuple(fam, args.tuple)
-        inside = ap_contains(fam, t)
-        _emit({"contains": inside}, ["yes" if inside else "no"], args.json)
-        return 0
-    if args.operation == "lengthset":
-        t = parse_tuple(fam, args.tuple)
-        ls = ap_length_set(fam, t)
-        _emit({"length_set": eps_to_json(ls)}, [eps_to_text(ls)], args.json)
-        return 0
-    if args.operation == "system":
-        system = ap_length_system(fam, args.nonzero)
-        _emit({"entries": _system_payload(system)}, [_system_text(system)], args.json)
-        return 0
-    if args.operation == "unionk":
-        u = ap_union_k(fam, args.k)
-        _emit({"k": args.k, "union": eps_to_json(u)}, [eps_to_text(u)], args.json)
-        return 0
-    mat, _ = ap_materialize(fam, args.cap)
-    _emit(
-        monoid_to_json(mat),
-        [f"materialized product with {mat.size} elements"]
-        + [f"  {i}: {name}" for i, name in enumerate(mat.names)],
-        args.json,
-    )
-    return 0
-
-
-def _emit_construction(args, label: str, monoid, homs: dict[str, list[int]]) -> int:
+def _construction(label: str, monoid, **homs) -> tuple[dict, list[str]]:
     data = {"monoid": monoid_to_json(monoid)}
     data.update({name: list(mp) for name, mp in homs.items()})
     lines = [f"{label}: {monoid.size} elements"]
-    lines.append("monoid: " + json.dumps(monoid_to_json(monoid), sort_keys=True))
-    for name, mp in homs.items():
-        lines.append(f"{name}: {list(mp)}")
-    _emit(data, lines, args.json)
-    return 0
+    lines.append("monoid: " + json.dumps(data["monoid"], sort_keys=True))
+    lines += [f"{name}: {list(mp)}" for name, mp in homs.items()]
+    return data, lines
 
 
-def cmd_limits(args) -> int:
-    op = args.operation
-    if op == "terminal":
-        return _emit_construction(args, "terminal", terminal(), {})
-    if op == "initial":
-        return _emit_construction(args, "initial", initial(), {})
-    if op == "equalizer":
-        e_monoid, e = equalizer(load_hom(args.f), load_hom(args.g))
-        return _emit_construction(args, "equalizer", e_monoid, {"inclusion": e.map})
-    if op == "pullback":
-        p, p1, p2 = pullback(load_hom(args.f), load_hom(args.g))
-        return _emit_construction(args, "pullback", p, {"p1": p1.map, "p2": p2.map})
-    if op == "coequalizer":
-        q_monoid, q = coequalizer(load_hom(args.f), load_hom(args.g))
-        return _emit_construction(args, "coequalizer", q_monoid, {"projection": q.map})
-    if op == "pushout-present":
-        pres = pushout_presentation(load_hom(args.f), load_hom(args.g))
-        pairs = [
-            [word_to_text(pres.family, reduce_word(pres.family, lhs)),
-             word_to_text(pres.family, reduce_word(pres.family, rhs))]
-            for lhs, rhs in pres.relation_pairs
-        ]
-        data = {
-            "members": [monoid_to_json(m) for m in pres.family.members],
-            "relations": pairs,
-        }
-        lines = [f"pushout presentation over {len(pres.family.members)} members"]
-        lines += [f"  {lhs} = {rhs}" for lhs, rhs in pairs]
-        _emit(data, lines, args.json)
-        return 0
+def cmd_validate(args):
+    m = load_monoid(args.monoid)
+    data = {"valid": True, "size": m.size, "identity": m.identity}
+    return data, [f"valid monoid with {m.size} elements, identity {m.names[m.identity]!r}"]
+
+
+def cmd_analyze(args):
+    m = load_monoid(args.monoid)
+    props = {p: check_property(m, p) for p in PROPERTIES}
+    classes = [classify(m, x).value for x in range(m.size)]
+    unit_names = sorted(m.names[u] for u in units(m))
+    atom_names = sorted(m.names[a] for a in atoms(m))
+    entries, system_text = _system(length_system(m))
+    data = {
+        "size": m.size,
+        "identity": m.identity,
+        "elements": [{"index": x, "name": m.names[x], "class": c} for x, c in enumerate(classes)],
+        "units": unit_names,
+        "atoms": atom_names,
+        "properties": props,
+        "length_system": entries,
+    }
+    lines = [f"monoid: {m.size} elements, identity {m.names[m.identity]!r}"]
+    lines += [f"  {x}: {m.names[x]} [{c}]" for x, c in enumerate(classes)]
+    lines.append("units: " + (", ".join(unit_names) or "(none)"))
+    lines.append("atoms: " + (", ".join(atom_names) or "(none)"))
+    lines.append("properties: " + " ".join(f"{p}={_yes(v)}" for p, v in props.items()))
+    lines.append("length system: " + system_text)
+    return data, lines
+
+
+def cmd_lengthset(args):
+    m = load_monoid(args.monoid)
+    x = m.elem(args.element)
+    oracle = partial(brute_force_lengths, m, x)
+    return _checked({"element": args.element}, length_set(m, x), args.bound, oracle)
+
+
+def cmd_unions(args):
+    return _eps_result("union", union_k(load_monoid(args.monoid), args.k), k=args.k)
+
+
+def cmd_fp_reduce(args):
+    fam = load_family(args.family)
+    text = word_to_text(fam, parse_word(fam, args.word))
+    return {"reduced": text}, [text]
+
+
+def cmd_fp_mul(args):
+    fam = load_family(args.family)
+    text = word_to_text(fam, fp_mul(fam, parse_word(fam, args.word), parse_word(fam, args.word2)))
+    return {"product": text}, [text]
+
+
+def cmd_fp_atom(args):
+    fam = load_family(args.family)
+    w = parse_word(fam, args.word)
+    is_atom, is_unit = fp_is_atom(fam, w), fp_is_unit(fam, w)
+    data = {"word": word_to_text(fam, w), "atom": is_atom, "unit": is_unit}
+    return data, [f"atom: {_yes(is_atom)}; unit: {_yes(is_unit)}"]
+
+
+def cmd_fp_lengthset(args):
+    fam = load_family(args.family)
+    w = parse_word(fam, args.word)
+    oracle = partial(fp_brute_force_lengths, fam, w)
+    return _checked({"word": word_to_text(fam, w)}, fp_length_set(fam, w), args.bound, oracle)
+
+
+def cmd_fp_unionk(args):
+    return _eps_result("union", fp_union_k(load_family(args.family), args.k), k=args.k)
+
+
+def cmd_fp_system(args):
+    system = fp_length_system_bounded(load_family(args.family), args.max_blocks)
+    entries, text = _system(system)
+    return {"truncated_at": system.truncated_at, "entries": entries}, [text]
+
+
+def cmd_ap_contains(args):
+    fam = load_family(args.family)
+    inside = ap_contains(fam, parse_tuple(fam, args.tuple))
+    return {"contains": inside}, [_yes(inside)]
+
+
+def cmd_ap_lengthset(args):
+    fam = load_family(args.family)
+    return _eps_result("length_set", ap_length_set(fam, parse_tuple(fam, args.tuple)))
+
+
+def cmd_ap_system(args):
+    entries, text = _system(ap_length_system(load_family(args.family), args.nonzero))
+    return {"entries": entries}, [text]
+
+
+def cmd_ap_unionk(args):
+    return _eps_result("union", ap_union_k(load_family(args.family), args.k), k=args.k)
+
+
+def cmd_ap_materialize(args):
+    mat, _ = ap_materialize(load_family(args.family), args.cap)
+    lines = [f"materialized product with {mat.size} elements"]
+    return monoid_to_json(mat), lines + [f"  {i}: {name}" for i, name in enumerate(mat.names)]
+
+
+def cmd_terminal(args):
+    return _construction("terminal", terminal())
+
+
+def cmd_initial(args):
+    return _construction("initial", initial())
+
+
+def cmd_equalizer(args):
+    e_monoid, e = equalizer(load_hom(args.f), load_hom(args.g))
+    return _construction("equalizer", e_monoid, inclusion=e.map)
+
+
+def cmd_pullback(args):
+    p, p1, p2 = pullback(load_hom(args.f), load_hom(args.g))
+    return _construction("pullback", p, p1=p1.map, p2=p2.map)
+
+
+def cmd_coequalizer(args):
+    q_monoid, q = coequalizer(load_hom(args.f), load_hom(args.g))
+    return _construction("coequalizer", q_monoid, projection=q.map)
+
+
+def cmd_pushout_present(args):
+    pres = pushout_presentation(load_hom(args.f), load_hom(args.g))
+    fam = pres.family
+    pairs = [[word_to_text(fam, reduce_word(fam, w)) for w in pair] for pair in pres.relation_pairs]
+    data = {"members": [monoid_to_json(m) for m in fam.members], "relations": pairs}
+    lines = [f"pushout presentation over {len(fam.members)} members"]
+    return data, lines + [f"  {lhs} = {rhs}" for lhs, rhs in pairs]
+
+
+def cmd_pushout_eq(args):
     pres = pushout_presentation(load_hom(args.f), load_hom(args.g))
     w1 = parse_word(pres.family, args.word1)
     w2 = parse_word(pres.family, args.word2)
-    outcome = pushout_eq_bounded(pres, w1, w2, args.depth)
-    _emit({"result": outcome.value}, [outcome.value], args.json)
-    return 0
+    outcome = pushout_eq_bounded(pres, w1, w2, args.depth).value
+    return {"result": outcome}, [outcome]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.all or args.suite is None:
         reports = verify_mod.run_all(args.seed, args.budget)
     else:
         reports = [verify_mod.cmd_verify(args.suite, args.seed, args.budget)]
-    if args.json:
-        payload = [
-            {"suite": r.suite, "cases": r.cases, "mismatches": r.mismatches}
-            for r in reports
-        ]
-        if args.timings:
-            for entry, r in zip(payload, reports):
-                entry["wall_time"] = round(r.wall_time, 3)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in reports:
-            for line in r.lines(timings=args.timings):
-                print(line)
-    return 0 if all(r.ok for r in reports) else 1
+    data = [{"suite": r.suite, "cases": r.cases, "mismatches": r.mismatches} for r in reports]
+    if args.timings:
+        for entry, r in zip(data, reports):
+            entry["wall_time"] = round(r.wall_time, 3)
+    lines = [line for r in reports for line in r.lines(timings=args.timings)]
+    return data, lines, 0 if all(r.ok for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="atomon",
-        description="Exact computations with finite atomic monoids.",
-    )
+    parser = argparse.ArgumentParser(prog="atomon", description="Exact computations with finite atomic monoids.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_json(p):
+    def leaf(group, name, handler, *positionals, **kwargs):
+        p = group.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        for arg in positionals:
+            p.add_argument(arg, type=int if arg in ("k", "max_blocks") else None)
+        p.set_defaults(func=handler)
         return p
 
-    p = with_json(sub.add_parser("validate", help="validate a monoid file"))
-    p.add_argument("monoid")
-    p.set_defaults(func=cmd_validate)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="operation", required=True)
 
-    p = with_json(sub.add_parser("analyze", help="units, atoms, predicates, length system"))
-    p.add_argument("monoid")
-    p.set_defaults(func=cmd_analyze)
-
-    p = with_json(sub.add_parser("lengthset", help="length set of one element"))
-    p.add_argument("monoid")
-    p.add_argument("element")
+    leaf(sub, "validate", cmd_validate, "monoid", help="validate a monoid file")
+    leaf(sub, "analyze", cmd_analyze, "monoid", help="units, atoms, predicates, length system")
+    p = leaf(sub, "lengthset", cmd_lengthset, "monoid", "element", help="length set of one element")
     p.add_argument("--bound", type=int, default=None, help="cross-check against the oracle up to this length")
-    p.set_defaults(func=cmd_lengthset)
+    leaf(sub, "unions", cmd_unions, "monoid", "k", help="union of length sets containing k")
 
-    p = with_json(sub.add_parser("unions", help="union of length sets containing k"))
-    p.add_argument("monoid")
-    p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_unions)
+    ops = group("coproduct", "free product operations")
+    leaf(ops, "reduce", cmd_fp_reduce, "family", "word")
+    leaf(ops, "mul", cmd_fp_mul, "family", "word", "word2")
+    leaf(ops, "atom", cmd_fp_atom, "family", "word")
+    leaf(ops, "lengthset", cmd_fp_lengthset, "family", "word").add_argument("--bound", type=int, default=None)
+    leaf(ops, "unionk", cmd_fp_unionk, "family", "k")
+    leaf(ops, "system", cmd_fp_system, "family", "max_blocks")
 
-    p = sub.add_parser("coproduct", help="free product operations")
-    ops = p.add_subparsers(dest="operation", required=True)
-    q = with_json(ops.add_parser("reduce"))
-    q.add_argument("family")
-    q.add_argument("word")
-    q.set_defaults(func=cmd_coproduct)
-    q = with_json(ops.add_parser("mul"))
-    q.add_argument("family")
-    q.add_argument("word")
-    q.add_argument("word2")
-    q.set_defaults(func=cmd_coproduct)
-    q = with_json(ops.add_parser("atom"))
-    q.add_argument("family")
-    q.add_argument("word")
-    q.set_defaults(func=cmd_coproduct)
-    q = with_json(ops.add_parser("lengthset"))
-    q.add_argument("family")
-    q.add_argument("word")
-    q.add_argument("--bound", type=int, default=None)
-    q.set_defaults(func=cmd_coproduct)
-    q = with_json(ops.add_parser("unionk"))
-    q.add_argument("family")
-    q.add_argument("k", type=int)
-    q.set_defaults(func=cmd_coproduct)
-    q = with_json(ops.add_parser("system"))
-    q.add_argument("family")
-    q.add_argument("max_blocks", type=int)
-    q.set_defaults(func=cmd_coproduct)
+    ops = group("product", "categorical product operations")
+    leaf(ops, "contains", cmd_ap_contains, "family", "tuple")
+    leaf(ops, "lengthset", cmd_ap_lengthset, "family", "tuple")
+    leaf(ops, "system", cmd_ap_system, "family").add_argument("--nonzero", action="store_true")
+    leaf(ops, "unionk", cmd_ap_unionk, "family", "k")
+    leaf(ops, "materialize", cmd_ap_materialize, "family").add_argument("--cap", type=int, default=60)
 
-    p = sub.add_parser("product", help="categorical product operations")
-    ops = p.add_subparsers(dest="operation", required=True)
-    q = with_json(ops.add_parser("contains"))
-    q.add_argument("family")
-    q.add_argument("tuple")
-    q.set_defaults(func=cmd_product)
-    q = with_json(ops.add_parser("lengthset"))
-    q.add_argument("family")
-    q.add_argument("tuple")
-    q.set_defaults(func=cmd_product)
-    q = with_json(ops.add_parser("system"))
-    q.add_argument("family")
-    q.add_argument("--nonzero", action="store_true")
-    q.set_defaults(func=cmd_product)
-    q = with_json(ops.add_parser("unionk"))
-    q.add_argument("family")
-    q.add_argument("k", type=int)
-    q.set_defaults(func=cmd_product)
-    q = with_json(ops.add_parser("materialize"))
-    q.add_argument("family")
-    q.add_argument("--cap", type=int, default=60)
-    q.set_defaults(func=cmd_product)
+    ops = group("limits", "limit and colimit constructions")
+    leaf(ops, "terminal", cmd_terminal)
+    leaf(ops, "initial", cmd_initial)
+    leaf(ops, "equalizer", cmd_equalizer, "f", "g")
+    leaf(ops, "pullback", cmd_pullback, "f", "g")
+    leaf(ops, "coequalizer", cmd_coequalizer, "f", "g")
+    leaf(ops, "pushout-present", cmd_pushout_present, "f", "g")
+    p = leaf(ops, "pushout-eq", cmd_pushout_eq, "f", "g", "word1", "word2")
+    p.add_argument("--depth", type=int, default=4)
 
-    p = sub.add_parser("limits", help="limit and colimit constructions")
-    ops = p.add_subparsers(dest="operation", required=True)
-    for name in ("terminal", "initial"):
-        q = with_json(ops.add_parser(name))
-        q.set_defaults(func=cmd_limits)
-    for name in ("equalizer", "pullback", "coequalizer", "pushout-present"):
-        q = with_json(ops.add_parser(name))
-        q.add_argument("f")
-        q.add_argument("g")
-        q.set_defaults(func=cmd_limits)
-    q = with_json(ops.add_parser("pushout-eq"))
-    q.add_argument("f")
-    q.add_argument("g")
-    q.add_argument("word1")
-    q.add_argument("word2")
-    q.add_argument("--depth", type=int, default=4)
-    q.set_defaults(func=cmd_limits)
-
-    p = with_json(sub.add_parser("verify", help="run formula-versus-oracle suites"))
+    p = leaf(sub, "verify", cmd_verify, help="run formula-versus-oracle suites")
     p.add_argument("--suite", default=None, help="suite name; omit or use --all for every suite")
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="search budget for bounded oracles")
     p.add_argument("--timings", action="store_true", help="include wall times (non-deterministic)")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data, lines, *status = args.func(args)
     except AtomonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in [json.dumps(data, sort_keys=True)] if args.json else lines:
+        print(line)
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

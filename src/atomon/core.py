@@ -446,6 +446,8 @@ def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
 
 def eval_word(m: FiniteMonoid, word: Sequence[int]) -> int:
     """Left-to-right product of a word of element indices; empty word gives 1."""
+    if word:
+        _check_indices(word, m.size, "element index")
     acc = m.identity
     for x in word:
         acc = m.mul(acc, x)
@@ -462,6 +464,8 @@ def extend_atom_map(
     Every image must be an atom of the target, so the induced map from the
     free monoid on the alphabet is atom-preserving.
     """
+    if images:
+        _check_indices(tuple(images.values()), target.size, "image")
     tgt_atoms = atoms(target)
     for symbol, image in images.items():
         if image not in tgt_atoms:

@@ -95,5 +95,5 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
         return new_monoid(names, table, 0)
 
 
-def random_fixtures(count: int, max_size: int = 5, seed_base: int = 0) -> list[FiniteMonoid]:
-    return [random_monoid(seed_base + i, max_size) for i in range(count)]
+def random_fixtures(count: int) -> list[FiniteMonoid]:
+    return [random_monoid(i) for i in range(count)]

@@ -4,6 +4,7 @@ pullbacks, coequalizers via congruence closure, pushout presentations."""
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -11,6 +12,7 @@ from typing import Iterable
 from .core import (
     FiniteMonoid,
     MonoidHom,
+    _check_indices,
     atoms,
     check_property,
     new_hom,
@@ -91,6 +93,12 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
     g·leader(x).
     """
     n = m.size
+    pairs = list(pairs)
+    bad = next((p for p in pairs if not isinstance(p, (tuple, list)) or len(p) != 2), None)
+    if bad is not None:
+        raise ValidationError(f"{bad!r} is not a pair of element indices")
+    if pairs:
+        _check_indices(tuple(itertools.chain.from_iterable(pairs)), n, "element index")
     tab, gens = m.table, m.generators
     parent = list(range(n))
 

@@ -173,6 +173,5 @@ def ap_universal(homs: Sequence[MonoidHom], w: int) -> TupleElem:
             raise SourceMismatchError(f"hom {i} has a different source")
         if not h.atom_preserving:
             raise NotAtomPreservingError(i)
-    if not 0 <= w < source.size:
-        raise ValidationError(f"element {w} out of range")
+    _check_indices((w,), source.size, "element index")
     return tuple(h.map[w] for h in homs)

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from atomon.cli import main
+from atomon.cli import build_parser, main
 from atomon.errors import ParseError, ValidationError
 from atomon.fixtures import c2, h2, one, zero
 from atomon.serialize import monoid_to_json
@@ -147,6 +148,72 @@ def test_limits_commands(files, capsys):
         "--depth", "1",
     )
     assert out.strip() == "equal"
+
+
+def test_lengthset_oracle_mismatch_exits_1(files, capsys, monkeypatch):
+    monkeypatch.setattr("atomon.cli.brute_force_lengths", lambda *args: set())
+    monkeypatch.setattr("atomon.cli.fp_brute_force_lengths", lambda *args: set())
+    for argv in (
+        ["lengthset", files["one"], "0", "--bound", "8"],
+        ["coproduct", "lengthset", files["fam"], "(0@0)*(u@1)*(a@0)", "--bound", "8"],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 1 and out.splitlines()[-1] == "oracle on [0,8]: MISMATCH"
+        code, out = run(capsys, *argv, "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["oracle_bound"] == 8 and payload["oracle_agrees"] is False
+
+
+def _leaves(parser, path=()):
+    """Every leaf parser below ``parser``, keyed by its command path."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return {path: parser}
+    return {
+        leaf_path: leaf
+        for name, child in groups[0].choices.items()
+        for leaf_path, leaf in _leaves(child, path + (name,)).items()
+    }
+
+
+def test_every_leaf_has_one_handler_and_runs(files, capsys):
+    leaves = _leaves(build_parser())
+    assert len(leaves) == 23
+    handlers = [p.get_default("func") for p in leaves.values()]
+    assert None not in handlers and len(set(handlers)) == len(handlers)
+    assert all("--json" in p._option_string_actions for p in leaves.values())
+    fam, fold, id_one = files["fam"], files["fold"], files["id_one"]
+    argv = {
+        ("validate",): [files["one"]],
+        ("analyze",): [files["one"]],
+        ("lengthset",): [files["one"], "0", "--bound", "8"],
+        ("unions",): [files["one"], "3"],
+        ("coproduct", "reduce"): [fam, "(a@0)*(1@0)*(a@0)"],
+        ("coproduct", "mul"): [fam, "(u@1)", "(u@1)"],
+        ("coproduct", "atom"): [fam, "(u@1)*(a@0)"],
+        ("coproduct", "lengthset"): [fam, "(0@0)*(u@1)*(a@0)", "--bound", "8"],
+        ("coproduct", "unionk"): [fam, "2"],
+        ("coproduct", "system"): [fam, "2"],
+        ("product", "contains"): [fam, "(1,u)"],
+        ("product", "lengthset"): [fam, "(1,u)"],
+        ("product", "system"): [fam, "--nonzero"],
+        ("product", "unionk"): [fam, "0"],
+        ("product", "materialize"): [fam],
+        ("limits", "terminal"): [],
+        ("limits", "initial"): [],
+        ("limits", "equalizer"): [fold, fold],
+        ("limits", "pullback"): [fold, id_one],
+        ("limits", "coequalizer"): [fold, fold],
+        ("limits", "pushout-present"): [id_one, id_one],
+        ("limits", "pushout-eq"): [id_one, id_one, "(a@0)", "(a@1)", "--depth", "1"],
+        ("verify",): ["--suite", "length-oracle"],
+    }
+    assert set(argv) == set(leaves)
+    for path, args in argv.items():
+        assert run(capsys, *path, *args)[0] == 0, path
+        code, out = run(capsys, *path, *args, "--json")
+        assert code == 0, path
+        json.loads(out)
 
 
 def test_verify_command(files, capsys):

@@ -171,6 +171,18 @@ def test_extend_atom_map():
         extend_atom_map(m, {"x": 1}, ("x", "z"))
 
 
+@pytest.mark.parametrize("word", [[True], [1.0], [7], [-1], [1, "1"]])
+def test_eval_word_refuses_non_element_indices(word):
+    with pytest.raises(ValidationError):
+        eval_word(one(), word)
+
+
+@pytest.mark.parametrize("image", [True, 1.0, 7, -1, "1"])
+def test_extend_atom_map_refuses_non_element_images(image):
+    with pytest.raises(ValidationError):
+        extend_atom_map(one(), {"x": image}, ["x", "x"])
+
+
 def test_unit_conjugation_preserves_atoms():
     for m in (one(), c2(), h2(), m31()):
         ats, us = atoms(m), units(m)

@@ -22,7 +22,7 @@ from atomon import (
     terminal,
     units,
 )
-from atomon.errors import SourceMismatchError, TargetMismatchError
+from atomon.errors import SourceMismatchError, TargetMismatchError, ValidationError
 from atomon.fixtures import c2, h2, m31, one, zero
 
 
@@ -258,3 +258,9 @@ def test_equalizer_universal_property_enumerated():
             tau = new_hom(w, e_monoid, tau_map)
             assert tau.atom_preserving
             assert compose(e, tau) == alpha
+
+
+@pytest.mark.parametrize("pairs", [[(True, 2)], [(1.5, 2)], [(9, 2)], [(1, -1)], [(1, 2, 3)], [(1,)], [5]])
+def test_congruence_closure_refuses_non_element_pairs(pairs):
+    with pytest.raises(ValidationError):
+        congruence_closure(one(), pairs)

@@ -186,6 +186,12 @@ def test_universal_examples(two_ones):
         ap_universal([new_hom(one(), one(), (0, 2, 2))], 1)
 
 
+@pytest.mark.parametrize("w", [True, 1.0, 3, -1, "1"])
+def test_universal_refuses_non_element_indices(w):
+    with pytest.raises(ValidationError):
+        ap_universal([identity_hom(one())], w)
+
+
 def test_formula_matches_materialized_tables():
     families = [
         Family([one(), one()]),
