@@ -300,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4)
 
     p = leaf(sub, "verify", cmd_verify, help="run formula-versus-oracle suites")
-    p.add_argument("--suite", default=None, help="suite name; omit or use --all for every suite")
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--suite", default=None, help="suite name; omit or use --all for every suite")
+    which.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="search budget for bounded oracles")
     p.add_argument("--timings", action="store_true", help="include wall times (non-deterministic)")

@@ -255,11 +255,12 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     the pooled U(j) = U_1(j) ∪ ... ∪ U_n(j), it is totals[k] for the DP
     totals[j] = U(j) ∪ ⋃_{1<=s<j} totals[s] + U(j-s), exact because the
     Minkowski sum distributes over union. O(k² + k·|family|) EPSet operations.
+    totals[0] is the pooled U(0) = {0}: only the empty word has length 0.
     """
-    if k < 1:
-        raise ValidationError("k must be positive")
+    if k < 0:
+        raise ValidationError("k must be non-negative")
     pooled = [functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY) for j in range(k + 1)]
-    totals = [EMPTY]
+    totals = [pooled[0]]
     for j in range(1, k + 1):
         sums = (eps_sum_many((totals[s], pooled[j - s])) for s in range(1, j))
         totals.append(functools.reduce(eps_union, sums, pooled[j]))

@@ -1,16 +1,24 @@
 """Eventually periodic subsets of the naturals and factorization length sets.
 
-An EPSet is stored in canonical form: the period is the minimal eventual
-period of the set, and the threshold is the least one compatible with that
-period. Canonical form makes structural equality coincide with extensional
-equality, which the length-system deduplication relies on.
+An EPSet holds four ints: the threshold T, the head mask (bit n set for each
+member n < T), the period p, and the tail mask (bit r set for each residue r
+mod p whose n >= T are members). The form is canonical: p is the least
+eventual period of the set and T the least threshold with that period, so
+two EPSets are equal exactly when they have the same members, and ``==`` and
+``hash`` compare the four ints. The length-system deduplication relies on it.
+``head`` and ``tail`` are read-only frozensets derived from the masks.
 
-The EPSet operations work on membership windows held as one int bitmask,
-bit n for n: the head bits, then the tail's one-period pattern tiled up to
-the window by doubling shifts, so a window costs O(log(window / period))
-big-int operations rather than one membership test per position.
-Membership (``in``, ``members_upto``) stays a per-integer test, so checks
-against it are independent of the masks.
+Every EPSet is canonical. ``EPSet(threshold, head, period, tail)`` reads the
+set from plain fields and canonicalizes them; ``eps_finite``,
+``eps_cofinite``, ``eps_from_window`` and ``serialize.eps_from_json`` build
+through it or through ``_normalize``, and refuse malformed fields with a
+``ValidationError`` (a ``ParseError`` for JSON).
+
+The operations work on membership windows held as one int bitmask, bit n for
+n: the head mask, then the tail mask tiled up to the window by doubling
+shifts, so a window costs O(log(window / period)) big-int operations rather
+than one membership test per position. Results are normalized straight from
+the window's masks. ``in`` tests one bit of the head or tail mask.
 
 ``eps_sum_many`` sums equal parts by binary doubling (c·A from A, 2A, 4A,
 ...), so n parts with d distinct values cost O(d·log n) Minkowski sums
@@ -35,58 +43,95 @@ from .core import FiniteMonoid, _check_indices, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
-@dataclass(frozen=True)
 class EPSet:
-    threshold: int
-    head: frozenset[int]
-    period: int
-    tail: frozenset[int]
+    """An eventually periodic set of naturals, in canonical form.
+
+    ``EPSet(threshold, head, period, tail)`` is the set of the n < threshold
+    in head and the n >= threshold with n % period in {r % period : r in
+    tail}; head members at or past the threshold are ignored. It needs an
+    int threshold >= 0, an int period >= 1 and int members >= 0, else
+    ``ValidationError``, and it returns the canonical form of that set.
+
+    The four fields are stored as ints (see the module docstring). ``head``
+    and ``tail`` are decoded from their masks on each read.
+    """
+
+    __slots__ = ("_threshold", "_head", "_period", "_tail")
+
+    def __new__(cls, threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
+        if type(threshold) is not int or type(period) is not int or threshold < 0 or period < 1:
+            raise ValidationError("an EPSet needs an int threshold >= 0 and an int period >= 1")
+        head_mask = sum(1 << n for n in _naturals(head) if n < threshold)
+        return _normalize(head_mask, threshold, period, sum({1 << r % period for r in _naturals(tail)}))
+
+    threshold = property(operator.attrgetter("_threshold"))
+    period = property(operator.attrgetter("_period"))
+
+    @property
+    def head(self) -> frozenset[int]:
+        return frozenset(_bits(self._head))
+
+    @property
+    def tail(self) -> frozenset[int]:
+        return frozenset(_bits(self._tail))
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < self.threshold:
-            return n in self.head
-        return (n % self.period) in self.tail
+        if n < self._threshold:
+            return n >= 0 and bool(self._head >> n & 1)
+        return bool(self._tail >> n % self._period & 1)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EPSet:
+            return NotImplemented
+        return (
+            self._head == other._head
+            and self._tail == other._tail
+            and self._threshold == other._threshold
+            and self._period == other._period
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._threshold, self._head, self._period, self._tail))
 
     @property
     def is_empty(self) -> bool:
-        return not self.head and not self.tail
+        return not self._head and not self._tail
 
     def has_positive(self) -> bool:
-        return bool(self.tail) or any(h > 0 for h in self.head)
+        return self._tail != 0 or self._head > 1
 
     def members_upto(self, bound: int) -> list[int]:
         """Sorted members n with n <= bound."""
-        return [n for n in range(bound + 1) if n in self]
+        return _bits(_mask(self, bound + 1)) if bound >= 0 else []
 
     def sort_key(self):
-        return (self.threshold, tuple(sorted(self.head)), self.period, tuple(sorted(self.tail)))
+        return (self._threshold, tuple(_bits(self._head)), self._period, tuple(_bits(self._tail)))
 
     def __repr__(self) -> str:
-        return f"EPSet(T={self.threshold}, head={sorted(self.head)}, p={self.period}, tail={sorted(self.tail)})"
+        return f"EPSet(T={self._threshold}, head={_bits(self._head)}, p={self._period}, tail={_bits(self._tail)})"
+
+
+def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
+    """The EPSet with these fields, which must already be canonical."""
+    s = object.__new__(EPSet)
+    s._threshold, s._head, s._period, s._tail = threshold, head, period, tail
+    return s
+
+
+def _naturals(members: Iterable[int]) -> set[int]:
+    """members as a set, if each is an int >= 0; else ValidationError."""
+    members = set(members)
+    if any(type(n) is not int or n < 0 for n in members):
+        raise ValidationError("EPSet members must be ints >= 0")
+    return members
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bitmask(members: Iterable[int], width: int) -> int:
-    """The int with bit n set for each member n in [0, width). The others are
-    left out, as ``in`` ignores head members past the threshold."""
-    digits = bytearray(b"0" * (width + 1))
-    for n in members:
-        if 0 <= n < width:
-            digits[width - n] = ord("1")
-    return int(digits, 2)
-
-
-def _members(mask: int, width: int) -> frozenset[int]:
-    """The n < width whose bit is set in mask."""
-    mask &= (1 << width) - 1
-    if not mask:
-        return frozenset()
-    digits = format(mask, f"0{width}b").encode().translate(_DIGIT_VALUES)
-    return frozenset(itertools.compress(range(width - 1, -1, -1), digits))
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return list(itertools.compress(itertools.count(), format(mask, "b")[::-1].encode().translate(_DIGIT_VALUES)))
 
 
 def _tile(pattern: int, period: int, width: int) -> int:
@@ -99,37 +144,44 @@ def _tile(pattern: int, period: int, width: int) -> int:
     return pattern & ((1 << width) - 1)
 
 
-def _canonical(threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
-    """Normalize to minimal period, then minimal threshold."""
-    return _normalize(_bitmask(head, threshold), threshold, period, _bitmask((r % period for r in tail), period))
+def _least_period(residues: int, period: int) -> int:
+    """The least d such that the period-bit pattern residues repeats every d
+    bits. The periods that divide ``period`` are the multiples of that d, so
+    it is reached from ``period`` by dividing out one prime factor at a time
+    while the quotient is still a period: O(sqrt(period)) trial divisions
+    and one tiling per prime factor."""
+    d, rest, q = period, period, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q:
+            q += 1
+            continue
+        rest //= q
+        if _tile(residues & ((1 << d // q) - 1), d // q, period) == residues:
+            d //= q
+    return d
 
 
 def _normalize(mask: int, threshold: int, period: int, residues: int) -> EPSet:
-    """_canonical of the set whose members below the threshold are the set
+    """The canonical EPSet whose members below the threshold are the set
     bits of mask, and beyond it the n with bit n % period set in residues."""
-    # minimal eventual period divides every eventual period, so scan divisors
-    for d in range(1, period + 1):
-        if period % d == 0 and _tile(residues & ((1 << d) - 1), d, period) == residues:
-            residues &= (1 << d) - 1
-            period = d
-            break
+    d = _least_period(residues, period)
+    residues &= (1 << d) - 1
     # the least threshold: one past the last n < threshold where mask and the
     # periodic pattern disagree
     head = mask & ((1 << threshold) - 1)
-    t = (head ^ _tile(residues, period, threshold)).bit_length()
-    return EPSet(t, _members(head, t), period, _members(residues, period))
+    t = (head ^ _tile(residues, d, threshold)).bit_length()
+    return _make(t, head & ((1 << t) - 1), d, residues)
 
 
-EMPTY = _canonical(0, (), 1, ())
-ZERO_ONLY = _canonical(1, (0,), 1, ())
+EMPTY = _make(0, 0, 1, 0)
+ZERO_ONLY = _make(1, 1, 1, 0)
 
 
 def eps_finite(members: Iterable[int]) -> EPSet:
-    members = set(members)
-    if any(n < 0 for n in members):
-        raise ValidationError("EPSet members must be non-negative")
-    bound = max(members) + 1 if members else 0
-    return _canonical(bound, members, 1, ())
+    mask = sum(1 << n for n in _naturals(members))
+    return _normalize(mask, mask.bit_length(), 1, 0)
 
 
 def eps_cofinite(start: int) -> EPSet:
@@ -139,7 +191,7 @@ def eps_cofinite(start: int) -> EPSet:
     absorbing element first reached at length s (L(0) = {n >= 2} in
     {1, a, 0}), and tests state many expected length sets with it.
     """
-    return _canonical(start, (), 1, (0,))
+    return EPSet(start, (), 1, (0,))
 
 
 def eps_from_window(bits: Sequence[bool], period: int, threshold: int) -> EPSet:
@@ -155,8 +207,8 @@ def eps_from_window(bits: Sequence[bool], period: int, threshold: int) -> EPSet:
 
 def _from_mask(mask: int, window: int, period: int, threshold: int) -> EPSet:
     """eps_from_window on the bitmask of a window of the given length."""
-    if period < 1 or threshold < 0:
-        raise ValidationError("need period >= 1 and threshold >= 0")
+    if type(period) is not int or type(threshold) is not int or period < 1 or threshold < 0:
+        raise ValidationError("need int period >= 1 and int threshold >= 0")
     if window < threshold + 2 * period:
         raise WindowTooShortError(
             f"window of {window} bits cannot certify threshold {threshold} and period {period}"
@@ -179,15 +231,15 @@ def _decode(mask: int, period: int, threshold: int) -> EPSet:
 
 def _mask(s: EPSet, window: int) -> int:
     """Bit n set iff n is in s, for n < window."""
-    mask = _bitmask(s.head, s.threshold)
-    if s.tail and window > s.threshold:
-        mask |= _tile(_bitmask(s.tail, s.period), s.period, window) >> s.threshold << s.threshold
+    mask = s._head
+    if s._tail and window > s._threshold:
+        mask |= _tile(s._tail, s._period, window) >> s._threshold << s._threshold
     return mask & ((1 << window) - 1)
 
 
 def _pointwise(a: EPSet, b: EPSet, keep) -> EPSet:
-    t = max(a.threshold, b.threshold)
-    p = math.lcm(a.period, b.period)
+    t = max(a._threshold, b._threshold)
+    p = math.lcm(a._period, b._period)
     return _decode(keep(_mask(a, t + p), _mask(b, t + p)), p, t)
 
 
@@ -209,28 +261,28 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
     holds that threshold and the two periods eps_from_window needs, and the
     result is certified against a direct convolution on twice that window.
 
-    The convolution shifts B's mask by each member of A: once per head
-    element, and once per tail residue into a pattern that is then tiled
-    with A's period. A is the operand with fewer head and tail entries; the
-    sum is symmetric and its canonical form unique, so the swap cannot
-    change the answer.
+    The convolution shifts B's mask by each member of A: once per set bit of
+    A's head mask, and once per set bit of its tail mask into a pattern that
+    is then tiled with A's period. A is the operand with fewer set bits in
+    its two masks; the sum is symmetric and its canonical form unique, so the
+    swap cannot change the answer.
     """
     if a.is_empty or b.is_empty:
         return EMPTY
-    if len(a.head) + len(a.tail) > len(b.head) + len(b.tail):
+    if a._head.bit_count() + a._tail.bit_count() > b._head.bit_count() + b._tail.bit_count():
         a, b = b, a
-    lcm = math.lcm(a.period, b.period)
-    window = a.threshold + b.threshold + 3 * lcm
+    lcm = math.lcm(a._period, b._period)
+    window = a._threshold + b._threshold + 3 * lcm
     bm, conv = _mask(b, 2 * window), 0
-    for h in a.head:
+    for h in _bits(a._head):
         conv |= bm << h
-    if a.tail:
+    if a._tail:
         pattern = 0
-        for r in a.tail:
-            pattern |= bm << ((r - a.threshold) % a.period)
-        conv |= _tile(pattern, a.period, 2 * window - a.threshold) << a.threshold
+        for r in _bits(a._tail):
+            pattern |= bm << ((r - a._threshold) % a._period)
+        conv |= _tile(pattern, a._period, 2 * window - a._threshold) << a._threshold
     conv &= (1 << 2 * window) - 1
-    result = _from_mask(conv & ((1 << window) - 1), window, lcm, a.threshold + b.threshold + lcm)
+    result = _from_mask(conv & ((1 << window) - 1), window, lcm, a._threshold + b._threshold + lcm)
     diff = _mask(result, 2 * window) ^ conv
     if diff:
         raise PeriodViolatedError((diff & -diff).bit_length() - 1)
@@ -245,9 +297,9 @@ def eps_sum_many(parts: Iterable[EPSet]) -> EPSet:
     results are folded. n parts with d distinct values cost O(d·log n)
     Minkowski sums, never more than the n - 1 of a plain fold. The sum is
     associative and commutative and canonical form is unique, so grouping
-    cannot change the answer. No sum starts from {0}: the library builds
-    every EPSet through ``_normalize``, so a lone part is already in the
-    canonical form {0} + part would have, and comes back as given.
+    cannot change the answer. No sum starts from {0}: every EPSet is
+    canonical, so a lone part already is the set {0} + part would give, and
+    comes back as given.
     """
     counts = collections.Counter(parts)
     if not counts:

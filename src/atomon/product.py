@@ -146,12 +146,21 @@ def ap_length_set(family: Family, t: Sequence[int]) -> EPSet:
 
 
 def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem:
-    """All non-empty intersections of one length set per member. Exact."""
-    systems = (length_system(m).entries for m in family.members)
-    entries = {functools.reduce(eps_intersect, choice) for choice in itertools.product(*systems)}
-    entries.discard(EMPTY)
+    """All non-empty intersections of one length set per member. Exact.
+
+    Folded member by member, D <- {d ∩ e : d in D, e in system_j} - {EMPTY}:
+    ∩ is associative and EMPTY absorbs, so a choice whose partial
+    intersection is already empty, or equal to another's, adds nothing new.
+    Each step costs |D|·|system_j| intersections, where the product of
+    choices costs ∏ |system_j|.
+    """
+    def meet(entries, system):
+        return {eps_intersect(d, e) for d in entries for e in system} - {EMPTY}
+
+    systems = [length_system(m).entries for m in family.members]
+    entries = functools.reduce(meet, systems[1:], systems[0])
     if nonzero_only:
-        entries.discard(ZERO_ONLY)
+        entries -= {ZERO_ONLY}
     return LengthSystem(frozenset(entries))
 
 

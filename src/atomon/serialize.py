@@ -17,7 +17,7 @@ from pathlib import Path
 from .coproduct import Family, Letter, ReducedWord, reduce
 from .core import FiniteMonoid, MonoidHom, new_hom, new_monoid
 from .errors import ParseError, ValidationError
-from .lengths import EPSet, _canonical
+from .lengths import EPSet
 
 
 def monoid_to_json(m: FiniteMonoid) -> dict:
@@ -85,10 +85,12 @@ def eps_from_json(data: dict) -> EPSet:
         threshold, head, period, tail = data["threshold"], data["head"], data["period"], data["tail"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed EPSet object: {exc}") from None
-    fields = [threshold, period, *head, *tail] if type(head) is list and type(tail) is list else [None]
-    if any(type(n) is not int for n in fields) or period < 1 or min(fields) < 0:
-        raise ParseError("an EPSet needs int threshold >= 0, int period >= 1 and lists of ints >= 0")
-    return _canonical(threshold, head, period, tail)
+    if type(head) is not list or type(tail) is not list:
+        raise ParseError("an EPSet needs head and tail lists")
+    try:
+        return EPSet(threshold, head, period, tail)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def eps_to_text(s: EPSet) -> str:

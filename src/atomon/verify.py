@@ -68,7 +68,7 @@ from .lengths import (
     length_system,
     power_layers,
     union_k,
-    _canonical,
+    EPSet,
 )
 from .limits import congruence_closure, coequalizer, equalizer, pullback
 from .product import (
@@ -80,6 +80,7 @@ from .product import (
     ap_union_k,
     tuple_mul,
 )
+from .serialize import eps_to_json
 
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
 _ATOMIC_NAMED = ("zero", "one", "c2", "h2", "m31")
@@ -210,15 +211,22 @@ def _random_eps(rng):
     p = rng.randint(1, 8)
     head = {n for n in range(t) if rng.random() < 0.5}
     tail = {r for r in range(p) if rng.random() < 0.4}
-    return _canonical(t, head, p, tail)
+    return EPSet(t, head, p, tail)
+
+
+def _json_members(s, bound: int) -> set[int]:
+    """The members n <= bound of s, tested one integer at a time against its
+    JSON lists, so that the expected sets never read the masks."""
+    data = eps_to_json(s)
+    head, tail = set(data["head"]), set(data["tail"])
+    return {n for n in range(bound + 1) if (n in head if n < data["threshold"] else n % data["period"] in tail)}
 
 
 def suite_epset_arithmetic(rng, budget):
     bound = 60
     for _ in range(500):
         a, b = _random_eps(rng), _random_eps(rng)
-        mem_a = set(a.members_upto(bound))
-        mem_b = set(b.members_upto(bound))
+        mem_a, mem_b = _json_members(a, bound), _json_members(b, bound)
         direct_sum = {x + y for x in mem_a for y in mem_b if x + y <= bound}
         checks = [
             ("sum", eps_minkowski_sum(a, b), direct_sum),
@@ -364,11 +372,12 @@ def _system_oracle(fam: Family, max_blocks: int):
 def suite_coproduct_unions(rng, budget):
     for names in UNION_FAMILIES:
         fam = _family(names)
-        for k in range(1, 5):
+        for k in range(0, 5):
             formula = fp_union_k(fam, k)
-            yield formula != _union_k_oracle(fam, k) and (
-                f"{names} k={k}: {formula!r} vs the composition oracle"
-            )
+            if k:  # 0 has no composition into positive parts
+                yield formula != _union_k_oracle(fam, k) and (
+                    f"{names} k={k}: {formula!r} vs the composition oracle"
+                )
             direct = EMPTY
             for w in reduced_words_upto(fam, k):
                 ls = fp_length_set(fam, w)
@@ -428,6 +437,14 @@ def suite_preserved_properties(rng, budget):
 # product suites
 
 
+def _product_system_oracle(fam: Family, nonzero_only: bool):
+    """Oracle: ap_length_system as the intersections of every choice of one
+    length set per member."""
+    systems = (length_system(m).entries for m in fam.members)
+    entries = {functools.reduce(eps_intersect, choice) for choice in itertools.product(*systems)}
+    return entries - {EMPTY, ZERO_ONLY} if nonzero_only else entries - {EMPTY}
+
+
 def suite_product_formulas(rng, budget):
     for names in PRODUCT_FAMILIES:
         fam = _family(names)
@@ -446,6 +463,11 @@ def suite_product_formulas(rng, budget):
         yield ap_length_system(fam, True).entries != length_system(mat, True).entries and (
             f"{names}: non-zero length systems disagree"
         )
+        # the fold against the intersections of every choice
+        for nonzero in (False, True):
+            yield ap_length_system(fam, nonzero).entries != _product_system_oracle(fam, nonzero) and (
+                f"{names}: length system (nonzero_only={nonzero}) differs from the product of choices"
+            )
         # membership criterion matches the closure, over the full direct product
         for t in itertools.product(*(range(m.size) for m in fam.members)):
             yield ap_contains(fam, t) != (t in index) and f"{names}: membership of {t} wrong"

@@ -71,14 +71,14 @@ CASES_AT_SEED_0 = {
     "coproduct-recognition": 147,
     "coproduct-reduction": 4756,
     "coproduct-systems": 366,
-    "coproduct-unions": 56,
+    "coproduct-unions": 63,
     "core-axioms": 512,
     "epset-arithmetic": 1540,
     "generator-oracles": 385,
     "length-invariance": 75,
     "length-oracle": 70,
     "preserved-properties": 21,
-    "product-formulas": 202,
+    "product-formulas": 218,
     "product-unions": 56,
     "terminal-uniqueness": 9,
     "universal-properties": 1281,

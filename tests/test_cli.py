@@ -112,6 +112,8 @@ def test_coproduct_commands(files, capsys):
     assert "(3 + {0} mod 1)" in out and "agrees" in out
     code, out = run(capsys, "coproduct", "unionk", files["fam"], "2")
     assert code == 0
+    code, out = run(capsys, "coproduct", "unionk", files["fam"], "0")
+    assert code == 0 and out.strip() == "{0}"
     code, out = run(capsys, "coproduct", "system", files["fam"], "2")
     assert "truncated at 2 blocks" in out
 
@@ -222,6 +224,13 @@ def test_verify_command(files, capsys):
     assert out.strip() == "suite length-oracle: 70 cases, ok"
     code, _ = run(capsys, "verify", "--suite", "nope")
     assert code == 1
+
+
+def test_verify_refuses_all_beside_a_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -220,6 +220,11 @@ def test_fp_union_examples(two_ones):
     assert fp_union_k(two_ones, 2) == eps_cofinite(2)
     assert fp_union_k(two_ones, 1) == eps_finite({1})
     assert fp_union_k(Family([c2(), c2()]), 1) == EMPTY
+    # only the empty word has length 0, as in every atomic monoid
+    for fam in (two_ones, Family([c2(), c2()]), Family([one(), m31(), c2()])):
+        assert fp_union_k(fam, 0) == ZERO_ONLY
+    with pytest.raises(ValidationError):
+        fp_union_k(two_ones, -1)
 
 
 def test_union_matches_word_enumeration():

@@ -25,7 +25,7 @@ from atomon import (
 from atomon.core import atoms, new_monoid, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
-from atomon.lengths import EPSet, _canonical, _mask
+from atomon.lengths import EPSet, _mask
 from test_generators import full_transformation_3
 
 
@@ -38,30 +38,36 @@ def members(s, bound=40):
 
 def test_canonical_minimizes_period_and_threshold():
     # evens from 2, described wastefully with period 4 and threshold 6
-    s = _canonical(6, {2, 4}, 4, {0, 2})
+    s = EPSet(6, {2, 4}, 4, {0, 2})
     assert s.period == 2 and s.threshold == 1
     assert members(s, 10) == [2, 4, 6, 8, 10]
 
 
 def test_canonical_finite_sets_have_unit_period():
-    s = _canonical(9, {1, 5}, 3, ())
+    s = EPSet(9, {1, 5}, 3, ())
     assert s == eps_finite({1, 5})
     assert s.period == 1 and s.threshold == 6 and s.tail == frozenset()
 
 
 def test_structural_equality_is_extensional():
-    a = _canonical(4, {2}, 2, {0})
-    b = _canonical(2, {}, 2, {0})
+    a = EPSet(4, {2}, 2, {0})
+    b = EPSet(2, {}, 2, {0})
     assert a == b and hash(a) == hash(b)
     assert eps_finite(()) == EMPTY
     assert eps_finite({0}) == ZERO_ONLY
+
+
+def test_membership_and_positivity_edges():
+    assert -1 not in eps_cofinite(0) and -1 not in ZERO_ONLY
+    assert not ZERO_ONLY.has_positive() and not EMPTY.has_positive()
+    assert eps_finite({0, 3}).has_positive() and EPSet(2, (), 3, (2,)).has_positive()
 
 
 def test_random_round_trip_window(seeded_rng=random.Random(7)):
     for _ in range(200):
         t = seeded_rng.randint(0, 8)
         p = seeded_rng.randint(1, 8)
-        s = _canonical(
+        s = EPSet(
             t,
             {n for n in range(t) if seeded_rng.random() < 0.5},
             p,
@@ -98,7 +104,7 @@ def test_union_intersect_examples():
     k2 = eps_cofinite(2)
     assert eps_intersect(k2, eps_finite({1})) == EMPTY
     assert eps_union(k2, eps_finite({2})) == k2
-    evens = _canonical(2, (), 2, (0,))
+    evens = EPSet(2, (), 2, (0,))
     assert members(eps_intersect(evens, eps_cofinite(3)), 10) == [4, 6, 8, 10]
 
 
@@ -114,7 +120,7 @@ def test_minkowski_examples():
 def test_eps_algebra_laws():
     rng = random.Random(11)
     sets = [
-        _canonical(
+        EPSet(
             rng.randint(0, 6),
             {n for n in range(6) if rng.random() < 0.5},
             rng.randint(1, 6),
@@ -214,7 +220,7 @@ def test_cyclic_monoid_layers_have_a_shifted_preperiod():
         m = cyclic(i, p)
         seq = power_layers(m)
         assert (seq.preperiod, seq.period) == (i, p)
-        assert length_set(m, i + 1) == _canonical(i, (), p, {(i + 1) % p})
+        assert length_set(m, i + 1) == EPSet(i, (), p, {(i + 1) % p})
 
 
 def test_length_set_matches_oracle_on_fixtures():
@@ -244,13 +250,13 @@ def test_unit_translation_invariance():
 def test_minkowski_against_window_convolution():
     rng = random.Random(23)
     for _ in range(120):
-        a = _canonical(
+        a = EPSet(
             rng.randint(0, 8),
             {n for n in range(8) if rng.random() < 0.5},
             rng.randint(1, 8),
             {r for r in range(8) if rng.random() < 0.4},
         )
-        b = _canonical(
+        b = EPSet(
             rng.randint(0, 8),
             {n for n in range(8) if rng.random() < 0.5},
             rng.randint(1, 8),
@@ -274,11 +280,12 @@ def epsets(draw, max_threshold=30, max_period=24):
     t = draw(st.integers(0, max_threshold))
     p = draw(st.integers(1, max_period))
     head = draw(st.sets(st.integers(0, t - 1))) if t else set()
-    return _canonical(t, head, p, draw(st.sets(st.integers(0, p - 1))))
+    return EPSet(t, head, p, draw(st.sets(st.integers(0, p - 1))))
 
 
 def bitmask(s, bound):
-    return sum(1 << n for n in s.members_upto(bound))
+    # one ``in`` per integer, not the tiled window masks that members_upto reads
+    return sum(1 << n for n in range(bound + 1) if n in s)
 
 
 # short windows, and long thresholds over short periods, where the window
@@ -301,15 +308,21 @@ def test_minkowski_sum_matches_a_direct_mask_convolution(pair):
     assert eps_minkowski_sum(b, a) == total
 
 
-# built directly, not canonical: head members past the threshold and tail
-# residues past the period, which membership ignores
-raw_epsets = st.builds(
-    EPSet,
+# fields as given to the constructor, not canonical: head members past the
+# threshold, tail residues past the period, periods and thresholds longer
+# than needed
+raw_fields = st.tuples(
     st.integers(0, 20),
-    st.frozensets(st.integers(-3, 30)),
+    st.frozensets(st.integers(0, 30)),
     st.integers(1, 8),
     st.frozensets(st.integers(0, 12)),
 )
+raw_epsets = raw_fields.map(lambda fields: EPSet(*fields))
+
+
+def raw_member(fields, n):
+    threshold, head, period, tail = fields
+    return n in head if n < threshold else n % period in {r % period for r in tail}
 
 
 @settings(max_examples=150)
@@ -322,6 +335,83 @@ def test_mask_matches_membership(s, offset, periods):
     # windows below, at and above threshold + period, then whole periods on
     window = s.threshold + s.period + offset + periods * s.period
     assert _mask(s, window) == bitmask(s, window - 1)
+    assert s.members_upto(window - 1) == [n for n in range(window) if n in s]
+
+
+@settings(max_examples=150)
+@given(raw_fields)
+def test_constructor_keeps_the_members_of_its_fields(fields):
+    s = EPSet(*fields)
+    bound = fields[0] + 2 * fields[2]
+    assert [n for n in range(bound + 1) if n in s] == [n for n in range(bound + 1) if raw_member(fields, n)]
+    assert s.threshold <= fields[0] and fields[2] % s.period == 0
+
+
+def _redescribed(fields, extra_threshold, factor):
+    """The same set as fields, with a threshold raised by extra_threshold and
+    a period multiplied by factor."""
+    threshold, head, period, tail = fields
+    later = threshold + extra_threshold
+    head = {n for n in range(later) if raw_member(fields, n)}
+    tail = {n % (period * factor) for n in range(later, later + period * factor) if raw_member(fields, n)}
+    return later, head, period * factor, tail
+
+
+# two descriptions of one set, or two drawn descriptions that may or may not
+# describe one set (small fields, so that they often do)
+small_fields = st.tuples(st.integers(0, 3), st.frozensets(st.integers(0, 3)), st.integers(1, 3), st.frozensets(st.integers(0, 2)))
+field_pairs = st.one_of(
+    st.tuples(small_fields, small_fields),
+    st.builds(lambda f, t, c: (f, _redescribed(f, t, c)), raw_fields, st.integers(0, 10), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200)
+@given(field_pairs)
+def test_equal_membership_means_equal_fields_and_hash(pair):
+    f, g = pair
+    bound = max(f[0], g[0]) + 2 * math.lcm(f[2], g[2])
+    same = all(raw_member(f, n) == raw_member(g, n) for n in range(bound + 1))
+    a, b = EPSet(*f), EPSet(*g)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+        assert (a.threshold, a.head, a.period, a.tail) == (b.threshold, b.head, b.period, b.tail)
+
+
+def test_a_lone_part_sums_to_its_canonical_form():
+    # non-canonical fields: a head member past the threshold, period 2 where 1 will do
+    x = EPSet(5, {0, 9}, 2, {0, 1})
+    assert eps_sum_many([x]) == eps_minkowski_sum(ZERO_ONLY, x)
+    assert repr(x) == "EPSet(T=5, head=[0], p=1, tail=[0])"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EPSet(-1, (), 1, ()),
+        lambda: EPSet(0, (), 0, ()),
+        lambda: EPSet(2.0, (), 1, ()),
+        lambda: EPSet(2, (), True, ()),
+        lambda: EPSet(2, (-1,), 1, ()),
+        lambda: EPSet(2, (), 1, (1.5,)),
+        lambda: EPSet(2, (False,), 1, ()),
+        lambda: eps_finite({-1}),
+        lambda: eps_finite({"a"}),
+        lambda: eps_cofinite(-2),
+        lambda: eps_from_window([True] * 4, 1.0, 0),
+    ],
+)
+def test_malformed_fields_are_refused(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_fields_are_read_only():
+    s = eps_cofinite(2)
+    for name in ("threshold", "head", "period", "tail"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
 
 
 # random_monoid draws mostly groups; these seeds give monoids with atoms

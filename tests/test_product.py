@@ -33,7 +33,10 @@ from atomon.errors import (
     ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, named_fixtures, one, zero
+from atomon.fixtures import random_monoid
 from atomon.product import identity_tuple, tuple_mul
+from atomon.verify import _product_system_oracle
+from test_lengths import cyclic
 
 
 @pytest.fixture
@@ -162,6 +165,22 @@ def test_length_system_examples(two_ones):
     assert set(ap_length_system(Family([c2(), one()])).entries) == {ZERO_ONLY}
     assert set(ap_length_system(Family([zero()])).entries) == {ZERO_ONLY}
     assert ZERO_ONLY not in ap_length_system(two_ones, nonzero_only=True).entries
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        (cyclic(3, 4), cyclic(2, 6), cyclic(5, 3)),
+        (cyclic(4, 4), cyclic(3, 4)),
+        (random_monoid(9), random_monoid(34), cyclic(5, 3)),
+        (m31(), cyclic(3, 4), h2(), one()),
+        (cyclic(2, 6),),
+    ],
+)
+def test_length_system_fold_matches_every_choice(members):
+    fam = Family(members)
+    for nonzero in (False, True):
+        assert ap_length_system(fam, nonzero).entries == _product_system_oracle(fam, nonzero)
 
 
 def test_union_examples(two_ones):

@@ -5,7 +5,7 @@ import pytest
 from atomon import EMPTY, Family, ZERO_ONLY, eps_cofinite, eps_finite, reduce
 from atomon.errors import ParseError
 from atomon.fixtures import c2, h2, one
-from atomon.lengths import _canonical
+from atomon.lengths import EPSet
 from atomon.serialize import (
     eps_from_json,
     eps_to_json,
@@ -58,7 +58,7 @@ def test_hom_and_family_files(tmp_path):
 
 
 def test_eps_json_round_trip():
-    for s in (EMPTY, ZERO_ONLY, eps_finite({1, 4}), eps_cofinite(3), _canonical(3, {1}, 2, {0})):
+    for s in (EMPTY, ZERO_ONLY, eps_finite({1, 4}), eps_cofinite(3), EPSet(3, {1}, 2, {0})):
         assert eps_from_json(eps_to_json(s)) == s
 
 
@@ -81,7 +81,7 @@ def test_eps_json_round_trip():
     ],
 )
 def test_eps_json_refuses_bad_fields(change):
-    data = dict(eps_to_json(_canonical(3, {1}, 2, {0})), **change)
+    data = dict(eps_to_json(EPSet(3, {1}, 2, {0})), **change)
     with pytest.raises(ParseError):
         eps_from_json(data)
 
@@ -90,7 +90,7 @@ def test_eps_text_forms():
     assert eps_to_text(eps_finite({0})) == "{0}"
     assert eps_to_text(eps_cofinite(2)) == "(2 + {0} mod 1)"
     assert eps_to_text(EMPTY) == "{}"
-    assert eps_to_text(_canonical(3, {1}, 2, {0})) == "{1} ∪ (3 + {0} mod 2)"
+    assert eps_to_text(EPSet(3, {1}, 2, {0})) == "{1} ∪ (3 + {0} mod 2)"
 
 
 def test_word_literals():
