@@ -8,7 +8,6 @@ search in the free product itself.
 from atomon import (
     Family,
     coprojection,
-    fp_brute_force_lengths,
     fp_is_atom,
     fp_is_unit,
     fp_length_set,
@@ -17,9 +16,9 @@ from atomon import (
     fp_union_k,
     gamma_admissible,
     reduce,
-    reduced_words_upto,
 )
 from atomon.fixtures import c2, one
+from atomon.oracles import fp_brute_force_lengths, reduced_words_upto
 from atomon.serialize import eps_to_text, word_to_text
 
 

@@ -6,7 +6,6 @@ the layer recurrence and cross-checks against brute-force enumeration.
 """
 
 from atomon import (
-    brute_force_lengths,
     eps_intersect,
     eps_minkowski_sum,
     eps_union,
@@ -16,6 +15,7 @@ from atomon import (
     union_k,
 )
 from atomon.fixtures import c2, h2, m31, one
+from atomon.oracles import brute_force_lengths
 from atomon.serialize import eps_to_text
 
 

@@ -30,8 +30,6 @@ from .coproduct import (
     Letter,
     ReducedWord,
     coprojection,
-    fp_brute_force_lengths,
-    fp_check_property_bounded,
     fp_couniversal,
     fp_is_atom,
     fp_is_unit,
@@ -41,7 +39,6 @@ from .coproduct import (
     fp_union_k,
     gamma_admissible,
     reduce,
-    reduced_words_upto,
 )
 from .lengths import (
     EMPTY,
@@ -49,7 +46,6 @@ from .lengths import (
     EPSet,
     LayerSequence,
     LengthSystem,
-    brute_force_lengths,
     eps_cofinite,
     eps_finite,
     eps_from_window,

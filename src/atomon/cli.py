@@ -16,7 +16,6 @@ from functools import partial
 
 from . import verify as verify_mod
 from .coproduct import (
-    fp_brute_force_lengths,
     fp_is_atom,
     fp_is_unit,
     fp_length_set,
@@ -27,7 +26,7 @@ from .coproduct import (
 )
 from .core import PROPERTIES, atoms, check_property, classify, units
 from .errors import AtomonError
-from .lengths import length_set, length_system, union_k, brute_force_lengths
+from .lengths import length_set, length_system, union_k
 from .limits import (
     coequalizer,
     equalizer,
@@ -37,6 +36,7 @@ from .limits import (
     pushout_presentation,
     terminal,
 )
+from .oracles import brute_force_lengths, fp_brute_force_lengths
 from .product import (
     ap_contains,
     ap_length_set,

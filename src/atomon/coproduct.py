@@ -7,25 +7,20 @@ letters, adjacent letters from distinct members.
 Two reduced words can only cancel where they meet, so products merge at the
 junction (``_join``); ``reduce`` is for raw words only. Every public function
 taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
+
+This module holds the construction only; its oracles (the bounded
+factorization search, the bounded property check and the enumeration of
+reduced words) are in ``oracles``.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import _LAWS, FiniteMonoid, MonoidHom, _check_indices, _laws_hold, atoms, check_property, units
-from .errors import (
-    NotAtomicError,
-    NotAtomPreservingError,
-    ParseError,
-    PreconditionError,
-    SearchBudgetExceededError,
-    TargetMismatchError,
-    ValidationError,
-)
+from .core import FiniteMonoid, MonoidHom, _check_indices, _check_int, atoms, check_property, units
+from .errors import NotAtomicError, NotAtomPreservingError, TargetMismatchError, ValidationError
 from .lengths import (
     EMPTY,
     ZERO_ONLY,
@@ -38,8 +33,6 @@ from .lengths import (
     length_system,
     union_k,
 )
-
-DEFAULT_SEARCH_BUDGET = 250_000
 
 
 class Letter(NamedTuple):
@@ -229,6 +222,7 @@ def fp_length_system_bounded(family: Family, max_blocks: int) -> LengthSystem:
     i extend those ending in a member that may precede i, and these are all
     the admissible ones, since admissibility is a condition on adjacent pairs.
     """
+    _check_int(max_blocks, "max_blocks")
     if max_blocks < 1:
         raise ValidationError("max_blocks must be at least 1")
     systems = [length_system(m, nonzero_only=True).entries for m in family.members]
@@ -257,6 +251,7 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     Minkowski sum distributes over union. O(k² + k·|family|) EPSet operations.
     totals[0] is the pooled U(0) = {0}: only the empty word has length 0.
     """
+    _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")
     pooled = [functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY) for j in range(k + 1)]
@@ -291,152 +286,3 @@ def fp_couniversal(
     for i, x in _check_word(family, w):
         acc = target.mul(acc, homs[i].map[x])
     return acc
-
-
-def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
-    """All reduced words with at most max_len letters, shortest first."""
-    alphabet = [
-        Letter(i, x)
-        for i, m in enumerate(family.members)
-        for x in range(m.size)
-        if x != m.identity
-    ]
-    current: list[tuple[Letter, ...]] = [()]
-    yield EPS_WORD
-    for _ in range(max_len):
-        nxt = []
-        for word in current:
-            for lt in alphabet:
-                if word and word[-1].mon == lt.mon:
-                    continue
-                ext = word + (lt,)
-                nxt.append(ext)
-                yield ReducedWord(ext)
-        current = nxt
-
-
-def _search_budget(budget: int | None) -> int:
-    if budget is not None:
-        if budget < 0:
-            raise ValidationError(f"search budget must be non-negative, not {budget}")
-        return budget
-    env = os.environ.get("ATOMON_BUDGET")
-    if not env:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        raise ParseError(f"ATOMON_BUDGET must be an integer, not {env!r}") from None
-    if value < 0:
-        raise ParseError(f"ATOMON_BUDGET must be non-negative, not {env!r}")
-    return value
-
-
-def _candidate_atoms(family: Family, w: ReducedWord) -> list[tuple[Letter, ...]]:
-    # unit decorations: contiguous all-unit subwords of w, plus single units
-    decorations: set[tuple[Letter, ...]] = {()}
-    run: list[Letter] = []
-    for lt in w.letters + (None,):
-        if lt is not None and _is_unit_letter(family, lt):
-            run.append(lt)
-            continue
-        for a in range(len(run)):
-            for b in range(a + 1, len(run) + 1):
-                decorations.add(tuple(run[a:b]))
-        run = []
-    for i, m in enumerate(family.members):
-        for u in units(m):
-            if u != m.identity:
-                decorations.add((Letter(i, u),))
-    pool: set[tuple[Letter, ...]] = set()
-    for i, m in enumerate(family.members):
-        for a in atoms(m):
-            for left in decorations:
-                for right in decorations:
-                    pool.add(_join(family, _join(family, left, (Letter(i, a),)), right))
-    return sorted(pool)
-
-
-def _left_divides(m: FiniteMonoid, x: int, y: int) -> bool:
-    return any(m.mul(x, z) == y for z in range(m.size))
-
-
-def _can_extend_to(family: Family, state: tuple[Letter, ...], target: tuple[Letter, ...], pad: int) -> bool:
-    """Prune states that provably cannot reach the target by further right
-    multiplication: letters before the last non-unit letter are frozen, and
-    that letter can only absorb on the right within its member."""
-    if len(state) > len(target) + pad:
-        return False
-    last_nu = None
-    for pos in range(len(state) - 1, -1, -1):
-        if not _is_unit_letter(family, state[pos]):
-            last_nu = pos
-            break
-    if last_nu is None:
-        return True
-    if last_nu >= len(target):
-        return False
-    if state[:last_nu] != target[:last_nu]:
-        return False
-    ti, tx = target[last_nu]
-    si, sx = state[last_nu]
-    if si != ti or _is_unit_letter(family, target[last_nu]):
-        return False
-    return sx == tx or _left_divides(family.members[si], sx, tx)
-
-
-def fp_brute_force_lengths(
-    family: Family,
-    w: ReducedWord,
-    bound: int,
-    budget: int | None = None,
-) -> set[int]:
-    """Oracle: lengths of factorizations of w into atoms of the free product,
-    by bounded search over decorated-atom sequences.
-
-    Candidate atoms carry unit decorations drawn from w's own unit runs and
-    from single member units; partial products are kept reduced and pruned
-    against w's frozen prefix.
-    """
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
-    if not w.letters:
-        return {0}
-    if fp_is_unit(family, w):
-        return set()
-    limit = _search_budget(budget)
-    pool = _candidate_atoms(family, w)
-    pad = max((len(c) for c in pool), default=0)
-    target = w.letters
-    found: set[int] = set()
-    frontier: set[tuple[Letter, ...]] = {()}
-    expansions = 0
-    for k in range(1, bound + 1):
-        nxt: set[tuple[Letter, ...]] = set()
-        for state in frontier:
-            for cand in pool:
-                expansions += 1
-                if expansions > limit:
-                    raise SearchBudgetExceededError(limit)
-                prod = _join(family, state, cand)
-                if _can_extend_to(family, prod, target, pad):
-                    nxt.add(prod)
-        if target in nxt:
-            found.add(k)
-        frontier = nxt
-        if not frontier:
-            break
-    return found
-
-
-def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
-    """Verify a cancellativity-style property over all reduced words of
-    bounded length. Members must already satisfy the property."""
-    if prop not in _LAWS:
-        raise ValidationError(f"unsupported property {prop!r}")
-    for i, m in enumerate(family.members):
-        if not check_property(m, prop):
-            raise PreconditionError(f"family member {i} does not satisfy {prop}")
-    words = [w.letters for w in reduced_words_upto(family, max_len)]
-    is_unit = {w: all(_is_unit_letter(family, lt) for lt in w) for w in words}
-    return _laws_hold(prop, words, functools.partial(_join, family), is_unit.__getitem__)

@@ -96,6 +96,12 @@ def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
         raise ValidationError(f"{what} {bad} out of range [0, {bound})")
 
 
+def _check_int(value, what: str) -> None:
+    """A count parameter must be an int, not a bool."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+
+
 def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: int | None = None) -> list:
     """Grow ``found`` by every product x·g1·…·gk with x in ``frontier`` and
     each g_i in ``gens``, breadth first, where ``mul(x, g)`` is x·g.
@@ -276,7 +282,7 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     since a product is a unit only if every factor is (see ``units``). Then
     e·e·e = e breaks acyclicity, e·e = e breaks unit cancellativity, and
     e·e = e·1 with e != 1 breaks cancellativity.
-    ``verify`` checks this against ``_laws_hold`` on its oracle monoids.
+    The ``generator-oracles`` suite checks this against ``oracles.laws_hold``.
     """
     n = m.size
     us = units(m)
@@ -289,39 +295,6 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     if prop in _LAWS:
         return len(us) == n
     raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
-
-
-def _laws_hold(prop: str, elements: Sequence, mul: Callable, is_unit: Callable) -> bool:
-    """Decide one of the cancellation laws ``_LAWS`` over a list of distinct
-    elements, with their product and unit test.
-
-    acyclic: no y·x·z = x unless y and z are both units. unit_cancellative:
-    no x·y = x or y·x = x with y a non-unit. cancellative: every left and
-    right translation is injective on ``elements``, which is the same as no
-    x != y with x·z = y·z or z·x = z·y.
-    """
-    if prop == "acyclic":
-        for y in elements:
-            for z in elements:
-                if is_unit(y) and is_unit(z):
-                    continue
-                for x in elements:
-                    if mul(mul(y, x), z) == x:
-                        return False
-        return True
-    if prop == "unit_cancellative":
-        for y in elements:
-            if is_unit(y):
-                continue
-            for x in elements:
-                if mul(x, y) == x or mul(y, x) == x:
-                    return False
-        return True
-    n = len(elements)
-    for z in elements:
-        if len({mul(z, x) for x in elements}) != n or len({mul(x, z) for x in elements}) != n:
-            return False
-    return True
 
 
 class ElemClass(enum.Enum):

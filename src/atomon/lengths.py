@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, _check_indices, atoms
+from .core import FiniteMonoid, _check_indices, _check_int, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -330,13 +330,6 @@ class LayerSequence:
     preperiod: int
     period: int
 
-    def layer(self, k: int) -> frozenset[int]:
-        if k < 1:
-            raise ValidationError("layers are indexed from 1")
-        if k <= len(self.layers):
-            return self.layers[k - 1]
-        return self.layers[self.preperiod - 1 + (k - self.preperiod) % self.period]
-
 
 def power_layers(m: FiniteMonoid) -> LayerSequence:
     """Iterate S_{k+1} = S_k * atoms(m) until a repeated layer closes the cycle."""
@@ -405,29 +398,7 @@ def length_system(m: FiniteMonoid, nonzero_only: bool = False) -> LengthSystem:
 
 def union_k(m: FiniteMonoid, k: int) -> EPSet:
     """Union of all length sets of m containing k."""
+    _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")
     return functools.reduce(eps_union, (s for s in set(_length_sets(m)) if k in s), EMPTY)
-
-
-def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
-    """Oracle: {k <= bound : x is a product of exactly k atoms}.
-
-    Plain dynamic programming over (length, element) with no periodicity
-    reasoning, kept independent from length_set on purpose.
-    """
-    _check_indices((x,), m.size, "element index")
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
-    found = set()
-    if x == m.identity:
-        found.add(0)
-    ats = sorted(atoms(m))
-    reach = {m.identity}
-    for k in range(1, bound + 1):
-        reach = {m.mul(y, a) for y in reach for a in ats}
-        if x in reach:
-            found.add(k)
-        if not reach:
-            break
-    return found

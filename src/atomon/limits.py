@@ -13,6 +13,7 @@ from .core import (
     FiniteMonoid,
     MonoidHom,
     _check_indices,
+    _check_int,
     atoms,
     check_property,
     new_hom,
@@ -222,6 +223,7 @@ def pushout_eq_bounded(
     though a single rewrite step is not (reduction after a rewrite cannot be
     undone without splitting letters). Never answers "not equal".
     """
+    _check_int(depth, "depth")
     if depth < 0:
         raise ValidationError("depth must be non-negative")
     rules = _rules(presentation)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_indices, _closure, atoms, new_hom, new_monoid, units
+from .core import FiniteMonoid, MonoidHom, _check_indices, _check_int, _closure, atoms, new_hom, new_monoid, units
 from .coproduct import Family
 from .errors import (
     NotAtomPreservingError,
@@ -82,14 +82,6 @@ def ap_contains(family: Family, t: Sequence[int]) -> bool:
     return _intersection(family, t).has_positive()
 
 
-def tuple_mul(family: Family, s: TupleElem, t: TupleElem) -> TupleElem:
-    return tuple(m.mul(x, y) for m, x, y in zip(family.members, s, t))
-
-
-def identity_tuple(family: Family) -> TupleElem:
-    return tuple(m.identity for m in family.members)
-
-
 def _product_submonoid(
     members: Sequence[FiniteMonoid],
     generators: Iterable[TupleElem],
@@ -122,6 +114,7 @@ def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[Monoid
 
     The tuple of element i is ``tuple(p.map[i] for p in projections)``.
     """
+    _check_int(cap, "cap")
     if cap < 1:
         raise ValidationError("cap must be positive")
     gens = ap_generators(family)
@@ -167,6 +160,7 @@ def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem
 def ap_union_k(family: Family, k: int) -> EPSet:
     """Union of product length sets containing k: the intersection of the
     member unions."""
+    _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")
     return functools.reduce(eps_intersect, (union_k(m, k) for m in family.members))

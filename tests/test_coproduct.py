@@ -16,8 +16,6 @@ from atomon import (
     coprojection,
     eps_cofinite,
     eps_finite,
-    fp_brute_force_lengths,
-    fp_check_property_bounded,
     fp_couniversal,
     fp_is_atom,
     fp_is_unit,
@@ -29,7 +27,6 @@ from atomon import (
     identity_hom,
     new_hom,
     reduce,
-    reduced_words_upto,
 )
 from atomon.errors import (
     NotAtomicError,
@@ -42,7 +39,7 @@ from atomon.coproduct import _join
 from atomon.core import units
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_minkowski_sum, eps_union, length_set
-from atomon.verify import _system_oracle, _union_k_oracle
+from atomon.oracles import fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto, system_oracle, union_k_oracle
 
 
 @pytest.fixture
@@ -339,13 +336,13 @@ FAMILIES = st.lists(st.sampled_from(ATOMIC), min_size=1, max_size=3).map(Family)
 @settings(max_examples=60)
 @given(FAMILIES, st.integers(1, 6))
 def test_union_k_dp_matches_the_composition_oracle(fam, k):
-    assert fp_union_k(fam, k) == _union_k_oracle(fam, k)
+    assert fp_union_k(fam, k) == union_k_oracle(fam, k)
 
 
 @settings(max_examples=60)
 @given(FAMILIES, st.integers(1, 3))
 def test_system_dp_matches_the_index_word_oracle(fam, blocks):
-    assert fp_length_system_bounded(fam, blocks).entries == _system_oracle(fam, blocks)
+    assert fp_length_system_bounded(fam, blocks).entries == system_oracle(fam, blocks)
 
 
 JOIN_FAMILIES = [Family([h2(), c2()]), Family([one(), m31(), c2()])]

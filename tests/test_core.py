@@ -18,6 +18,7 @@ from atomon import (
     new_monoid,
     units,
 )
+from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_length_system_bounded, fp_union_k
 from atomon.core import MonoidHom, terminal_monoid
 from atomon.errors import (
     BadIdentityError,
@@ -31,6 +32,10 @@ from atomon.errors import (
     ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, one, sl2, zero
+from atomon.lengths import union_k
+from atomon.limits import pushout_eq_bounded, pushout_presentation
+from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto
+from atomon.product import ap_materialize, ap_union_k
 
 
 def test_new_monoid_accepts_terminal_table():
@@ -212,3 +217,33 @@ def test_units_form_a_group():
         assert m.identity in us
         assert all(m.mul(u, v) in us for u in us for v in us)
         assert not (us & atoms(m))
+
+
+# each count parameter of the library and of the oracles, as a call taking it
+_ONE_C2 = Family([one(), c2()])
+_A = ReducedWord(((0, 1),))
+COUNT_CALLS = {
+    "union_k k": lambda n: union_k(m31(), n),
+    "ap_union_k k": lambda n: ap_union_k(_ONE_C2, n),
+    "fp_union_k k": lambda n: fp_union_k(_ONE_C2, n),
+    "max_blocks": lambda n: fp_length_system_bounded(_ONE_C2, n),
+    "depth": lambda n: pushout_eq_bounded(
+        pushout_presentation(identity_hom(one()), identity_hom(one())), EPS_WORD, EPS_WORD, n
+    ),
+    "cap": lambda n: ap_materialize(_ONE_C2, n),
+    "brute_force_lengths bound": lambda n: brute_force_lengths(one(), 1, n),
+    "fp_brute_force_lengths bound": lambda n: fp_brute_force_lengths(_ONE_C2, _A, n),
+    "fp_brute_force_lengths budget": lambda n: fp_brute_force_lengths(_ONE_C2, _A, 3, budget=n),
+    "reduced_words_upto max_len": lambda n: list(reduced_words_upto(_ONE_C2, n)),
+    "fp_check_property_bounded max_len": lambda n: fp_check_property_bounded(Family([c2()]), "cancellative", n),
+}
+
+
+# None stands for the default search budget, so the budget is not given None
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, v) for name in COUNT_CALLS for v in (1.5, True, "2", None) if not (v is None and name.endswith("budget"))],
+)
+def test_count_parameters_refuse_non_integers(name, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        COUNT_CALLS[name](value)

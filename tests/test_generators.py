@@ -12,7 +12,7 @@ from atomon.core import _closure, atoms, check_property, enumerate_homs, new_hom
 from atomon.errors import CapExceededError, NonAssociativeError, NotMultiplicativeError, ValidationError
 from atomon.fixtures import named_fixtures, random_monoid
 from atomon.limits import congruence_closure
-from atomon.verify import _atoms_by_pairs, _exhaustive_homs, _ijk_scan, _units_by_pairs
+from atomon.oracles import atoms_by_pairs, exhaustive_homs, ijk_scan, units_by_pairs
 
 FIXTURES = list(named_fixtures().values()) + [random_monoid(seed) for seed in range(20)]
 
@@ -76,21 +76,21 @@ def perturbed_fixtures(draw):
 @given(tables_with_identity())
 def test_light_test_matches_the_scan_on_random_tables(case):
     table, e = case
-    assert outcome([str(x) for x in range(len(table))], table, e) == _ijk_scan(table)
+    assert outcome([str(x) for x in range(len(table))], table, e) == ijk_scan(table)
 
 
 @PROPERTY
 @given(perturbed_fixtures())
 def test_light_test_matches_the_scan_on_perturbed_fixtures(case):
     m, table = case
-    assert outcome(m.names, table, m.identity) == _ijk_scan(table)
+    assert outcome(m.names, table, m.identity) == ijk_scan(table)
 
 
 @PROPERTY
 @given(st.sampled_from(FIXTURES), st.sampled_from(FIXTURES), st.booleans())
 def test_hom_search_matches_the_exhaustive_oracle(source, target, atom_preserving_only):
     expected = [
-        (mp, keep) for mp, keep in _exhaustive_homs(source, target) if keep or not atom_preserving_only
+        (mp, keep) for mp, keep in exhaustive_homs(source, target) if keep or not atom_preserving_only
     ]
     homs = enumerate_homs(source, target, atom_preserving_only)
     assert [(h.map, h.atom_preserving) for h in homs] == expected
@@ -119,8 +119,8 @@ def test_units_and_atoms_match_the_pair_scans():
     monoids = FIXTURES + LARGER + [random_monoid(seed, 8) for seed in range(200)]
     monoids += [monogenic(n) for n in range(2, 41)]
     for m in monoids:
-        assert units(m) == _units_by_pairs(m)
-        assert atoms(m) == _atoms_by_pairs(m)
+        assert units(m) == units_by_pairs(m)
+        assert atoms(m) == atoms_by_pairs(m)
         pairs = itertools.product(range(m.size), repeat=2)
         two_sided = all(m.mul(y, x) == m.identity for x, y in pairs if m.mul(x, y) == m.identity)
         assert check_property(m, "dedekind_finite") == two_sided

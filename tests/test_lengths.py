@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from atomon import (
     EMPTY,
     ZERO_ONLY,
-    brute_force_lengths,
     eps_cofinite,
     eps_finite,
     eps_from_window,
@@ -26,6 +25,7 @@ from atomon.core import atoms, new_monoid, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
 from atomon.lengths import EPSet, _mask
+from atomon.oracles import brute_force_lengths
 from test_generators import full_transformation_3
 
 
@@ -159,10 +159,10 @@ def test_power_layers_cycle_certificate():
     for m in (one(), c2(), h2(), m31(), sl2(), random_monoid(3)):
         seq = power_layers(m)
         ats = sorted(atoms(m))
-        layer = seq.layer(seq.preperiod)
+        layer = seq.layers[seq.preperiod - 1]
         for _ in range(seq.period):
             layer = frozenset(m.mul(x, a) for x in layer for a in ats)
-        assert layer == seq.layer(seq.preperiod)
+        assert layer == seq.layers[seq.preperiod - 1]
 
 
 def test_length_set_terminal_monoid():

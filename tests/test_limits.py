@@ -35,6 +35,13 @@ def test_initial_and_terminal():
     assert t.mul(1, 1) == 2 and t.mul(2, 1) == 2 and t.mul(1, 2) == 2
 
 
+def test_the_one_element_monoid_is_not_terminal():
+    # the empty product of the limit recipe is the one-element monoid, which
+    # has no atom for a source's atoms to go to: terminal() needs its own atom
+    for source in (one(), h2()):
+        assert list(enumerate_homs(source, initial())) == []
+
+
 def test_equalizer_of_equal_maps_is_whole_monoid():
     f = identity_hom(h2())
     e_monoid, e = equalizer(f, f)
