@@ -7,6 +7,10 @@ letters, adjacent letters from distinct members.
 Two reduced words can only cancel where they meet, so products merge at the
 junction (``_join``); ``reduce`` is for raw words only. Every public function
 taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
+The check is one pass over the family's letter tables: a lookup, a type test
+and the reduced-word test run in C over the whole word, and only a word that
+fails them goes letter by letter through ``Family.check_letter`` and the
+position loop, which name the first culprit.
 
 This module holds the construction only; its oracles (the bounded
 factorization search, the bounded property check and the enumeration of
@@ -15,7 +19,10 @@ reduced words) are in ``oracles``.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,6 +34,7 @@ from .lengths import (
     EPSet,
     LengthSystem,
     _length_sets,
+    _sum_counted,
     eps_minkowski_sum,
     eps_sum_many,
     eps_union,
@@ -40,10 +48,20 @@ class Letter(NamedTuple):
     elem: int
 
 
-class Family:
-    """A non-empty family of atomic monoids, the index set of a free product."""
+_MON = operator.itemgetter(0)
 
-    __slots__ = ("members", "non_reduced")
+
+class Family:
+    """A non-empty family of atomic monoids, the index set of a free product.
+
+    Three letter tables are built once, here: ``_letters`` maps every pair
+    (i, x) with x in range for member i, identities included, to one
+    canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
+    frozensets of the identity letters and of the unit letters. Length sets
+    are not tabled here: they stay lazy, per member.
+    """
+
+    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         if not members:
@@ -56,6 +74,9 @@ class Family:
         self.non_reduced = frozenset(
             i for i, m in enumerate(self.members) if len(units(m)) > 1
         )
+        self._letters = {(i, x): Letter(i, x) for i, m in enumerate(self.members) for x in range(m.size)}
+        self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
+        self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -76,6 +97,28 @@ class Family:
         if not 0 <= x < self.members[i].size:
             raise ValidationError(f"element {x} out of range for member {i}")
         return Letter(i, x)
+
+    def _checked(self, word) -> tuple[Letter, ...]:
+        """The word's letters as ``check_letter`` accepts them, read once.
+
+        Each letter is looked up in ``_letters``, whose hits are in range. A
+        hit cannot tell 1 from True or 1.0, so the letters must also be the
+        canonical ones or hold only ints. All of this runs in C; a word that
+        fails it goes through ``check_letter``, which names the first culprit.
+        """
+        if not isinstance(word, tuple):
+            try:
+                word = iter(word)
+            except TypeError:
+                raise ValidationError(f"word {word!r} is not an iterable of letters") from None
+        letters = tuple(word)
+        try:
+            checked = tuple(map(self._letters.__getitem__, letters))
+            if all(map(operator.is_, checked, letters)) or set(map(type, itertools.chain.from_iterable(letters))) <= {int}:
+                return checked
+        except (KeyError, TypeError):
+            pass
+        return tuple(map(self.check_letter, letters))
 
     def __repr__(self) -> str:
         return f"Family({list(self.members)!r})"
@@ -99,8 +142,7 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
     """Normal form of a raw word: one stack pass merging same-member runs
     and dropping identity letters."""
     stack: list[Letter] = []
-    for raw in word:
-        i, x = family.check_letter(raw)
+    for i, x in family._checked(word):
         member = family.members[i]
         while True:
             if x == member.identity:
@@ -108,22 +150,25 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
             if stack and stack[-1].mon == i:
                 x = member.mul(stack.pop().elem, x)
                 continue
-            stack.append(Letter(i, x))
+            stack.append(family._letters[i, x])
             break
     return ReducedWord(tuple(stack))
 
 
 def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
-    """w's letters, each checked by ``Family.check_letter``; w must be reduced:
-    no identity letter and no two adjacent letters from one member."""
+    """w's letters, checked by ``Family._checked``; w must be reduced: no
+    identity letter and no two adjacent letters from one member. Only a word
+    that is not reduced runs the position loop, to name where it fails."""
     if not isinstance(w, ReducedWord):
         raise ValidationError(f"{w!r} is not a ReducedWord")
-    letters = tuple(map(family.check_letter, w.letters))
-    for pos, (i, x) in enumerate(letters):
-        if x == family.members[i].identity:
-            raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
-        if pos and letters[pos - 1].mon == i:
-            raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
+    letters = family._checked(w.letters)
+    mons = tuple(map(_MON, letters))
+    if not family._identities.isdisjoint(letters) or any(map(operator.eq, mons, mons[1:])):
+        for pos, (i, x) in enumerate(letters):
+            if x == family.members[i].identity:
+                raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
+            if pos and letters[pos - 1].mon == i:
+                raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
     return letters
 
 
@@ -144,7 +189,7 @@ def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple
         member = family.members[y[j].mon]
         z = member.mul(x[i - 1].elem, y[j].elem)
         if z != member.identity:
-            return x[: i - 1] + (Letter(y[j].mon, z),) + y[j + 1 :]
+            return x[: i - 1] + (family._letters[y[j].mon, z],) + y[j + 1 :]
         i, j = i - 1, j + 1
     return x[:i] + y[j:]
 
@@ -155,11 +200,11 @@ def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:
-    return all(x in units(family.members[i]) for i, x in _check_word(family, w))
+    return family._units.issuperset(_check_word(family, w))
 
 
 def _is_unit_letter(family: Family, letter: Letter) -> bool:
-    return letter.elem in units(family.members[letter.mon])
+    return letter in family._units
 
 
 def fp_is_atom(family: Family, w: ReducedWord) -> bool:
@@ -173,14 +218,18 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
 
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     """Length set of a reduced word: the sum of its non-unit letters' length
-    sets, read from each member's cached table."""
+    sets, read from each member's cached table. Equal letters are counted
+    first, then their counts merged per distinct length set."""
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
-    non_unit = [lt for lt in letters if not _is_unit_letter(family, lt)]
+    non_unit = collections.Counter(itertools.filterfalse(family._units.__contains__, letters))
     if not non_unit:
         return EMPTY
-    return eps_sum_many(_length_sets(family.members[i])[x] for i, x in non_unit)
+    counts = collections.Counter()
+    for (i, x), c in non_unit.items():
+        counts[_length_sets(family.members[i])[x]] += c
+    return _sum_counted(counts)
 
 
 def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:

@@ -37,7 +37,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import FiniteMonoid, _check_indices, _check_int, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
@@ -301,7 +301,12 @@ def eps_sum_many(parts: Iterable[EPSet]) -> EPSet:
     canonical, so a lone part already is the set {0} + part would give, and
     comes back as given.
     """
-    counts = collections.Counter(parts)
+    return _sum_counted(collections.Counter(parts))
+
+
+def _sum_counted(counts: Mapping[EPSet, int]) -> EPSet:
+    """The sum of c copies of A over the counts {A: c}, each c >= 1: the
+    doubles of each distinct part, then one fold. {0} for no parts."""
     if not counts:
         return ZERO_ONLY
     if len(counts) > 1 and any(part.is_empty for part in counts):

@@ -24,7 +24,7 @@ from .core import (
     trivial_monoid,
     units,
 )
-from .coproduct import Family, Letter, ReducedWord, reduce
+from .coproduct import Family, Letter, ReducedWord, _check_word, reduce
 from .errors import (
     SourceMismatchError,
     TargetMismatchError,
@@ -226,9 +226,10 @@ def pushout_eq_bounded(
     _check_int(depth, "depth")
     if depth < 0:
         raise ValidationError("depth must be non-negative")
+    ends = (_check_word(presentation.family, w1), _check_word(presentation.family, w2))
     rules = _rules(presentation)
-    visited = ({w1.letters}, {w2.letters})
-    frontiers = [{w1.letters}, {w2.letters}]
+    visited = ({ends[0]}, {ends[1]})
+    frontiers = [{ends[0]}, {ends[1]}]
     if visited[0] & visited[1]:
         return Reachability.EQUAL
     for _ in range(depth):

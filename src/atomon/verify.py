@@ -25,7 +25,7 @@ from . import fixtures, oracles
 from .coproduct import EPS_WORD, Family, ReducedWord, coprojection, fp_couniversal, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify, compose
-from .core import enumerate_homs, eval_word, new_hom, new_monoid, terminal_monoid, units
+from .core import enumerate_homs, eval_word, is_atomon_mono, new_hom, new_monoid, terminal_monoid, units
 from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
@@ -402,6 +402,7 @@ def suite_universal_properties(rng, budget):
     yield from _pullback_up()
     yield from _coproduct_up()
     yield from _product_up()
+    yield from _mono_up()
 
 
 def _equalizer_up():
@@ -457,6 +458,29 @@ def _pullback_up():
                     yield (len(candidates) != 1 or candidates[0].map != factor) and (
                         f"pullback cone from {wn}: {len(candidates)} factorizations"
                     )
+
+
+def _mono_up():
+    """is_atomon_mono against the definition of a mono, in its sound
+    direction: when f: S -> T passes the test, no two atom-preserving homs
+    g != h from an atomic test object W into S have f∘g = f∘h. Proof: W is
+    atomic, so its units and atoms generate it. A hom sends units to units
+    (g(u)·g(u⁻¹) = g(1) = 1), and g and h, being atom-preserving, send atoms
+    to atoms. f is injective on the units and atoms of S, so f∘g = f∘h makes
+    g and h agree on those generators of W, hence everywhere. The converse,
+    that a hom the test refuses has such a pair, needs test objects the five
+    atomic fixtures may lack, so it is not checked. One case per f that
+    passes the test and test object W.
+    """
+    for (sn, s), (tn, t) in itertools.product(_apexes(), repeat=2):
+        for f in _hom_list(s, t):
+            if not is_atomon_mono(f):
+                continue
+            for wn, w in _apexes():
+                homs = _hom_list(w, s)
+                yield len({compose(f, g).map for g in homs}) < len(homs) and (
+                    f"mono {sn}->{tn} {f.map}: two homs from {wn} agree after it"
+                )
 
 
 def _coproduct_up():

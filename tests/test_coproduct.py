@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomon import (
@@ -13,6 +13,7 @@ from atomon import (
     Letter,
     ReducedWord,
     ZERO_ONLY,
+    canonical_to_terminal,
     coprojection,
     eps_cofinite,
     eps_finite,
@@ -138,6 +139,8 @@ def test_gamma_cases():
         ([(2, 1)], "member index 2 out of range"),
         ([(-1, 1)], "member index -1 out of range"),
         ([(1, 2)], "element 2 out of range"),
+        (5, "word 5 is not an iterable of letters"),
+        (None, "word None is not an iterable of letters"),
     ],
 )
 def test_letters_must_be_pairs_of_indices_in_range(one_c2, word, message):
@@ -169,8 +172,10 @@ WORD_CONSUMERS = {
         (((0, True),), "two integers"),
         (((0, 0),), "identity of member 0"),
         (((0, 1), (0, 1)), "both from member 0"),
+        (5, "word 5 is not an iterable of letters"),
+        (None, "word None is not an iterable of letters"),
     ],
-    ids=["negative-member", "member-5", "bool-element", "identity-letter", "same-member-neighbours"],
+    ids=["negative-member", "member-5", "bool-element", "identity-letter", "same-member-neighbours", "int-word", "none-word"],
 )
 def test_reduced_word_inputs_are_checked(one_c2, consumer, letters, message):
     with pytest.raises(ValidationError, match=message):
@@ -390,3 +395,119 @@ def test_long_word_length_set_needs_few_sums(monkeypatch):
     monkeypatch.setattr(lengths, "eps_minkowski_sum", counted)
     assert fp_length_set(fam, w) == fold
     assert n > 200 and len(calls) <= 2 * d * math.ceil(math.log2(n))
+
+
+def _reduce_per_letter(fam, word):
+    """reduce letter by letter: each raw letter through check_letter, then
+    the stack pass."""
+    stack = []
+    for raw in word:
+        i, x = fam.check_letter(raw)
+        member = fam.members[i]
+        while x != member.identity:
+            if stack and stack[-1].mon == i:
+                x = member.mul(stack.pop().elem, x)
+                continue
+            stack.append(Letter(i, x))
+            break
+    return tuple(stack)
+
+
+def _check_word_per_letter(fam, word):
+    """The reduced-word check letter by letter: check_letter on each letter,
+    then the position loop."""
+    letters = tuple(map(fam.check_letter, word))
+    for pos, (i, x) in enumerate(letters):
+        if x == fam.members[i].identity:
+            raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
+        if pos and letters[pos - 1].mon == i:
+            raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
+    return letters
+
+
+def _outcome(compute):
+    """The letters computed, or the type and message of what was raised."""
+    try:
+        letters = compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert all(type(lt) is Letter for lt in letters)
+    return letters
+
+
+def _generator(word):
+    yield from word
+
+
+@st.composite
+def raw_words(draw):
+    """A family, a word of up to 8 letters and the container to pass it in.
+    Half the words hold only well-formed letters (canonical Letters and
+    plain pairs, so identities and same-member neighbours still occur)."""
+    fam = draw(st.sampled_from(JOIN_FAMILIES))
+    index = st.integers(-1, 4)
+    pairs = st.sampled_from(sorted(fam._letters))
+    letter = st.one_of(st.sampled_from(list(fam._letters.values())), pairs)
+    if draw(st.booleans()):
+        component = st.one_of(index, st.sampled_from([True, False, 1.0, 0.0]))
+        letter = st.one_of(
+            letter,
+            st.builds(Letter, index, index),
+            st.tuples(component, component),
+            st.lists(index, max_size=3).map(tuple),
+            st.lists(index, max_size=3),
+            st.none(),
+        )
+    return fam, draw(st.lists(letter, max_size=8)), draw(st.sampled_from([list, tuple, _generator]))
+
+
+@settings(max_examples=400)
+@given(raw_words())
+@example((JOIN_FAMILIES[0], [(0, True)], _generator))
+@example((JOIN_FAMILIES[1], [(1, 1), (1, 1.0)], tuple))
+def test_bulk_letter_check_matches_the_per_letter_check(case):
+    fam, word, container = case
+    assert _outcome(lambda: reduce(fam, container(word)).letters) == _outcome(lambda: _reduce_per_letter(fam, word))
+    want = _outcome(lambda: _check_word_per_letter(fam, word))
+    assert _outcome(lambda: fp_mul(fam, ReducedWord(container(word)), EPS_WORD).letters) == want
+    assert _outcome(lambda: fp_mul(fam, EPS_WORD, ReducedWord(container(word))).letters) == want
+
+
+@pytest.mark.parametrize("fam", JOIN_FAMILIES)
+def test_letter_tables_agree_with_the_members(fam):
+    assert all(type(lt) is Letter and lt == key for key, lt in fam._letters.items())
+    for i, m in enumerate(fam.members):
+        assert sorted(x for j, x in fam._letters if j == i) == list(range(m.size))
+        assert {x for j, x in fam._identities if j == i} == {m.identity}
+        assert {x for j, x in fam._units if j == i} == set(units(m))
+
+
+def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
+    # structural guard on the fast path: a well-formed word never reaches
+    # check_letter, which only names the culprit of a malformed one
+    fam = Family([one(), m31(), c2()])
+    rng = random.Random(11)
+    letters = []
+    for _ in range(2000):
+        i = rng.choice([i for i in range(3) if not letters or letters[-1][0] != i])
+        m = fam.members[i]
+        letters.append((i, rng.choice([x for x in range(m.size) if x != m.identity])))
+    homs = [canonical_to_terminal(m) for m in fam.members]
+    calls = []
+    check_letter = Family.check_letter
+
+    def counted(self, letter):
+        calls.append(letter)
+        return check_letter(self, letter)
+
+    monkeypatch.setattr(Family, "check_letter", counted)
+    w = reduce(fam, letters)
+    assert w.letters == tuple(letters)
+    assert fp_mul(fam, w, w) == fp_mul(fam, ReducedWord(tuple(letters)), w)
+    fp_length_set(fam, w)
+    fp_is_unit(fam, w)
+    fp_couniversal(fam, homs, w)
+    assert calls == []
+    with pytest.raises(ValidationError, match="two integers"):
+        reduce(fam, letters + [(1, 1.0)])
+    assert calls

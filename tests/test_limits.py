@@ -1,7 +1,9 @@
 import pytest
 
 from atomon import (
+    EPS_WORD,
     Reachability,
+    ReducedWord,
     atoms,
     canonical_to_terminal,
     check_property,
@@ -234,6 +236,14 @@ def test_pushout_eq_examples():
     v1 = reduce(free.family, [(0, 1)])
     v2 = reduce(free.family, [(1, 1)])
     assert pushout_eq_bounded(free, v1, v2, 5) is Reachability.UNKNOWN
+
+
+def test_pushout_eq_checks_its_words():
+    pres = pushout_presentation(identity_hom(one()), identity_hom(one()))
+    with pytest.raises(ValidationError, match="not a ReducedWord"):
+        pushout_eq_bounded(pres, "ab", EPS_WORD, 1)
+    with pytest.raises(ValidationError, match="identity of member 0"):
+        pushout_eq_bounded(pres, ReducedWord(((0, 0),)), EPS_WORD, 1)
 
 
 def test_pushout_eq_monotone_and_symmetric():
