@@ -58,18 +58,26 @@ class Family:
     (i, x) with x in range for member i, identities included, to one
     canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
     frozensets of the identity letters and of the unit letters. Length sets
-    are not tabled here: they stay lazy, per member.
+    are not tabled here: they stay lazy, per member. ``_pooled`` and
+    ``_totals`` hold the rows of ``fp_union_k``'s DP computed so far; they
+    start empty and grow to the largest k asked for.
     """
 
-    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units")
+    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
+        try:
+            members = tuple(members)
+        except TypeError:
+            raise ValidationError(f"family {members!r} is not a sequence of monoids") from None
         if not members:
             raise ValidationError("a family needs at least one member")
         for i, m in enumerate(members):
+            if not isinstance(m, FiniteMonoid):
+                raise ValidationError(f"family member {i} is {m!r}, not a FiniteMonoid")
             if not check_property(m, "atomic"):
                 raise NotAtomicError(f"family member {i} is not atomic")
-        self.members = tuple(members)
+        self.members = members
         # members whose unit group is non-trivial
         self.non_reduced = frozenset(
             i for i, m in enumerate(self.members) if len(units(m)) > 1
@@ -77,6 +85,8 @@ class Family:
         self._letters = {(i, x): Letter(i, x) for i, m in enumerate(self.members) for x in range(m.size)}
         self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
         self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
+        self._pooled: list[EPSet] = []
+        self._totals: list[EPSet] = []
 
     def __len__(self) -> int:
         return len(self.members)
@@ -85,11 +95,11 @@ class Family:
         return self.members[i]
 
     def check_letter(self, letter) -> Letter:
-        """The letter as a Letter: a pair of ints (not bools), each in range."""
-        try:
-            i, x = letter
-        except (TypeError, ValueError):
-            raise ValidationError(f"letter {letter!r} is not a (member, element) pair") from None
+        """The letter as a Letter: a tuple of two ints (not bools), each in
+        range. A list, a range or a dict of two is refused, not read as a pair."""
+        if not isinstance(letter, tuple) or len(letter) != 2:
+            raise ValidationError(f"letter {letter!r} is not a (member, element) pair")
+        i, x = letter
         if type(i) is not int or type(x) is not int:
             raise ValidationError(f"letter {letter!r} does not hold two integers")
         if not 0 <= i < len(self.members):
@@ -297,17 +307,24 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     which all three regimes admit. So the union may run over all words: with
     the pooled U(j) = U_1(j) ∪ ... ∪ U_n(j), it is totals[k] for the DP
     totals[j] = U(j) ∪ ⋃_{1<=s<j} totals[s] + U(j-s), exact because the
-    Minkowski sum distributes over union. O(k² + k·|family|) EPSet operations.
-    totals[0] is the pooled U(0) = {0}: only the empty word has length 0.
+    Minkowski sum distributes over union. totals[0] is the pooled U(0) =
+    {0}: only the empty word has length 0.
+
+    Row j reads only earlier rows, so the rows live on the family and grow
+    only to the largest k asked for: the first call up to k costs O(k² +
+    k·|family|) EPSet operations, a call at or below a k already reached is
+    one lookup, and a sweep of k = 1..K costs one O(K²) DP in any order.
     """
     _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")
-    pooled = [functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY) for j in range(k + 1)]
-    totals = [pooled[0]]
-    for j in range(1, k + 1):
+    pooled, totals = family._pooled, family._totals
+    for j in range(len(totals), k + 1):
+        pooled_j = functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY)
         sums = (eps_sum_many((totals[s], pooled[j - s])) for s in range(1, j))
-        totals.append(functools.reduce(eps_union, sums, pooled[j]))
+        total_j = functools.reduce(eps_union, sums, pooled_j)
+        pooled.append(pooled_j)
+        totals.append(total_j)
     return totals[k]
 
 

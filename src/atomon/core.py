@@ -38,10 +38,12 @@ class FiniteMonoid:
     ``generators`` is a small generating set G, found by ``new_monoid``: every
     element is a product of members of G. The table algorithms
     (associativity and hom checks, hom search, congruence closure) work over G
-    instead of over all elements.
+    instead of over all elements. The underscored slots are per-instance
+    caches, filled on first use: units, atoms, the length-set table and the
+    U_k table (see ``lengths``).
     """
 
-    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_lengths")
+    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_lengths", "_unions")
 
     def __init__(
         self,
@@ -58,6 +60,7 @@ class FiniteMonoid:
         self._units = None
         self._atoms = None
         self._lengths = None
+        self._unions = None
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]

@@ -44,6 +44,16 @@ def sl2() -> FiniteMonoid:
     return new_monoid(("1", "e"), ((0, 1), (1, 1)), 0)
 
 
+def cyclic(index: int, period: int) -> FiniteMonoid:
+    """C(index, period): the monoid generated by one element a with
+    a^(index + period) = a^index. Its power layers have preperiod ``index``
+    and period ``period``, so for index >= 1 its length sets repeat with a
+    period that need not divide the preperiod."""
+    n = index + period
+    table = [[j + k if j + k < n else index + (j + k - index) % period for k in range(n)] for j in range(n)]
+    return new_monoid([f"a{j}" for j in range(n)], table, 0)
+
+
 def named_fixtures() -> dict[str, FiniteMonoid]:
     return {
         "zero": zero(),

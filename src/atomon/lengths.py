@@ -26,7 +26,12 @@ rather than n - 1; a free-product word repeats few letter length sets.
 
 The length sets of a finite monoid are one table per monoid: one walk of
 the power layers gives each element its mask of lengths, and each distinct
-mask is decoded once. ``length_set``, ``length_system`` and ``union_k`` read it.
+mask is decoded once, with the layers' preperiod T and period p, which the
+table keeps. ``length_set`` and ``length_system`` read it. The unions U_k
+are a second table per monoid, built by the first ``union_k`` call: every
+length set repeats with period p from T on, so there are at most T + p
+distinct unions, and each later call is one lookup. Both tables live on the
+monoid, never in a module-level cache, so a fresh monoid starts cold.
 """
 
 from __future__ import annotations
@@ -352,11 +357,14 @@ def power_layers(m: FiniteMonoid) -> LayerSequence:
     return LayerSequence(tuple(layers), preperiod, k - preperiod)
 
 
-def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
-    """L(x) for every element x, built on first use and cached on m.
+def _length_table(m: FiniteMonoid) -> tuple[tuple[EPSet, ...], int, int]:
+    """(L(x) for every element x, T, p), built on first use and cached on m,
+    where T and p are the preperiod and period of m's power layers.
 
     Bit k of x's mask says x is in S_k. Only the identity is a product of no
     atoms, and no unit is a product of atoms, so the identity's mask is 1.
+    Every set is decoded with the same T and p, so membership of each n >= T
+    repeats with period p in all of them.
     """
     if m._lengths is None:
         seq = power_layers(m)
@@ -366,8 +374,13 @@ def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
             for x in layer:
                 masks[x] |= 1 << k
         decoded = {mask: _decode(mask, seq.period, seq.preperiod) for mask in set(masks)}
-        m._lengths = tuple(map(decoded.__getitem__, masks))
+        m._lengths = (tuple(map(decoded.__getitem__, masks)), seq.preperiod, seq.period)
     return m._lengths
+
+
+def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
+    """L(x) for every element x, from the table cached on m."""
+    return _length_table(m)[0]
 
 
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
@@ -401,9 +414,34 @@ def length_system(m: FiniteMonoid, nonzero_only: bool = False) -> LengthSystem:
     return LengthSystem(frozenset(entries))
 
 
+def _union_table(sets: Sequence[EPSet], threshold: int, period: int) -> tuple[EPSet, ...]:
+    """U(j) for j < threshold + period, from length sets that all repeat with
+    the period from the threshold on: for each j, the OR of the masks of the
+    distinct sets holding j, decoded once per distinct OR."""
+    width = threshold + period
+    ors = [0] * width
+    for mask in {_mask(s, width) for s in set(sets)}:
+        for j in _bits(mask):
+            ors[j] |= mask
+    decoded = {mask: _decode(mask, period, threshold) for mask in set(ors)}
+    return tuple(map(decoded.__getitem__, ors))
+
+
 def union_k(m: FiniteMonoid, k: int) -> EPSet:
-    """Union of all length sets of m containing k."""
+    """Union of all length sets of m containing k.
+
+    Membership of each n >= T in every length set of m repeats with the
+    period p of its power layers, so U(k) = U(T + (k - T) mod p) for k >= T
+    and m has at most T + p distinct unions. They are tabled on m by the
+    first call, in O((T + p)·d) mask operations for d distinct length sets;
+    every call after that is one lookup.
+    """
     _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")
-    return functools.reduce(eps_union, (s for s in set(_length_sets(m)) if k in s), EMPTY)
+    sets, threshold, period = _length_table(m)
+    if m._unions is None:
+        m._unions = _union_table(sets, threshold, period)
+    if k >= threshold + period:
+        k = threshold + (k - threshold) % period
+    return m._unions[k]

@@ -140,6 +140,13 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
     return found
 
 
+def union_k_by_fold(m: FiniteMonoid, k: int):
+    """union_k, by folding the union over every distinct length set of m
+    that contains k, with no periodicity reasoning."""
+    _check_int(k, "k")
+    return functools.reduce(eps_union, (s for s in length_system(m) if k in s), EMPTY)
+
+
 def json_members(s, bound: int) -> set[int]:
     """The members n <= bound of s, tested one integer at a time against its
     JSON lists, so that the expected sets never read the masks."""

@@ -159,7 +159,9 @@ def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem
 
 def ap_union_k(family: Family, k: int) -> EPSet:
     """Union of product length sets containing k: the intersection of the
-    member unions."""
+    member unions. Each member's U_k is a lookup in its table (see
+    ``union_k``), so after the first call per member this costs |family| - 1
+    intersections for any k."""
     _check_int(k, "k")
     if k < 0:
         raise ValidationError("k must be non-negative")

@@ -122,13 +122,19 @@ def _oracle_monoids():
 
 
 def suite_length_oracle(rng, budget):
+    bound = 12
     for name, m in _oracle_monoids():
-        for x in range(m.size):
-            closed = set(length_set(m, x).members_upto(12))
-            oracle = oracles.brute_force_lengths(m, x, 12)
+        rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
+        for x, oracle in enumerate(rows):
+            closed = set(length_set(m, x).members_upto(bound))
             yield closed != oracle and (
                 f"{name} elem {m.names[x]}: length_set {sorted(closed)} vs oracle {sorted(oracle)}"
             )
+        # up to the bound, U_k is the union of the rows that hold k
+        for k in range(bound + 1):
+            got = set(union_k(m, k).members_upto(bound))
+            expected = set().union(*(row for row in rows if k in row))
+            yield got != expected and f"{name} k={k}: union_k {sorted(got)} vs the oracle rows {sorted(expected)}"
 
 
 def suite_length_invariance(rng, budget):
@@ -648,6 +654,7 @@ def suite_core_axioms(rng, budget):
 
 _PERTURBED_COPIES = 4
 _HOM_SPACE_LIMIT = 4096
+_PERIODIC = ((3, 4), (5, 3), (2, 6))  # (preperiod, period) of the cyclic monoids
 
 
 def suite_generator_oracles(rng, budget):
@@ -680,6 +687,15 @@ def suite_generator_oracles(rng, budget):
                 got = exc.triple
             expected = oracles.ijk_scan(table)
             yield got != expected and f"{label}: Light's test gives {got}, the scan {expected}"
+    # union_k reads U(T + (k - T) mod p) from T + p on, and the fold reads no
+    # period. Every oracle monoid has period 1, so cyclic monoids whose
+    # period does not divide their preperiod are added for the wrap-around
+    periodic = [(f"C({i},{p})", fixtures.cyclic(i, p)) for i, p in _PERIODIC]
+    for name, m in monoids + periodic:
+        seq = power_layers(m)
+        for k in range(seq.preperiod + 2 * seq.period + 1):
+            got, expected = union_k(m, k), oracles.union_k_by_fold(m, k)
+            yield got != expected and f"{name}: union_k at {k} is {got!r}, the fold gives {expected!r}"
     # equal tables have equal hom lists, so each distinct table is kept once
     distinct: dict = {}
     for name, m in monoids:

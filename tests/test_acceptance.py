@@ -74,9 +74,9 @@ CASES_AT_SEED_0 = {
     "coproduct-unions": 63,
     "core-axioms": 512,
     "epset-arithmetic": 1540,
-    "generator-oracles": 385,
+    "generator-oracles": 534,
     "length-invariance": 75,
-    "length-oracle": 70,
+    "length-oracle": 408,
     "preserved-properties": 21,
     "product-formulas": 218,
     "product-unions": 56,

@@ -1,0 +1,43 @@
+"""Caches stay on the instances they describe.
+
+Every table the library memoizes (units, atoms, length sets, the U_k tables,
+the free-product letter tables and union DP) lives in a slot of the monoid or
+family it belongs to, so each new object, each CLI call and each benchmark
+pass starts cold. A module-level ``functools.cache`` or ``lru_cache`` would
+keep answers warm across all of them and hide what a computation costs. The
+test reads every library module with ``ast``; ``cli``, ``verify`` and
+``oracles`` drive and check the library and may keep their own.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import atomon
+
+SRC = Path(atomon.__file__).resolve().parent
+EXEMPT = {"cli", "verify", "oracles"}
+CACHES = {"cache", "lru_cache"}
+
+
+def _cache_uses(tree) -> list[int]:
+    """Line numbers where the module imports or reads functools' caches."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for a in node.names if a.name in CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem not in EXEMPT), ids=lambda p: p.stem)
+def test_library_modules_keep_no_module_level_cache(path):
+    assert _cache_uses(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_both_spellings():
+    source = "import functools\nfrom functools import lru_cache\n\n@functools.cache\ndef f(): pass\n"
+    assert _cache_uses(ast.parse(source)) == [2, 4]

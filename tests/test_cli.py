@@ -221,7 +221,7 @@ def test_every_leaf_has_one_handler_and_runs(files, capsys):
 def test_verify_command(files, capsys):
     code, out = run(capsys, "verify", "--suite", "length-oracle")
     assert code == 0
-    assert out.strip() == "suite length-oracle: 70 cases, ok"
+    assert out.strip() == "suite length-oracle: 408 cases, ok"
     code, _ = run(capsys, "verify", "--suite", "nope")
     assert code == 1
 

@@ -58,6 +58,21 @@ def test_family_requires_atomic_members():
         Family([one(), sl2()])
 
 
+@pytest.mark.parametrize(
+    "members,message",
+    [
+        ([1, 2], "member 0 is 1, not a FiniteMonoid"),
+        ("ab", "member 0 is 'a', not a FiniteMonoid"),
+        ([one(), "x"], "member 1 is 'x', not a FiniteMonoid"),
+        (5, "family 5 is not a sequence of monoids"),
+        ([], "at least one member"),
+    ],
+)
+def test_family_members_must_be_monoids(members, message):
+    with pytest.raises(ValidationError, match=message):
+        Family(members)
+
+
 def test_reduce_examples(two_ones, one_c2):
     assert reduce(two_ones, [(0, 1), (0, 1)]).letters == (Letter(0, 2),)
     assert reduce(two_ones, [(0, 0)]) == EPS_WORD
@@ -141,6 +156,9 @@ def test_gamma_cases():
         ([(1, 2)], "element 2 out of range"),
         (5, "word 5 is not an iterable of letters"),
         (None, "word None is not an iterable of letters"),
+        ([{0: "x", 1: "y"}], "pair"),
+        ([range(0, 2)], "pair"),
+        ([[1, 1]], "pair"),
     ],
 )
 def test_letters_must_be_pairs_of_indices_in_range(one_c2, word, message):
@@ -227,6 +245,20 @@ def test_fp_union_examples(two_ones):
         assert fp_union_k(fam, 0) == ZERO_ONLY
     with pytest.raises(ValidationError):
         fp_union_k(two_ones, -1)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [range(9), range(8, -1, -1), [3, 3, 1, 6, 6, 2, 8, 0, 8, 5]],
+    ids=["ascending", "descending", "repeated"],
+)
+def test_union_k_rows_kept_on_a_family_give_the_answers_of_a_fresh_one(order):
+    members = (one(), m31(), c2())
+    fam = Family(members)
+    assert fam._pooled == [] and fam._totals == []
+    for k in order:
+        assert fp_union_k(fam, k) == fp_union_k(Family(members), k)
+    assert len(fam._totals) == len(fam._pooled) == max(order) + 1
 
 
 def test_union_matches_word_enumeration():

@@ -21,11 +21,11 @@ from atomon import (
     power_layers,
     union_k,
 )
-from atomon.core import atoms, new_monoid, units
+from atomon.core import atoms, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
-from atomon.fixtures import c2, h2, m31, one, random_monoid, sl2, zero
+from atomon.fixtures import c2, cyclic, h2, m31, one, random_monoid, sl2, zero
 from atomon.lengths import EPSet, _mask
-from atomon.oracles import brute_force_lengths
+from atomon.oracles import brute_force_lengths, union_k_by_fold
 from test_generators import full_transformation_3
 
 
@@ -207,13 +207,6 @@ def test_brute_force_examples():
     assert brute_force_lengths(c2(), 1, 5) == set()
 
 
-def cyclic(i, p):
-    """C(i, p): the monoid generated by one element a with a^(i+p) = a^i."""
-    n = i + p
-    table = [[j + k if j + k < n else i + (j + k - i) % p for k in range(n)] for j in range(n)]
-    return new_monoid([f"a{j}" for j in range(n)], table, 0)
-
-
 def test_cyclic_monoid_layers_have_a_shifted_preperiod():
     # a preperiod that is no multiple of the period pins the residue rotation
     for i, p in ((3, 4), (5, 3), (2, 6)):
@@ -235,6 +228,25 @@ def test_length_set_matches_oracle_on_fixtures():
         for k in range(13):
             expected = set().union(*(lengths for lengths in oracle if k in lengths))
             assert set(union_k(m, k).members_upto(bound)) == expected
+
+
+def test_union_k_far_past_the_period_is_the_fold_at_the_reduced_index():
+    for m in [cyclic(i, p) for i, p in ((3, 4), (5, 3), (2, 6))] + [one(), m31(), h2(), full_transformation_3()]:
+        seq = power_layers(m)
+        k = 10**6
+        reduced = seq.preperiod + (k - seq.preperiod) % seq.period
+        assert union_k(m, k) == union_k_by_fold(m, reduced) == union_k_by_fold(m, k)
+
+
+def test_union_k_table_is_built_on_the_first_call_and_kept():
+    m = cyclic(5, 3)
+    assert m._lengths is None and m._unions is None
+    length_set(m, 1)
+    assert m._lengths is not None and m._unions is None
+    first = union_k(m, 7)
+    assert len(m._unions) == 5 + 3
+    assert union_k(m, 7) is first is union_k(m, 10)
+    assert cyclic(5, 3)._unions is None
 
 
 def test_unit_translation_invariance():

@@ -40,6 +40,9 @@ TRUSTS = {
     # length_set, by dynamic programming over (length, element); it does
     # not trust power_layers
     "brute_force_lengths": {"core.atoms", "core._check_indices", "core._check_int"},
+    # union_k's periodic table, by folding the union over the length sets
+    # that contain k
+    "union_k_by_fold": {"core._check_int", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
     # EPSet arithmetic, read off the JSON lists rather than the masks
     "json_members": {"serialize.eps_to_json"},
     # reduce: the letters of raw words
