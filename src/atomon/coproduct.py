@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_indices, _check_int, atoms, check_property, units
+from .core import FiniteMonoid, MonoidHom, _check_count, _check_indices, atoms, check_property, units
 from .errors import NotAtomicError, NotAtomPreservingError, TargetMismatchError, ValidationError
 from .lengths import (
     EMPTY,
@@ -281,9 +281,7 @@ def fp_length_system_bounded(family: Family, max_blocks: int) -> LengthSystem:
     i extend those ending in a member that may precede i, and these are all
     the admissible ones, since admissibility is a condition on adjacent pairs.
     """
-    _check_int(max_blocks, "max_blocks")
-    if max_blocks < 1:
-        raise ValidationError("max_blocks must be at least 1")
+    _check_count(max_blocks, "max_blocks", 1)
     systems = [length_system(m, nonzero_only=True).entries for m in family.members]
     follows = _follows(family)
     sums = [set(system) for system in systems]
@@ -315,9 +313,7 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     k·|family|) EPSet operations, a call at or below a k already reached is
     one lookup, and a sweep of k = 1..K costs one O(K²) DP in any order.
     """
-    _check_int(k, "k")
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_count(k, "k")
     pooled, totals = family._pooled, family._totals
     for j in range(len(totals), k + 1):
         pooled_j = functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 import operator
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadIdentityError,
@@ -99,10 +99,13 @@ def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
         raise ValidationError(f"{what} {bad} out of range [0, {bound})")
 
 
-def _check_int(value, what: str) -> None:
-    """A count parameter must be an int, not a bool."""
+def _check_count(value, what: str, least: int = 0) -> None:
+    """A count parameter must be an int, not a bool, and at least ``least``."""
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, not {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValidationError(f"{what} must be {bound}, not {value}")
 
 
 def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: int | None = None) -> list:
@@ -230,6 +233,14 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
     if not all(map(all, good)):
         raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
     return FiniteMonoid(names, tab, identity, gens)
+
+
+def _tabulate(elements: Sequence, mul: Callable, names: Sequence[str], identity) -> FiniteMonoid:
+    """The monoid on a list of distinct elements closed under ``mul``, where
+    ``mul(x, y)`` is x·y: element i is elements[i], named names[i]."""
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    return new_monoid(names, table, index[identity])
 
 
 def units(m: FiniteMonoid) -> frozenset[int]:
@@ -481,27 +492,3 @@ def enumerate_homs(
         if atom_preserving_only and not hom.atom_preserving:
             continue
         yield hom
-
-
-def submonoid_closure(m: FiniteMonoid, generators: Iterable[int]) -> list[int]:
-    """Sorted element indices of the submonoid generated by the given elements."""
-    found = {m.identity: None}
-    _closure([m.identity], sorted(set(generators)), m.mul, found)
-    return sorted(found)
-
-
-def restrict_to_submonoid(m: FiniteMonoid, elements: Sequence[int]) -> tuple[FiniteMonoid, MonoidHom]:
-    """Restrict the table to a multiplicatively closed element set.
-
-    Returns the restricted monoid and the inclusion hom.
-    """
-    order = list(elements)
-    back = {x: i for i, x in enumerate(order)}
-    if m.identity not in back:
-        raise ValidationError("a submonoid must contain the identity")
-    try:
-        table = [[back[m.mul(x, y)] for y in order] for x in order]
-    except KeyError:
-        raise ValidationError("element set is not closed under the product") from None
-    sub = new_monoid([m.names[x] for x in order], table, back[m.identity])
-    return sub, new_hom(sub, m, tuple(order))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
-from .core import FiniteMonoid, _closure, check_property, new_monoid, terminal_monoid, trivial_monoid
-from .errors import CapExceededError, ValidationError
+from .core import FiniteMonoid, _check_count, _closure, _tabulate, check_property, new_monoid
+from .core import terminal_monoid, trivial_monoid
+from .errors import CapExceededError
 
 
 def zero() -> FiniteMonoid:
@@ -81,8 +82,7 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
     associative by construction; oversized closures are rejected and
     redrawn. Deterministic per seed.
     """
-    if max_size < 2:
-        raise ValidationError(f"max_size must be at least 2, not {max_size}")
+    _check_count(max_size, "max_size", 2)
     rng = random.Random(seed)
     while True:
         base = rng.randint(2, 3)
@@ -98,11 +98,8 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
             continue
         if len(found) < 2:
             continue
-        elements = list(found)
-        index = {f: i for i, f in enumerate(elements)}
-        table = [[index[_compose(f, g)] for g in elements] for f in elements]
-        names = ["t" + "".join(str(v) for v in f) for f in elements]
-        return new_monoid(names, table, 0)
+        names = ["t" + "".join(str(v) for v in f) for f in found]
+        return _tabulate(list(found), _compose, names, ident)
 
 
 def random_fixtures(count: int) -> list[FiniteMonoid]:

@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import FiniteMonoid, _check_indices, _check_int, atoms
+from .core import FiniteMonoid, _check_count, _check_indices, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -64,8 +64,8 @@ class EPSet:
     __slots__ = ("_threshold", "_head", "_period", "_tail")
 
     def __new__(cls, threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
-        if type(threshold) is not int or type(period) is not int or threshold < 0 or period < 1:
-            raise ValidationError("an EPSet needs an int threshold >= 0 and an int period >= 1")
+        _check_count(threshold, "threshold")
+        _check_count(period, "period", 1)
         head_mask = sum(1 << n for n in _naturals(head) if n < threshold)
         return _normalize(head_mask, threshold, period, sum({1 << r % period for r in _naturals(tail)}))
 
@@ -206,14 +206,14 @@ def eps_from_window(bits: Sequence[bool], period: int, threshold: int) -> EPSet:
     the bits must actually repeat with the claimed period beyond the
     threshold; both are verified, not trusted.
     """
+    _check_count(period, "period", 1)
+    _check_count(threshold, "threshold")
     mask = int("0" + "".join("1" if bit else "0" for bit in reversed(bits)), 2)
     return _from_mask(mask, len(bits), period, threshold)
 
 
 def _from_mask(mask: int, window: int, period: int, threshold: int) -> EPSet:
-    """eps_from_window on the bitmask of a window of the given length."""
-    if type(period) is not int or type(threshold) is not int or period < 1 or threshold < 0:
-        raise ValidationError("need int period >= 1 and int threshold >= 0")
+    """eps_from_window on the bitmask of a window of the given length; period and threshold come checked."""
     if window < threshold + 2 * period:
         raise WindowTooShortError(
             f"window of {window} bits cannot certify threshold {threshold} and period {period}"
@@ -436,9 +436,7 @@ def union_k(m: FiniteMonoid, k: int) -> EPSet:
     first call, in O((T + p)·d) mask operations for d distinct length sets;
     every call after that is one lookup.
     """
-    _check_int(k, "k")
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_count(k, "k")
     sets, threshold, period = _length_table(m)
     if m._unions is None:
         m._unions = _union_table(sets, threshold, period)

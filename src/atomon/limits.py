@@ -12,14 +12,13 @@ from typing import Iterable
 from .core import (
     FiniteMonoid,
     MonoidHom,
+    _check_count,
     _check_indices,
-    _check_int,
+    _closure,
+    _tabulate,
     atoms,
     check_property,
     new_hom,
-    new_monoid,
-    restrict_to_submonoid,
-    submonoid_closure,
     terminal_monoid,
     trivial_monoid,
     units,
@@ -52,8 +51,11 @@ def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
     h = f.source
     gens = [a for a in atoms(h) if f.map[a] == g.map[a]]
     gens += [u for u in units(h) if f.map[u] == g.map[u]]
-    elements = submonoid_closure(h, gens)
-    return restrict_to_submonoid(h, elements)
+    found = {h.identity: None}
+    _closure([h.identity], gens, h.mul, found)
+    elements = sorted(found)
+    sub = _tabulate(elements, h.mul, [h.names[x] for x in elements], h.identity)
+    return sub, new_hom(sub, h, tuple(elements))
 
 
 def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, MonoidHom]:
@@ -132,18 +134,13 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
 
 
 def quotient(m: FiniteMonoid, cong: Congruence) -> tuple[FiniteMonoid, MonoidHom]:
-    """Quotient table of a congruence, with the canonical projection."""
-    classes = cong.classes()
-    index_of = {x: ci for ci, cls in enumerate(classes) for x in cls}
-    reps = [min(cls) for cls in classes]
-    table = [
-        [index_of[m.mul(rx, ry)] for ry in reps]
-        for rx in reps
-    ]
-    names = [m.names[r] for r in reps]
-    q_monoid = new_monoid(names, table, index_of[m.identity])
-    proj = new_hom(m, q_monoid, tuple(index_of[x] for x in range(m.size)))
-    return q_monoid, proj
+    """Quotient table of a congruence, with the canonical projection. The
+    classes are indexed in the order of their leaders, and named after them."""
+    leader, tab = cong.leader, m.table
+    reps = sorted(set(leader))
+    q_monoid = _tabulate(reps, lambda x, y: leader[tab[x][y]], [m.names[r] for r in reps], leader[m.identity])
+    index = {r: i for i, r in enumerate(reps)}
+    return q_monoid, new_hom(m, q_monoid, tuple(index[x] for x in leader))
 
 
 def coequalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
@@ -223,9 +220,7 @@ def pushout_eq_bounded(
     though a single rewrite step is not (reduction after a rewrite cannot be
     undone without splitting letters). Never answers "not equal".
     """
-    _check_int(depth, "depth")
-    if depth < 0:
-        raise ValidationError("depth must be non-negative")
+    _check_count(depth, "depth")
     ends = (_check_word(presentation.family, w1), _check_word(presentation.family, w2))
     rules = _rules(presentation)
     visited = ({ends[0]}, {ends[1]})

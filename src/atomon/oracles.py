@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .coproduct import EPS_WORD, Family, Letter, ReducedWord, _check_word, _is_unit_letter, _join
 from .coproduct import fp_is_unit, gamma_admissible
-from .core import _LAWS, FiniteMonoid, _check_indices, _check_int, atoms, check_property, units
+from .core import _LAWS, FiniteMonoid, _check_count, _check_indices, atoms, check_property, units
 from .errors import ParseError, PreconditionError, SearchBudgetExceededError, ValidationError
 from .lengths import EMPTY, ZERO_ONLY, eps_intersect, eps_sum_many, eps_union, length_system, union_k
 from .serialize import eps_to_json
@@ -123,9 +123,7 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
     reasoning, kept independent from length_set on purpose.
     """
     _check_indices((x,), m.size, "element index")
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
+    _check_count(bound, "bound")
     found = set()
     if x == m.identity:
         found.add(0)
@@ -143,7 +141,7 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
 def union_k_by_fold(m: FiniteMonoid, k: int):
     """union_k, by folding the union over every distinct length set of m
     that contains k, with no periodicity reasoning."""
-    _check_int(k, "k")
+    _check_count(k, "k")
     return functools.reduce(eps_union, (s for s in length_system(m) if k in s), EMPTY)
 
 
@@ -180,9 +178,7 @@ def congruence_moves(family: Family, letters):
 
 def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
     """All reduced words with at most max_len letters, shortest first."""
-    _check_int(max_len, "max_len")
-    if max_len < 0:
-        raise ValidationError("max_len must be non-negative")
+    _check_count(max_len, "max_len")
     alphabet = [
         Letter(i, x)
         for i, m in enumerate(family.members)
@@ -205,9 +201,7 @@ def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
 
 def _search_budget(budget: int | None) -> int:
     if budget is not None:
-        _check_int(budget, "search budget")
-        if budget < 0:
-            raise ValidationError(f"search budget must be non-negative, not {budget}")
+        _check_count(budget, "search budget")
         return budget
     env = os.environ.get("ATOMON_BUDGET")
     if not env:
@@ -288,9 +282,7 @@ def fp_brute_force_lengths(
     against w's frozen prefix.
     """
     target = _check_word(family, w)
-    _check_int(bound, "bound")
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
+    _check_count(bound, "bound")
     if not target:
         return {0}
     if fp_is_unit(family, w):
@@ -331,7 +323,7 @@ def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
     """
     if prop not in _LAWS:
         raise ValidationError(f"unsupported property {prop!r}")
-    _check_int(max_len, "max_len")
+    _check_count(max_len, "max_len")
     for i, m in enumerate(family.members):
         if not check_property(m, prop):
             raise PreconditionError(f"family member {i} does not satisfy {prop}")

@@ -4,8 +4,9 @@ product generated by all-unit tuples and all-atom tuples.
 Membership and length sets are decided by exact length-set intersection;
 materialization is optional and size-capped. ``_product_submonoid`` builds
 the submonoid of a direct product generated by given tuples, with its
-projections; it materializes the product here and the pullback in
-``limits``.
+projections: ``core._closure`` finds the tuples and ``core._tabulate``, which
+the equalizer and the quotient in ``limits`` also use, reads off the table.
+It materializes the product here and the pullback in ``limits``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_indices, _check_int, _closure, atoms, new_hom, new_monoid, units
+from .core import FiniteMonoid, MonoidHom, _check_count, _check_indices, _closure, _tabulate, atoms, new_hom, units
 from .coproduct import Family
 from .errors import (
     NotAtomPreservingError,
@@ -99,13 +100,10 @@ def _product_submonoid(
 
     found = {tuple(m.identity for m in members): None}
     _closure(list(found), sorted(set(generators)), mul, found, cap)
-    index = {t: i for i, t in enumerate(found)}
-    table = [[index[mul(s, t)] for t in index] for s in index]
-    names = ["(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")" for t in index]
-    apex = new_monoid(names, table, 0)
-    return apex, tuple(
-        new_hom(apex, m, tuple(t[i] for t in index)) for i, m in enumerate(members)
-    )
+    elements = list(found)
+    names = ["(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")" for t in elements]
+    apex = _tabulate(elements, mul, names, elements[0])
+    return apex, tuple(new_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(members))
 
 
 def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:
@@ -114,9 +112,7 @@ def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[Monoid
 
     The tuple of element i is ``tuple(p.map[i] for p in projections)``.
     """
-    _check_int(cap, "cap")
-    if cap < 1:
-        raise ValidationError("cap must be positive")
+    _check_count(cap, "cap", 1)
     gens = ap_generators(family)
     return _product_submonoid(family.members, gens.unit_tuples | gens.atom_tuples, cap)
 
@@ -162,9 +158,7 @@ def ap_union_k(family: Family, k: int) -> EPSet:
     member unions. Each member's U_k is a lookup in its table (see
     ``union_k``), so after the first call per member this costs |family| - 1
     intersections for any k."""
-    _check_int(k, "k")
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_count(k, "k")
     return functools.reduce(eps_intersect, (union_k(m, k) for m in family.members))
 
 

@@ -28,9 +28,18 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
     }
 
 
+def _json_list(data: dict, key: str, what: str) -> list:
+    """data[key], if it is a JSON list; else ParseError naming the field."""
+    value = data[key]
+    if type(value) is not list:
+        raise ParseError(f"malformed {what}: {key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
 def monoid_from_json(data: dict) -> FiniteMonoid:
     try:
-        return new_monoid(data["names"], data["table"], data["identity"])
+        names, table = _json_list(data, "names", "monoid object"), _json_list(data, "table", "monoid object")
+        return new_monoid(names, table, data["identity"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed monoid object: {exc}") from None
 
@@ -65,7 +74,7 @@ def load_family(path: str | Path) -> Family:
     data = _load_json(path)
     base = Path(path).parent
     try:
-        members = [load_monoid(base / member) for member in data["members"]]
+        members = [load_monoid(base / member) for member in _json_list(data, "members", f"family file {path}")]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed family file {path}: {exc}") from None
     return Family(members)
@@ -82,13 +91,10 @@ def eps_to_json(s: EPSet) -> dict:
 
 def eps_from_json(data: dict) -> EPSet:
     try:
-        threshold, head, period, tail = data["threshold"], data["head"], data["period"], data["tail"]
+        head, tail = _json_list(data, "head", "EPSet object"), _json_list(data, "tail", "EPSet object")
+        return EPSet(data["threshold"], head, data["period"], tail)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed EPSet object: {exc}") from None
-    if type(head) is not list or type(tail) is not list:
-        raise ParseError("an EPSet needs head and tail lists")
-    try:
-        return EPSet(threshold, head, period, tail)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 

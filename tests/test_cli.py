@@ -69,6 +69,29 @@ def test_hom_map_must_be_a_sequence(files, capsys):
     assert "map must be a sequence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        ("names", {"names": "1a", "identity": 0, "table": [[0, 1], [1, 1]]}),
+        ("table", {"names": ["1"], "identity": 0, "table": "0"}),
+    ],
+)
+def test_monoid_fields_must_be_lists(tmp_path, capsys, field, data):
+    # a string is a sequence, so "1a" would otherwise read as the names 1 and a
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 1
+    assert f"'{field}' must be a list" in capsys.readouterr().err
+
+
+def test_family_members_must_be_a_list(files, capsys):
+    path = Path(files["one"]).parent / "fam_str.json"
+    path.write_text(json.dumps({"members": "ab"}))
+    assert main(["coproduct", "unionk", str(path), "1"]) == 1
+    err = capsys.readouterr().err
+    assert "'members' must be a list" in err and "no such file" not in err
+
+
 def test_analyze(files, capsys):
     code, out = run(capsys, "analyze", files["one"])
     assert code == 0

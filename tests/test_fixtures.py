@@ -48,7 +48,7 @@ def test_random_fixture_batch():
     assert any(m1 != m2 for m1 in batch for m2 in batch)
 
 
-@pytest.mark.parametrize("max_size", [1, 0, -3])
+@pytest.mark.parametrize("max_size", [1, 0, -3, "5", 2.5])
 def test_random_monoid_needs_room_for_two_elements(max_size):
     with pytest.raises(ValidationError):
         random_monoid(0, max_size)

@@ -97,6 +97,19 @@ def test_from_window_errors():
         eps_from_window([False, False, True, False, False, False, False, False], 1, 2)
 
 
+@pytest.mark.parametrize(
+    "period, threshold, message",
+    [
+        (1, True, "threshold must be an integer"),
+        (1, -1, "threshold must be non-negative"),
+        (0, 2, "period must be at least 1"),
+    ],
+)
+def test_from_window_checks_its_period_and_threshold(period, threshold, message):
+    with pytest.raises(ValidationError, match=message):
+        eps_from_window([True] * 8, period, threshold)
+
+
 # --- set algebra -------------------------------------------------------------
 
 

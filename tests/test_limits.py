@@ -203,6 +203,23 @@ def test_quotient_of_full_congruence():
     assert q_monoid.size == 1  # 1 = 0 collapses everything
 
 
+@pytest.mark.parametrize(
+    "m, pair, names, projection",
+    [
+        (m31(), (2, 3), ("1", "g", "g2"), (0, 1, 2, 2)),
+        (h2(), (1, 2), ("1", "a", "0"), (0, 1, 1, 2)),
+    ],
+)
+def test_quotient_names_table_and_projection(m, pair, names, projection):
+    # classes are indexed by their least element and named after it
+    q_monoid, proj = quotient(m, congruence_closure(m, [pair]))
+    assert q_monoid.names == names
+    assert q_monoid.table == ((0, 1, 2), (1, 2, 2), (2, 2, 2))
+    assert q_monoid.identity == 0
+    assert proj.map == projection
+    assert proj.target is q_monoid
+
+
 def test_pushout_presentation_examples():
     f = identity_hom(one())
     pres = pushout_presentation(f, f)

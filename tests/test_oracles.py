@@ -22,7 +22,8 @@ import atomon
 from atomon.coproduct import Family, ReducedWord
 from atomon.errors import ValidationError
 from atomon.fixtures import c2, one
-from atomon.oracles import fp_brute_force_lengths, reduced_words_upto
+from atomon.lengths import union_k
+from atomon.oracles import fp_brute_force_lengths, reduced_words_upto, union_k_by_fold
 
 SRC = Path(atomon.__file__).resolve().parent
 
@@ -39,10 +40,10 @@ TRUSTS = {
     "exhaustive_homs": {"core.atoms"},
     # length_set, by dynamic programming over (length, element); it does
     # not trust power_layers
-    "brute_force_lengths": {"core.atoms", "core._check_indices", "core._check_int"},
+    "brute_force_lengths": {"core.atoms", "core._check_indices", "core._check_count"},
     # union_k's periodic table, by folding the union over the length sets
     # that contain k
-    "union_k_by_fold": {"core._check_int", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
+    "union_k_by_fold": {"core._check_count", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
     # EPSet arithmetic, read off the JSON lists rather than the masks
     "json_members": {"serialize.eps_to_json"},
     # reduce: the letters of raw words
@@ -50,13 +51,13 @@ TRUSTS = {
     # reduce: the single congruence moves on a raw word
     "congruence_moves": set(),
     # the reduced words of the free product up to a length, by extension
-    "reduced_words_upto": {"coproduct.EPS_WORD", "core._check_int"},
+    "reduced_words_upto": {"coproduct.EPS_WORD", "core._check_count"},
     # fp_length_set, by bounded search over decorated atoms; _join is
     # checked against reduce in coproduct-reduction
     "fp_brute_force_lengths": {
         "core.atoms",
         "core.units",
-        "core._check_int",
+        "core._check_count",
         "coproduct._check_word",
         "coproduct._join",
         "coproduct._is_unit_letter",
@@ -69,7 +70,7 @@ TRUSTS = {
     "fp_check_property_bounded": {
         "core._LAWS",
         "core.check_property",
-        "core._check_int",
+        "core._check_count",
         "coproduct.EPS_WORD",
         "coproduct._join",
         "coproduct._is_unit_letter",
@@ -192,3 +193,9 @@ def test_factorization_search_checks_its_word():
 def test_reduced_words_refuse_a_negative_length():
     with pytest.raises(ValidationError, match="max_len must be non-negative"):
         list(reduced_words_upto(Family([one()]), -1))
+
+
+def test_union_k_by_fold_refuses_a_negative_k_like_union_k():
+    for union in (union_k, union_k_by_fold):
+        with pytest.raises(ValidationError, match="k must be non-negative"):
+            union(one(), -1)

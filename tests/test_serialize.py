@@ -75,6 +75,7 @@ def test_eps_json_round_trip():
         {"head": [0, -1]},
         {"head": [True]},
         {"head": "01"},
+        {"head": [[1]]},
         {"tail": [-1]},
         {"tail": [0.5]},
         {"tail": None},
