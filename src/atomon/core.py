@@ -87,16 +87,29 @@ class FiniteMonoid:
         return f"FiniteMonoid(size={self.size}, names={self.names})"
 
 
-def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
-    """Each of the values (there is at least one) must be an int, not a bool,
-    in [0, bound). The checks run in C; only a failure scans in Python for the
+def _check_type(values: Sequence, kind: type, what: str, noun: str) -> None:
+    """Each of the values must have type exactly ``kind``, so a bool is no
+    int. The check runs in C; only a failure scans in Python for the first
     culprit."""
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ValidationError(f"{what} {bad!r} is not an integer")
-    if not (0 <= min(values) and max(values) < bound):
+    if not set(map(type, values)) <= {kind}:
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValidationError(f"{what} {bad!r} is not {noun}")
+
+
+def _check_range(values: Sequence[int], distinct, bound: int, what: str) -> None:
+    """Each of the int values (there is at least one) must lie in [0, bound).
+    ``distinct`` holds the distinct values, or is ``values`` itself; min and
+    max read it, and only a failure scans the values for the first culprit."""
+    if not (0 <= min(distinct) and max(distinct) < bound):
         bad = next(v for v in values if not 0 <= v < bound)
         raise ValidationError(f"{what} {bad} out of range [0, {bound})")
+
+
+def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
+    """Each of the values (there is at least one) must be an int, not a bool,
+    in [0, bound)."""
+    _check_type(values, int, what, "an integer")
+    _check_range(values, values, bound, what)
 
 
 def _check_count(value, what: str, least: int = 0) -> None:
@@ -134,17 +147,17 @@ def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: in
     return added
 
 
-def _generating_set(table, identity: int) -> tuple[int, ...]:
+def _generating_set(table, identity: int, counts: Counter) -> tuple[int, ...]:
     """A small generating set, by greedy right-multiplication closure.
 
-    Candidates go rarest product first: an element that is no product of two
-    non-identity elements must be a generator, and a frequent product is
-    likely reached anyway. Counting the whole table adds exactly two to every
-    non-identity element (its identity row and column entries), so it ranks
-    as counting the non-identity products alone would; the sort is stable,
-    so ties go by index.
+    ``counts`` counts the entries of the whole table. Candidates go rarest
+    product first: an element that is no product of two non-identity
+    elements must be a generator, and a frequent product is likely reached
+    anyway. Counting the whole table adds exactly two to every non-identity
+    element (its identity row and column entries), so it ranks as counting
+    the non-identity products alone would; the sort is stable, so ties go by
+    index.
     """
-    counts = Counter(itertools.chain.from_iterable(table))
     mul = lambda x, g: table[x][g]
     found = {identity: None}
     gens: list[int] = []
@@ -170,6 +183,13 @@ def _closure_steps(table, identity: int, gens: Sequence[int]) -> list[tuple[int,
     return [(y, x, position[g]) for y, (x, g) in itertools.islice(found.items(), 1, None)]
 
 
+def _holds_at(tab, rows, j: int) -> Iterator[bool]:
+    """For each row x in ``rows``, lazily: whether (x·j)·y == x·(j·y) for
+    every y. Row x·j is compared in C against row x read through row j, which
+    is a tuple when n >= 2."""
+    return map(operator.eq, map(tab.__getitem__, map(itemgetter(j), rows)), map(itemgetter(*tab[j]), rows))
+
+
 def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[list[bool]]) -> tuple[int, int, int]:
     """The lexicographically first (i, j, k) with (i·j)·k != i·(j·k).
 
@@ -178,24 +198,45 @@ def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[li
     for i = x and j = gens[p]. Walk j along the closure of G from the
     identity: if j = j1·g and row i already holds at j1, then
     L_(i·j) = L_((i·j1)·g) = L_(i·j1)∘L_g = L_i∘L_j1∘L_g = L_i∘L_j, provided
-    ``good`` holds at (i·j1, g) and at (j1, g). Only the other j are compared
-    as whole rows, so the rows before the first failing one cost O(n) each
-    when the fault is local; the failing row is then scanned for its first j
-    and k.
+    ``good`` holds at (i·j1, g) and at (j1, g).
+
+    Let B_g be the x where ``good`` fails for g. Each x in B_g is a failing
+    row. So is each row i with i·j1 in B_g for some j1 outside B_g: were row
+    i associative, the same chain would give L_((i·j1)·g) = L_(i·j1)∘L_g.
+    Any other row can fail only at the steps j = j1·g with j1 in B_g, and
+    those few steps are compared for all rows at once, as whole columns,
+    the way ``good`` is built. This finds the first failing row i in C
+    passes over the table. Row i then walks the certificate and compares
+    only the j it cannot certify, so the Python work is set by the size of
+    the fault, not by n².
     """
-    # (j, j1, good at g, good at (j1, g)) for each j = j1·g
-    steps = [(j, j1, good[p], good[p][j1]) for j, j1, p in _closure_steps(tab, identity, gens)]
+    n = len(tab)
+    bad = [set(itertools.compress(range(n), map(operator.not_, row))) for row in good]
+    every_bad = set().union(*bad)
+    steps = _closure_steps(tab, identity, gens)
+    first = min(every_bad)
+    for j, j1, p in steps:
+        if j1 in bad[p]:
+            fails = map(operator.not_, _holds_at(tab, tab[:first], j))
+            first = next(itertools.compress(itertools.count(), fails), first)
+    for i, row_i in enumerate(tab[:first]):
+        if not every_bad.isdisjoint(row_i) and any(
+            row_i[j1] in bad_g and j1 not in bad_g
+            for j1 in itertools.compress(range(n), map(every_bad.__contains__, row_i))
+            for bad_g in bad
+        ):
+            first = i
+            break
 
     def holds(row_i, j) -> bool:  # (i·j)·k == i·(j·k) for every k
         return tab[row_i[j]] == tuple(map(row_i.__getitem__, tab[j]))
 
-    n = len(tab)
-    for i, row_i in enumerate(tab):
-        for j, j1, good_g, parent_good in steps:
-            if not (parent_good and good_g[row_i[j1]]) and not holds(row_i, j):
-                j = next(j for j in range(n) if not holds(row_i, j))
-                return i, j, next(k for k in range(n) if tab[row_i[j]][k] != row_i[tab[j][k]])
-    raise ValueError("table is associative")
+    row_i = tab[first]
+    ok = [True] * n
+    for j, j1, p in steps:
+        ok[j] = ok[j1] and good[p][j1] and good[p][row_i[j1]] or holds(row_i, j)
+    j = ok.index(False)
+    return first, j, next(k for k in range(n) if tab[row_i[j]][k] != row_i[tab[j][k]])
 
 
 def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: int) -> FiniteMonoid:
@@ -206,8 +247,17 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
     are closed under the product, and G generates, so this is sound without
     assuming associativity. A failure reports the same lexicographically
     first triple as a full i-j-k scan.
+
+    The n² entries are read by C-level passes: one flatten, one type pass and
+    one count. The count's at most n keys give the range check and rank the
+    candidate generators. Then come the |G| Light rows, each comparing n pairs
+    of rows. Only the identity column and the generator columns are built,
+    and a failed check scans for its culprit only then. A non-associative
+    table adds a few more column passes and Python work set by the size of
+    the fault (see ``_first_nonassociative``).
     """
-    names = tuple(str(n) for n in names)
+    names = tuple(names)
+    _check_type(names, str, "name", "a string")
     n = len(names)
     if n == 0:
         raise ValidationError("a monoid needs at least one element")
@@ -216,20 +266,21 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
     if len(table) != n or any(len(row) != n for row in table):
         raise ValidationError(f"table must be {n}x{n}")
     tab = tuple(map(tuple, table))
-    _check_indices(tuple(itertools.chain.from_iterable(tab)), n, "table entry")
+    flat = tuple(itertools.chain.from_iterable(tab))
+    _check_type(flat, int, "table entry", "an integer")
+    counts = Counter(flat)
+    _check_range(flat, counts, n, "table entry")
     if type(identity) is not int:
         raise ValidationError(f"identity index {identity!r} is not an integer")
     if not 0 <= identity < n:
         raise ValidationError(f"identity index {identity} out of range")
-    cols = tuple(zip(*tab))
     ident = tuple(range(n))
-    if tab[identity] != ident or cols[identity] != ident:
+    if tab[identity] != ident or tuple(map(itemgetter(identity), tab)) != ident:
         raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
-    gens = _generating_set(tab, identity)
-    # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p]; the rows
-    # of x·g against row x read through row g, compared in C (a generator
-    # exists only when n >= 2, so each itemgetter returns a tuple)
-    good = [list(map(operator.eq, map(tab.__getitem__, cols[g]), map(itemgetter(*tab[g]), tab))) for g in gens]
+    gens = _generating_set(tab, identity, counts)
+    # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p] (a
+    # generator exists only when n >= 2)
+    good = [list(_holds_at(tab, tab, g)) for g in gens]
     if not all(map(all, good)):
         raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
     return FiniteMonoid(names, tab, identity, gens)

@@ -124,11 +124,13 @@ def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
 
 
 def _naturals(members: Iterable[int]) -> set[int]:
-    """members as a set, if each is an int >= 0; else ValidationError."""
-    members = set(members)
+    """members as a set, if each is an int >= 0; else ValidationError. Each
+    member is checked before the set is built, so an unhashable member is
+    refused too and True is not read as 1."""
+    members = tuple(members)
     if any(type(n) is not int or n < 0 for n in members):
         raise ValidationError("EPSet members must be ints >= 0")
-    return members
+    return set(members)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")

@@ -54,6 +54,14 @@ def test_validate_refuses_non_integer_entries(tmp_path, capsys, entry):
     assert "is not an integer" in capsys.readouterr().err
 
 
+def test_validate_refuses_names_that_are_not_strings(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"names": [1, 2.5], "identity": 0, "table": [[0, 1], [1, 1]]}))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: name 1 is not a string"]
+
+
 @pytest.mark.parametrize("entry", [1.0, False, "1"])
 def test_hom_map_refuses_non_integer_values(files, capsys, entry):
     path = Path(files["one"]).parent / "hom.json"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -62,6 +63,29 @@ def test_new_monoid_rejects_bad_tables():
         new_monoid(("1", "1"), ((0, 1), (1, 0)), 0)
     with pytest.raises(ValidationError):
         new_monoid(("1", "x"), ((0, 1), (1, 7)), 0)
+
+
+@pytest.mark.parametrize("names, bad", [([1, "x"], 1), (["1", 2.5], 2.5), (["1", None], None), (["1", b"x"], b"x")])
+def test_new_monoid_refuses_names_that_are_not_strings(names, bad):
+    with pytest.raises(ValidationError, match=re.escape(f"name {bad!r} is not a string")):
+        new_monoid(names, ((0, 1), (1, 1)), 0)
+
+
+def test_new_monoid_reports_the_first_failing_check():
+    # a non-integer entry beats an out-of-range one, even one before it
+    for table in (((0, 1), (7, 1.5)), ((0, 1.5), (1, 7))):
+        with pytest.raises(ValidationError, match="table entry 1.5 is not an integer"):
+            new_monoid(("1", "x"), table, 0)
+    # an entry error beats an identity error
+    with pytest.raises(ValidationError, match=r"table entry 7 out of range \[0, 2\)"):
+        new_monoid(("1", "x"), ((0, 0), (1, 7)), 0)
+    with pytest.raises(ValidationError, match="table entry 7 out of range"):
+        new_monoid(("1", "x"), ((0, 1), (1, 7)), 2.0)
+    # a name error beats both
+    with pytest.raises(ValidationError, match="name 1 is not a string"):
+        new_monoid((1, "x"), ((0, 0), (1.5, 7)), 0)
+    with pytest.raises(ValidationError, match="name 1 is not a string"):
+        new_monoid(("1", 1), ((0, 1), (1, 7)), 2.0)
 
 
 def test_units_examples():

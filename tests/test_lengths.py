@@ -423,6 +423,9 @@ def test_a_lone_part_sums_to_its_canonical_form():
         lambda: EPSet(2, (False,), 1, ()),
         lambda: eps_finite({-1}),
         lambda: eps_finite({"a"}),
+        lambda: EPSet(2, [[1]], 1, ()),
+        lambda: eps_finite([[1]]),
+        lambda: eps_finite([1, True]),
         lambda: eps_cofinite(-2),
         lambda: eps_from_window([True] * 4, 1.0, 0),
     ],
