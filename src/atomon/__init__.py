@@ -19,9 +19,11 @@ from .core import (
     eval_word,
     extend_atom_map,
     identity_hom,
+    initial,
     is_atomon_mono,
     new_hom,
     new_monoid,
+    terminal,
     units,
 )
 from .coproduct import (
@@ -65,12 +67,10 @@ from .limits import (
     coequalizer,
     congruence_closure,
     equalizer,
-    initial,
     pullback,
     pushout_eq_bounded,
     pushout_presentation,
     quotient,
-    terminal,
 )
 from .product import (
     ProductGenerators,

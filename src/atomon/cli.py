@@ -4,13 +4,15 @@ Each leaf command is bound to one handler by ``set_defaults(func=...)``. A
 handler takes the parsed arguments and returns ``(data, lines)`` or
 ``(data, lines, status)``; ``main`` alone prints, ``data`` as JSON under
 ``--json`` and the text ``lines`` otherwise, and returns the status (0 when
-the handler gives none, 1 on an ``AtomonError``).
+the handler gives none, 1 on an ``AtomonError`` or when stdout is a closed
+pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -24,17 +26,15 @@ from .coproduct import (
     fp_union_k,
     reduce as reduce_word,
 )
-from .core import PROPERTIES, atoms, check_property, classify, units
+from .core import PROPERTIES, atoms, check_property, classify, initial, terminal, units
 from .errors import AtomonError
 from .lengths import length_set, length_system, union_k
 from .limits import (
     coequalizer,
     equalizer,
-    initial,
     pullback,
     pushout_eq_bounded,
     pushout_presentation,
-    terminal,
 )
 from .oracles import brute_force_lengths, fp_brute_force_lengths
 from .product import (
@@ -317,8 +317,15 @@ def main(argv=None) -> int:
     except AtomonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in [json.dumps(data, sort_keys=True)] if args.json else lines:
-        print(line)
+    try:
+        for line in [json.dumps(data, sort_keys=True)] if args.json else lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`atomon ... | head -1`); stdout now writes to
+        # devnull, so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status[0] if status else 0
 
 

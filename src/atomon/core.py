@@ -2,7 +2,9 @@
 
 Elements are dense integer indices into the table; names are metadata.
 Words over a monoid (or over an abstract alphabet) are plain sequences,
-the empty sequence being the empty word.
+the empty sequence being the empty word. The initial object {1} and the
+terminal object {1, a, 0} of AtoMon are built here, by ``initial`` and
+``terminal``.
 """
 
 from __future__ import annotations
@@ -256,16 +258,22 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
     table adds a few more column passes and Python work set by the size of
     the fault (see ``_first_nonassociative``).
     """
-    names = tuple(names)
+    try:
+        names = tuple(names)
+    except TypeError:
+        raise ValidationError(f"names {names!r} are not a sequence") from None
     _check_type(names, str, "name", "a string")
     n = len(names)
     if n == 0:
         raise ValidationError("a monoid needs at least one element")
     if len(set(names)) != n or any(name == "" for name in names):
         raise DuplicateNameError("names must be distinct non-empty strings")
-    if len(table) != n or any(len(row) != n for row in table):
+    try:
+        tab = tuple(map(tuple, table))
+    except TypeError:
+        raise ValidationError(f"table must be {n}x{n}, a sequence of rows") from None
+    if len(tab) != n or any(len(row) != n for row in tab):
         raise ValidationError(f"table must be {n}x{n}")
-    tab = tuple(map(tuple, table))
     flat = tuple(itertools.chain.from_iterable(tab))
     _check_type(flat, int, "table entry", "an integer")
     counts = Counter(flat)
@@ -464,12 +472,15 @@ def is_atomon_mono(f: MonoidHom) -> bool:
     return len({f.map[x] for x in core}) == len(core)
 
 
-def terminal_monoid() -> FiniteMonoid:
-    """The three-element monoid {1, a, 0} with a*a = 0 and 0 absorbing."""
+def terminal() -> FiniteMonoid:
+    """The terminal object: the three-element monoid {1, a, 0} with a*a = 0
+    and 0 absorbing."""
     return new_monoid(("1", "a", "0"), ((0, 1, 2), (1, 2, 2), (2, 2, 2)), 0)
 
 
-def trivial_monoid() -> FiniteMonoid:
+def initial() -> FiniteMonoid:
+    """The initial object: the one-element monoid {1}. It is not terminal,
+    since it has no atom for a source's atoms to go to."""
     return new_monoid(("1",), ((0,),), 0)
 
 
@@ -477,7 +488,7 @@ def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
     """The unique atom-preserving hom into the terminal monoid, by element class."""
     if not check_property(m, "atomic"):
         raise NotAtomicError("canonical map to the terminal object needs an atomic source")
-    target = terminal_monoid()
+    target = terminal()
     tag_to_index = {ElemClass.UNIT: 0, ElemClass.ATOM: 1, ElemClass.REDUCIBLE: 2}
     return new_hom(m, target, tuple(tag_to_index[classify(m, x)] for x in range(m.size)))
 

@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import random
 
-from .core import FiniteMonoid, _check_count, _closure, _tabulate, check_property, new_monoid
-from .core import terminal_monoid, trivial_monoid
+from .core import FiniteMonoid, _check_count, _closure, _tabulate, check_property, initial, new_monoid, terminal
 from .errors import CapExceededError
 
-
-def zero() -> FiniteMonoid:
-    """The one-element monoid."""
-    return trivial_monoid()
-
-
-def one() -> FiniteMonoid:
-    """{1, a, 0} with a*a = 0 and 0 absorbing."""
-    return terminal_monoid()
+zero = initial  # the one-element monoid
+one = terminal  # {1, a, 0} with a*a = 0 and 0 absorbing
 
 
 def c2() -> FiniteMonoid:
@@ -100,7 +92,3 @@ def random_monoid(seed: int, max_size: int = 5) -> FiniteMonoid:
             continue
         names = ["t" + "".join(str(v) for v in f) for f in found]
         return _tabulate(list(found), _compose, names, ident)
-
-
-def random_fixtures(count: int) -> list[FiniteMonoid]:
-    return [random_monoid(i) for i in range(count)]

@@ -124,10 +124,13 @@ def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
 
 
 def _naturals(members: Iterable[int]) -> set[int]:
-    """members as a set, if each is an int >= 0; else ValidationError. Each
-    member is checked before the set is built, so an unhashable member is
-    refused too and True is not read as 1."""
-    members = tuple(members)
+    """members as a set, if they can be iterated and each is an int >= 0;
+    else ValidationError. Each member is checked before the set is built, so
+    an unhashable member is refused too and True is not read as 1."""
+    try:
+        members = tuple(members)
+    except TypeError:
+        raise ValidationError(f"EPSet members must be a collection of ints, not {members!r}") from None
     if any(type(n) is not int or n < 0 for n in members):
         raise ValidationError("EPSet members must be ints >= 0")
     return set(members)

@@ -1,5 +1,6 @@
-"""Remaining limits and colimits: initial/terminal objects, equalizers,
-pullbacks, coequalizers via congruence closure, pushout presentations."""
+"""Remaining limits and colimits: equalizers, pullbacks, coequalizers via
+congruence closure, pushout presentations. The initial and terminal objects
+are built in ``core`` (``core.initial``, ``core.terminal``)."""
 
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from .core import (
     atoms,
     check_property,
     new_hom,
-    terminal_monoid,
-    trivial_monoid,
     units,
 )
 from .coproduct import Family, Letter, ReducedWord, _check_word, reduce
@@ -30,14 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .product import _product_submonoid
-
-
-def initial() -> FiniteMonoid:
-    return trivial_monoid()
-
-
-def terminal() -> FiniteMonoid:
-    return terminal_monoid()
 
 
 def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:

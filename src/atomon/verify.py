@@ -11,6 +11,14 @@ case: a falsy value when the case passes, or the mismatch message (a
 non-empty str) when it fails. Messages are written `bad and f"..."`, so a
 passing case never formats one. `cmd_verify` alone counts the cases and
 collects the mismatches; an `AtomonError` raised by a suite propagates.
+
+A limit is checked against its definition by one oracle, ``_limit_up``. A
+cone from W over the diagram's objects is one atom-preserving hom W -> o per
+object o, on which the diagram's ``commutes`` holds; W ranges over the
+atomic fixtures. Each cone is one case, and it passes when the limit's own
+legs are atom-preserving and satisfy ``commutes`` (they form a cone), and
+exactly one hom τ from W to the apex has legᵢ∘τ = coneᵢ for every i.
+Equalizers, pullbacks and products are diagrams fed to it.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 from . import fixtures, oracles
 from .coproduct import EPS_WORD, Family, ReducedWord, coprojection, fp_couniversal, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
-from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify, compose
-from .core import enumerate_homs, eval_word, is_atomon_mono, new_hom, new_monoid, terminal_monoid, units
+from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
+from .core import enumerate_homs, eval_word, is_atomon_mono, new_monoid, terminal, units
 from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
@@ -90,10 +98,17 @@ class VerifyReport:
 
 # built once, on first use rather than at import; the monoids are immutable
 _named_fixtures = functools.cache(fixtures.named_fixtures)
+_random_monoid = functools.cache(fixtures.random_monoid)
 
 
 def _named(name: str) -> FiniteMonoid:
     return _named_fixtures()[name]
+
+
+def _monoids(names, randoms: int = 0) -> list[tuple[str, FiniteMonoid]]:
+    """The named fixtures, then the random monoids of seeds 0 .. randoms - 1,
+    each with its label."""
+    return [(n, _named(n)) for n in names] + [(f"random{i}", _random_monoid(i)) for i in range(randoms)]
 
 
 def _family(names) -> Family:
@@ -103,6 +118,11 @@ def _family(names) -> Family:
 @functools.cache
 def _hom_list(source: FiniteMonoid, target: FiniteMonoid):
     return tuple(enumerate_homs(source, target))
+
+
+def _composite(g, f) -> tuple[int, ...]:
+    """The map of g∘f, read off the two maps: a composite of homs is a hom."""
+    return tuple(map(g.map.__getitem__, f.map))
 
 
 def _fmt_word(w: ReducedWord) -> str:
@@ -115,15 +135,9 @@ def _fmt_word(w: ReducedWord) -> str:
 # lenset suites
 
 
-def _oracle_monoids():
-    mons = [(name, _named(name)) for name in _NAMED]
-    mons += [(f"random{i}", fixtures.random_monoid(i)) for i in range(20)]
-    return mons
-
-
 def suite_length_oracle(rng, budget):
     bound = 12
-    for name, m in _oracle_monoids():
+    for name, m in _monoids(_NAMED, 20):
         rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
         for x, oracle in enumerate(rows):
             closed = set(length_set(m, x).members_upto(bound))
@@ -138,9 +152,7 @@ def suite_length_oracle(rng, budget):
 
 
 def suite_length_invariance(rng, budget):
-    monoids = [(n, _named(n)) for n in _ATOMIC_NAMED]
-    monoids += [(f"random{i}", fixtures.random_monoid(i)) for i in range(8)]
-    for name, m in monoids:
+    for name, m in _monoids(_ATOMIC_NAMED, 8):
         us = sorted(units(m))
         for x in range(m.size):
             if x in units(m):
@@ -399,10 +411,6 @@ def suite_product_unions(rng, budget):
 # limit suites
 
 
-def _apexes():
-    return [(n, _named(n)) for n in ("zero", "one", "c2", "h2", "m31")]
-
-
 def suite_universal_properties(rng, budget):
     yield from _equalizer_up()
     yield from _pullback_up()
@@ -411,59 +419,53 @@ def suite_universal_properties(rng, budget):
     yield from _mono_up()
 
 
+def _limit_up(label, apex, legs, objects, commutes):
+    """The limit (apex, legs) of a diagram over ``objects``, checked as the
+    module docstring says. ``commutes`` takes a tuple of homs, one into each
+    object, and tells whether it agrees with the diagram's arrows."""
+    legs_form_a_cone = all(leg.atom_preserving for leg in legs) and commutes(legs)
+    for wn, w in _monoids(_ATOMIC_NAMED):
+        # the cone each τ: W -> apex gives, as its tuple of maps
+        cones_via_apex = [tuple(_composite(leg, tau) for leg in legs) for tau in _hom_list(w, apex)]
+        for cone in itertools.product(*(_hom_list(w, o) for o in objects)):
+            if not commutes(cone):
+                continue
+            found = cones_via_apex.count(tuple(c.map for c in cone))
+            yield (not legs_form_a_cone or found != 1) and (
+                f"{label}: the cone {[c.map for c in cone]} from {wn} factors {found} times"
+                + ("" if legs_form_a_cone else ", and the legs are not an atom-preserving cone")
+            )
+
+
 def _equalizer_up():
-    pairs = [("h2", "h2"), ("h2", "one"), ("c2", "c2"), ("m31", "one")]
-    for hn, kn in pairs:
-        h, k = _named(hn), _named(kn)
-        homs = _hom_list(h, k)
-        for f, g in itertools.product(homs, repeat=2):
+    for hn, kn in (("h2", "h2"), ("h2", "one"), ("c2", "c2"), ("m31", "one")):
+        for f, g in itertools.product(_hom_list(_named(hn), _named(kn)), repeat=2):
             e_monoid, e = equalizer(f, g)
-            image = {v: i for i, v in enumerate(e.map)}
-            for wn, w in _apexes():
-                for alpha in _hom_list(w, h):
-                    if compose(f, alpha) != compose(g, alpha):
-                        continue
-                    if not all(alpha.map[x] in image for x in range(w.size)):
-                        yield f"equalizer {hn}->{kn}: cone from {wn} does not factor"
-                        continue
-                    try:
-                        tau = new_hom(w, e_monoid, [image[alpha.map[x]] for x in range(w.size)])
-                    except Exception as exc:
-                        yield f"equalizer {hn}->{kn}: factorization invalid: {exc}"
-                        continue
-                    yield (not tau.atom_preserving or compose(e, tau) != alpha) and (
-                        f"equalizer {hn}->{kn}: factorization wrong from {wn}"
-                    )
+            yield from _limit_up(
+                f"equalizer of {f.map}, {g.map}: {hn}->{kn}", e_monoid, (e,), (f.source,),
+                lambda c: _composite(f, c[0]) == _composite(g, c[0]),
+            )
 
 
 def _pullback_up():
-    h2, one, c2, m31 = _named("h2"), _named("one"), _named("c2"), _named("m31")
-    cospans = []
-    cospans += [(f, g) for f in _hom_list(h2, one) for g in _hom_list(one, one)]
-    cospans += [(f, g) for f in _hom_list(h2, one) for g in _hom_list(h2, one)]
-    cospans += [(f, g) for f in _hom_list(m31, one) for g in _hom_list(h2, one)]
-    cospans += [(f, g) for f in _hom_list(c2, c2) for g in _hom_list(c2, c2)]
-    for f, g in cospans:
-        p, p1, p2 = pullback(f, g)
-        pair_index = {(p1.map[i], p2.map[i]): i for i in range(p.size)}
-        for wn, w in _apexes():
-            for alpha in _hom_list(w, f.source):
-                for beta in _hom_list(w, g.source):
-                    if compose(f, alpha) != compose(g, beta):
-                        continue
-                    wanted = [(alpha.map[x], beta.map[x]) for x in range(w.size)]
-                    if not all(pair in pair_index for pair in wanted):
-                        yield f"pullback cone from {wn} does not factor"
-                        continue
-                    candidates = [
-                        tau
-                        for tau in _hom_list(w, p)
-                        if compose(p1, tau) == alpha and compose(p2, tau) == beta
-                    ]
-                    factor = tuple(pair_index[pair] for pair in wanted)
-                    yield (len(candidates) != 1 or candidates[0].map != factor) and (
-                        f"pullback cone from {wn}: {len(candidates)} factorizations"
-                    )
+    # (source of f, source of g, common target); on (h2, h2) -> h2 the
+    # identity and the swap disagree on atoms, so atom pairs need the filter
+    for hn, kn, tn in (("h2", "one", "one"), ("h2", "h2", "one"), ("m31", "h2", "one"),
+                       ("c2", "c2", "c2"), ("h2", "h2", "h2")):
+        t = _named(tn)
+        for f, g in itertools.product(_hom_list(_named(hn), t), _hom_list(_named(kn), t)):
+            p, p1, p2 = pullback(f, g)
+            yield from _limit_up(
+                f"pullback of {f.map}, {g.map}: {hn}->{tn}<-{kn}", p, (p1, p2), (f.source, g.source),
+                lambda c: _composite(f, c[0]) == _composite(g, c[1]),
+            )
+
+
+def _product_up():
+    for names in (("one", "one"), ("one", "c2"), ("h2", "h2")):
+        fam = _family(names)
+        mat, projections = ap_materialize(fam, 60)
+        yield from _limit_up(f"product of {names}", mat, projections, fam.members, lambda c: True)
 
 
 def _mono_up():
@@ -478,13 +480,13 @@ def _mono_up():
     atomic fixtures may lack, so it is not checked. One case per f that
     passes the test and test object W.
     """
-    for (sn, s), (tn, t) in itertools.product(_apexes(), repeat=2):
+    for (sn, s), (tn, t) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2):
         for f in _hom_list(s, t):
             if not is_atomon_mono(f):
                 continue
-            for wn, w in _apexes():
+            for wn, w in _monoids(_ATOMIC_NAMED):
                 homs = _hom_list(w, s)
-                yield len({compose(f, g).map for g in homs}) < len(homs) and (
+                yield len({_composite(f, g) for g in homs}) < len(homs) and (
                     f"mono {sn}->{tn} {f.map}: two homs from {wn} agree after it"
                 )
 
@@ -511,34 +513,6 @@ def _coproduct_up():
                         yield lhs != rhs and f"induced coproduct map not multiplicative on {names}"
 
 
-def _product_up():
-    for names in (("one", "one"), ("one", "c2"), ("h2", "h2")):
-        fam = _family(names)
-        mat, projections = ap_materialize(fam, 60)
-        index = {t: i for i, t in enumerate(zip(*(p.map for p in projections)))}
-        for wn, w in _apexes():
-            for cone in itertools.product(*(_hom_list(w, m) for m in fam.members)):
-                tuples = [tuple(h.map[x] for h in cone) for x in range(w.size)]
-                if not all(ap_contains(fam, t) for t in tuples):
-                    yield f"product cone from {wn} leaves the product"
-                    continue
-                sigma = new_hom(w, mat, [index[t] for t in tuples])
-                if not sigma.atom_preserving:
-                    yield f"induced product map from {wn} not atom-preserving"
-                    continue
-                if any(compose(projections[i], sigma) != cone[i] for i in range(len(cone))):
-                    yield f"product triangles fail from {wn}"
-                    continue
-                candidates = [
-                    tau
-                    for tau in _hom_list(w, mat)
-                    if all(compose(projections[i], tau) == cone[i] for i in range(len(cone)))
-                ]
-                yield candidates != [sigma] and (
-                    f"product factorization from {wn} not unique: {len(candidates)}"
-                )
-
-
 def _refines(fine, coarse) -> bool:
     blocks = {}
     for x, lead in enumerate(fine):
@@ -547,12 +521,11 @@ def _refines(fine, coarse) -> bool:
 
 
 def suite_coequalizers(rng, budget):
-    pool = []
-    for hn in _ATOMIC_NAMED:
-        for kn in _ATOMIC_NAMED:
-            homs = _hom_list(_named(hn), _named(kn))
-            for f, g in itertools.product(homs, repeat=2):
-                pool.append((hn, kn, f, g))
+    pool = [
+        (hn, kn, f, g)
+        for (hn, h), (kn, k) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2)
+        for f, g in itertools.product(_hom_list(h, k), repeat=2)
+    ]
     picks = [pool[rng.randrange(len(pool))] for _ in range(50)]
     for hn, kn, f, g in picks:
         k = f.target
@@ -567,41 +540,24 @@ def suite_coequalizers(rng, budget):
                 f"coequalizer of {hn}->{kn}: class of {x} not preserved"
             )
         seeds = [(f.map[h], g.map[h]) for h in range(f.source.size)]
-        cong = congruence_closure(k, seeds)
-        computed = tuple(cong.leader[x] for x in range(k.size))
+        computed = congruence_closure(k, seeds).leader
         compatible = [
             leader
             for leader in oracles.all_partitions(k.size)
-            if oracles.is_congruence(k, leader)
-            and all(leader[a] == leader[b] for a, b in seeds)
+            if oracles.is_congruence(k, leader) and all(leader[a] == leader[b] for a, b in seeds)
         ]
-        normalized = _normalize_leader(computed)
-        if normalized not in {_normalize_leader(l) for l in compatible}:
-            yield f"coequalizer of {hn}->{kn}: closure is not a congruence"
-        else:
-            yield not all(_refines(computed, other) for other in compatible) and (
-                f"coequalizer of {hn}->{kn}: closure is not minimal"
-            )
-
-
-def _normalize_leader(leader):
-    relabel = {}
-    out = []
-    for lead in leader:
-        relabel.setdefault(lead, len(relabel))
-        out.append(relabel[lead])
-    return tuple(out)
+        # the least compatible partition: it refines every one, and one refines it
+        least = all(_refines(computed, other) for other in compatible) and any(
+            _refines(other, computed) for other in compatible
+        )
+        yield not least and f"coequalizer of {hn}->{kn}: closure {computed} is not least for {seeds}"
 
 
 def suite_terminal_uniqueness(rng, budget):
-    target = terminal_monoid()
-    monoids = [(n, _named(n)) for n in _ATOMIC_NAMED]
-    monoids += [
-        (f"random{i}", m)
-        for i, m in enumerate(fixtures.random_fixtures(10))
-        if check_property(m, "atomic")
-    ]
-    for name, m in monoids:
+    target = terminal()
+    for name, m in _monoids(_ATOMIC_NAMED, 10):
+        if not check_property(m, "atomic"):
+            continue
         homs = _hom_list(m, target)
         canonical = canonical_to_terminal(m)
         yield (len(homs) != 1 or homs[0].map != canonical.map) and (
@@ -610,9 +566,7 @@ def suite_terminal_uniqueness(rng, budget):
 
 
 def suite_core_axioms(rng, budget):
-    monoids = [(n, _named(n)) for n in _NAMED]
-    monoids += [(f"random{i}", fixtures.random_monoid(i)) for i in range(10)]
-    for name, m in monoids:
+    for name, m in _monoids(_NAMED, 10):
         us = units(m)
         yield m.identity not in us and f"{name}: identity is not a unit"
         closed = all(m.mul(u, v) in us for u in us for v in us)
@@ -638,14 +592,12 @@ def suite_core_axioms(rng, budget):
                 f"{name}: word evaluation is not multiplicative"
             )
     # atom-preserving homs preserve the unit/atom/reducible classes
-    for hn in _ATOMIC_NAMED:
-        for kn in _ATOMIC_NAMED:
-            h, k = _named(hn), _named(kn)
-            for f in _hom_list(h, k):
-                for x in range(h.size):
-                    yield classify(h, x).value != classify(k, f.map[x]).value and (
-                        f"hom {hn}->{kn} moves class of {x}"
-                    )
+    for (hn, h), (kn, k) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2):
+        for f in _hom_list(h, k):
+            for x in range(h.size):
+                yield classify(h, x).value != classify(k, f.map[x]).value and (
+                    f"hom {hn}->{kn} moves class of {x}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +610,7 @@ _PERIODIC = ((3, 4), (5, 3), (2, 6))  # (preperiod, period) of the cyclic monoid
 
 
 def suite_generator_oracles(rng, budget):
-    monoids = _oracle_monoids()
+    monoids = _monoids(_NAMED, 20)
     for name, m in monoids:
         yield units(m) != oracles.units_by_pairs(m) and f"{name}: units {sorted(units(m))} vs the pair scan"
         yield atoms(m) != oracles.atoms_by_pairs(m) and f"{name}: atoms {sorted(atoms(m))} vs the pair scan"

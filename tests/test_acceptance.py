@@ -81,7 +81,7 @@ CASES_AT_SEED_0 = {
     "product-formulas": 218,
     "product-unions": 56,
     "terminal-uniqueness": 9,
-    "universal-properties": 1356,
+    "universal-properties": 1532,
 }
 
 

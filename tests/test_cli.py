@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import atomon
 from atomon.cli import build_parser, main
 from atomon.errors import ParseError, ValidationError
 from atomon.fixtures import c2, h2, one, zero
@@ -294,3 +298,17 @@ def test_budget_env_caps_oracle(files, capsys, monkeypatch):
     monkeypatch.setenv("ATOMON_BUDGET", "3")
     code = main(["coproduct", "lengthset", files["fam"], "(0@0)*(u@1)*(a@0)", "--bound", "8"])
     assert code == 1  # refused: search budget exhausted
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # the reader of stdout is gone before the child writes, as in `atomon ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(atomon.__file__).resolve().parent.parent)}
+    try:
+        argv = [sys.executable, "-m", "atomon.cli", "limits", "terminal"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")

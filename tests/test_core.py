@@ -20,7 +20,7 @@ from atomon import (
     units,
 )
 from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_length_system_bounded, fp_union_k
-from atomon.core import MonoidHom, terminal_monoid
+from atomon.core import MonoidHom, terminal
 from atomon.errors import (
     BadIdentityError,
     DuplicateNameError,
@@ -63,6 +63,10 @@ def test_new_monoid_rejects_bad_tables():
         new_monoid(("1", "1"), ((0, 1), (1, 0)), 0)
     with pytest.raises(ValidationError):
         new_monoid(("1", "x"), ((0, 1), (1, 7)), 0)
+    with pytest.raises(ValidationError, match="table must be 2x2"):
+        new_monoid(("1", "x"), ((0, 1), 5), 0)
+    with pytest.raises(ValidationError, match="names 5 are not a sequence"):
+        new_monoid(5, ((0,),), 0)
 
 
 @pytest.mark.parametrize("names, bad", [([1, "x"], 1), (["1", 2.5], 2.5), (["1", None], None), (["1", b"x"], b"x")])
@@ -121,7 +125,7 @@ def test_classify_trichotomy_on_terminal():
 @pytest.mark.parametrize("x", [99, 3, -1, True, 1.0, "1"])
 def test_classify_refuses_bad_element_indices(x):
     with pytest.raises(ValidationError):
-        classify(terminal_monoid(), x)
+        classify(terminal(), x)
 
 
 def test_new_hom_examples():
@@ -168,7 +172,7 @@ def test_canonical_to_terminal():
 
 
 def test_canonical_map_is_unique_up_to_size_six():
-    target = terminal_monoid()
+    target = terminal()
     for m in (zero(), one(), c2(), h2(), m31()):
         homs = list(enumerate_homs(m, target))
         assert homs == [canonical_to_terminal(m)]

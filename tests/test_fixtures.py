@@ -2,12 +2,7 @@ import pytest
 
 from atomon import check_property
 from atomon.errors import ValidationError
-from atomon.fixtures import (
-    atomic_fixtures,
-    named_fixtures,
-    random_fixtures,
-    random_monoid,
-)
+from atomon.fixtures import atomic_fixtures, named_fixtures, random_monoid
 
 
 def test_named_fixtures_validate():
@@ -43,7 +38,7 @@ def test_random_monoid_tables_are_pinned():
 
 
 def test_random_fixture_batch():
-    batch = random_fixtures(5)
+    batch = [random_monoid(seed) for seed in range(5)]
     assert len(batch) == 5
     assert any(m1 != m2 for m1 in batch for m2 in batch)
 

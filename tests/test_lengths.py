@@ -428,6 +428,8 @@ def test_a_lone_part_sums_to_its_canonical_form():
         lambda: eps_finite([1, True]),
         lambda: eps_cofinite(-2),
         lambda: eps_from_window([True] * 4, 1.0, 0),
+        lambda: EPSet(2, 5, 1, ()),
+        lambda: eps_finite(None),
     ],
 )
 def test_malformed_fields_are_refused(build):

@@ -2,8 +2,10 @@ import pytest
 
 from atomon import (
     EPS_WORD,
+    Family,
     Reachability,
     ReducedWord,
+    ap_materialize,
     atoms,
     canonical_to_terminal,
     check_property,
@@ -24,8 +26,10 @@ from atomon import (
     terminal,
     units,
 )
+from atomon import verify
 from atomon.errors import SourceMismatchError, TargetMismatchError, ValidationError
 from atomon.fixtures import c2, h2, m31, one, zero
+from atomon.product import _product_submonoid
 
 
 def test_initial_and_terminal():
@@ -298,3 +302,37 @@ def test_equalizer_universal_property_enumerated():
 def test_congruence_closure_refuses_non_element_pairs(pairs):
     with pytest.raises(ValidationError):
         congruence_closure(one(), pairs)
+
+
+def _equalizer_keeping_every_atom(f, g):
+    h = f.source
+    gens = [(a,) for a in atoms(h)] + [(u,) for u in units(h) if f.map[u] == g.map[u]]
+    e_monoid, (e,) = _product_submonoid((h,), gens)
+    return e_monoid, e
+
+
+def _pullback_keeping_every_atom_pair(f, g):
+    h, k = f.source, g.source
+    gens = [(x, y) for x in atoms(h) for y in atoms(k)]
+    gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
+    p, (p1, p2) = _product_submonoid((h, k), gens)
+    return p, p1, p2
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("equalizer", _equalizer_keeping_every_atom), ("pullback", _pullback_keeping_every_atom_pair)],
+)
+def test_universal_properties_catch_a_limit_that_ignores_the_arrows_on_atoms(monkeypatch, name, wrong):
+    # the wrong limits keep atoms the arrows send apart, so their legs are no cone
+    monkeypatch.setattr(verify, name, wrong)
+    assert verify.cmd_verify("universal-properties").mismatches
+
+
+def test_limit_oracle_refuses_an_apex_with_two_factorizations():
+    # h2 x h2 over h2 alone: a cone from one sending a to a lifts to (a,a) and (a,b)
+    mat, (p1, p2) = ap_materialize(Family([h2(), h2()]), 60)
+    outcomes = list(verify._limit_up("h2 x h2 over h2", mat, (p1,), (h2(),), lambda cone: True))
+    assert "h2 x h2 over h2: the cone [(0, 1, 3)] from one factors 2 times" in outcomes
+    # with both legs it is the product, and every cone factors once
+    assert not any(verify._limit_up("h2 x h2", mat, (p1, p2), (h2(), h2()), lambda cone: True))
