@@ -10,7 +10,9 @@ taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
 The check is one pass over the family's letter tables: a lookup, a type test
 and the reduced-word test run in C over the whole word, and only a word that
 fails them goes letter by letter through ``Family.check_letter`` and the
-position loop, which name the first culprit.
+position loop, which name the first culprit. The homs given to
+``fp_couniversal`` must be AtoMon arrows, atom-preserving homs between atomic
+monoids, as ``core._arrows`` checks.
 
 This module holds the construction only; its oracles (the bounded
 factorization search, the bounded property check and the enumeration of
@@ -26,8 +28,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_count, _check_indices, atoms, check_property, units
-from .errors import NotAtomicError, NotAtomPreservingError, TargetMismatchError, ValidationError
+from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _sequence, atoms, check_property, units
+from .errors import NotAtomicError, ValidationError
 from .lengths import (
     EMPTY,
     ZERO_ONLY,
@@ -66,10 +68,7 @@ class Family:
     __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
-        try:
-            members = tuple(members)
-        except TypeError:
-            raise ValidationError(f"family {members!r} is not a sequence of monoids") from None
+        members = _sequence(members, "family {!r} is not a sequence of monoids")
         if not members:
             raise ValidationError("a family needs at least one member")
         for i, m in enumerate(members):
@@ -116,12 +115,7 @@ class Family:
         canonical ones or hold only ints. All of this runs in C; a word that
         fails it goes through ``check_letter``, which names the first culprit.
         """
-        if not isinstance(word, tuple):
-            try:
-                word = iter(word)
-            except TypeError:
-                raise ValidationError(f"word {word!r} is not an iterable of letters") from None
-        letters = tuple(word)
+        letters = _sequence(word, "word {!r} is not an iterable of letters")
         try:
             checked = tuple(map(self._letters.__getitem__, letters))
             if all(map(operator.is_, checked, letters)) or set(map(type, itertools.chain.from_iterable(letters))) <= {int}:
@@ -250,6 +244,7 @@ def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
     repeats of that member only, none forces non-empty strictly alternating
     words.
     """
+    index_word = _sequence(index_word, "index word {!r} is not a sequence of member indices")
     if index_word:
         _check_indices(index_word, len(family.members), "member index")
     nr = family.non_reduced
@@ -334,16 +329,10 @@ def fp_couniversal(
     w: ReducedWord,
 ) -> int:
     """Evaluate the induced morphism out of the free product at a word."""
-    if len(homs) != len(family.members):
-        raise ValidationError("need exactly one hom per family member")
+    homs = _arrows(homs, "target")
+    if tuple(h.source for h in homs) != family.members:
+        raise ValidationError("need one hom per family member, hom i starting at member i")
     target = homs[0].target
-    for i, h in enumerate(homs):
-        if h.source != family.members[i]:
-            raise ValidationError(f"hom {i} does not start at family member {i}")
-        if h.target != target:
-            raise TargetMismatchError("homs must share one target")
-        if not h.atom_preserving:
-            raise NotAtomPreservingError(i)
     acc = target.identity
     for i, x in _check_word(family, w):
         acc = target.mul(acc, homs[i].map[x])

@@ -5,6 +5,12 @@ Words over a monoid (or over an abstract alphabet) are plain sequences,
 the empty sequence being the empty word. The initial object {1} and the
 terminal object {1, a, 0} of AtoMon are built here, by ``initial`` and
 ``terminal``.
+
+Two primitives check arguments for the whole library. ``_sequence`` reads an
+ordered argument as a tuple and refuses a str, bytes, set, mapping or
+non-iterable. ``_arrows`` refuses an arrow argument that is not an arrow of
+AtoMon (an atom-preserving hom between atomic monoids) or does not share the
+ends its construction needs.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 import operator
-from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import (
     BadIdentityError,
@@ -27,6 +34,8 @@ from .errors import (
     NotAtomPreservingError,
     NotIdentityPreservingError,
     NotMultiplicativeError,
+    SourceMismatchError,
+    TargetMismatchError,
     ValidationError,
 )
 
@@ -41,11 +50,11 @@ class FiniteMonoid:
     element is a product of members of G. The table algorithms
     (associativity and hom checks, hom search, congruence closure) work over G
     instead of over all elements. The underscored slots are per-instance
-    caches, filled on first use: units, atoms, the length-set table and the
-    U_k table (see ``lengths``).
+    caches, filled on first use: units, atoms, atomicity, the length-set
+    table and the U_k table (see ``lengths``).
     """
 
-    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_lengths", "_unions")
+    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_atomic", "_lengths", "_unions")
 
     def __init__(
         self,
@@ -61,6 +70,7 @@ class FiniteMonoid:
         self.generators = tuple(generators)
         self._units = None
         self._atoms = None
+        self._atomic = None
         self._lengths = None
         self._unions = None
 
@@ -121,6 +131,17 @@ def _check_count(value, what: str, least: int = 0) -> None:
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValidationError(f"{what} must be {bound}, not {value}")
+
+
+def _sequence(values, message: str) -> tuple:
+    """values as a tuple if they are a list, tuple, range or iterator; a str,
+    bytes, set, mapping or non-iterable raises ValidationError(message.format(values)).
+    A tuple or list, as every word and table row on the hot paths is, skips the ABC tests."""
+    if values.__class__ is tuple:
+        return values
+    if values.__class__ is list or isinstance(values, Iterable) and not isinstance(values, (str, bytes, Set, Mapping)):
+        return tuple(values)
+    raise ValidationError(message.format(values))
 
 
 def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: int | None = None) -> list:
@@ -258,20 +279,15 @@ def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: i
     table adds a few more column passes and Python work set by the size of
     the fault (see ``_first_nonassociative``).
     """
-    try:
-        names = tuple(names)
-    except TypeError:
-        raise ValidationError(f"names {names!r} are not a sequence") from None
+    names = _sequence(names, "names {!r} are not a sequence")
     _check_type(names, str, "name", "a string")
     n = len(names)
     if n == 0:
         raise ValidationError("a monoid needs at least one element")
     if len(set(names)) != n or any(name == "" for name in names):
         raise DuplicateNameError("names must be distinct non-empty strings")
-    try:
-        tab = tuple(map(tuple, table))
-    except TypeError:
-        raise ValidationError(f"table must be {n}x{n}, a sequence of rows") from None
+    rows = f"table must be {n}x{n}, a sequence of rows"
+    tab = tuple([_sequence(row, rows) for row in _sequence(table, rows)])
     if len(tab) != n or any(len(row) != n for row in tab):
         raise ValidationError(f"table must be {n}x{n}")
     flat = tuple(itertools.chain.from_iterable(tab))
@@ -357,16 +373,17 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     e·e = e·1 with e != 1 breaks cancellativity.
     The ``generator-oracles`` suite checks this against ``oracles.laws_hold``.
     """
-    n = m.size
-    us = units(m)
     if prop == "atomic":
-        covered = _atom_closure(m)
-        return all(x in covered for x in range(n) if x not in us)
+        if m._atomic is None:
+            us, covered = units(m), _atom_closure(m)
+            m._atomic = all(x in covered for x in range(m.size) if x not in us)
+        return m._atomic
+    us = units(m)
     if prop == "dedekind_finite":
         # x·y = 1 puts the identity in row x, so x is one of the units
         return all(m.mul(y, x) == m.identity for x in us for y, xy in enumerate(m.table[x]) if xy == m.identity)
     if prop in _LAWS:
-        return len(us) == n
+        return len(us) == m.size
     raise ValidationError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
 
 
@@ -388,10 +405,10 @@ def classify(m: FiniteMonoid, x: int) -> ElemClass:
 
 @dataclass(frozen=True)
 class MonoidHom:
-    """A validated monoid homomorphism given by its value table.
-
-    atom_preserving is computed at construction, never supplied.
-    """
+    """A monoid homomorphism given by its value table, checked when built:
+    one target index per source element, sending the identity to the identity
+    and respecting products (checked on the source's generators; a failure
+    names the first failing pair). atom_preserving is computed, never supplied."""
 
     source: FiniteMonoid
     target: FiniteMonoid
@@ -399,8 +416,17 @@ class MonoidHom:
     atom_preserving: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        tgt_atoms = atoms(self.target)
-        object.__setattr__(self, "atom_preserving", all(self.map[a] in tgt_atoms for a in atoms(self.source)))
+        source, target = self.source, self.target
+        mp = _sequence(self.map, "map must be a sequence, not {0.__class__.__name__}")
+        if len(mp) != source.size:
+            raise ValidationError(f"map must have length {source.size}")
+        _check_indices(mp, target.size, "map value")
+        if mp[source.identity] != target.identity:
+            raise NotIdentityPreservingError("map does not send identity to identity")
+        if not _respects_generators(source, target, mp):
+            raise NotMultiplicativeError(*_first_nonmultiplicative(source, target, mp))
+        object.__setattr__(self, "map", mp)
+        object.__setattr__(self, "atom_preserving", _preserves_atoms(source, target, mp))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -410,23 +436,13 @@ class MonoidHom:
 
 
 def new_hom(source: FiniteMonoid, target: FiniteMonoid, mapping: Sequence[int]) -> MonoidHom:
-    """Validate a map as identity- and product-preserving.
+    """Validate a map as identity- and product-preserving (see ``MonoidHom``)."""
+    return MonoidHom(source, target, mapping)
 
-    Products are checked against the source's generators only; a failure
-    reports the same first failing pair (x, y) as a check of all pairs.
-    """
-    try:
-        mp = tuple(mapping)
-    except TypeError:
-        raise ValidationError(f"map must be a sequence, not {type(mapping).__name__}") from None
-    if len(mp) != source.size:
-        raise ValidationError(f"map must have length {source.size}")
-    _check_indices(mp, target.size, "map value")
-    if mp[source.identity] != target.identity:
-        raise NotIdentityPreservingError("map does not send identity to identity")
-    if not _respects_generators(source, target, mp):
-        raise NotMultiplicativeError(*_first_nonmultiplicative(source, target, mp))
-    return MonoidHom(source, target, mp)
+
+def _preserves_atoms(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> bool:
+    """Whether mp sends every atom of the source to an atom of the target."""
+    return atoms(target).issuperset(map(mp.__getitem__, atoms(source)))
 
 
 def _respects_generators(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> bool:
@@ -464,10 +480,28 @@ def compose(g: MonoidHom, f: MonoidHom) -> MonoidHom:
     return new_hom(f.source, g.target, tuple(g.map[v] for v in f.map))
 
 
+def _arrows(homs, *shared: str) -> tuple[MonoidHom, ...]:
+    """homs as a non-empty tuple of AtoMon arrows sharing each end named in
+    ``shared`` ("source" or "target"), which is checked first."""
+    homs = _sequence(homs, "homs {!r} are not a sequence")
+    if not homs:
+        raise ValidationError("need at least one hom")
+    _check_type(homs, MonoidHom, "hom", "a MonoidHom")
+    for end in shared:
+        ends = list(map(attrgetter(end), homs))
+        if ends.count(ends[0]) < len(ends):
+            raise (SourceMismatchError if end == "source" else TargetMismatchError)(f"the homs do not share one {end}")
+    for i, h in enumerate(homs):
+        if not h.atom_preserving:
+            raise NotAtomPreservingError(i)
+        if not (check_property(h.source, "atomic") and check_property(h.target, "atomic")):
+            raise NotAtomicError(f"hom {i} has a non-atomic source or target")
+    return homs
+
+
 def is_atomon_mono(f: MonoidHom) -> bool:
     """Monomorphism test: injectivity on atoms and units of the source."""
-    if not f.atom_preserving:
-        raise NotAtomPreservingError()
+    _arrows((f,))
     core = atoms(f.source) | units(f.source)
     return len({f.map[x] for x in core}) == len(core)
 
@@ -495,6 +529,7 @@ def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
 
 def eval_word(m: FiniteMonoid, word: Sequence[int]) -> int:
     """Left-to-right product of a word of element indices; empty word gives 1."""
+    word = _sequence(word, "word {!r} is not a sequence of element indices")
     if word:
         _check_indices(word, m.size, "element index")
     acc = m.identity
@@ -520,7 +555,7 @@ def extend_atom_map(
         if image not in tgt_atoms:
             raise ImageNotAtomError(symbol)
     try:
-        substituted = [images[s] for s in word]
+        substituted = [images[s] for s in _sequence(word, "word {!r} is not a sequence of symbols")]
     except KeyError as exc:
         raise ValidationError(f"word symbol {exc.args[0]!r} has no image") from None
     return eval_word(target, substituted)
@@ -535,8 +570,8 @@ def enumerate_homs(
 
     A hom is fixed by its images of the source's generating set G. Each of
     the target.size ** len(G) choices of images is extended along the
-    closure of G and kept if it respects the generators. Still exponential
-    in |G|: intended for desk-scale uniqueness checks.
+    closure of G and kept if it respects the generators (and preserves
+    atoms, when asked). Exponential in |G|: for desk-scale uniqueness checks.
     """
     gens = source.generators
     steps = _closure_steps(source.table, source.identity, gens)
@@ -547,10 +582,6 @@ def enumerate_homs(
         for y, x, p in steps:
             mp[y] = tgt[mp[x]][images[p]]
         mp = tuple(mp)
-        if _respects_generators(source, target, mp):
+        if _respects_generators(source, target, mp) and (not atom_preserving_only or _preserves_atoms(source, target, mp)):
             maps.append(mp)
-    for mp in sorted(maps):
-        hom = MonoidHom(source, target, mp)
-        if atom_preserving_only and not hom.atom_preserving:
-            continue
-        yield hom
+    yield from (MonoidHom(source, target, mp) for mp in sorted(maps))

@@ -36,11 +36,8 @@ class NotMultiplicativeError(ValidationError):
 
 
 class NotAtomPreservingError(AtomonError):
-    def __init__(self, which=None):
-        msg = "homomorphism is not atom-preserving"
-        if which is not None:
-            msg += f" (component {which})"
-        super().__init__(msg)
+    def __init__(self, which: int):
+        super().__init__(f"hom {which} is not atom-preserving")
         self.which = which
 
 

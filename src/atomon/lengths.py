@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import FiniteMonoid, _check_count, _check_indices, atoms
+from .core import FiniteMonoid, _check_count, _check_indices, _sequence, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -213,6 +213,7 @@ def eps_from_window(bits: Sequence[bool], period: int, threshold: int) -> EPSet:
     """
     _check_count(period, "period", 1)
     _check_count(threshold, "threshold")
+    bits = _sequence(bits, "window {!r} is not a sequence of bits")
     mask = int("0" + "".join("1" if bit else "0" for bit in reversed(bits)), 2)
     return _from_mask(mask, len(bits), period, threshold)
 

@@ -1,18 +1,22 @@
 """Remaining limits and colimits: equalizers, pullbacks, coequalizers via
 congruence closure, pushout presentations. The initial and terminal objects
-are built in ``core`` (``core.initial``, ``core.terminal``)."""
+are built in ``core`` (``core.initial``, ``core.terminal``). Every arrow
+argument must be an AtoMon arrow, an atom-preserving hom between atomic
+monoids; ``core._arrows`` checks it, and the shared ends, before anything is
+built."""
 
 from __future__ import annotations
 
 import enum
 import itertools
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import (
     FiniteMonoid,
     MonoidHom,
+    _arrows,
     _check_count,
     _check_indices,
     _closure,
@@ -23,11 +27,7 @@ from .core import (
     units,
 )
 from .coproduct import Family, Letter, ReducedWord, _check_word, reduce
-from .errors import (
-    SourceMismatchError,
-    TargetMismatchError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .product import _product_submonoid
 
 
@@ -35,10 +35,7 @@ def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
     """The submonoid generated by the agreeing atoms and agreeing units,
     with its inclusion. Strictly smaller than the plain-monoid equalizer in
     general: agreeing elements outside that closure are left out."""
-    if f.source != g.source:
-        raise SourceMismatchError("equalizer needs a parallel pair")
-    if f.target != g.target:
-        raise TargetMismatchError("equalizer needs a parallel pair")
+    _arrows((f, g), "source", "target")
     h = f.source
     gens = [a for a in atoms(h) if f.map[a] == g.map[a]]
     gens += [u for u in units(h) if f.map[u] == g.map[u]]
@@ -54,8 +51,7 @@ def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, Monoi
     agreeing atom pairs and agreeing unit pairs, with both projections. Built
     by the same routine as the materialized product, so elements are indexed
     in discovery order and named "(x,y)"."""
-    if f.target != g.target:
-        raise TargetMismatchError("pullback needs a common target")
+    _arrows((f, g), "target")
     h, k = f.source, g.source
     gens = [(x, y) for x in atoms(h) for y in atoms(k) if f.map[x] == g.map[y]]
     gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
@@ -87,6 +83,8 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
     g·leader(x).
     """
     n = m.size
+    if not isinstance(pairs, Iterable):
+        raise ValidationError(f"pairs {pairs!r} are not a collection of pairs")
     pairs = list(pairs)
     bad = next((p for p in pairs if not isinstance(p, (tuple, list)) or len(p) != 2), None)
     if bad is not None:
@@ -139,10 +137,7 @@ def coequalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
     pairs (f(h), g(h)). The quotient is checked to be atomic with an
     atom-preserving projection; a failure here would contradict the theory
     and raises."""
-    if f.source != g.source:
-        raise SourceMismatchError("coequalizer needs a parallel pair")
-    if f.target != g.target:
-        raise TargetMismatchError("coequalizer needs a parallel pair")
+    _arrows((f, g), "source", "target")
     k = f.target
     cong = congruence_closure(k, [(f.map[h], g.map[h]) for h in range(f.source.size)])
     q_monoid, proj = quotient(k, cong)
@@ -163,8 +158,7 @@ class PushoutPresentation:
 
 
 def pushout_presentation(f: MonoidHom, g: MonoidHom) -> PushoutPresentation:
-    if f.source != g.source:
-        raise SourceMismatchError("pushout needs a common source")
+    _arrows((f, g), "source")
     family = Family([f.target, g.target])
     pairs = tuple(
         ((Letter(0, f.map[l]),), (Letter(1, g.map[l]),))

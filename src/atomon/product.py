@@ -6,7 +6,9 @@ materialization is optional and size-capped. ``_product_submonoid`` builds
 the submonoid of a direct product generated by given tuples, with its
 projections: ``core._closure`` finds the tuples and ``core._tabulate``, which
 the equalizer and the quotient in ``limits`` also use, reads off the table.
-It materializes the product here and the pullback in ``limits``.
+It materializes the product here and the pullback in ``limits``. The homs
+given to ``ap_universal`` must be AtoMon arrows, atom-preserving homs between
+atomic monoids, as ``core._arrows`` checks.
 """
 
 from __future__ import annotations
@@ -16,14 +18,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _check_count, _check_indices, _closure, _tabulate, atoms, new_hom, units
+from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _closure, _sequence, _tabulate, atoms
+from .core import new_hom, units
 from .coproduct import Family
-from .errors import (
-    NotAtomPreservingError,
-    NotInProductError,
-    SourceMismatchError,
-    ValidationError,
-)
+from .errors import NotInProductError, ValidationError
 from .lengths import (
     EMPTY,
     ZERO_ONLY,
@@ -45,7 +43,7 @@ class ProductGenerators:
 
 
 def _check_tuple(family: Family, t: Sequence[int]) -> TupleElem:
-    t = tuple(t)
+    t = _sequence(t, "tuple {!r} is not a sequence of element indices")
     if len(t) != len(family.members):
         raise ValidationError(f"tuple must have {len(family.members)} components")
     _check_indices(t, max(m.size for m in family.members), "component")
@@ -164,13 +162,6 @@ def ap_union_k(family: Family, k: int) -> EPSet:
 
 def ap_universal(homs: Sequence[MonoidHom], w: int) -> TupleElem:
     """The induced morphism into the product: componentwise application."""
-    if not homs:
-        raise ValidationError("need at least one hom")
-    source = homs[0].source
-    for i, h in enumerate(homs):
-        if h.source != source:
-            raise SourceMismatchError(f"hom {i} has a different source")
-        if not h.atom_preserving:
-            raise NotAtomPreservingError(i)
-    _check_indices((w,), source.size, "element index")
+    homs = _arrows(homs, "source")
+    _check_indices((w,), homs[0].source.size, "element index")
     return tuple(h.map[w] for h in homs)

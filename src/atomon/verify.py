@@ -39,6 +39,7 @@ from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, 
 from .lengths import length_set, length_system, power_layers, union_k
 from .limits import congruence_closure, coequalizer, equalizer, pullback
 from .product import ap_contains, ap_generators, ap_length_set, ap_length_system, ap_materialize, ap_union_k
+from .serialize import word_to_text
 
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
 _ATOMIC_NAMED = ("zero", "one", "c2", "h2", "m31")
@@ -123,12 +124,6 @@ def _hom_list(source: FiniteMonoid, target: FiniteMonoid):
 def _composite(g, f) -> tuple[int, ...]:
     """The map of g∘f, read off the two maps: a composite of homs is a hom."""
     return tuple(map(g.map.__getitem__, f.map))
-
-
-def _fmt_word(w: ReducedWord) -> str:
-    if not w.letters:
-        return "eps"
-    return "*".join(f"({i}:{x})" for i, x in w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,7 @@ def suite_coproduct_reduction(rng, budget):
         words = list(oracles.reduced_words_upto(fam, 3))
         for x, y in itertools.product(words, repeat=2):
             yield fp_mul(fam, x, y) != reduce(fam, x.letters + y.letters) and (
-                f"{names}: fp_mul differs from reduce on {_fmt_word(x)} * {_fmt_word(y)}"
+                f"{names}: fp_mul differs from reduce on {word_to_text(fam, x)} * {word_to_text(fam, y)}"
             )
 
 
@@ -257,7 +252,7 @@ def suite_coproduct_recognition(rng, budget):
                 fp_mul(fam, w, v) == EPS_WORD and fp_mul(fam, v, w) == EPS_WORD
                 for v in words
             )
-            yield unit_flags[w] != definitional_unit and f"{names}: unit test disagrees on {_fmt_word(w)}"
+            yield unit_flags[w] != definitional_unit and f"{names}: unit test disagrees on {word_to_text(fam, w)}"
             definitional_atom = not unit_flags[w] and not any(
                 fp_mul(fam, u, v) == w
                 for u in words
@@ -266,7 +261,7 @@ def suite_coproduct_recognition(rng, budget):
                 if not unit_flags[v]
             )
             yield fp_is_atom(fam, w) != definitional_atom and (
-                f"{names}: atom test disagrees on {_fmt_word(w)}"
+                f"{names}: atom test disagrees on {word_to_text(fam, w)}"
             )
     # atoms of a free product outnumber the member atoms (finite-scale contrast)
     fam = _family(("c2", "one"))
@@ -282,7 +277,7 @@ def suite_coproduct_lengths(rng, budget):
             closed = set(fp_length_set(fam, w).members_upto(10))
             oracle = oracles.fp_brute_force_lengths(fam, w, 10, budget=budget)
             yield closed != oracle and (
-                f"{names} word {_fmt_word(w)}: formula {sorted(closed)} vs search {sorted(oracle)}"
+                f"{names} word {word_to_text(fam, w)}: formula {sorted(closed)} vs search {sorted(oracle)}"
             )
 
 
@@ -315,7 +310,7 @@ def suite_coproduct_systems(rng, budget):
         for w in oracles.reduced_words_upto(fam, max_blocks):
             if not w.letters or fp_is_unit(fam, w):
                 continue
-            yield fp_length_set(fam, w) not in system and f"{names}: system misses L({_fmt_word(w)})"
+            yield fp_length_set(fam, w) not in system and f"{names}: system misses L({word_to_text(fam, w)})"
         # every listed entry is realized by an actual element
         realized = {
             fp_length_set(fam, w)

@@ -74,6 +74,15 @@ def test_hom_map_refuses_non_integer_values(files, capsys, entry):
     assert "is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("construction", ["equalizer", "pullback", "coequalizer"])
+def test_limits_refuse_an_arrow_that_is_not_atom_preserving(files, capsys, construction):
+    # a -> 1 respects products on {1, a, 0}, but sends the atom a to a unit
+    path = Path(files["one"]).parent / "a_to_1.json"
+    path.write_text(json.dumps({"source": "one.json", "target": "one.json", "map": [0, 0, 0]}))
+    assert main(["limits", construction, str(path), files["id_one"]]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: hom 0 is not atom-preserving"]
+
+
 def test_hom_map_must_be_a_sequence(files, capsys):
     path = Path(files["one"]).parent / "hom.json"
     path.write_text(json.dumps({"source": "one.json", "target": "one.json", "map": 5}))
@@ -257,6 +266,9 @@ def test_verify_command(files, capsys):
     code, out = run(capsys, "verify", "--suite", "length-oracle")
     assert code == 0
     assert out.strip() == "suite length-oracle: 408 cases, ok"
+    code, out = run(capsys, "verify", "--suite", "length-oracle", "--json", "--timings")
+    [report] = json.loads(out)
+    assert code == 0 and report["cases"] == 408 and report["wall_time"] >= 0
     code, _ = run(capsys, "verify", "--suite", "nope")
     assert code == 1
 

@@ -62,7 +62,7 @@ def test_family_requires_atomic_members():
     "members,message",
     [
         ([1, 2], "member 0 is 1, not a FiniteMonoid"),
-        ("ab", "member 0 is 'a', not a FiniteMonoid"),
+        ("ab", "family 'ab' is not a sequence of monoids"),
         ([one(), "x"], "member 1 is 'x', not a FiniteMonoid"),
         (5, "family 5 is not a sequence of monoids"),
         ([], "at least one member"),

@@ -19,7 +19,8 @@ from atomon import (
     new_monoid,
     units,
 )
-from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_length_system_bounded, fp_union_k
+from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
+from atomon.coproduct import gamma_admissible, reduce
 from atomon.core import MonoidHom, terminal
 from atomon.errors import (
     BadIdentityError,
@@ -33,10 +34,10 @@ from atomon.errors import (
     ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, one, sl2, zero
-from atomon.lengths import union_k
-from atomon.limits import pushout_eq_bounded, pushout_presentation
+from atomon.lengths import eps_from_window, union_k
+from atomon.limits import coequalizer, equalizer, pullback, pushout_eq_bounded, pushout_presentation
 from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto
-from atomon.product import ap_materialize, ap_union_k
+from atomon.product import ap_contains, ap_materialize, ap_union_k, ap_universal
 
 
 def test_new_monoid_accepts_terminal_table():
@@ -67,6 +68,12 @@ def test_new_monoid_rejects_bad_tables():
         new_monoid(("1", "x"), ((0, 1), 5), 0)
     with pytest.raises(ValidationError, match="names 5 are not a sequence"):
         new_monoid(5, ((0,),), 0)
+    with pytest.raises(ValidationError, match="at least one element"):
+        new_monoid((), (), 0)
+    with pytest.raises(ValidationError, match="table must be 2x2$"):
+        new_monoid(("1", "x"), ((0, 1), (1,)), 0)
+    with pytest.raises(ValidationError, match="identity index 2 out of range"):
+        new_monoid(("1", "x"), ((0, 1), (1, 1)), 2)
 
 
 @pytest.mark.parametrize("names, bad", [([1, "x"], 1), (["1", 2.5], 2.5), (["1", None], None), (["1", b"x"], b"x")])
@@ -237,6 +244,8 @@ def test_compose_and_identity():
     f = new_hom(h2(), one(), (0, 1, 1, 2))
     assert compose(identity_hom(one()), f) == f
     assert compose(f, identity_hom(h2())) == f
+    with pytest.raises(ValidationError, match="homs do not compose"):
+        compose(f, f)
 
 
 def test_units_form_a_group():
@@ -275,3 +284,73 @@ COUNT_CALLS = {
 def test_count_parameters_refuse_non_integers(name, value):
     with pytest.raises(ValidationError, match="must be an integer"):
         COUNT_CALLS[name](value)
+
+
+# each ordered-sequence parameter of the library, as a call taking it, with a
+# value it accepts
+SEQUENCE_CALLS = {
+    "new_monoid names": (lambda v: new_monoid(v, ((0, 1), (1, 1)), 0), ("1", "x")),
+    "new_monoid table": (lambda v: new_monoid(("1", "x"), v, 0), ((0, 1), (1, 1))),
+    "new_monoid row": (lambda v: new_monoid(("1", "u"), ((0, 1), v), 0), (1, 0)),
+    "new_hom map": (lambda v: new_hom(h2(), h2(), v), (0, 2, 1, 3)),
+    "Family members": (lambda v: Family(v).members, (one(), c2())),
+    "reduce word": (lambda v: reduce(_ONE_C2, v), ((0, 1), (1, 1), (1, 1))),
+    "eval_word word": (lambda v: eval_word(one(), v), (1, 1)),
+    "extend_atom_map word": (lambda v: extend_atom_map(h2(), {"x": 1, "y": 2}, v), ("x", "y")),
+    "gamma_admissible index word": (lambda v: gamma_admissible(Family([one(), one()]), v), (0, 1)),
+    "ap_contains tuple": (lambda v: ap_contains(Family([one(), one()]), v), (2, 2)),
+    "eps_from_window bits": (lambda v: eps_from_window(v, 1, 1), (False, True, True)),
+    "ap_universal homs": (lambda v: ap_universal(v, 2), (identity_hom(one()), identity_hom(one()))),
+    "fp_couniversal homs": (
+        lambda v: fp_couniversal(_ONE_C2, v, reduce(_ONE_C2, [(0, 1), (1, 1)])),
+        (identity_hom(one()), new_hom(c2(), one(), (0, 0))),
+    ),
+}
+ORDERED = {"tuple": tuple, "list": list, "generator": lambda v: (x for x in v)}
+# unordered or not iterable: their keys or characters are never read as the values
+REFUSED = {
+    "set": set,
+    "frozenset": frozenset,
+    "dict": dict.fromkeys,
+    "str": lambda v: "01",
+    "int": lambda v: 5,
+    "None": lambda v: None,
+}
+
+
+@pytest.mark.parametrize("kind", [*ORDERED, *REFUSED])
+@pytest.mark.parametrize("name", SEQUENCE_CALLS)
+def test_sequence_parameters_read_ordered_iterables_only(name, kind):
+    call, value = SEQUENCE_CALLS[name]
+    if kind in ORDERED:
+        assert call(ORDERED[kind](value)) == call(value)
+    else:
+        with pytest.raises(ValidationError):
+            call(REFUSED[kind](value))
+
+
+# each arrow parameter of the library, as a call taking one arrow f
+ARROW_CALLS = {
+    "equalizer": lambda f: equalizer(f, f),
+    "coequalizer": lambda f: coequalizer(f, f),
+    "pullback": lambda f: pullback(f, f),
+    "pushout_presentation": lambda f: pushout_presentation(f, f),
+    "ap_universal": lambda f: ap_universal([f], 0),
+    "fp_couniversal": lambda f: fp_couniversal(Family([c2()]), [f], EPS_WORD),
+    "is_atomon_mono": is_atomon_mono,
+}
+# arrows that are not arrows of AtoMon, with the error each gets
+NON_ARROWS = {
+    "not a hom": (lambda: 5, ValidationError),
+    "a to 1": (lambda: new_hom(one(), one(), (0, 0, 0)), NotAtomPreservingError),
+    "from sl2": (lambda: new_hom(sl2(), one(), (0, 2)), NotAtomicError),
+    "into sl2": (lambda: new_hom(c2(), sl2(), (0, 0)), NotAtomicError),
+}
+
+
+@pytest.mark.parametrize("arrow", NON_ARROWS)
+@pytest.mark.parametrize("site", ARROW_CALLS)
+def test_arrow_parameters_take_atomon_arrows_only(site, arrow):
+    make, error = NON_ARROWS[arrow]
+    with pytest.raises(error):
+        ARROW_CALLS[site](make())

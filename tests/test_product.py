@@ -138,6 +138,7 @@ def test_unit_and_atom_tests_match_the_generator_tuples(names):
         ((3, 0), "out of range"),
         ((0,), "2 components"),
         ((0, 0, 0), "2 components"),
+        ((0, 2), "component 1 out of range"),
     ],
 )
 def test_tuples_must_hold_one_index_per_member(t, message):

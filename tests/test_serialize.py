@@ -55,6 +55,12 @@ def test_hom_and_family_files(tmp_path):
     assert h.map == (0, 0) and h.atom_preserving
     fam = load_family(tmp_path / "fam.json")
     assert len(fam) == 2
+    (tmp_path / "hom.json").write_text(json.dumps({"source": "c2.json", "target": "one.json"}))
+    with pytest.raises(ParseError, match="malformed hom file"):
+        load_hom(tmp_path / "hom.json")
+    (tmp_path / "fam.json").write_text(json.dumps({"members": ["one.json", 5]}))
+    with pytest.raises(ParseError, match="malformed family file"):
+        load_family(tmp_path / "fam.json")
 
 
 def test_eps_json_round_trip():
@@ -84,6 +90,13 @@ def test_eps_json_round_trip():
 def test_eps_json_refuses_bad_fields(change):
     data = dict(eps_to_json(EPSet(3, {1}, 2, {0})), **change)
     with pytest.raises(ParseError):
+        eps_from_json(data)
+
+
+def test_eps_json_refuses_a_missing_field():
+    data = eps_to_json(EPSet(3, {1}, 2, {0}))
+    del data["threshold"]
+    with pytest.raises(ParseError, match="malformed EPSet object"):
         eps_from_json(data)
 
 
@@ -117,3 +130,5 @@ def test_tuple_literals():
         parse_tuple(fam, "(a,u,a)")
     with pytest.raises(ParseError):
         parse_tuple(fam, "a,u")
+    with pytest.raises(ParseError, match="no element named 'zzz'"):
+        parse_tuple(fam, "(a,zzz)")
