@@ -6,13 +6,20 @@ letters, adjacent letters from distinct members.
 
 Two reduced words can only cancel where they meet, so products merge at the
 junction (``_join``); ``reduce`` is for raw words only. Every public function
-taking a ``ReducedWord`` checks it first and refuses one that is not reduced.
-The check is one pass over the family's letter tables: a lookup, a type test
-and the reduced-word test run in C over the whole word, and only a word that
-fails them goes letter by letter through ``Family.check_letter`` and the
-position loop, which name the first culprit. The homs given to
-``fp_couniversal`` must be AtoMon arrows, atom-preserving homs between atomic
-monoids, as ``core._arrows`` checks.
+taking a ``ReducedWord`` refuses one that is not reduced, and checks a word
+once per family. The check is one pass over the family's letter tables: a
+lookup, a type test and the reduced-word test run in C over the whole word,
+and only a word that fails them goes letter by letter through
+``Family.check_letter`` and the position loop, which name the first culprit.
+A word that passes, or that ``reduce`` or ``fp_mul`` built, is stamped with
+the family and its canonical letters, and a later call with that family
+reads the stamp instead. Trusting the stamp is sound because a stamped word
+cannot change: it is frozen, its letters are a tuple of tuples of ints, and
+the family's letter tables are built once. A word whose letters are a list
+is never stamped, and a word stamped by another family is checked in full.
+Every function taking a family refuses anything that is not a ``Family``.
+The homs given to ``fp_couniversal`` must be AtoMon arrows, atom-preserving
+homs between atomic monoids, as ``core._arrows`` checks.
 
 This module holds the construction only; its oracles (the bounded
 factorization search, the bounded property check and the enumeration of
@@ -62,10 +69,12 @@ class Family:
     frozensets of the identity letters and of the unit letters. Length sets
     are not tabled here: they stay lazy, per member. ``_pooled`` and
     ``_totals`` hold the rows of ``fp_union_k``'s DP computed so far; they
-    start empty and grow to the largest k asked for.
+    start empty and grow to the largest k asked for. ``_sums`` maps each
+    multiset of letter length sets that ``fp_length_set`` has summed, as the
+    frozenset of its (length set, count) pairs, to the sum; it starts empty.
     """
 
-    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals")
+    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -86,6 +95,7 @@ class Family:
         self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
+        self._sums: dict[frozenset[tuple[EPSet, int]], EPSet] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -132,6 +142,15 @@ class Family:
 class ReducedWord:
     letters: tuple[Letter, ...]
 
+    # (family, canonical letters) once that family has checked or built the
+    # word; not a field, so not part of ==, hash or repr (see _stamped)
+    _stamp = None
+
+    def __getstate__(self) -> dict:
+        # the stamp names a family object of this process: copies and
+        # pickles carry the letters only
+        return {"letters": self.letters}
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -142,9 +161,22 @@ class ReducedWord:
 EPS_WORD = ReducedWord(())
 
 
+def _check_family(family) -> None:
+    if not isinstance(family, Family):
+        raise ValidationError(f"family {family!r} is not a Family")
+
+
+def _stamped(family: Family, w: ReducedWord, letters: tuple[Letter, ...]) -> ReducedWord:
+    """w, marked as checked by family, with letters its canonical letters.
+    Only for a word whose letters are a tuple: it can never change."""
+    object.__setattr__(w, "_stamp", (family, letters))
+    return w
+
+
 def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
     """Normal form of a raw word: one stack pass merging same-member runs
     and dropping identity letters."""
+    _check_family(family)
     stack: list[Letter] = []
     for i, x in family._checked(word):
         member = family.members[i]
@@ -156,15 +188,24 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
                 continue
             stack.append(family._letters[i, x])
             break
-    return ReducedWord(tuple(stack))
+    letters = tuple(stack)
+    return _stamped(family, ReducedWord(letters), letters)
 
 
 def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
     """w's letters, checked by ``Family._checked``; w must be reduced: no
     identity letter and no two adjacent letters from one member. Only a word
-    that is not reduced runs the position loop, to name where it fails."""
+    that is not reduced runs the position loop, to name where it fails.
+
+    A word stamped by this family is returned at once; a stamp is only ever
+    set by a Family, so that test also vouches for the family argument. A
+    word whose letters are a tuple is stamped when it passes."""
     if not isinstance(w, ReducedWord):
         raise ValidationError(f"{w!r} is not a ReducedWord")
+    stamp = w._stamp
+    if stamp is not None and stamp[0] is family:
+        return stamp[1]
+    _check_family(family)
     letters = family._checked(w.letters)
     mons = tuple(map(_MON, letters))
     if not family._identities.isdisjoint(letters) or any(map(operator.eq, mons, mons[1:])):
@@ -173,6 +214,8 @@ def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
                 raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
             if pos and letters[pos - 1].mon == i:
                 raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
+    if w.letters.__class__ is tuple:
+        _stamped(family, w, letters)
     return letters
 
 
@@ -200,11 +243,13 @@ def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple
 
 def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
     """Product of two reduced words, merged at the junction."""
-    return ReducedWord(_join(family, _check_word(family, x), _check_word(family, y)))
+    letters = _join(family, _check_word(family, x), _check_word(family, y))
+    return _stamped(family, ReducedWord(letters), letters)
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:
-    return family._units.issuperset(_check_word(family, w))
+    letters = _check_word(family, w)
+    return family._units.issuperset(letters)
 
 
 def _is_unit_letter(family: Family, letter: Letter) -> bool:
@@ -223,7 +268,12 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     """Length set of a reduced word: the sum of its non-unit letters' length
     sets, read from each member's cached table. Equal letters are counted
-    first, then their counts merged per distinct length set."""
+    first, then their counts merged per distinct length set.
+
+    A word of n letters costs one counting pass over them. The sum of the
+    counted multiset is looked up in ``family._sums``; only a multiset this
+    family has not summed before costs Minkowski sums, O(d·log n) of them for
+    d distinct length sets (``lengths._sum_counted``)."""
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
@@ -233,7 +283,11 @@ def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     counts = collections.Counter()
     for (i, x), c in non_unit.items():
         counts[_length_sets(family.members[i])[x]] += c
-    return _sum_counted(counts)
+    key = frozenset(counts.items())
+    total = family._sums.get(key)
+    if total is None:
+        total = family._sums[key] = _sum_counted(counts)
+    return total
 
 
 def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
@@ -244,6 +298,7 @@ def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
     repeats of that member only, none forces non-empty strictly alternating
     words.
     """
+    _check_family(family)
     index_word = _sequence(index_word, "index word {!r} is not a sequence of member indices")
     if index_word:
         _check_indices(index_word, len(family.members), "member index")
@@ -276,6 +331,7 @@ def fp_length_system_bounded(family: Family, max_blocks: int) -> LengthSystem:
     i extend those ending in a member that may precede i, and these are all
     the admissible ones, since admissibility is a condition on adjacent pairs.
     """
+    _check_family(family)
     _check_count(max_blocks, "max_blocks", 1)
     systems = [length_system(m, nonzero_only=True).entries for m in family.members]
     follows = _follows(family)
@@ -308,6 +364,7 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     k·|family|) EPSet operations, a call at or below a k already reached is
     one lookup, and a sweep of k = 1..K costs one O(K²) DP in any order.
     """
+    _check_family(family)
     _check_count(k, "k")
     pooled, totals = family._pooled, family._totals
     for j in range(len(totals), k + 1):
@@ -329,6 +386,7 @@ def fp_couniversal(
     w: ReducedWord,
 ) -> int:
     """Evaluate the induced morphism out of the free product at a word."""
+    _check_family(family)
     homs = _arrows(homs, "target")
     if tuple(h.source for h in homs) != family.members:
         raise ValidationError("need one hom per family member, hom i starting at member i")

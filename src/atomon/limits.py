@@ -86,7 +86,7 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
     if not isinstance(pairs, Iterable):
         raise ValidationError(f"pairs {pairs!r} are not a collection of pairs")
     pairs = list(pairs)
-    bad = next((p for p in pairs if not isinstance(p, (tuple, list)) or len(p) != 2), None)
+    bad = next((p for p in pairs if not isinstance(p, tuple) or len(p) != 2), None)
     if bad is not None:
         raise ValidationError(f"{bad!r} is not a pair of element indices")
     if pairs:

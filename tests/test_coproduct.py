@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -39,7 +41,7 @@ from atomon import lengths
 from atomon.coproduct import _join
 from atomon.core import units
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
-from atomon.lengths import eps_minkowski_sum, eps_union, length_set
+from atomon.lengths import eps_minkowski_sum, eps_sum_many, eps_union, length_set
 from atomon.oracles import fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto, system_oracle, union_k_oracle
 
 
@@ -205,6 +207,88 @@ def test_fp_mul_refuses_a_raw_word(one_c2):
         fp_mul(one_c2, [(0, 1)], EPS_WORD)
 
 
+FAMILY_CONSUMERS = {
+    "reduce": lambda fam, w: reduce(fam, []),
+    "fp_mul": lambda fam, w: fp_mul(fam, w, w),
+    "fp_is_unit": fp_is_unit,
+    "fp_is_atom": fp_is_atom,
+    "fp_length_set": fp_length_set,
+    "fp_union_k": lambda fam, w: fp_union_k(fam, 1),
+    "fp_length_system_bounded": lambda fam, w: fp_length_system_bounded(fam, 2),
+    "gamma_admissible": lambda fam, w: gamma_admissible(fam, (0,)),
+    "coprojection": lambda fam, w: coprojection(fam, 0, 1),
+    "fp_couniversal": lambda fam, w: fp_couniversal(fam, [identity_hom(one())], w),
+}
+
+
+@pytest.mark.parametrize("consumer", FAMILY_CONSUMERS)
+@pytest.mark.parametrize("family", [5, None, (one(), c2())], ids=["int", "none", "tuple-of-monoids"])
+def test_family_arguments_must_be_families(one_c2, consumer, family):
+    # the word was stamped by a real family, so no stamp can vouch for this one
+    w = reduce(one_c2, [(0, 1)])
+    with pytest.raises(ValidationError, match="is not a Family"):
+        FAMILY_CONSUMERS[consumer](family, w)
+
+
+def _raised(compute) -> str:
+    with pytest.raises(ValidationError) as err:
+        compute()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("consumer", WORD_CONSUMERS)
+@pytest.mark.parametrize(
+    "members,letter,message",
+    [
+        ((one(), c2(), m31()), (2, 1), "member index 2 out of range"),
+        ((one(), m31()), (1, 2), "element 2 out of range for member 1"),
+    ],
+    ids=["member-out-of-range", "element-out-of-range"],
+)
+def test_a_word_stamped_by_another_family_is_checked_in_full(one_c2, consumer, members, letter, message):
+    stamped = reduce(Family(members), [letter])
+    assert stamped._stamp is not None
+    compute = WORD_CONSUMERS[consumer]
+    unstamped = _raised(lambda: compute(one_c2, ReducedWord((letter,))))
+    assert message in unstamped
+    assert _raised(lambda: compute(one_c2, stamped)) == unstamped
+
+
+@pytest.mark.parametrize("consumer", WORD_CONSUMERS)
+def test_a_word_over_a_list_is_checked_on_every_call(one_c2, consumer):
+    letters = [(1, 1)]
+    w = ReducedWord(letters)
+    WORD_CONSUMERS[consumer](one_c2, w)
+    assert w._stamp is None
+    letters.append((0, 0))
+    with pytest.raises(ValidationError, match="letter 1 of the word is the identity of member 0"):
+        WORD_CONSUMERS[consumer](one_c2, w)
+
+
+@pytest.mark.parametrize("consumer", WORD_CONSUMERS)
+def test_a_hand_built_word_equal_to_a_stamped_one_is_still_checked(one_c2, consumer):
+    stamped = fp_mul(one_c2, reduce(one_c2, [(0, 1)]), EPS_WORD)
+    WORD_CONSUMERS[consumer](one_c2, stamped)
+    hand_built = ReducedWord(((0, True),))
+    assert hand_built == stamped and hash(hand_built) == hash(stamped)
+    with pytest.raises(ValidationError, match="two integers"):
+        WORD_CONSUMERS[consumer](one_c2, hand_built)
+
+
+def test_stamps_are_not_part_of_a_words_value(one_c2):
+    stamped = fp_mul(one_c2, reduce(one_c2, [(0, 1), (1, 1)]), reduce(one_c2, [(0, 1)]))
+    rebuilt = ReducedWord(tuple(Letter(i, x) for i, x in stamped.letters))
+    plain = ReducedWord(tuple((i, x) for i, x in stamped.letters))
+    assert stamped._stamp == (one_c2, stamped.letters)
+    assert rebuilt._stamp is None and plain._stamp is None
+    assert stamped == rebuilt == plain
+    assert hash(stamped) == hash(rebuilt) == hash(plain)
+    assert repr(stamped) == repr(rebuilt) == "ReducedWord(letters=(Letter(mon=0, elem=1), Letter(mon=1, elem=1), Letter(mon=0, elem=1)))"
+    # copies and pickles carry the letters only
+    for clone in (copy.copy(stamped), copy.deepcopy(stamped), pickle.loads(pickle.dumps(stamped))):
+        assert clone == stamped and clone._stamp is None
+
+
 @pytest.mark.parametrize(
     "index_word,message",
     [
@@ -255,7 +339,7 @@ def test_fp_union_examples(two_ones):
 def test_union_k_rows_kept_on_a_family_give_the_answers_of_a_fresh_one(order):
     members = (one(), m31(), c2())
     fam = Family(members)
-    assert fam._pooled == [] and fam._totals == []
+    assert fam._pooled == [] and fam._totals == [] and fam._sums == {}
     for k in order:
         assert fp_union_k(fam, k) == fp_union_k(Family(members), k)
     assert len(fam._totals) == len(fam._pooled) == max(order) + 1
@@ -427,6 +511,28 @@ def test_long_word_length_set_needs_few_sums(monkeypatch):
     monkeypatch.setattr(lengths, "eps_minkowski_sum", counted)
     assert fp_length_set(fam, w) == fold
     assert n > 200 and len(calls) <= 2 * d * math.ceil(math.log2(n))
+
+
+MEMO_FAMILY = Family([h2(), m31(), c2(), one()])
+
+
+@st.composite
+def call_orders(draw):
+    """Up to five reduced words over MEMO_FAMILY, in a drawn order with
+    repeats."""
+    words = [ReducedWord(letters) for letters in draw(st.lists(reduced_letters(MEMO_FAMILY), min_size=1, max_size=5))]
+    return [words[i] for i in draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=12))]
+
+
+@settings(max_examples=200)
+@given(call_orders())
+def test_length_sets_summed_once_per_family_match_a_fresh_sum(words):
+    # MEMO_FAMILY lives across every example, so its sums table fills up
+    for w in words:
+        parts = [length_set(MEMO_FAMILY[i], x) for i, x in w.letters if x not in units(MEMO_FAMILY[i])]
+        # a non-empty word of units only is not a product of atoms
+        want = EMPTY if w.letters and not parts else eps_sum_many(parts)
+        assert fp_length_set(MEMO_FAMILY, w) == want
 
 
 def _reduce_per_letter(fam, word):

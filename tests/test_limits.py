@@ -300,7 +300,7 @@ def test_equalizer_universal_property_enumerated():
             assert compose(e, tau) == alpha
 
 
-@pytest.mark.parametrize("pairs", [[(True, 2)], [(1.5, 2)], [(9, 2)], [(1, -1)], [(1, 2, 3)], [(1,)], [5], 5])
+@pytest.mark.parametrize("pairs", [[(True, 2)], [(1.5, 2)], [(9, 2)], [(1, -1)], [(1, 2, 3)], [(1,)], [5], 5, [[1, 2]]])
 def test_congruence_closure_refuses_non_element_pairs(pairs):
     with pytest.raises(ValidationError):
         congruence_closure(one(), pairs)
