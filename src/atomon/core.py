@@ -6,11 +6,17 @@ the empty sequence being the empty word. The initial object {1} and the
 terminal object {1, a, 0} of AtoMon are built here, by ``initial`` and
 ``terminal``.
 
-Two primitives check arguments for the whole library. ``_sequence`` reads an
-ordered argument as a tuple and refuses a str, bytes, set, mapping or
-non-iterable. ``_arrows`` refuses an arrow argument that is not an arrow of
-AtoMon (an atom-preserving hom between atomic monoids) or does not share the
-ends its construction needs.
+Each value type checks itself when built. ``FiniteMonoid`` validates its
+table and derives its generators from it; ``new_monoid`` is its public
+spelling. ``MonoidHom`` validates its map; ``new_hom`` is its public
+spelling.
+
+Three primitives check arguments for the whole library. ``_sequence`` reads
+an ordered argument as a tuple and refuses a str, bytes, set, mapping or
+non-iterable. ``_check_monoid`` refuses a monoid argument that is not a
+``FiniteMonoid``. ``_arrows`` refuses an arrow argument that is not an arrow
+of AtoMon (an atom-preserving hom between atomic monoids) or does not share
+the ends its construction needs.
 """
 
 from __future__ import annotations
@@ -44,30 +50,67 @@ _LAWS = ("acyclic", "unit_cancellative", "cancellative")  # cancellation laws, s
 
 
 class FiniteMonoid:
-    """A validated finite monoid. Immutable after construction.
+    """A finite monoid, validated when built from its multiplication table.
+    Immutable after construction; ``new_monoid`` is its public spelling.
 
-    ``generators`` is a small generating set G, found by ``new_monoid``: every
+    ``generators`` is a small generating set G, derived from the table: every
     element is a product of members of G. The table algorithms
     (associativity and hom checks, hom search, congruence closure) work over G
     instead of over all elements. The underscored slots are per-instance
     caches, filled on first use: units, atoms, atomicity, the length-set
     table and the U_k table (see ``lengths``).
+
+    Associativity is decided by Light's test over G:
+    (x·g)·y = x·(g·y) for all x, y and every g in G. The elements g passing it
+    are closed under the product, and G generates, so this is sound without
+    assuming associativity. A failure reports the same lexicographically
+    first triple as a full i-j-k scan.
+
+    The n² entries are read by C-level passes: one flatten, one type pass and
+    one count. The count's at most n keys give the range check and rank the
+    candidate generators. Then come the |G| Light rows, each comparing n pairs
+    of rows. Only the identity column and the generator columns are built,
+    and a failed check scans for its culprit only then. A non-associative
+    table adds a few more column passes and Python work set by the size of
+    the fault (see ``_first_nonassociative``).
     """
 
     __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_atomic", "_lengths", "_unions")
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        table: Sequence[Sequence[int]],
-        identity: int,
-        generators: Sequence[int],
-    ):
-        self.names = tuple(names)
-        self.table = tuple(tuple(row) for row in table)
+    def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], identity: int):
+        names = _sequence(names, "names {!r} are not a sequence")
+        _check_type(names, str, "name", "a string")
+        n = len(names)
+        if n == 0:
+            raise ValidationError("a monoid needs at least one element")
+        if len(set(names)) != n or any(name == "" for name in names):
+            raise DuplicateNameError("names must be distinct non-empty strings")
+        rows = f"table must be {n}x{n}, a sequence of rows"
+        tab = tuple([_sequence(row, rows) for row in _sequence(table, rows)])
+        if len(tab) != n or any(len(row) != n for row in tab):
+            raise ValidationError(f"table must be {n}x{n}")
+        flat = tuple(itertools.chain.from_iterable(tab))
+        _check_type(flat, int, "table entry", "an integer")
+        counts = Counter(flat)
+        _check_range(flat, counts, n, "table entry")
+        if type(identity) is not int:
+            raise ValidationError(f"identity index {identity!r} is not an integer")
+        if not 0 <= identity < n:
+            raise ValidationError(f"identity index {identity} out of range")
+        ident = tuple(range(n))
+        if tab[identity] != ident or tuple(map(itemgetter(identity), tab)) != ident:
+            raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
+        gens = _generating_set(tab, identity, counts)
+        # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p] (a
+        # generator exists only when n >= 2)
+        good = [list(_holds_at(tab, tab, g)) for g in gens]
+        if not all(map(all, good)):
+            raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
+        self.names = names
+        self.table = tab
         self.identity = identity
-        self.size = len(self.names)
-        self.generators = tuple(generators)
+        self.size = n
+        self.generators = gens
         self._units = None
         self._atoms = None
         self._atomic = None
@@ -122,6 +165,11 @@ def _check_indices(values: Sequence[int], bound: int, what: str) -> None:
     in [0, bound)."""
     _check_type(values, int, what, "an integer")
     _check_range(values, values, bound, what)
+
+
+def _check_monoid(m) -> None:
+    if not isinstance(m, FiniteMonoid):
+        raise ValidationError(f"monoid {m!r} is not a FiniteMonoid")
 
 
 def _check_count(value, what: str, least: int = 0) -> None:
@@ -263,51 +311,8 @@ def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[li
 
 
 def new_monoid(names: Sequence[str], table: Sequence[Sequence[int]], identity: int) -> FiniteMonoid:
-    """Validate a multiplication table and wrap it as a FiniteMonoid.
-
-    Associativity is decided by Light's test over the generating set G:
-    (x·g)·y = x·(g·y) for all x, y and every g in G. The elements g passing it
-    are closed under the product, and G generates, so this is sound without
-    assuming associativity. A failure reports the same lexicographically
-    first triple as a full i-j-k scan.
-
-    The n² entries are read by C-level passes: one flatten, one type pass and
-    one count. The count's at most n keys give the range check and rank the
-    candidate generators. Then come the |G| Light rows, each comparing n pairs
-    of rows. Only the identity column and the generator columns are built,
-    and a failed check scans for its culprit only then. A non-associative
-    table adds a few more column passes and Python work set by the size of
-    the fault (see ``_first_nonassociative``).
-    """
-    names = _sequence(names, "names {!r} are not a sequence")
-    _check_type(names, str, "name", "a string")
-    n = len(names)
-    if n == 0:
-        raise ValidationError("a monoid needs at least one element")
-    if len(set(names)) != n or any(name == "" for name in names):
-        raise DuplicateNameError("names must be distinct non-empty strings")
-    rows = f"table must be {n}x{n}, a sequence of rows"
-    tab = tuple([_sequence(row, rows) for row in _sequence(table, rows)])
-    if len(tab) != n or any(len(row) != n for row in tab):
-        raise ValidationError(f"table must be {n}x{n}")
-    flat = tuple(itertools.chain.from_iterable(tab))
-    _check_type(flat, int, "table entry", "an integer")
-    counts = Counter(flat)
-    _check_range(flat, counts, n, "table entry")
-    if type(identity) is not int:
-        raise ValidationError(f"identity index {identity!r} is not an integer")
-    if not 0 <= identity < n:
-        raise ValidationError(f"identity index {identity} out of range")
-    ident = tuple(range(n))
-    if tab[identity] != ident or tuple(map(itemgetter(identity), tab)) != ident:
-        raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
-    gens = _generating_set(tab, identity, counts)
-    # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p] (a
-    # generator exists only when n >= 2)
-    good = [list(_holds_at(tab, tab, g)) for g in gens]
-    if not all(map(all, good)):
-        raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
-    return FiniteMonoid(names, tab, identity, gens)
+    """Validate a multiplication table and wrap it as a FiniteMonoid."""
+    return FiniteMonoid(names, table, identity)
 
 
 def _tabulate(elements: Sequence, mul: Callable, names: Sequence[str], identity) -> FiniteMonoid:
@@ -329,6 +334,7 @@ def units(m: FiniteMonoid) -> frozenset[int]:
     generators is a unit only if every gi is, and every element is such a
     product, so the units are the products of unit generators. O(n·|G|).
     """
+    _check_monoid(m)
     if m._units is None:
         found = {m.identity: None}
         _closure([m.identity], [g for g in m.generators if m.identity in m.table[g]], m.mul, found)
@@ -343,6 +349,7 @@ def atoms(m: FiniteMonoid) -> frozenset[int]:
     {x·g : x in N, g in G∖U}, G the generators and U the units: write y in N
     as g1·…·gk and split x·y at the first gi that is not a unit.
     """
+    _check_monoid(m)
     if m._atoms is None:
         us = units(m)
         non_units = [x for x in range(m.size) if x not in us]
@@ -373,6 +380,7 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     e·e = e·1 with e != 1 breaks cancellativity.
     The ``generator-oracles`` suite checks this against ``oracles.laws_hold``.
     """
+    _check_monoid(m)
     if prop == "atomic":
         if m._atomic is None:
             us, covered = units(m), _atom_closure(m)
@@ -395,6 +403,7 @@ class ElemClass(enum.Enum):
 
 def classify(m: FiniteMonoid, x: int) -> ElemClass:
     """Trichotomy: unit, atom, or non-unit that factors into two non-units."""
+    _check_monoid(m)
     _check_indices((x,), m.size, "element index")
     if x in units(m):
         return ElemClass.UNIT
@@ -418,6 +427,8 @@ class MonoidHom:
     def __post_init__(self) -> None:
         source, target = self.source, self.target
         mp = _sequence(self.map, "map must be a sequence, not {0.__class__.__name__}")
+        _check_monoid(source)
+        _check_monoid(target)
         if len(mp) != source.size:
             raise ValidationError(f"map must have length {source.size}")
         _check_indices(mp, target.size, "map value")
@@ -470,11 +481,13 @@ def _first_nonmultiplicative(source: FiniteMonoid, target: FiniteMonoid, mp: tup
 
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
+    _check_monoid(m)
     return new_hom(m, m, tuple(range(m.size)))
 
 
 def compose(g: MonoidHom, f: MonoidHom) -> MonoidHom:
     """g after f."""
+    _check_type((g, f), MonoidHom, "hom", "a MonoidHom")
     if f.target != g.source:
         raise ValidationError("homs do not compose")
     return new_hom(f.source, g.target, tuple(g.map[v] for v in f.map))
@@ -520,6 +533,7 @@ def initial() -> FiniteMonoid:
 
 def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
     """The unique atom-preserving hom into the terminal monoid, by element class."""
+    _check_monoid(m)
     if not check_property(m, "atomic"):
         raise NotAtomicError("canonical map to the terminal object needs an atomic source")
     target = terminal()
@@ -530,6 +544,7 @@ def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
 def eval_word(m: FiniteMonoid, word: Sequence[int]) -> int:
     """Left-to-right product of a word of element indices; empty word gives 1."""
     word = _sequence(word, "word {!r} is not a sequence of element indices")
+    _check_monoid(m)
     if word:
         _check_indices(word, m.size, "element index")
     acc = m.identity
@@ -548,6 +563,9 @@ def extend_atom_map(
     Every image must be an atom of the target, so the induced map from the
     free monoid on the alphabet is atom-preserving.
     """
+    _check_monoid(target)
+    if not isinstance(images, Mapping):
+        raise ValidationError(f"images {images!r} are not a mapping from symbols to elements")
     if images:
         _check_indices(tuple(images.values()), target.size, "image")
     tgt_atoms = atoms(target)
@@ -573,6 +591,8 @@ def enumerate_homs(
     closure of G and kept if it respects the generators (and preserves
     atoms, when asked). Exponential in |G|: for desk-scale uniqueness checks.
     """
+    _check_monoid(source)
+    _check_monoid(target)
     gens = source.generators
     steps = _closure_steps(source.table, source.identity, gens)
     tgt = target.table

@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import FiniteMonoid, _check_count, _check_indices, _sequence, atoms
+from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, _sequence, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -349,6 +349,7 @@ class LayerSequence:
 
 def power_layers(m: FiniteMonoid) -> LayerSequence:
     """Iterate S_{k+1} = S_k * atoms(m) until a repeated layer closes the cycle."""
+    _check_monoid(m)
     ats = sorted(atoms(m))
     layers: list[frozenset[int]] = []
     seen: dict[frozenset[int], int] = {}
@@ -391,6 +392,7 @@ def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
 
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
     """L(x): lengths of factorizations of x into atoms, as an exact EPSet."""
+    _check_monoid(m)
     _check_indices((x,), m.size, "element index")
     return _length_sets(m)[x]
 
@@ -413,6 +415,7 @@ class LengthSystem:
 
 
 def length_system(m: FiniteMonoid, nonzero_only: bool = False) -> LengthSystem:
+    _check_monoid(m)
     entries = set(_length_sets(m))
     entries.discard(EMPTY)
     if nonzero_only:
@@ -443,6 +446,7 @@ def union_k(m: FiniteMonoid, k: int) -> EPSet:
     every call after that is one lookup.
     """
     _check_count(k, "k")
+    _check_monoid(m)
     sets, threshold, period = _length_table(m)
     if m._unions is None:
         m._unions = _union_table(sets, threshold, period)

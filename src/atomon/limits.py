@@ -3,7 +3,12 @@ congruence closure, pushout presentations. The initial and terminal objects
 are built in ``core`` (``core.initial``, ``core.terminal``). Every arrow
 argument must be an AtoMon arrow, an atom-preserving hom between atomic
 monoids; ``core._arrows`` checks it, and the shared ends, before anything is
-built."""
+built.
+
+``Congruence`` and ``PushoutPresentation`` check themselves when built. A
+congruence is stored in canonical form, each element led by the least
+element of its class, and is checked to be compatible with multiplication;
+``quotient`` takes only a congruence on the monoid it is given."""
 
 from __future__ import annotations
 
@@ -19,14 +24,16 @@ from .core import (
     _arrows,
     _check_count,
     _check_indices,
+    _check_monoid,
     _closure,
+    _sequence,
     _tabulate,
     atoms,
     check_property,
     new_hom,
     units,
 )
-from .coproduct import Family, Letter, ReducedWord, _check_word, reduce
+from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, reduce
 from .errors import ValidationError
 from .product import _product_submonoid
 
@@ -61,10 +68,36 @@ def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, Monoi
 
 @dataclass(frozen=True)
 class Congruence:
-    """A monoid congruence as a partition, produced at a verified fixpoint."""
+    """A monoid congruence on ``carrier`` as a partition, checked when built.
+
+    ``leader[x]`` is the least element of x's class. This canonical form is
+    the one ``congruence_closure`` builds, and ``quotient`` names each class
+    after its leader. The partition is checked to be a congruence on the
+    generators g of the carrier: x·g and leader(x)·g share a leader, and so
+    do g·x and g·leader(x). That suffices because the generators generate
+    the carrier and its table is associative.
+    """
 
     carrier: FiniteMonoid
     leader: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m = self.carrier
+        _check_monoid(m)
+        leader = _sequence(self.leader, "leader {!r} is not a sequence")
+        if len(leader) != m.size:
+            raise ValidationError(f"leader must have length {m.size}")
+        _check_indices(leader, m.size, "leader")
+        bad = next((x for x, lead in enumerate(leader) if leader[lead] != lead or lead > x), None)
+        if bad is not None:
+            raise ValidationError(f"leader {leader[bad]} of element {bad} is not the least element of its class")
+        tab = m.table
+        lead = leader.__getitem__
+        for g in m.generators:
+            for translate in (tuple(row[g] for row in tab), tab[g]):  # x -> x·g, x -> g·x
+                if list(map(lead, translate)) != list(map(lead, map(translate.__getitem__, leader))):
+                    raise ValidationError("leader is not a congruence: a class is split by a translate")
+        object.__setattr__(self, "leader", leader)
 
     def classes(self) -> list[frozenset[int]]:
         buckets: dict[int, set[int]] = {}
@@ -78,10 +111,10 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
 
     Union-find with a worklist: merging x and y enqueues only the translates
     (g·x, g·y) and (x·g, y·g) by the generators g of m, which suffices because
-    they generate m and the table is associative. The fixpoint is re-verified
-    by generators too: x·g and leader(x)·g share a leader, and so do g·x and
-    g·leader(x).
+    they generate m and the table is associative. The result is checked
+    again by ``Congruence``.
     """
+    _check_monoid(m)
     n = m.size
     if not isinstance(pairs, Iterable):
         raise ValidationError(f"pairs {pairs!r} are not a collection of pairs")
@@ -113,18 +146,17 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
         for g in gens:
             queue.append((tab[g][x], tab[g][y]))
             queue.append((row_x[g], row_y[g]))
-    leader = tuple(find(x) for x in range(n))
-    lead = leader.__getitem__
-    for g in gens:
-        for translate in (tuple(row[g] for row in tab), tab[g]):  # x -> x·g, x -> g·x
-            if list(map(lead, translate)) != list(map(lead, map(translate.__getitem__, leader))):
-                raise ValidationError("congruence closure reached an incompatible fixpoint")
-    return Congruence(m, leader)
+    return Congruence(m, tuple(find(x) for x in range(n)))
 
 
 def quotient(m: FiniteMonoid, cong: Congruence) -> tuple[FiniteMonoid, MonoidHom]:
     """Quotient table of a congruence, with the canonical projection. The
     classes are indexed in the order of their leaders, and named after them."""
+    _check_monoid(m)
+    if not isinstance(cong, Congruence):
+        raise ValidationError(f"{cong!r} is not a Congruence")
+    if cong.carrier != m:
+        raise ValidationError("the congruence is on another monoid")
     leader, tab = cong.leader, m.table
     reps = sorted(set(leader))
     q_monoid = _tabulate(reps, lambda x, y: leader[tab[x][y]], [m.names[r] for r in reps], leader[m.identity])
@@ -151,10 +183,23 @@ def coequalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
 @dataclass(frozen=True)
 class PushoutPresentation:
     """The pushout of a span, presented as the coproduct of the two legs'
-    targets modulo the relations identifying both images of the source."""
+    targets modulo the relations identifying both images of the source.
+
+    Checked when built: the family is a ``Family``, and each relation is a
+    tuple of two sequences, read as tuples. Their letters are checked when
+    the relations are reduced (``_rules``)."""
 
     family: Family
     relation_pairs: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]
+
+    def __post_init__(self) -> None:
+        _check_family(self.family)
+        pairs = _sequence(self.relation_pairs, "relation pairs {!r} are not a sequence")
+        bad = next((p for p in pairs if not isinstance(p, tuple) or len(p) != 2), None)
+        if bad is not None:
+            raise ValidationError(f"{bad!r} is not a pair of words")
+        side = "relation side {!r} is not a sequence of letters"
+        object.__setattr__(self, "relation_pairs", tuple((_sequence(l, side), _sequence(r, side)) for l, r in pairs))
 
 
 def pushout_presentation(f: MonoidHom, g: MonoidHom) -> PushoutPresentation:
@@ -206,6 +251,8 @@ def pushout_eq_bounded(
     undone without splitting letters). Never answers "not equal".
     """
     _check_count(depth, "depth")
+    if not isinstance(presentation, PushoutPresentation):
+        raise ValidationError(f"{presentation!r} is not a PushoutPresentation")
     ends = (_check_word(presentation.family, w1), _check_word(presentation.family, w2))
     rules = _rules(presentation)
     visited = ({ends[0]}, {ends[1]})

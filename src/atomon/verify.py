@@ -323,6 +323,12 @@ def suite_coproduct_systems(rng, budget):
 
 def suite_preserved_properties(rng, budget):
     props = ("acyclic", "unit_cancellative", "cancellative")
+    # 6 of the 9 free-product outcomes below cannot fail: a member passes any
+    # of these laws only if it is a group, so every word of the family is a
+    # unit, and ``laws_hold`` decides acyclic and unit_cancellative without
+    # one product (see ``oracles.fp_check_property_bounded``). Only
+    # cancellative multiplies words. The product outcomes read the
+    # materialized table.
     for names in GROUP_FAMILIES:
         fam = _family(names)
         mat, _ = ap_materialize(fam, 60)

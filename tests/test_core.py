@@ -1,8 +1,10 @@
+import inspect
 import itertools
 import re
 
 import pytest
 
+import atomon
 from atomon import (
     ElemClass,
     atoms,
@@ -21,7 +23,7 @@ from atomon import (
 )
 from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
 from atomon.coproduct import gamma_admissible, reduce
-from atomon.core import MonoidHom, terminal
+from atomon.core import FiniteMonoid, MonoidHom, terminal
 from atomon.errors import (
     BadIdentityError,
     DuplicateNameError,
@@ -34,8 +36,9 @@ from atomon.errors import (
     ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, one, sl2, zero
-from atomon.lengths import eps_from_window, union_k
-from atomon.limits import coequalizer, equalizer, pullback, pushout_eq_bounded, pushout_presentation
+from atomon.lengths import eps_from_window, length_set, length_system, power_layers, union_k
+from atomon.limits import Congruence, coequalizer, congruence_closure, equalizer, pullback, quotient
+from atomon.limits import pushout_eq_bounded, pushout_presentation
 from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto
 from atomon.product import ap_contains, ap_materialize, ap_union_k, ap_universal
 
@@ -51,52 +54,63 @@ def test_new_monoid_trivial():
     assert m.size == 1 and m.identity == 0
 
 
+def _refused(error, names, table, identity, match=None):
+    """Both spellings, new_monoid and FiniteMonoid, refuse the table with
+    the same error type and message."""
+    raised = []
+    for build in (new_monoid, FiniteMonoid):
+        with pytest.raises(error, match=match) as info:
+            build(names, table, identity)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
 def test_new_monoid_rejects_non_associative():
     # (x*x)*x = y*x = x but x*(x*x) = x*y = 1
-    with pytest.raises(NonAssociativeError):
-        new_monoid(("1", "x", "y"), ((0, 1, 2), (1, 2, 0), (2, 1, 1)), 0)
+    _refused(NonAssociativeError, ("1", "x", "y"), ((0, 1, 2), (1, 2, 0), (2, 1, 1)), 0)
 
 
 def test_new_monoid_rejects_bad_tables():
-    with pytest.raises(BadIdentityError):
-        new_monoid(("1", "x"), ((0, 0), (1, 1)), 0)
-    with pytest.raises(DuplicateNameError):
-        new_monoid(("1", "1"), ((0, 1), (1, 0)), 0)
-    with pytest.raises(ValidationError):
-        new_monoid(("1", "x"), ((0, 1), (1, 7)), 0)
-    with pytest.raises(ValidationError, match="table must be 2x2"):
-        new_monoid(("1", "x"), ((0, 1), 5), 0)
-    with pytest.raises(ValidationError, match="names 5 are not a sequence"):
-        new_monoid(5, ((0,),), 0)
-    with pytest.raises(ValidationError, match="at least one element"):
-        new_monoid((), (), 0)
-    with pytest.raises(ValidationError, match="table must be 2x2$"):
-        new_monoid(("1", "x"), ((0, 1), (1,)), 0)
-    with pytest.raises(ValidationError, match="identity index 2 out of range"):
-        new_monoid(("1", "x"), ((0, 1), (1, 1)), 2)
+    _refused(BadIdentityError, ("1", "x"), ((0, 0), (1, 1)), 0)
+    _refused(DuplicateNameError, ("1", "1"), ((0, 1), (1, 0)), 0)
+    _refused(ValidationError, ("1", "x"), ((0, 1), (1, 7)), 0)
+    _refused(ValidationError, ("1", "x"), ((0, 1), 5), 0, match="table must be 2x2")
+    _refused(ValidationError, 5, ((0,),), 0, match="names 5 are not a sequence")
+    _refused(ValidationError, (), (), 0, match="at least one element")
+    _refused(ValidationError, ("1", "x"), ((0, 1), (1,)), 0, match="table must be 2x2$")
+    _refused(ValidationError, ("1", "x"), ((0, 1), (1, 1)), 2, match="identity index 2 out of range")
 
 
 @pytest.mark.parametrize("names, bad", [([1, "x"], 1), (["1", 2.5], 2.5), (["1", None], None), (["1", b"x"], b"x")])
 def test_new_monoid_refuses_names_that_are_not_strings(names, bad):
-    with pytest.raises(ValidationError, match=re.escape(f"name {bad!r} is not a string")):
-        new_monoid(names, ((0, 1), (1, 1)), 0)
+    _refused(ValidationError, names, ((0, 1), (1, 1)), 0, match=re.escape(f"name {bad!r} is not a string"))
 
 
 def test_new_monoid_reports_the_first_failing_check():
     # a non-integer entry beats an out-of-range one, even one before it
     for table in (((0, 1), (7, 1.5)), ((0, 1.5), (1, 7))):
-        with pytest.raises(ValidationError, match="table entry 1.5 is not an integer"):
-            new_monoid(("1", "x"), table, 0)
+        _refused(ValidationError, ("1", "x"), table, 0, match="table entry 1.5 is not an integer")
     # an entry error beats an identity error
-    with pytest.raises(ValidationError, match=r"table entry 7 out of range \[0, 2\)"):
-        new_monoid(("1", "x"), ((0, 0), (1, 7)), 0)
-    with pytest.raises(ValidationError, match="table entry 7 out of range"):
-        new_monoid(("1", "x"), ((0, 1), (1, 7)), 2.0)
+    _refused(ValidationError, ("1", "x"), ((0, 0), (1, 7)), 0, match=r"table entry 7 out of range \[0, 2\)")
+    _refused(ValidationError, ("1", "x"), ((0, 1), (1, 7)), 2.0, match="table entry 7 out of range")
     # a name error beats both
-    with pytest.raises(ValidationError, match="name 1 is not a string"):
-        new_monoid((1, "x"), ((0, 0), (1.5, 7)), 0)
-    with pytest.raises(ValidationError, match="name 1 is not a string"):
-        new_monoid(("1", 1), ((0, 1), (1, 7)), 2.0)
+    _refused(ValidationError, (1, "x"), ((0, 0), (1.5, 7)), 0, match="name 1 is not a string")
+    _refused(ValidationError, ("1", 1), ((0, 1), (1, 7)), 2.0, match="name 1 is not a string")
+
+
+def test_finite_monoid_derives_its_generators():
+    assert list(inspect.signature(FiniteMonoid).parameters) == ["names", "table", "identity"]
+    with pytest.raises(TypeError):
+        FiniteMonoid(("1", "u"), ((0, 1), (1, 0)), 0, ())
+    with pytest.raises(TypeError):
+        FiniteMonoid(("1", "u"), ((0, 1), (1, 0)), 0, generators=())
+    # with no generators given, units and atoms are still right
+    c2_built = FiniteMonoid(("1", "u"), ((0, 1), (1, 0)), 0)
+    assert c2_built == c2() and c2_built.generators == c2().generators
+    assert units(c2_built) == {0, 1}
+    terminal_built = FiniteMonoid(("1", "a", "0"), ((0, 1, 2), (1, 2, 2), (2, 2, 2)), 0)
+    assert atoms(terminal_built) == {1}
+    assert check_property(terminal_built, "atomic")
 
 
 def test_units_examples():
@@ -246,6 +260,11 @@ def test_compose_and_identity():
     assert compose(f, identity_hom(h2())) == f
     with pytest.raises(ValidationError, match="homs do not compose"):
         compose(f, f)
+    for bad in (5, None, h2()):
+        with pytest.raises(ValidationError, match="is not a MonoidHom"):
+            compose(bad, f)
+        with pytest.raises(ValidationError, match="is not a MonoidHom"):
+            compose(f, bad)
 
 
 def test_units_form_a_group():
@@ -354,3 +373,74 @@ def test_arrow_parameters_take_atomon_arrows_only(site, arrow):
     make, error = NON_ARROWS[arrow]
     with pytest.raises(error):
         ARROW_CALLS[site](make())
+
+
+def test_extend_atom_map_refuses_images_that_are_not_a_mapping():
+    for images in ([1], ((1, "x"),), 5):
+        with pytest.raises(ValidationError, match="not a mapping"):
+            extend_atom_map(one(), images, ("x",))
+
+
+# each monoid and congruence parameter of the library, by callable and
+# parameter name, as a call taking it
+MONOID_CALLS = {
+    "units": {"m": units},
+    "atoms": {"m": atoms},
+    "check_property": {"m": lambda v: check_property(v, "atomic")},
+    "classify": {"m": lambda v: classify(v, 0)},
+    "eval_word": {"m": lambda v: eval_word(v, ())},
+    "extend_atom_map": {"target": lambda v: extend_atom_map(v, {}, ())},
+    "enumerate_homs": {
+        "source": lambda v: list(enumerate_homs(v, one())),
+        "target": lambda v: list(enumerate_homs(one(), v)),
+    },
+    "identity_hom": {"m": identity_hom},
+    "canonical_to_terminal": {"m": canonical_to_terminal},
+    "MonoidHom": {
+        "source": lambda v: MonoidHom(v, one(), (0, 1, 2)),
+        "target": lambda v: MonoidHom(one(), v, (0, 1, 2)),
+    },
+    "new_hom": {
+        "source": lambda v: new_hom(v, one(), (0, 1, 2)),
+        "target": lambda v: new_hom(one(), v, (0, 1, 2)),
+    },
+    "power_layers": {"m": power_layers},
+    "length_set": {"m": lambda v: length_set(v, 0)},
+    "length_system": {"m": length_system},
+    "union_k": {"m": lambda v: union_k(v, 1)},
+    "congruence_closure": {"m": lambda v: congruence_closure(v, [])},
+    "Congruence": {"carrier": lambda v: Congruence(v, (0, 1, 2))},
+    "quotient": {
+        "m": lambda v: quotient(v, congruence_closure(one(), [])),
+        "cong": lambda v: quotient(one(), v),
+    },
+}
+NON_MONOIDS = {"int": 5, "None": None, "str": "m", "Family": Family([one()])}
+
+
+@pytest.mark.parametrize("value", NON_MONOIDS)
+@pytest.mark.parametrize(
+    "name, parameter", [(name, parameter) for name, calls in MONOID_CALLS.items() for parameter in calls]
+)
+def test_monoid_parameters_refuse_non_monoids(name, parameter, value):
+    with pytest.raises(ValidationError, match="is not a (FiniteMonoid|Congruence)"):
+        MONOID_CALLS[name][parameter](NON_MONOIDS[value])
+
+
+def test_every_monoid_parameter_is_in_the_table():
+    # a new public callable taking a monoid or a congruence must be listed
+    # above, so that its check is tested
+    annotated = set()
+    for name in dir(atomon):
+        obj = getattr(atomon, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        for p in parameters:
+            if p.annotation in ("FiniteMonoid", "Congruence", FiniteMonoid, Congruence):
+                annotated.add((name, p.name))
+    assert annotated == {(name, parameter) for name, calls in MONOID_CALLS.items() for parameter in calls}
+    assert len({name for name, _ in annotated}) == 18

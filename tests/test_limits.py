@@ -2,6 +2,8 @@ import pytest
 
 from atomon import (
     EPS_WORD,
+    Congruence,
+    PushoutPresentation,
     Family,
     Reachability,
     ReducedWord,
@@ -338,3 +340,70 @@ def test_limit_oracle_refuses_an_apex_with_two_factorizations():
     assert "h2 x h2 over h2: the cone [(0, 1, 3)] from one factors 2 times" in outcomes
     # with both legs it is the product, and every cone factors once
     assert not any(verify._limit_up("h2 x h2", mat, (p1, p2), (h2(), h2()), lambda cone: True))
+
+
+def test_a_hand_built_congruence_is_checked_and_quotients():
+    cong = Congruence(h2(), [0, 1, 1, 3])  # a = b
+    assert cong.leader == (0, 1, 1, 3) and cong == congruence_closure(h2(), [(1, 2)])
+    q_monoid, proj = quotient(h2(), cong)
+    assert q_monoid.names == ("1", "a", "0") and proj.map == (0, 1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "carrier, leader, message",
+    [
+        (5, (0,), "is not a FiniteMonoid"),
+        (h2(), (0, 1, 2), "leader must have length 4"),
+        (h2(), (0, 1, 2, 3, 3), "leader must have length 4"),
+        (h2(), 5, "is not a sequence"),
+        (h2(), (0, 1, 2, True), "leader True is not an integer"),
+        (h2(), (0, 1, 2, 4), r"leader 4 out of range \[0, 4\)"),
+        (h2(), (0, 2, 2, 3), "leader 2 of element 1 is not the least element of its class"),
+        (h2(), (0, 1, 3, 3), "leader 3 of element 2 is not the least element of its class"),
+        (h2(), (0, 1, 1, 0), "is not a congruence"),
+        (one(), (0, 0, 2), "is not a congruence"),
+    ],
+)
+def test_congruence_refuses_what_is_no_canonical_congruence(carrier, leader, message):
+    with pytest.raises(ValidationError, match=message):
+        Congruence(carrier, leader)
+
+
+def test_quotient_refuses_a_congruence_on_another_monoid():
+    with pytest.raises(ValidationError, match="on another monoid"):
+        quotient(h2(), congruence_closure(one(), [(1, 2)]))
+    with pytest.raises(ValidationError, match="not a Congruence"):
+        quotient(h2(), (0, 1, 1, 3))
+
+
+_FAM = Family([one(), one()])
+_W = ((0, 1),)
+
+
+@pytest.mark.parametrize(
+    "family, pairs, message",
+    [
+        (5, (), "is not a Family"),
+        ((one(), one()), (), "is not a Family"),
+        (_FAM, 5, "relation pairs 5 are not a sequence"),
+        (_FAM, {(_W, _W)}, "are not a sequence"),
+        (_FAM, ((_W,),), "is not a pair of words"),
+        (_FAM, ((_W, _W, _W),), "is not a pair of words"),
+        (_FAM, ([_W, _W],), "is not a pair of words"),
+        (_FAM, ((_W, 5),), "relation side 5 is not a sequence of letters"),
+        (_FAM, (("ab", _W),), "relation side 'ab' is not a sequence of letters"),
+    ],
+)
+def test_pushout_presentation_refuses_forged_inputs(family, pairs, message):
+    with pytest.raises(ValidationError, match=message):
+        PushoutPresentation(family, pairs)
+
+
+def test_a_hand_built_pushout_presentation_matches_the_built_one():
+    built = pushout_presentation(identity_hom(one()), identity_hom(one()))
+    by_hand = PushoutPresentation(built.family, [(list(l), iter(r)) for l, r in built.relation_pairs])
+    assert by_hand == built
+    w1, w2 = reduce(built.family, [(0, 1)]), reduce(built.family, [(1, 1)])
+    assert pushout_eq_bounded(by_hand, w1, w2, 1) is Reachability.EQUAL
+    with pytest.raises(ValidationError, match="not a PushoutPresentation"):
+        pushout_eq_bounded(5, w1, w2, 1)
