@@ -27,7 +27,6 @@ from .core import (
     units,
 )
 from .coproduct import (
-    EPS_WORD,
     Family,
     Letter,
     ReducedWord,

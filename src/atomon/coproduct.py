@@ -5,18 +5,9 @@ Congruence classes are represented by their unique reduced word: no identity
 letters, adjacent letters from distinct members.
 
 Two reduced words can only cancel where they meet, so products merge at the
-junction (``_join``); ``reduce`` is for raw words only. Every public function
-taking a ``ReducedWord`` refuses one that is not reduced, and checks a word
-once per family. The check is one pass over the family's letter tables: a
-lookup, a type test and the reduced-word test run in C over the whole word,
-and only a word that fails them goes letter by letter through
-``Family.check_letter`` and the position loop, which name the first culprit.
-A word that passes, or that ``reduce`` or ``fp_mul`` built, is stamped with
-the family and its canonical letters, and a later call with that family
-reads the stamp instead. Trusting the stamp is sound because a stamped word
-cannot change: it is frozen, its letters are a tuple of tuples of ints, and
-the family's letter tables are built once. A word whose letters are a list
-is never stamped, and a word stamped by another family is checked in full.
+junction (``_join``); ``reduce`` is for raw words only. A ``ReducedWord``
+carries its family and checks itself when built, so every public function
+taking one only asks whether it is a word over the family it is given.
 Every function taking a family refuses anything that is not a ``Family``.
 The homs given to ``fp_couniversal`` must be AtoMon arrows, atom-preserving
 homs between atomic monoids, as ``core._arrows`` checks.
@@ -32,7 +23,7 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _sequence, atoms, check_property, units
@@ -66,15 +57,16 @@ class Family:
     Three letter tables are built once, here: ``_letters`` maps every pair
     (i, x) with x in range for member i, identities included, to one
     canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
-    frozensets of the identity letters and of the unit letters. Length sets
-    are not tabled here: they stay lazy, per member. ``_pooled`` and
-    ``_totals`` hold the rows of ``fp_union_k``'s DP computed so far; they
-    start empty and grow to the largest k asked for. ``_sums`` maps each
-    multiset of letter length sets that ``fp_length_set`` has summed, as the
-    frozenset of its (length set, count) pairs, to the sum; it starts empty.
+    frozensets of the identity letters and of the unit letters. ``eps`` is
+    the family's empty word, built once. Length sets are not tabled here:
+    they stay lazy, per member. ``_pooled`` and ``_totals`` hold the rows of
+    ``fp_union_k``'s DP computed so far; they start empty and grow to the
+    largest k asked for. ``_sums`` maps each multiset of letter length sets
+    that ``fp_length_set`` has summed, as the frozenset of its (length set,
+    count) pairs, to the sum; it starts empty.
     """
 
-    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
+    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -93,6 +85,7 @@ class Family:
         self._letters = {(i, x): Letter(i, x) for i, m in enumerate(self.members) for x in range(m.size)}
         self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
         self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
+        self.eps = _word(self, ())
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
         self._sums: dict[frozenset[tuple[EPSet, int]], EPSet] = {}
@@ -140,16 +133,35 @@ class Family:
 
 @dataclass(frozen=True)
 class ReducedWord:
+    """A reduced word over a family: no identity letter, and no two adjacent
+    letters from one member. Checked when built; the letters are read by
+    ``Family._checked`` and stored as a tuple of canonical ``Letter``s, so a
+    list of letters is frozen, and only a word that is not reduced runs the
+    position loop, to name where it fails.
+
+    ``==`` and ``hash`` cover the family and the letters. ``Family`` has no
+    ``__eq__``, so families compare by identity: equal letters over two
+    families, even with the same members, are two words. ``repr`` shows the
+    letters only. A ``copy.copy`` keeps its family; a ``deepcopy`` or a
+    pickle round trip carries a copy of the family, which the original
+    family refuses.
+    """
+
+    family: Family = field(repr=False)
     letters: tuple[Letter, ...]
 
-    # (family, canonical letters) once that family has checked or built the
-    # word; not a field, so not part of ==, hash or repr (see _stamped)
-    _stamp = None
-
-    def __getstate__(self) -> dict:
-        # the stamp names a family object of this process: copies and
-        # pickles carry the letters only
-        return {"letters": self.letters}
+    def __post_init__(self) -> None:
+        family = self.family
+        _check_family(family)
+        letters = family._checked(self.letters)
+        mons = tuple(map(_MON, letters))
+        if not family._identities.isdisjoint(letters) or any(map(operator.eq, mons, mons[1:])):
+            for pos, (i, x) in enumerate(letters):
+                if x == family.members[i].identity:
+                    raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
+                if pos and letters[pos - 1].mon == i:
+                    raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -158,19 +170,18 @@ class ReducedWord:
         return bool(self.letters)
 
 
-EPS_WORD = ReducedWord(())
+def _word(family: Family, letters: tuple[Letter, ...]) -> ReducedWord:
+    """The word over family with these letters, which must already be
+    reduced and canonical: built unchecked."""
+    w = object.__new__(ReducedWord)
+    object.__setattr__(w, "family", family)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def _check_family(family) -> None:
     if not isinstance(family, Family):
         raise ValidationError(f"family {family!r} is not a Family")
-
-
-def _stamped(family: Family, w: ReducedWord, letters: tuple[Letter, ...]) -> ReducedWord:
-    """w, marked as checked by family, with letters its canonical letters.
-    Only for a word whose letters are a tuple: it can never change."""
-    object.__setattr__(w, "_stamp", (family, letters))
-    return w
 
 
 def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
@@ -188,35 +199,18 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
                 continue
             stack.append(family._letters[i, x])
             break
-    letters = tuple(stack)
-    return _stamped(family, ReducedWord(letters), letters)
+    return _word(family, tuple(stack))
 
 
 def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
-    """w's letters, checked by ``Family._checked``; w must be reduced: no
-    identity letter and no two adjacent letters from one member. Only a word
-    that is not reduced runs the position loop, to name where it fails.
-
-    A word stamped by this family is returned at once; a stamp is only ever
-    set by a Family, so that test also vouches for the family argument. A
-    word whose letters are a tuple is stamped when it passes."""
+    """w's letters, if w is a word over family; a word checked itself when
+    it was built, so only its family is asked for."""
     if not isinstance(w, ReducedWord):
         raise ValidationError(f"{w!r} is not a ReducedWord")
-    stamp = w._stamp
-    if stamp is not None and stamp[0] is family:
-        return stamp[1]
-    _check_family(family)
-    letters = family._checked(w.letters)
-    mons = tuple(map(_MON, letters))
-    if not family._identities.isdisjoint(letters) or any(map(operator.eq, mons, mons[1:])):
-        for pos, (i, x) in enumerate(letters):
-            if x == family.members[i].identity:
-                raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
-            if pos and letters[pos - 1].mon == i:
-                raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
-    if w.letters.__class__ is tuple:
-        _stamped(family, w, letters)
-    return letters
+    if w.family is not family:
+        _check_family(family)
+        raise ValidationError(f"{w!r} is over another family")
+    return w.letters
 
 
 def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -243,8 +237,7 @@ def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple
 
 def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
     """Product of two reduced words, merged at the junction."""
-    letters = _join(family, _check_word(family, x), _check_word(family, y))
-    return _stamped(family, ReducedWord(letters), letters)
+    return _word(family, _join(family, _check_word(family, x), _check_word(family, y)))
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:

@@ -98,6 +98,10 @@ class EPSet:
     def __hash__(self) -> int:
         return hash((self._threshold, self._head, self._period, self._tail))
 
+    def __reduce__(self):
+        # copies and pickles rebuild the canonical fields, unchecked
+        return _make, (self._threshold, self._head, self._period, self._tail)
+
     @property
     def is_empty(self) -> bool:
         return not self._head and not self._tail

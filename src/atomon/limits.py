@@ -186,8 +186,9 @@ class PushoutPresentation:
     targets modulo the relations identifying both images of the source.
 
     Checked when built: the family is a ``Family``, and each relation is a
-    tuple of two sequences, read as tuples. Their letters are checked when
-    the relations are reduced (``_rules``)."""
+    tuple of two sequences of letters, each read by ``Family._checked`` into
+    a tuple of canonical letters. A side need not be reduced: ``_rules``
+    reduces it."""
 
     family: Family
     relation_pairs: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]
@@ -199,7 +200,9 @@ class PushoutPresentation:
         if bad is not None:
             raise ValidationError(f"{bad!r} is not a pair of words")
         side = "relation side {!r} is not a sequence of letters"
-        object.__setattr__(self, "relation_pairs", tuple((_sequence(l, side), _sequence(r, side)) for l, r in pairs))
+        checked = self.family._checked
+        pairs = tuple((checked(_sequence(l, side)), checked(_sequence(r, side))) for l, r in pairs)
+        object.__setattr__(self, "relation_pairs", pairs)
 
 
 def pushout_presentation(f: MonoidHom, g: MonoidHom) -> PushoutPresentation:

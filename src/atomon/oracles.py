@@ -18,7 +18,7 @@ import itertools
 import os
 from typing import Callable, Iterator, Sequence
 
-from .coproduct import EPS_WORD, Family, Letter, ReducedWord, _check_word, _is_unit_letter, _join
+from .coproduct import Family, Letter, ReducedWord, _check_word, _is_unit_letter, _join
 from .coproduct import fp_is_unit, gamma_admissible
 from .core import _LAWS, FiniteMonoid, _check_count, _check_indices, atoms, check_property, units
 from .errors import ParseError, PreconditionError, SearchBudgetExceededError, ValidationError
@@ -186,7 +186,7 @@ def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
         if x != m.identity
     ]
     current: list[tuple[Letter, ...]] = [()]
-    yield EPS_WORD
+    yield ReducedWord(family, ())
     for _ in range(max_len):
         nxt = []
         for word in current:
@@ -195,7 +195,7 @@ def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
                     continue
                 ext = word + (lt,)
                 nxt.append(ext)
-                yield ReducedWord(ext)
+                yield ReducedWord(family, ext)
         current = nxt
 
 

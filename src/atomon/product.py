@@ -8,7 +8,8 @@ projections: ``core._closure`` finds the tuples and ``core._tabulate``, which
 the equalizer and the quotient in ``limits`` also use, reads off the table.
 It materializes the product here and the pullback in ``limits``. The homs
 given to ``ap_universal`` must be AtoMon arrows, atom-preserving homs between
-atomic monoids, as ``core._arrows`` checks.
+atomic monoids, as ``core._arrows`` checks. Every function taking a family
+refuses anything that is not a ``Family``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _closure, _sequence, _tabulate, atoms
 from .core import new_hom, units
-from .coproduct import Family
+from .coproduct import Family, _check_family
 from .errors import NotInProductError, ValidationError
 from .lengths import (
     EMPTY,
@@ -43,6 +44,7 @@ class ProductGenerators:
 
 
 def _check_tuple(family: Family, t: Sequence[int]) -> TupleElem:
+    _check_family(family)
     t = _sequence(t, "tuple {!r} is not a sequence of element indices")
     if len(t) != len(family.members):
         raise ValidationError(f"tuple must have {len(family.members)} components")
@@ -62,6 +64,7 @@ def _product_element(family: Family, t: Sequence[int]) -> TupleElem:
 
 
 def ap_generators(family: Family) -> ProductGenerators:
+    _check_family(family)
     unit_tuples = frozenset(itertools.product(*(sorted(units(m)) for m in family.members)))
     atom_tuples = frozenset(itertools.product(*(sorted(atoms(m)) for m in family.members)))
     return ProductGenerators(unit_tuples, atom_tuples)
@@ -144,6 +147,7 @@ def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem
     def meet(entries, system):
         return {eps_intersect(d, e) for d in entries for e in system} - {EMPTY}
 
+    _check_family(family)
     systems = [length_system(m).entries for m in family.members]
     entries = functools.reduce(meet, systems[1:], systems[0])
     if nonzero_only:
@@ -156,6 +160,7 @@ def ap_union_k(family: Family, k: int) -> EPSet:
     member unions. Each member's U_k is a lookup in its table (see
     ``union_k``), so after the first call per member this costs |family| - 1
     intersections for any k."""
+    _check_family(family)
     _check_count(k, "k")
     return functools.reduce(eps_intersect, (union_k(m, k) for m in family.members))
 

@@ -14,13 +14,14 @@ import json
 import re
 from pathlib import Path
 
-from .coproduct import Family, Letter, ReducedWord, reduce
-from .core import FiniteMonoid, MonoidHom, new_hom, new_monoid
+from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, reduce
+from .core import FiniteMonoid, MonoidHom, _check_monoid, new_hom, new_monoid
 from .errors import ParseError, ValidationError
 from .lengths import EPSet
 
 
 def monoid_to_json(m: FiniteMonoid) -> dict:
+    _check_monoid(m)
     return {
         "names": list(m.names),
         "identity": m.identity,
@@ -115,13 +116,15 @@ _LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>\d+)\)$")
 
 
 def word_to_text(family: Family, w: ReducedWord) -> str:
-    if not w.letters:
+    letters = _check_word(family, w)
+    if not letters:
         return "eps"
-    return "*".join(f"({family.members[i].names[x]}@{i})" for i, x in w.letters)
+    return "*".join(f"({family.members[i].names[x]}@{i})" for i, x in letters)
 
 
 def parse_word(family: Family, text: str) -> ReducedWord:
     """Parse a word literal and reduce it."""
+    _check_family(family)
     text = text.strip()
     if text == "eps":
         return reduce(family, ())
@@ -142,6 +145,7 @@ def parse_word(family: Family, text: str) -> ReducedWord:
 
 
 def parse_tuple(family: Family, text: str) -> tuple[int, ...]:
+    _check_family(family)
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"bad tuple {text!r}; expected (name1,name2,...)")

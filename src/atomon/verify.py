@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from . import fixtures, oracles
-from .coproduct import EPS_WORD, Family, ReducedWord, coprojection, fp_couniversal, fp_is_atom, fp_is_unit
+from .coproduct import Family, coprojection, fp_couniversal, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
 from .core import enumerate_homs, eval_word, is_atomon_mono, new_monoid, terminal, units
@@ -223,11 +223,11 @@ def suite_coproduct_reduction(rng, budget):
                 if not moves:
                     break
                 word = rng.choice(moves)
-            yield ReducedWord(word) != normal and f"random move order on {raw} missed the normal form"
+            yield word != normal.letters and f"random move order on {raw} missed the normal form"
         # words congruent to eps have only unit letters (exhaustive, length <= 4)
         for length in range(1, 5):
             for raw in itertools.product(alphabet, repeat=length):
-                yield reduce(fam, raw) == EPS_WORD and not all(
+                yield reduce(fam, raw) == fam.eps and not all(
                     x in units(fam.members[i]) for i, x in raw
                 ) and f"non-unit letters in empty-class word {raw}"
     # the junction product against the normal form of the concatenation;
@@ -249,7 +249,7 @@ def suite_coproduct_recognition(rng, budget):
         unit_flags = {w: fp_is_unit(fam, w) for w in words}
         for w in words:
             definitional_unit = any(
-                fp_mul(fam, w, v) == EPS_WORD and fp_mul(fam, v, w) == EPS_WORD
+                fp_mul(fam, w, v) == fam.eps and fp_mul(fam, v, w) == fam.eps
                 for v in words
             )
             yield unit_flags[w] != definitional_unit and f"{names}: unit test disagrees on {word_to_text(fam, w)}"

@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import math
 import pickle
 import random
@@ -10,11 +11,19 @@ from hypothesis import strategies as st
 
 from atomon import (
     EMPTY,
-    EPS_WORD,
     Family,
     Letter,
+    PushoutPresentation,
     ReducedWord,
     ZERO_ONLY,
+    ap_contains,
+    ap_generators,
+    ap_is_atom,
+    ap_is_unit,
+    ap_length_set,
+    ap_length_system,
+    ap_materialize,
+    ap_union_k,
     canonical_to_terminal,
     coprojection,
     eps_cofinite,
@@ -37,6 +46,7 @@ from atomon.errors import (
     SearchBudgetExceededError,
     ValidationError,
 )
+import atomon
 from atomon import lengths
 from atomon.coproduct import _join
 from atomon.core import units
@@ -77,7 +87,7 @@ def test_family_members_must_be_monoids(members, message):
 
 def test_reduce_examples(two_ones, one_c2):
     assert reduce(two_ones, [(0, 1), (0, 1)]).letters == (Letter(0, 2),)
-    assert reduce(two_ones, [(0, 0)]) == EPS_WORD
+    assert reduce(two_ones, [(0, 0)]) == two_ones.eps
     w = reduce(one_c2, [(0, 1), (1, 1), (0, 1)])
     assert w.letters == (Letter(0, 1), Letter(1, 1), Letter(0, 1))
 
@@ -94,13 +104,13 @@ def test_reduce_is_idempotent(one_c2):
 def test_fp_mul_examples(two_ones, one_c2):
     a = reduce(two_ones, [(0, 1)])
     assert fp_mul(two_ones, a, a).letters == (Letter(0, 2),)
-    assert fp_mul(two_ones, a, EPS_WORD) == a
+    assert fp_mul(two_ones, a, two_ones.eps) == a
     u = reduce(one_c2, [(1, 1)])
-    assert fp_mul(one_c2, u, u) == EPS_WORD
+    assert fp_mul(one_c2, u, u) == one_c2.eps
 
 
 def test_unit_and_atom_recognition(one_c2):
-    assert fp_is_unit(one_c2, EPS_WORD)
+    assert fp_is_unit(one_c2, one_c2.eps)
     u = reduce(one_c2, [(1, 1)])
     assert fp_is_unit(one_c2, u) and not fp_is_atom(one_c2, u)
     a = reduce(one_c2, [(0, 1)])
@@ -121,7 +131,7 @@ def test_fp_length_set_examples(two_ones, one_c2):
     assert fp_length_set(two_ones, w) == eps_cofinite(3)
     w = reduce(one_c2, [(0, 2), (1, 1), (0, 1)])
     assert fp_length_set(one_c2, w) == eps_cofinite(3)
-    assert fp_length_set(two_ones, EPS_WORD) == ZERO_ONLY
+    assert fp_length_set(two_ones, two_ones.eps) == ZERO_ONLY
     assert fp_length_set(one_c2, reduce(one_c2, [(1, 1)])) == EMPTY
 
 
@@ -178,8 +188,8 @@ WORD_CONSUMERS = {
     "fp_is_atom": fp_is_atom,
     "fp_couniversal": _couniversal,
     "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 3),
-    "fp_mul left": lambda fam, w: fp_mul(fam, w, EPS_WORD),
-    "fp_mul right": lambda fam, w: fp_mul(fam, EPS_WORD, w),
+    "fp_mul left": lambda fam, w: fp_mul(fam, w, fam.eps),
+    "fp_mul right": lambda fam, w: fp_mul(fam, fam.eps, w),
 }
 
 
@@ -198,13 +208,21 @@ WORD_CONSUMERS = {
     ids=["negative-member", "member-5", "bool-element", "identity-letter", "same-member-neighbours", "int-word", "none-word"],
 )
 def test_reduced_word_inputs_are_checked(one_c2, consumer, letters, message):
+    # a word checks its letters when it is built; a consumer refuses the
+    # letters themselves, and a good word over another family with the
+    # same members
     with pytest.raises(ValidationError, match=message):
-        WORD_CONSUMERS[consumer](one_c2, ReducedWord(letters))
+        ReducedWord(one_c2, letters)
+    compute = WORD_CONSUMERS[consumer]
+    with pytest.raises(ValidationError, match="not a ReducedWord"):
+        compute(one_c2, letters)
+    with pytest.raises(ValidationError, match="over another family"):
+        compute(one_c2, reduce(Family(one_c2.members), [(0, 1)]))
 
 
 def test_fp_mul_refuses_a_raw_word(one_c2):
     with pytest.raises(ValidationError, match="not a ReducedWord"):
-        fp_mul(one_c2, [(0, 1)], EPS_WORD)
+        fp_mul(one_c2, [(0, 1)], one_c2.eps)
 
 
 FAMILY_CONSUMERS = {
@@ -218,22 +236,42 @@ FAMILY_CONSUMERS = {
     "gamma_admissible": lambda fam, w: gamma_admissible(fam, (0,)),
     "coprojection": lambda fam, w: coprojection(fam, 0, 1),
     "fp_couniversal": lambda fam, w: fp_couniversal(fam, [identity_hom(one())], w),
+    "ReducedWord": lambda fam, w: ReducedWord(fam, ()),
+    "PushoutPresentation": lambda fam, w: PushoutPresentation(fam, ()),
+    "ap_contains": lambda fam, w: ap_contains(fam, (0, 0)),
+    "ap_is_unit": lambda fam, w: ap_is_unit(fam, (0, 0)),
+    "ap_is_atom": lambda fam, w: ap_is_atom(fam, (0, 0)),
+    "ap_length_set": lambda fam, w: ap_length_set(fam, (0, 0)),
+    "ap_generators": lambda fam, w: ap_generators(fam),
+    "ap_length_system": lambda fam, w: ap_length_system(fam),
+    "ap_union_k": lambda fam, w: ap_union_k(fam, 1),
+    "ap_materialize": lambda fam, w: ap_materialize(fam, 10),
 }
 
 
 @pytest.mark.parametrize("consumer", FAMILY_CONSUMERS)
 @pytest.mark.parametrize("family", [5, None, (one(), c2())], ids=["int", "none", "tuple-of-monoids"])
 def test_family_arguments_must_be_families(one_c2, consumer, family):
-    # the word was stamped by a real family, so no stamp can vouch for this one
+    # the word is over a real family, so only the family argument is wrong
     w = reduce(one_c2, [(0, 1)])
     with pytest.raises(ValidationError, match="is not a Family"):
         FAMILY_CONSUMERS[consumer](family, w)
 
 
-def _raised(compute) -> str:
-    with pytest.raises(ValidationError) as err:
-        compute()
-    return str(err.value)
+def test_every_family_parameter_is_in_the_table():
+    # a new public callable taking a family must be listed above, so that
+    # its check is tested
+    annotated = set()
+    for name in dir(atomon):
+        obj = getattr(atomon, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        annotated.update(name for p in parameters if p.annotation in ("Family", Family))
+    assert annotated == set(FAMILY_CONSUMERS)
 
 
 @pytest.mark.parametrize("consumer", WORD_CONSUMERS)
@@ -245,48 +283,55 @@ def _raised(compute) -> str:
     ],
     ids=["member-out-of-range", "element-out-of-range"],
 )
-def test_a_word_stamped_by_another_family_is_checked_in_full(one_c2, consumer, members, letter, message):
-    stamped = reduce(Family(members), [letter])
-    assert stamped._stamp is not None
-    compute = WORD_CONSUMERS[consumer]
-    unstamped = _raised(lambda: compute(one_c2, ReducedWord((letter,))))
-    assert message in unstamped
-    assert _raised(lambda: compute(one_c2, stamped)) == unstamped
+def test_a_word_over_another_family_is_refused(one_c2, consumer, members, letter, message):
+    other = reduce(Family(members), [letter])
+    with pytest.raises(ValidationError, match=message):
+        ReducedWord(one_c2, other.letters)
+    with pytest.raises(ValidationError, match="over another family"):
+        WORD_CONSUMERS[consumer](one_c2, other)
 
 
 @pytest.mark.parametrize("consumer", WORD_CONSUMERS)
-def test_a_word_over_a_list_is_checked_on_every_call(one_c2, consumer):
+def test_a_list_of_letters_is_frozen_into_a_tuple(one_c2, consumer):
     letters = [(1, 1)]
-    w = ReducedWord(letters)
-    WORD_CONSUMERS[consumer](one_c2, w)
-    assert w._stamp is None
+    w = ReducedWord(one_c2, letters)
+    assert type(w.letters) is tuple and w.letters == (Letter(1, 1),)
+    assert all(type(lt) is Letter for lt in w.letters)
     letters.append((0, 0))
-    with pytest.raises(ValidationError, match="letter 1 of the word is the identity of member 0"):
-        WORD_CONSUMERS[consumer](one_c2, w)
+    assert w.letters == (Letter(1, 1),)
+    WORD_CONSUMERS[consumer](one_c2, w)
 
 
 @pytest.mark.parametrize("consumer", WORD_CONSUMERS)
-def test_a_hand_built_word_equal_to_a_stamped_one_is_still_checked(one_c2, consumer):
-    stamped = fp_mul(one_c2, reduce(one_c2, [(0, 1)]), EPS_WORD)
-    WORD_CONSUMERS[consumer](one_c2, stamped)
-    hand_built = ReducedWord(((0, True),))
-    assert hand_built == stamped and hash(hand_built) == hash(stamped)
-    with pytest.raises(ValidationError, match="two integers"):
-        WORD_CONSUMERS[consumer](one_c2, hand_built)
+def test_equal_letters_over_another_family_are_another_word(one_c2, consumer):
+    built = fp_mul(one_c2, reduce(one_c2, [(0, 1)]), one_c2.eps)
+    by_hand = ReducedWord(one_c2, ((0, 1),))
+    assert by_hand == built and hash(by_hand) == hash(built)
+    WORD_CONSUMERS[consumer](one_c2, by_hand)
+    twin = ReducedWord(Family(one_c2.members), ((0, 1),))
+    assert twin.letters == built.letters
+    assert twin != built and hash(twin) != hash(built)
+    with pytest.raises(ValidationError, match="over another family"):
+        WORD_CONSUMERS[consumer](one_c2, twin)
 
 
-def test_stamps_are_not_part_of_a_words_value(one_c2):
-    stamped = fp_mul(one_c2, reduce(one_c2, [(0, 1), (1, 1)]), reduce(one_c2, [(0, 1)]))
-    rebuilt = ReducedWord(tuple(Letter(i, x) for i, x in stamped.letters))
-    plain = ReducedWord(tuple((i, x) for i, x in stamped.letters))
-    assert stamped._stamp == (one_c2, stamped.letters)
-    assert rebuilt._stamp is None and plain._stamp is None
-    assert stamped == rebuilt == plain
-    assert hash(stamped) == hash(rebuilt) == hash(plain)
-    assert repr(stamped) == repr(rebuilt) == "ReducedWord(letters=(Letter(mon=0, elem=1), Letter(mon=1, elem=1), Letter(mon=0, elem=1)))"
-    # copies and pickles carry the letters only
-    for clone in (copy.copy(stamped), copy.deepcopy(stamped), pickle.loads(pickle.dumps(stamped))):
-        assert clone == stamped and clone._stamp is None
+def test_a_words_repr_shows_its_letters_only(one_c2):
+    w = fp_mul(one_c2, reduce(one_c2, [(0, 1), (1, 1)]), reduce(one_c2, [(0, 1)]))
+    twin = ReducedWord(Family(one_c2.members), w.letters)
+    want = "ReducedWord(letters=(Letter(mon=0, elem=1), Letter(mon=1, elem=1), Letter(mon=0, elem=1)))"
+    assert repr(w) == repr(twin) == want
+
+
+def test_a_copy_keeps_its_family_and_a_deepcopy_or_pickle_carries_a_copy(one_c2):
+    w = fp_mul(one_c2, reduce(one_c2, [(0, 1), (1, 1)]), reduce(one_c2, [(0, 1)]))
+    clone = copy.copy(w)
+    assert clone == w and clone.family is one_c2
+    assert fp_length_set(one_c2, clone) == fp_length_set(one_c2, w)
+    for far in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert far.letters == w.letters and far.family is not one_c2 and far != w
+        with pytest.raises(ValidationError, match="over another family"):
+            fp_length_set(one_c2, far)
+        assert fp_length_set(far.family, far) == fp_length_set(one_c2, w)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +403,7 @@ def test_union_matches_word_enumeration():
 
 def test_coprojection(one_c2):
     assert coprojection(one_c2, 0, 1).letters == (Letter(0, 1),)
-    assert coprojection(one_c2, 0, 0) == EPS_WORD
+    assert coprojection(one_c2, 0, 0) == one_c2.eps
     u = coprojection(one_c2, 1, 1)
     assert fp_is_unit(one_c2, u)
 
@@ -367,7 +412,7 @@ def test_couniversal(one_c2):
     phi = [identity_hom(one()), new_hom(c2(), one(), (0, 0))]
     w = reduce(one_c2, [(0, 1), (1, 1), (0, 1)])
     assert fp_couniversal(one_c2, phi, w) == 2  # a*1*a = 0
-    assert fp_couniversal(one_c2, phi, EPS_WORD) == 0
+    assert fp_couniversal(one_c2, phi, one_c2.eps) == 0
     for i, member in enumerate(one_c2.members):
         for x in range(member.size):
             assert fp_couniversal(one_c2, phi, coprojection(one_c2, i, x)) == phi[i].map[x]
@@ -391,7 +436,7 @@ def test_brute_force_examples(two_ones):
     w = reduce(two_ones, [(0, 2)])
     assert fp_brute_force_lengths(two_ones, w, 5) == {2, 3, 4, 5}
     assert fp_brute_force_lengths(two_ones, reduce(two_ones, [(0, 1)]), 5) == {1}
-    assert fp_brute_force_lengths(two_ones, EPS_WORD, 5) == {0}
+    assert fp_brute_force_lengths(two_ones, two_ones.eps, 5) == {0}
 
 
 def test_brute_force_budget(two_ones):
@@ -446,7 +491,7 @@ def test_empty_class_words_have_only_unit_letters(one_c2):
     alphabet = [(i, x) for i, m in enumerate(one_c2.members) for x in range(m.size)]
     for length in range(1, 4):
         for raw in itertools.product(alphabet, repeat=length):
-            if reduce(one_c2, raw) == EPS_WORD:
+            if reduce(one_c2, raw) == one_c2.eps:
                 assert all(x in units(one_c2.members[i]) for i, x in raw)
 
 
@@ -484,7 +529,7 @@ def reduced_letters(draw, fam):
 def test_join_matches_reducing_the_concatenation(case):
     fam, x, y = case
     assert _join(fam, x, y) == reduce(fam, x + y).letters
-    assert fp_mul(fam, ReducedWord(x), ReducedWord(y)).letters == _join(fam, x, y)
+    assert fp_mul(fam, ReducedWord(fam, x), ReducedWord(fam, y)).letters == _join(fam, x, y)
 
 
 def test_long_word_length_set_needs_few_sums(monkeypatch):
@@ -520,7 +565,7 @@ MEMO_FAMILY = Family([h2(), m31(), c2(), one()])
 def call_orders(draw):
     """Up to five reduced words over MEMO_FAMILY, in a drawn order with
     repeats."""
-    words = [ReducedWord(letters) for letters in draw(st.lists(reduced_letters(MEMO_FAMILY), min_size=1, max_size=5))]
+    words = [ReducedWord(MEMO_FAMILY, letters) for letters in draw(st.lists(reduced_letters(MEMO_FAMILY), min_size=1, max_size=5))]
     return [words[i] for i in draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=12))]
 
 
@@ -607,8 +652,8 @@ def test_bulk_letter_check_matches_the_per_letter_check(case):
     fam, word, container = case
     assert _outcome(lambda: reduce(fam, container(word)).letters) == _outcome(lambda: _reduce_per_letter(fam, word))
     want = _outcome(lambda: _check_word_per_letter(fam, word))
-    assert _outcome(lambda: fp_mul(fam, ReducedWord(container(word)), EPS_WORD).letters) == want
-    assert _outcome(lambda: fp_mul(fam, EPS_WORD, ReducedWord(container(word))).letters) == want
+    assert _outcome(lambda: fp_mul(fam, ReducedWord(fam, container(word)), fam.eps).letters) == want
+    assert _outcome(lambda: fp_mul(fam, fam.eps, ReducedWord(fam, container(word))).letters) == want
 
 
 @pytest.mark.parametrize("fam", JOIN_FAMILIES)
@@ -641,7 +686,7 @@ def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
     monkeypatch.setattr(Family, "check_letter", counted)
     w = reduce(fam, letters)
     assert w.letters == tuple(letters)
-    assert fp_mul(fam, w, w) == fp_mul(fam, ReducedWord(tuple(letters)), w)
+    assert fp_mul(fam, w, w) == fp_mul(fam, ReducedWord(fam, tuple(letters)), w)
     fp_length_set(fam, w)
     fp_is_unit(fam, w)
     fp_couniversal(fam, homs, w)

@@ -21,7 +21,7 @@ from atomon import (
     new_monoid,
     units,
 )
-from atomon.coproduct import EPS_WORD, Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
+from atomon.coproduct import Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
 from atomon.coproduct import gamma_admissible, reduce
 from atomon.core import FiniteMonoid, MonoidHom, terminal
 from atomon.errors import (
@@ -277,15 +277,14 @@ def test_units_form_a_group():
 
 # each count parameter of the library and of the oracles, as a call taking it
 _ONE_C2 = Family([one(), c2()])
-_A = ReducedWord(((0, 1),))
+_A = ReducedWord(_ONE_C2, ((0, 1),))
+_PUSHOUT = pushout_presentation(identity_hom(one()), identity_hom(one()))
 COUNT_CALLS = {
     "union_k k": lambda n: union_k(m31(), n),
     "ap_union_k k": lambda n: ap_union_k(_ONE_C2, n),
     "fp_union_k k": lambda n: fp_union_k(_ONE_C2, n),
     "max_blocks": lambda n: fp_length_system_bounded(_ONE_C2, n),
-    "depth": lambda n: pushout_eq_bounded(
-        pushout_presentation(identity_hom(one()), identity_hom(one())), EPS_WORD, EPS_WORD, n
-    ),
+    "depth": lambda n: pushout_eq_bounded(_PUSHOUT, _PUSHOUT.family.eps, _PUSHOUT.family.eps, n),
     "cap": lambda n: ap_materialize(_ONE_C2, n),
     "brute_force_lengths bound": lambda n: brute_force_lengths(one(), 1, n),
     "fp_brute_force_lengths bound": lambda n: fp_brute_force_lengths(_ONE_C2, _A, n),
@@ -349,13 +348,14 @@ def test_sequence_parameters_read_ordered_iterables_only(name, kind):
 
 
 # each arrow parameter of the library, as a call taking one arrow f
+_C2 = Family([c2()])
 ARROW_CALLS = {
     "equalizer": lambda f: equalizer(f, f),
     "coequalizer": lambda f: coequalizer(f, f),
     "pullback": lambda f: pullback(f, f),
     "pushout_presentation": lambda f: pushout_presentation(f, f),
     "ap_universal": lambda f: ap_universal([f], 0),
-    "fp_couniversal": lambda f: fp_couniversal(Family([c2()]), [f], EPS_WORD),
+    "fp_couniversal": lambda f: fp_couniversal(_C2, [f], _C2.eps),
     "is_atomon_mono": is_atomon_mono,
 }
 # arrows that are not arrows of AtoMon, with the error each gets

@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -55,6 +57,15 @@ def test_structural_equality_is_extensional():
     assert a == b and hash(a) == hash(b)
     assert eps_finite(()) == EMPTY
     assert eps_finite({0}) == ZERO_ONLY
+
+
+def test_copies_and_pickles_are_equal_sets():
+    # a monoid caches its length sets, so copying it copies EPSets
+    m = m31()
+    sets = [length_set(m, x) for x in range(m.size)]
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert clone(sets) == sets
+        assert [length_set(clone(m), x) for x in range(m.size)] == sets
 
 
 def test_membership_and_positivity_edges():

@@ -1,7 +1,6 @@
 import pytest
 
 from atomon import (
-    EPS_WORD,
     Congruence,
     PushoutPresentation,
     Family,
@@ -265,10 +264,13 @@ def test_pushout_eq_examples():
 
 def test_pushout_eq_checks_its_words():
     pres = pushout_presentation(identity_hom(one()), identity_hom(one()))
+    eps = pres.family.eps
     with pytest.raises(ValidationError, match="not a ReducedWord"):
-        pushout_eq_bounded(pres, "ab", EPS_WORD, 1)
-    with pytest.raises(ValidationError, match="identity of member 0"):
-        pushout_eq_bounded(pres, ReducedWord(((0, 0),)), EPS_WORD, 1)
+        pushout_eq_bounded(pres, "ab", eps, 1)
+    with pytest.raises(ValidationError, match="over another family"):
+        pushout_eq_bounded(pres, ReducedWord(Family([one(), one()]), ((0, 1),)), eps, 1)
+    with pytest.raises(ValidationError, match="over another family"):
+        pushout_eq_bounded(pres, eps, reduce(Family(pres.family.members), ()), 1)
 
 
 def test_pushout_eq_monotone_and_symmetric():
@@ -397,6 +399,20 @@ _W = ((0, 1),)
 def test_pushout_presentation_refuses_forged_inputs(family, pairs, message):
     with pytest.raises(ValidationError, match=message):
         PushoutPresentation(family, pairs)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, message",
+    [
+        (((0, 99),), ((1, 0),), "element 99 out of range for member 0"),
+        (((0, 1),), ((2, 0),), "member index 2 out of range"),
+        (((0, True),), ((1, 0),), "does not hold two integers"),
+        (((0, 1),), (5,), "letter 5 is not a"),
+    ],
+)
+def test_pushout_presentation_checks_its_relation_letters_when_built(lhs, rhs, message):
+    with pytest.raises(ValidationError, match=message):
+        PushoutPresentation(_FAM, ((lhs, rhs),))
 
 
 def test_a_hand_built_pushout_presentation_matches_the_built_one():

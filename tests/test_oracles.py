@@ -50,8 +50,9 @@ TRUSTS = {
     "raw_alphabet": set(),
     # reduce: the single congruence moves on a raw word
     "congruence_moves": set(),
-    # the reduced words of the free product up to a length, by extension
-    "reduced_words_upto": {"coproduct.EPS_WORD", "core._check_count"},
+    # the reduced words of the free product up to a length, by extension,
+    # each built by the checked ReducedWord constructor
+    "reduced_words_upto": {"core._check_count"},
     # fp_length_set, by bounded search over decorated atoms; _join is
     # checked against reduce in coproduct-reduction
     "fp_brute_force_lengths": {
@@ -71,7 +72,6 @@ TRUSTS = {
         "core._LAWS",
         "core.check_property",
         "core._check_count",
-        "coproduct.EPS_WORD",
         "coproduct._join",
         "coproduct._is_unit_letter",
     },
@@ -185,7 +185,7 @@ def test_importing_the_library_loads_no_oracle_suite_or_cli():
 
 def test_factorization_search_checks_its_word():
     fam = Family([one(), c2()])
-    for word in ("x", ReducedWord(((0, 0),)), ReducedWord(((0, 1), (0, 1)))):
+    for word in ("x", ((0, 1),), ReducedWord(Family(fam.members), ((0, 1),))):
         with pytest.raises(ValidationError):
             fp_brute_force_lengths(fam, word, 4)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from atomon import EMPTY, Family, ZERO_ONLY, eps_cofinite, eps_finite, reduce
-from atomon.errors import ParseError
+from atomon.errors import ParseError, ValidationError
 from atomon.fixtures import c2, h2, one
 from atomon.lengths import EPSet
 from atomon.serialize import (
@@ -132,3 +132,30 @@ def test_tuple_literals():
         parse_tuple(fam, "a,u")
     with pytest.raises(ParseError, match="no element named 'zzz'"):
         parse_tuple(fam, "(a,zzz)")
+
+
+@pytest.mark.parametrize("value", [5, None, "m", Family([one()])], ids=["int", "none", "str", "family"])
+def test_monoid_to_json_refuses_a_non_monoid(value):
+    with pytest.raises(ValidationError, match="is not a FiniteMonoid"):
+        monoid_to_json(value)
+
+
+@pytest.mark.parametrize("family", [5, None, (one(), c2())], ids=["int", "none", "tuple-of-monoids"])
+@pytest.mark.parametrize("call", ["word_to_text", "parse_word", "parse_tuple"])
+def test_literals_refuse_a_non_family(call, family):
+    fam = Family([one(), c2()])
+    calls = {
+        "word_to_text": lambda f: word_to_text(f, reduce(fam, [(0, 1)])),
+        "parse_word": lambda f: parse_word(f, "(a@0)"),
+        "parse_tuple": lambda f: parse_tuple(f, "(a,1)"),
+    }
+    with pytest.raises(ValidationError, match="is not a Family"):
+        calls[call](family)
+
+
+def test_word_to_text_refuses_what_is_no_word_over_its_family():
+    fam = Family([one(), c2()])
+    with pytest.raises(ValidationError, match="not a ReducedWord"):
+        word_to_text(fam, ((0, 1),))
+    with pytest.raises(ValidationError, match="over another family"):
+        word_to_text(fam, reduce(Family(fam.members), [(0, 1)]))
