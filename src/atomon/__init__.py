@@ -27,6 +27,7 @@ from .core import (
     units,
 )
 from .coproduct import (
+    Cocone,
     Family,
     Letter,
     ReducedWord,

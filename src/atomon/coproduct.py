@@ -9,8 +9,8 @@ junction (``_join``); ``reduce`` is for raw words only. A ``ReducedWord``
 carries its family and checks itself when built, so every public function
 taking one only asks whether it is a word over the family it is given.
 Every function taking a family refuses anything that is not a ``Family``.
-The homs given to ``fp_couniversal`` must be AtoMon arrows, atom-preserving
-homs between atomic monoids, as ``core._arrows`` checks.
+The homs of a ``Cocone`` must be AtoMon arrows, atom-preserving homs
+between atomic monoids, as ``core._arrows`` checks.
 
 This module holds the construction only; its oracles (the bounded
 factorization search, the bounded property check and the enumeration of
@@ -58,15 +58,21 @@ class Family:
     (i, x) with x in range for member i, identities included, to one
     canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
     frozensets of the identity letters and of the unit letters. ``eps`` is
-    the family's empty word, built once. Length sets are not tabled here:
-    they stay lazy, per member. ``_pooled`` and ``_totals`` hold the rows of
-    ``fp_union_k``'s DP computed so far; they start empty and grow to the
-    largest k asked for. ``_sums`` maps each multiset of letter length sets
-    that ``fp_length_set`` has summed, as the frozenset of its (length set,
-    count) pairs, to the sum; it starts empty.
+    the family's empty word, built once. ``_letter_sets`` lists the distinct
+    length sets of the non-unit letters, and ``_set_index`` maps each
+    non-unit letter to the position of its length set there; both are None
+    until the first ``fp_length_set`` call builds them. ``_pooled`` and
+    ``_totals`` hold the rows of ``fp_union_k``'s DP computed so far; they
+    start empty and grow to the largest k asked for. ``_sums`` maps each
+    multiset of letter length sets that ``fp_length_set`` has summed, as the
+    frozenset of its (position in ``_letter_sets``, count) pairs, to the
+    sum; it starts empty.
     """
 
-    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
+    __slots__ = (
+        "members", "non_reduced", "eps", "_letters", "_identities", "_units",
+        "_letter_sets", "_set_index", "_pooled", "_totals", "_sums",
+    )
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -86,6 +92,8 @@ class Family:
         self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
         self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
         self.eps = _word(self, ())
+        self._letter_sets: list[EPSet] | None = None
+        self._set_index: dict[Letter, int] | None = None
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
         self._sums: dict[frozenset[tuple[EPSet, int]], EPSet] = {}
@@ -260,26 +268,36 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
 
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     """Length set of a reduced word: the sum of its non-unit letters' length
-    sets, read from each member's cached table. Equal letters are counted
-    first, then their counts merged per distinct length set.
+    sets, read from ``family._letter_sets``, which the first call builds from
+    each member's cached table.
 
-    A word of n letters costs one counting pass over them. The sum of the
+    A word of n letters costs one counting pass over the positions of its
+    letters' length sets, small ints, so no length set is hashed per letter;
+    the unit letters count under None, which is dropped. The sum of the
     counted multiset is looked up in ``family._sums``; only a multiset this
     family has not summed before costs Minkowski sums, O(d·log n) of them for
     d distinct length sets (``lengths._sum_counted``)."""
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
-    non_unit = collections.Counter(itertools.filterfalse(family._units.__contains__, letters))
-    if not non_unit:
+    index = family._set_index
+    if index is None:
+        sets: dict[EPSet, int] = {}
+        index = family._set_index = {
+            lt: sets.setdefault(_length_sets(family.members[lt.mon])[lt.elem], len(sets))
+            for lt in family._letters.values()
+            if lt not in family._units
+        }
+        family._letter_sets = list(sets)
+    counts = collections.Counter(map(index.get, letters))
+    counts.pop(None, None)
+    if not counts:
         return EMPTY
-    counts = collections.Counter()
-    for (i, x), c in non_unit.items():
-        counts[_length_sets(family.members[i])[x]] += c
     key = frozenset(counts.items())
     total = family._sums.get(key)
     if total is None:
-        total = family._sums[key] = _sum_counted(counts)
+        parts = {family._letter_sets[i]: c for i, c in counts.items()}
+        total = family._sums[key] = _sum_counted(parts)
     return total
 
 
@@ -373,18 +391,42 @@ def coprojection(family: Family, i: int, x: int) -> ReducedWord:
     return reduce(family, [(i, x)])
 
 
+@dataclass(frozen=True, eq=False)
+class Cocone:
+    """The morphism out of the free product of ``family`` induced by one
+    AtoMon arrow per member, hom i starting at member i, all sharing one
+    target. Checked when built, in this order: the family, the homs as
+    arrows sharing a target (``core._arrows``), then their sources. Called
+    on a word over the family, it folds the word's letters into the target.
+
+    ``eq=False``: a cocone compares and hashes by identity, so no monoid
+    table is ever hashed.
+    """
+
+    family: Family
+    homs: tuple[MonoidHom, ...]
+
+    def __post_init__(self) -> None:
+        _check_family(self.family)
+        homs = _arrows(self.homs, "target")
+        if tuple(h.source for h in homs) != self.family.members:
+            raise ValidationError("need one hom per family member, hom i starting at member i")
+        object.__setattr__(self, "homs", homs)
+
+    def __call__(self, w: ReducedWord) -> int:
+        letters = _check_word(self.family, w)
+        target = self.homs[0].target
+        acc = target.identity
+        for i, x in letters:
+            acc = target.mul(acc, self.homs[i].map[x])
+        return acc
+
+
 def fp_couniversal(
     family: Family,
     homs: Sequence[MonoidHom],
     w: ReducedWord,
 ) -> int:
-    """Evaluate the induced morphism out of the free product at a word."""
-    _check_family(family)
-    homs = _arrows(homs, "target")
-    if tuple(h.source for h in homs) != family.members:
-        raise ValidationError("need one hom per family member, hom i starting at member i")
-    target = homs[0].target
-    acc = target.identity
-    for i, x in _check_word(family, w):
-        acc = target.mul(acc, homs[i].map[x])
-    return acc
+    """Evaluate the induced morphism out of the free product at a word:
+    ``Cocone(family, homs)(w)``."""
+    return Cocone(family, homs)(w)

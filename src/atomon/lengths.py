@@ -57,11 +57,12 @@ class EPSet:
     int threshold >= 0, an int period >= 1 and int members >= 0, else
     ``ValidationError``, and it returns the canonical form of that set.
 
-    The four fields are stored as ints (see the module docstring). ``head``
-    and ``tail`` are decoded from their masks on each read.
+    The four fields are stored as ints (see the module docstring), with
+    their hash, computed once when the set is built. ``head`` and ``tail``
+    are decoded from their masks on each read.
     """
 
-    __slots__ = ("_threshold", "_head", "_period", "_tail")
+    __slots__ = ("_threshold", "_head", "_period", "_tail", "_hash")
 
     def __new__(cls, threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
         _check_count(threshold, "threshold")
@@ -96,7 +97,7 @@ class EPSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self._threshold, self._head, self._period, self._tail))
+        return self._hash
 
     def __reduce__(self):
         # copies and pickles rebuild the canonical fields, unchecked
@@ -121,9 +122,11 @@ class EPSet:
 
 
 def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
-    """The EPSet with these fields, which must already be canonical."""
+    """The EPSet with these fields, which must already be canonical: the
+    only builder, so every EPSet holds the hash of its four fields."""
     s = object.__new__(EPSet)
     s._threshold, s._head, s._period, s._tail = threshold, head, period, tail
+    s._hash = hash((threshold, head, period, tail))
     return s
 
 

@@ -18,9 +18,9 @@ import itertools
 import os
 from typing import Callable, Iterator, Sequence
 
-from .coproduct import Family, Letter, ReducedWord, _check_word, _is_unit_letter, _join
+from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _is_unit_letter, _join
 from .coproduct import fp_is_unit, gamma_admissible
-from .core import _LAWS, FiniteMonoid, _check_count, _check_indices, atoms, check_property, units
+from .core import _LAWS, FiniteMonoid, _check_count, _check_indices, _check_monoid, atoms, check_property, units
 from .errors import ParseError, PreconditionError, SearchBudgetExceededError, ValidationError
 from .lengths import EMPTY, ZERO_ONLY, eps_intersect, eps_sum_many, eps_union, length_system, union_k
 from .serialize import eps_to_json
@@ -34,6 +34,7 @@ DEFAULT_SEARCH_BUDGET = 250_000
 
 def units_by_pairs(m: FiniteMonoid) -> frozenset[int]:
     """The elements with a two-sided inverse, by trying every pair."""
+    _check_monoid(m)
     found = set()
     for u in range(m.size):
         for v in range(m.size):
@@ -101,6 +102,8 @@ def ijk_scan(table) -> tuple[int, int, int] | None:
 def exhaustive_homs(source: FiniteMonoid, target: FiniteMonoid):
     """(map, atom-preserving) for every hom, in map order, by trying every map
     with the identity pinned and checking every product."""
+    _check_monoid(source)
+    _check_monoid(target)
     src, tgt = source.table, target.table
     src_atoms, tgt_atoms = atoms(source), atoms(target)
     out = []
@@ -122,6 +125,7 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
     Plain dynamic programming over (length, element) with no periodicity
     reasoning, kept independent from length_set on purpose.
     """
+    _check_monoid(m)
     _check_indices((x,), m.size, "element index")
     _check_count(bound, "bound")
     found = set()
@@ -158,11 +162,13 @@ def json_members(s, bound: int) -> set[int]:
 
 
 def raw_alphabet(family: Family) -> list[Letter]:
+    _check_family(family)
     return [Letter(i, x) for i, m in enumerate(family.members) for x in range(m.size)]
 
 
 def congruence_moves(family: Family, letters):
     """All single-step congruence moves applicable to a raw word."""
+    _check_family(family)
     moves = []
     for pos, (i, x) in enumerate(letters):
         if x == family.members[i].identity:
@@ -178,6 +184,7 @@ def congruence_moves(family: Family, letters):
 
 def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
     """All reduced words with at most max_len letters, shortest first."""
+    _check_family(family)
     _check_count(max_len, "max_len")
     alphabet = [
         Letter(i, x)
@@ -279,7 +286,12 @@ def fp_brute_force_lengths(
 
     Candidate atoms carry unit decorations drawn from w's own unit runs and
     from single member units; partial products are kept reduced and pruned
-    against w's frozen prefix.
+    against w's frozen prefix. Level k is the set of states reachable by k
+    candidates. A state's successors (its products with every candidate that
+    survive the pruning) are computed the first time the state is met, on
+    any level, and kept for the rest of the call. ``budget`` bounds the
+    (state, candidate) pairs expanded, so each distinct state costs one
+    pool's worth of it, however many levels it appears on.
     """
     target = _check_word(family, w)
     _check_count(bound, "bound")
@@ -292,17 +304,19 @@ def fp_brute_force_lengths(
     pad = max((len(c) for c in pool), default=0)
     found: set[int] = set()
     frontier: set[tuple[Letter, ...]] = {()}
+    successors: dict[tuple[Letter, ...], set[tuple[Letter, ...]]] = {}
     expansions = 0
     for k in range(1, bound + 1):
         nxt: set[tuple[Letter, ...]] = set()
         for state in frontier:
-            for cand in pool:
-                expansions += 1
+            after = successors.get(state)
+            if after is None:
+                expansions += len(pool)
                 if expansions > limit:
                     raise SearchBudgetExceededError(limit)
-                prod = _join(family, state, cand)
-                if _can_extend_to(family, prod, target, pad):
-                    nxt.add(prod)
+                products = (_join(family, state, cand) for cand in pool)
+                after = successors[state] = {p for p in products if _can_extend_to(family, p, target, pad)}
+            nxt |= after
         if target in nxt:
             found.add(k)
         frontier = nxt
@@ -321,6 +335,7 @@ def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
     ``unit_cancellative``: those two answers are True without one product.
     Only ``cancellative`` multiplies words, and so checks ``_join``.
     """
+    _check_family(family)
     if prop not in _LAWS:
         raise ValidationError(f"unsupported property {prop!r}")
     _check_count(max_len, "max_len")
@@ -339,6 +354,7 @@ def _admissible_words(fam: Family, max_len: int):
 
 def union_k_oracle(fam: Family, k: int):
     """fp_union_k over all admissible index words × compositions of k."""
+    _check_family(fam)
     acc = EMPTY
     for word in _admissible_words(fam, k):
         for cuts in itertools.combinations(range(1, k), len(word) - 1):
@@ -349,6 +365,7 @@ def union_k_oracle(fam: Family, k: int):
 
 def system_oracle(fam: Family, max_blocks: int):
     """fp_length_system_bounded over all admissible index words × choices."""
+    _check_family(fam)
     systems = [length_system(m, nonzero_only=True).entries for m in fam.members]
     words = _admissible_words(fam, max_blocks)
     return {eps_sum_many(choice) for w in words for choice in itertools.product(*(systems[i] for i in w))}
@@ -360,12 +377,14 @@ def system_oracle(fam: Family, max_blocks: int):
 
 def tuple_mul(family: Family, s: tuple, t: tuple) -> tuple:
     """The componentwise product of two tuples of the direct product."""
+    _check_family(family)
     return tuple(m.mul(x, y) for m, x, y in zip(family.members, s, t))
 
 
 def product_system_oracle(fam: Family, nonzero_only: bool):
     """ap_length_system as the intersections of every choice of one length set
     per member."""
+    _check_family(fam)
     systems = (length_system(m).entries for m in fam.members)
     entries = {functools.reduce(eps_intersect, choice) for choice in itertools.product(*systems)}
     return entries - {EMPTY, ZERO_ONLY} if nonzero_only else entries - {EMPTY}
@@ -394,6 +413,7 @@ def all_partitions(n: int):
 def is_congruence(m: FiniteMonoid, leader) -> bool:
     """Whether the partition given by ``leader`` is compatible with both
     translations, by checking every pair in one block against every element."""
+    _check_monoid(m)
     n = m.size
     for x in range(n):
         for y in range(x + 1, n):

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from . import fixtures, oracles
-from .coproduct import Family, coprojection, fp_couniversal, fp_is_atom, fp_is_unit
+from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
 from .core import enumerate_homs, eval_word, is_atomon_mono, new_monoid, terminal, units
@@ -38,7 +38,8 @@ from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
 from .limits import congruence_closure, coequalizer, equalizer, pullback
-from .product import ap_contains, ap_generators, ap_length_set, ap_length_system, ap_materialize, ap_union_k
+from .product import ap_contains, ap_generators, ap_is_atom, ap_is_unit, ap_length_set, ap_length_system
+from .product import ap_materialize, ap_union_k
 from .serialize import word_to_text
 
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
@@ -381,9 +382,14 @@ def suite_product_formulas(rng, budget):
         # membership criterion matches the closure, over the full direct product
         for t in itertools.product(*(range(m.size) for m in fam.members)):
             yield ap_contains(fam, t) != (t in index) and f"{names}: membership of {t} wrong"
-        # units and atoms of the materialized table are the generator tuples
-        yield {order[u] for u in units(mat)} != set(gens.unit_tuples) and f"{names}: unit tuples disagree"
-        yield {order[a] for a in atoms(mat)} != set(gens.atom_tuples) and f"{names}: atom tuples disagree"
+        # units and atoms of the materialized table are the generator tuples,
+        # and the tuples the unit and atom tests accept
+        mat_units, mat_atoms = units(mat), atoms(mat)
+        yield {order[u] for u in mat_units} != set(gens.unit_tuples) and f"{names}: unit tuples disagree"
+        yield {order[a] for a in mat_atoms} != set(gens.atom_tuples) and f"{names}: atom tuples disagree"
+        for i, t in enumerate(order):
+            yield ap_is_unit(fam, t) != (i in mat_units) and f"{names}: ap_is_unit{t} disagrees with the table"
+            yield ap_is_atom(fam, t) != (i in mat_atoms) and f"{names}: ap_is_atom{t} disagrees with the table"
         # projections restricted to the product preserve atoms
         for comp, member in enumerate(fam.members):
             member_atoms = atoms(member)
@@ -498,19 +504,18 @@ def _coproduct_up():
         for kn in ("one", "h2"):
             k = _named(kn)
             for homs in itertools.product(*(_hom_list(m, k) for m in fam.members)):
+                induced = Cocone(fam, homs)
                 # coprojection triangles
                 for i, m in enumerate(fam.members):
                     for x in range(m.size):
-                        via = fp_couniversal(fam, homs, coprojection(fam, i, x))
+                        via = induced(coprojection(fam, i, x))
                         yield via != homs[i].map[x] and f"coproduct triangle fails at {names}[{i}]:{x}"
                 # multiplicativity on short words
                 words = list(oracles.reduced_words_upto(fam, 2))
                 for w1 in words:
                     for w2 in words:
-                        lhs = fp_couniversal(fam, homs, fp_mul(fam, w1, w2))
-                        rhs = k.mul(
-                            fp_couniversal(fam, homs, w1), fp_couniversal(fam, homs, w2)
-                        )
+                        lhs = induced(fp_mul(fam, w1, w2))
+                        rhs = k.mul(induced(w1), induced(w2))
                         yield lhs != rhs and f"induced coproduct map not multiplicative on {names}"
 
 

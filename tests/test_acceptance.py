@@ -78,7 +78,7 @@ CASES_AT_SEED_0 = {
     "length-invariance": 75,
     "length-oracle": 408,
     "preserved-properties": 21,
-    "product-formulas": 218,
+    "product-formulas": 276,
     "product-unions": 56,
     "terminal-uniqueness": 9,
     "universal-properties": 1532,

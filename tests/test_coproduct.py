@@ -1,6 +1,6 @@
+import collections
 import copy
 import functools
-import inspect
 import math
 import pickle
 import random
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from atomon import (
     EMPTY,
+    Cocone,
     Family,
     Letter,
     PushoutPresentation,
@@ -46,13 +47,14 @@ from atomon.errors import (
     SearchBudgetExceededError,
     ValidationError,
 )
-import atomon
-from atomon import lengths
+from atomon import coproduct, lengths, oracles
 from atomon.coproduct import _join
 from atomon.core import units
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_minkowski_sum, eps_sum_many, eps_union, length_set
 from atomon.oracles import fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto, system_oracle, union_k_oracle
+from atomon.serialize import parse_tuple, parse_word, word_to_text
+from test_core import annotated_parameters
 
 
 @pytest.fixture
@@ -182,11 +184,16 @@ def _couniversal(fam, w):
     return fp_couniversal(fam, [identity_hom(one()), new_hom(c2(), one(), (0, 0))], w)
 
 
+def _cocone(fam, w):
+    return Cocone(fam, [identity_hom(one()), new_hom(c2(), one(), (0, 0))])(w)
+
+
 WORD_CONSUMERS = {
     "fp_length_set": fp_length_set,
     "fp_is_unit": fp_is_unit,
     "fp_is_atom": fp_is_atom,
     "fp_couniversal": _couniversal,
+    "Cocone": _cocone,
     "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 3),
     "fp_mul left": lambda fam, w: fp_mul(fam, w, fam.eps),
     "fp_mul right": lambda fam, w: fp_mul(fam, fam.eps, w),
@@ -236,6 +243,7 @@ FAMILY_CONSUMERS = {
     "gamma_admissible": lambda fam, w: gamma_admissible(fam, (0,)),
     "coprojection": lambda fam, w: coprojection(fam, 0, 1),
     "fp_couniversal": lambda fam, w: fp_couniversal(fam, [identity_hom(one())], w),
+    "Cocone": lambda fam, w: Cocone(fam, [identity_hom(one())]),
     "ReducedWord": lambda fam, w: ReducedWord(fam, ()),
     "PushoutPresentation": lambda fam, w: PushoutPresentation(fam, ()),
     "ap_contains": lambda fam, w: ap_contains(fam, (0, 0)),
@@ -246,6 +254,18 @@ FAMILY_CONSUMERS = {
     "ap_length_system": lambda fam, w: ap_length_system(fam),
     "ap_union_k": lambda fam, w: ap_union_k(fam, 1),
     "ap_materialize": lambda fam, w: ap_materialize(fam, 10),
+    "word_to_text": word_to_text,
+    "parse_word": lambda fam, w: parse_word(fam, ""),
+    "parse_tuple": lambda fam, w: parse_tuple(fam, "1"),
+    "raw_alphabet": lambda fam, w: oracles.raw_alphabet(fam),
+    "congruence_moves": lambda fam, w: oracles.congruence_moves(fam, ()),
+    "reduced_words_upto": lambda fam, w: list(reduced_words_upto(fam, 1)),
+    "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 2),
+    "fp_check_property_bounded": lambda fam, w: fp_check_property_bounded(fam, "cancellative", 1),
+    "union_k_oracle": lambda fam, w: union_k_oracle(fam, 1),
+    "system_oracle": lambda fam, w: system_oracle(fam, 1),
+    "tuple_mul": lambda fam, w: oracles.tuple_mul(fam, (0, 0), (0, 0)),
+    "product_system_oracle": lambda fam, w: oracles.product_system_oracle(fam, False),
 }
 
 
@@ -259,19 +279,9 @@ def test_family_arguments_must_be_families(one_c2, consumer, family):
 
 
 def test_every_family_parameter_is_in_the_table():
-    # a new public callable taking a family must be listed above, so that
-    # its check is tested
-    annotated = set()
-    for name in dir(atomon):
-        obj = getattr(atomon, name)
-        if name.startswith("_") or not callable(obj):
-            continue
-        try:
-            parameters = inspect.signature(obj).parameters.values()
-        except (TypeError, ValueError):
-            continue
-        annotated.update(name for p in parameters if p.annotation in ("Family", Family))
-    assert annotated == set(FAMILY_CONSUMERS)
+    # a new public callable taking a family, in any module, must be listed
+    # above, so that its check is tested
+    assert {name for name, _ in annotated_parameters(Family)} == set(FAMILY_CONSUMERS)
 
 
 @pytest.mark.parametrize("consumer", WORD_CONSUMERS)
@@ -432,6 +442,35 @@ def test_couniversal_respects_reduction(one_c2):
         assert fp_couniversal(one_c2, phi, reduce(one_c2, raw)) == direct
 
 
+def test_a_cocone_checks_its_homs_when_built_not_when_called(one_c2, monkeypatch):
+    phi = [identity_hom(one()), new_hom(c2(), one(), (0, 0))]
+    for sources in (phi[::-1], phi[:1], phi + phi[:1]):
+        with pytest.raises(ValidationError, match="one hom per family member"):
+            Cocone(one_c2, sources)
+    induced = Cocone(one_c2, phi)
+    assert induced.homs == tuple(phi)
+    # two cocones of equal homs are two values: no monoid table is compared
+    # or hashed
+    assert induced != Cocone(one_c2, phi) and induced in {induced}
+    words = list(reduced_words_upto(one_c2, 3))
+    expected = [fp_couniversal(one_c2, phi, w) for w in words]
+
+    def refuse(*args):
+        raise AssertionError("the homs were checked again")
+
+    monkeypatch.setattr(coproduct, "_arrows", refuse)
+    assert [induced(w) for w in words] == expected
+
+
+def test_a_cocone_refuses_a_word_over_another_family(one_c2):
+    induced = Cocone(one_c2, [identity_hom(one()), new_hom(c2(), one(), (0, 0))])
+    twin = reduce(Family(one_c2.members), [(0, 1)])
+    with pytest.raises(ValidationError, match="over another family"):
+        induced(twin)
+    with pytest.raises(ValidationError, match="not a ReducedWord"):
+        induced([(0, 1)])
+
+
 def test_brute_force_examples(two_ones):
     w = reduce(two_ones, [(0, 2)])
     assert fp_brute_force_lengths(two_ones, w, 5) == {2, 3, 4, 5}
@@ -448,18 +487,47 @@ def test_brute_force_budget(two_ones):
 @pytest.mark.parametrize(
     "names,raw,least",
     [
-        ((one, c2), [(0, 2), (1, 1), (0, 1)], 132),
+        ((one, c2), [(0, 2), (1, 1), (0, 1)], 28),
         ((one, c2, m31), [(2, 1), (1, 1), (0, 1)], 40),
     ],
 )
 def test_brute_force_budget_is_pinned(names, raw, least):
-    # the least budgets that let the search finish: how products are merged
-    # must not change which states the search expands, or how many
+    # the least budgets that let the search finish: the budget counts the
+    # (state, candidate) pairs expanded, one pool's worth per distinct state,
+    # so how products are merged must not change which states the search
+    # expands, or how many
     fam = Family([make() for make in names])
     w = reduce(fam, raw)
     fp_brute_force_lengths(fam, w, 10, budget=least)
     with pytest.raises(SearchBudgetExceededError):
         fp_brute_force_lengths(fam, w, 10, budget=least - 1)
+
+
+@pytest.mark.parametrize("names", [("one", "c2"), ("one", "h2"), ("one", "c2", "m31")])
+def test_brute_force_expands_each_state_once(names, monkeypatch):
+    # every state met on any level is joined with each candidate exactly
+    # once per call, and the answers match the formula
+    fam = Family([atomic_fixtures()[n] for n in names])
+    pools, joined = [], []
+    candidate_atoms, join = oracles._candidate_atoms, oracles._join
+
+    def pool_of(family, letters):
+        pools.append(candidate_atoms(family, letters))
+        joined.clear()
+        return pools[-1]
+
+    def counted(family, x, y):
+        joined.append(x)
+        return join(family, x, y)
+
+    monkeypatch.setattr(oracles, "_candidate_atoms", pool_of)
+    monkeypatch.setattr(oracles, "_join", counted)
+    for w in reduced_words_upto(fam, 3):
+        lengths_found = fp_brute_force_lengths(fam, w, 10)
+        assert lengths_found == set(fp_length_set(fam, w).members_upto(10))
+        if pools:
+            assert set(collections.Counter(joined).values()) <= {len(pools[-1])}
+            pools.clear()
 
 
 def test_formula_matches_search(one_c2):

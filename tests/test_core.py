@@ -1,5 +1,7 @@
+import importlib
 import inspect
 import itertools
+import pkgutil
 import re
 
 import pytest
@@ -21,7 +23,7 @@ from atomon import (
     new_monoid,
     units,
 )
-from atomon.coproduct import Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
+from atomon.coproduct import Cocone, Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
 from atomon.coproduct import gamma_admissible, reduce
 from atomon.core import FiniteMonoid, MonoidHom, terminal
 from atomon.errors import (
@@ -39,8 +41,10 @@ from atomon.fixtures import c2, h2, m31, one, sl2, zero
 from atomon.lengths import eps_from_window, length_set, length_system, power_layers, union_k
 from atomon.limits import Congruence, coequalizer, congruence_closure, equalizer, pullback, quotient
 from atomon.limits import pushout_eq_bounded, pushout_presentation
+from atomon import oracles
 from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto
 from atomon.product import ap_contains, ap_materialize, ap_union_k, ap_universal
+from atomon.serialize import monoid_to_json
 
 
 def test_new_monoid_accepts_terminal_table():
@@ -323,6 +327,10 @@ SEQUENCE_CALLS = {
         lambda v: fp_couniversal(_ONE_C2, v, reduce(_ONE_C2, [(0, 1), (1, 1)])),
         (identity_hom(one()), new_hom(c2(), one(), (0, 0))),
     ),
+    "Cocone homs": (
+        lambda v: Cocone(_ONE_C2, v)(reduce(_ONE_C2, [(0, 1), (1, 1)])),
+        (identity_hom(one()), new_hom(c2(), one(), (0, 0))),
+    ),
 }
 ORDERED = {"tuple": tuple, "list": list, "generator": lambda v: (x for x in v)}
 # unordered or not iterable: their keys or characters are never read as the values
@@ -356,6 +364,7 @@ ARROW_CALLS = {
     "pushout_presentation": lambda f: pushout_presentation(f, f),
     "ap_universal": lambda f: ap_universal([f], 0),
     "fp_couniversal": lambda f: fp_couniversal(_C2, [f], _C2.eps),
+    "Cocone": lambda f: Cocone(_C2, [f]),
     "is_atomon_mono": is_atomon_mono,
 }
 # arrows that are not arrows of AtoMon, with the error each gets
@@ -414,6 +423,16 @@ MONOID_CALLS = {
         "m": lambda v: quotient(v, congruence_closure(one(), [])),
         "cong": lambda v: quotient(one(), v),
     },
+    "monoid_to_json": {"m": monoid_to_json},
+    "units_by_pairs": {"m": oracles.units_by_pairs},
+    "atoms_by_pairs": {"m": oracles.atoms_by_pairs},
+    "exhaustive_homs": {
+        "source": lambda v: oracles.exhaustive_homs(v, one()),
+        "target": lambda v: oracles.exhaustive_homs(one(), v),
+    },
+    "brute_force_lengths": {"m": lambda v: brute_force_lengths(v, 1, 3)},
+    "union_k_by_fold": {"m": lambda v: oracles.union_k_by_fold(v, 1)},
+    "is_congruence": {"m": lambda v: oracles.is_congruence(v, (0, 1, 2))},
 }
 NON_MONOIDS = {"int": 5, "None": None, "str": "m", "Family": Family([one()])}
 
@@ -427,19 +446,26 @@ def test_monoid_parameters_refuse_non_monoids(name, parameter, value):
         MONOID_CALLS[name][parameter](NON_MONOIDS[value])
 
 
+def annotated_parameters(*types) -> set[tuple[str, str]]:
+    """(callable, parameter) for each parameter annotated with one of the
+    types, over the public callables defined in every ``atomon`` module."""
+    wanted = set(types) | {t.__name__ for t in types}
+    found = set()
+    for info in pkgutil.iter_modules(atomon.__path__):
+        module = importlib.import_module(f"atomon.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            found.update((name, p.name) for p in parameters if p.annotation in wanted)
+    return found
+
+
 def test_every_monoid_parameter_is_in_the_table():
-    # a new public callable taking a monoid or a congruence must be listed
-    # above, so that its check is tested
-    annotated = set()
-    for name in dir(atomon):
-        obj = getattr(atomon, name)
-        if name.startswith("_") or not callable(obj):
-            continue
-        try:
-            parameters = inspect.signature(obj).parameters.values()
-        except (TypeError, ValueError):
-            continue
-        for p in parameters:
-            if p.annotation in ("FiniteMonoid", "Congruence", FiniteMonoid, Congruence):
-                annotated.add((name, p.name))
+    # a new public callable taking a monoid or a congruence, in any module,
+    # must be listed above, so that its check is tested
+    annotated = annotated_parameters(FiniteMonoid, Congruence)
     assert annotated == {(name, parameter) for name, calls in MONOID_CALLS.items() for parameter in calls}

@@ -68,6 +68,21 @@ def test_copies_and_pickles_are_equal_sets():
         assert [length_set(clone(m), x) for x in range(m.size)] == sets
 
 
+def test_equal_sets_built_any_way_hash_alike():
+    # the hash is computed once, when the set is built, from its four fields
+    built = EPSet(4, {0, 2}, 3, {2})
+    clones = [
+        EPSet(7, {0, 2, 5}, 6, {2, 5}),
+        eps_from_window([n in built for n in range(20)], 3, 1),
+        copy.copy(built),
+        copy.deepcopy(built),
+        pickle.loads(pickle.dumps(built)),
+    ]
+    fields = (built.threshold, built._head, built.period, built._tail)
+    for s in clones:
+        assert s == built and hash(s) == hash(built) == hash(fields)
+
+
 def test_membership_and_positivity_edges():
     assert -1 not in eps_cofinite(0) and -1 not in ZERO_ONLY
     assert not ZERO_ONLY.has_positive() and not EMPTY.has_positive()

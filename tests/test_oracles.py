@@ -29,30 +29,30 @@ SRC = Path(atomon.__file__).resolve().parent
 
 TRUSTS = {
     # units: the pairs u, v with u·v = v·u = 1, read from the table
-    "units_by_pairs": set(),
+    "units_by_pairs": {"core._check_monoid"},
     # atoms: the non-units minus every product of two non-units
-    "atoms_by_pairs": set(),
+    "atoms_by_pairs": {"core._check_monoid"},
     # check_property's three cancellation laws, by scanning every triple
     "laws_hold": set(),
     # Light's associativity test in new_monoid, by the plain n^3 scan
     "ijk_scan": set(),
     # enumerate_homs, by trying every map with the identity pinned
-    "exhaustive_homs": {"core.atoms"},
+    "exhaustive_homs": {"core._check_monoid", "core.atoms"},
     # length_set, by dynamic programming over (length, element); it does
     # not trust power_layers
-    "brute_force_lengths": {"core.atoms", "core._check_indices", "core._check_count"},
+    "brute_force_lengths": {"core._check_monoid", "core.atoms", "core._check_indices", "core._check_count"},
     # union_k's periodic table, by folding the union over the length sets
     # that contain k
     "union_k_by_fold": {"core._check_count", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
     # EPSet arithmetic, read off the JSON lists rather than the masks
     "json_members": {"serialize.eps_to_json"},
     # reduce: the letters of raw words
-    "raw_alphabet": set(),
+    "raw_alphabet": {"coproduct._check_family"},
     # reduce: the single congruence moves on a raw word
-    "congruence_moves": set(),
+    "congruence_moves": {"coproduct._check_family"},
     # the reduced words of the free product up to a length, by extension,
     # each built by the checked ReducedWord constructor
-    "reduced_words_upto": {"core._check_count"},
+    "reduced_words_upto": {"coproduct._check_family", "core._check_count"},
     # fp_length_set, by bounded search over decorated atoms; _join is
     # checked against reduce in coproduct-reduction
     "fp_brute_force_lengths": {
@@ -69,6 +69,7 @@ TRUSTS = {
     # unit_cancellative hold without one product, and only cancellative
     # exercises _join
     "fp_check_property_bounded": {
+        "coproduct._check_family",
         "core._LAWS",
         "core.check_property",
         "core._check_count",
@@ -77,6 +78,7 @@ TRUSTS = {
     },
     # fp_union_k's DP, by every admissible index word and composition of k
     "union_k_oracle": {
+        "coproduct._check_family",
         "coproduct.gamma_admissible",
         "lengths.union_k",
         "lengths.eps_sum_many",
@@ -85,11 +87,17 @@ TRUSTS = {
     },
     # fp_length_system_bounded's DP, by every admissible index word and
     # choice of member length sets
-    "system_oracle": {"coproduct.gamma_admissible", "lengths.length_system", "lengths.eps_sum_many"},
+    "system_oracle": {
+        "coproduct._check_family",
+        "coproduct.gamma_admissible",
+        "lengths.length_system",
+        "lengths.eps_sum_many",
+    },
     # the product's multiplication, componentwise from the member tables
-    "tuple_mul": set(),
+    "tuple_mul": {"coproduct._check_family"},
     # ap_length_system's fold, by intersecting every choice of member sets
     "product_system_oracle": {
+        "coproduct._check_family",
         "lengths.length_system",
         "lengths.eps_intersect",
         "lengths.EMPTY",
@@ -98,7 +106,7 @@ TRUSTS = {
     # congruence_closure's minimality: every set partition of the elements
     "all_partitions": set(),
     # congruence_closure's compatibility, by checking every pair in a block
-    "is_congruence": set(),
+    "is_congruence": {"core._check_monoid"},
 }
 
 
