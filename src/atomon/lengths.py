@@ -122,8 +122,8 @@ class EPSet:
 
 
 def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
-    """The EPSet with these fields, which must already be canonical: the
-    only builder, so every EPSet holds the hash of its four fields."""
+    """The EPSet with these fields, which must already be canonical. Every
+    EPSet is made here, so every EPSet holds the hash of its four fields."""
     s = object.__new__(EPSet)
     s._threshold, s._head, s._period, s._tail = threshold, head, period, tail
     s._hash = hash((threshold, head, period, tail))
