@@ -76,11 +76,14 @@ def _system(system) -> tuple[list[dict], str]:
 
 def _checked(data: dict, ls, bound: int | None, oracle):
     """A length set, cross-checked on [0, bound] against ``oracle(bound)``
-    when a bound is given; a mismatch gives exit status 1."""
+    when a bound is given; a mismatch gives exit status 1. The oracle runs
+    first: its search budget stops a bound too large to search before the
+    length set is listed up to it."""
     data, lines = _eps_result("length_set", ls, **data)
     if bound is None:
         return data, lines
-    agrees = set(ls.members_upto(bound)) == oracle(bound)
+    expected = oracle(bound)
+    agrees = set(ls.members_upto(bound)) == expected
     data.update(oracle_bound=bound, oracle_agrees=agrees)
     lines.append(f"oracle on [0,{bound}]: {'agrees' if agrees else 'MISMATCH'}")
     return data, lines, 0 if agrees else 1

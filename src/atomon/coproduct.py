@@ -58,21 +58,15 @@ class Family:
     (i, x) with x in range for member i, identities included, to one
     canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
     frozensets of the identity letters and of the unit letters. ``eps`` is
-    the family's empty word, built once. ``_letter_sets`` lists the distinct
-    length sets of the non-unit letters, and ``_set_index`` maps each
-    non-unit letter to the position of its length set there; both are None
-    until the first ``fp_length_set`` call builds them. ``_pooled`` and
-    ``_totals`` hold the rows of ``fp_union_k``'s DP computed so far; they
-    start empty and grow to the largest k asked for. ``_sums`` maps each
-    multiset of letter length sets that ``fp_length_set`` has summed, as the
-    frozenset of its (position in ``_letter_sets``, count) pairs, to the
-    sum; it starts empty.
+    the family's empty word, built once. Length sets are not tabled here:
+    they stay lazy, per member. ``_pooled`` and ``_totals`` hold the rows of
+    ``fp_union_k``'s DP computed so far; they start empty and grow to the
+    largest k asked for. ``_sums`` maps each multiset of letter length sets
+    that ``fp_length_set`` has summed, as the frozenset of its (length set,
+    count) pairs, to the sum; it starts empty.
     """
 
-    __slots__ = (
-        "members", "non_reduced", "eps", "_letters", "_identities", "_units",
-        "_letter_sets", "_set_index", "_pooled", "_totals", "_sums",
-    )
+    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -92,8 +86,6 @@ class Family:
         self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
         self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
         self.eps = _word(self, ())
-        self._letter_sets: list[EPSet] | None = None
-        self._set_index: dict[Letter, int] | None = None
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
         self._sums: dict[frozenset[tuple[EPSet, int]], EPSet] = {}
@@ -268,36 +260,26 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
 
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     """Length set of a reduced word: the sum of its non-unit letters' length
-    sets, read from ``family._letter_sets``, which the first call builds from
-    each member's cached table.
+    sets, read from each member's cached table. Equal letters are counted
+    first, then their counts merged per distinct length set.
 
-    A word of n letters costs one counting pass over the positions of its
-    letters' length sets, small ints, so no length set is hashed per letter;
-    the unit letters count under None, which is dropped. The sum of the
+    A word of n letters costs one counting pass over them. The sum of the
     counted multiset is looked up in ``family._sums``; only a multiset this
     family has not summed before costs Minkowski sums, O(d·log n) of them for
     d distinct length sets (``lengths._sum_counted``)."""
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
-    index = family._set_index
-    if index is None:
-        sets: dict[EPSet, int] = {}
-        index = family._set_index = {
-            lt: sets.setdefault(_length_sets(family.members[lt.mon])[lt.elem], len(sets))
-            for lt in family._letters.values()
-            if lt not in family._units
-        }
-        family._letter_sets = list(sets)
-    counts = collections.Counter(map(index.get, letters))
-    counts.pop(None, None)
-    if not counts:
+    non_unit = collections.Counter(itertools.filterfalse(family._units.__contains__, letters))
+    if not non_unit:
         return EMPTY
+    counts = collections.Counter()
+    for (i, x), c in non_unit.items():
+        counts[_length_sets(family.members[i])[x]] += c
     key = frozenset(counts.items())
     total = family._sums.get(key)
     if total is None:
-        parts = {family._letter_sets[i]: c for i, c in counts.items()}
-        total = family._sums[key] = _sum_counted(parts)
+        total = family._sums[key] = _sum_counted(counts)
     return total
 
 

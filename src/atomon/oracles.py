@@ -289,9 +289,11 @@ def fp_brute_force_lengths(
     against w's frozen prefix. Level k is the set of states reachable by k
     candidates. A state's successors (its products with every candidate that
     survive the pruning) are computed the first time the state is met, on
-    any level, and kept for the rest of the call. ``budget`` bounds the
-    (state, candidate) pairs expanded, so each distinct state costs one
-    pool's worth of it, however many levels it appears on.
+    any level, and kept for the rest of the call. ``budget`` bounds the work
+    done: a state's first expansion costs one per candidate, and each later
+    level that meets it again costs one more. Every level of a non-empty
+    frontier costs at least one, so a search whose frontier never empties
+    stops within ``budget`` levels, whatever ``bound`` is.
     """
     target = _check_word(family, w)
     _check_count(bound, "bound")
@@ -310,10 +312,10 @@ def fp_brute_force_lengths(
         nxt: set[tuple[Letter, ...]] = set()
         for state in frontier:
             after = successors.get(state)
+            expansions += len(pool) if after is None else 1
+            if expansions > limit:
+                raise SearchBudgetExceededError(limit)
             if after is None:
-                expansions += len(pool)
-                if expansions > limit:
-                    raise SearchBudgetExceededError(limit)
                 products = (_join(family, state, cand) for cand in pool)
                 after = successors[state] = {p for p in products if _can_extend_to(family, p, target, pad)}
             nxt |= after

@@ -312,6 +312,14 @@ def test_budget_env_caps_oracle(files, capsys, monkeypatch):
     assert code == 1  # refused: search budget exhausted
 
 
+def test_budget_stops_an_oracle_search_that_never_ends(files, capsys, monkeypatch):
+    # (0@0) has lengths {2, 3, ...}: no level of the search is empty, so only
+    # the budget ends it, long before the bound
+    monkeypatch.setenv("ATOMON_BUDGET", "1000")
+    assert main(["coproduct", "lengthset", files["fam"], "(0@0)", "--bound", str(10**6)]) == 1
+    assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
+
+
 def test_a_closed_stdout_ends_without_a_traceback():
     # the reader of stdout is gone before the child writes, as in `atomon ... | head -1`
     read_end, write_end = os.pipe()

@@ -484,18 +484,27 @@ def test_brute_force_budget(two_ones):
         fp_brute_force_lengths(two_ones, w, 10, budget=5)
 
 
+def test_brute_force_budget_stops_a_search_that_never_ends(two_ones):
+    # a word of lengths {2, 3, ...}: every level is non-empty, and after a few
+    # levels every state has been expanded, so only meeting states again is
+    # charged
+    w = reduce(two_ones, [(0, 2)])
+    with pytest.raises(SearchBudgetExceededError):
+        fp_brute_force_lengths(two_ones, w, 10**8, budget=1000)
+
+
 @pytest.mark.parametrize(
     "names,raw,least",
     [
-        ((one, c2), [(0, 2), (1, 1), (0, 1)], 28),
+        ((one, c2), [(0, 2), (1, 1), (0, 1)], 54),
         ((one, c2, m31), [(2, 1), (1, 1), (0, 1)], 40),
     ],
 )
 def test_brute_force_budget_is_pinned(names, raw, least):
-    # the least budgets that let the search finish: the budget counts the
-    # (state, candidate) pairs expanded, one pool's worth per distinct state,
-    # so how products are merged must not change which states the search
-    # expands, or how many
+    # the least budgets that let the search finish: a state's first
+    # expansion costs one per candidate and each later level that meets it
+    # costs one, so how products are merged must not change which states
+    # the search expands, or how often it meets them
     fam = Family([make() for make in names])
     w = reduce(fam, raw)
     fp_brute_force_lengths(fam, w, 10, budget=least)
