@@ -183,9 +183,15 @@ def congruence_moves(family: Family, letters):
 
 
 def reduced_words_upto(family: Family, max_len: int) -> Iterator[ReducedWord]:
-    """All reduced words with at most max_len letters, shortest first."""
+    """All reduced words with at most max_len letters, shortest first, as a
+    lazy iterator: a caller may stop once it has what it needs. The
+    arguments are checked at the call, before the first word."""
     _check_family(family)
     _check_count(max_len, "max_len")
+    return _reduced_words(family, max_len)
+
+
+def _reduced_words(family: Family, max_len: int) -> Iterator[ReducedWord]:
     alphabet = [
         Letter(i, x)
         for i, m in enumerate(family.members)
@@ -355,8 +361,10 @@ def _admissible_words(fam: Family, max_len: int):
 
 
 def union_k_oracle(fam: Family, k: int):
-    """fp_union_k over all admissible index words × compositions of k."""
+    """fp_union_k over all admissible index words × compositions of k, for
+    k >= 1: k = 0 has no composition into positive parts."""
     _check_family(fam)
+    _check_count(k, "k", 1)
     acc = EMPTY
     for word in _admissible_words(fam, k):
         for cuts in itertools.combinations(range(1, k), len(word) - 1):
@@ -368,6 +376,7 @@ def union_k_oracle(fam: Family, k: int):
 def system_oracle(fam: Family, max_blocks: int):
     """fp_length_system_bounded over all admissible index words × choices."""
     _check_family(fam)
+    _check_count(max_blocks, "max_blocks", 1)
     systems = [length_system(m, nonzero_only=True).entries for m in fam.members]
     words = _admissible_words(fam, max_blocks)
     return {eps_sum_many(choice) for w in words for choice in itertools.product(*(systems[i] for i in w))}
@@ -380,6 +389,8 @@ def system_oracle(fam: Family, max_blocks: int):
 def tuple_mul(family: Family, s: tuple, t: tuple) -> tuple:
     """The componentwise product of two tuples of the direct product."""
     _check_family(family)
+    if len(s) != len(family) or len(t) != len(family):
+        raise ValidationError(f"tuple must have {len(family)} components")
     return tuple(m.mul(x, y) for m, x, y in zip(family.members, s, t))
 
 

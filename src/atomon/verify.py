@@ -12,6 +12,13 @@ non-empty str) when it fails. Messages are written `bad and f"..."`, so a
 passing case never formats one. `cmd_verify` alone counts the cases and
 collects the mismatches; an `AtomonError` raised by a suite propagates.
 
+A suite builds the set that a definition quantifies over once per family,
+then tests each case by membership in it: the products of two non-units for
+the atoms of a free product, the length sets of the short words for U_k. A
+search for witnesses stops when every target has one, as the realization of
+a length system's entries does over the lazy, shortest-first
+``reduced_words_upto``.
+
 A limit is checked against its definition by one oracle, ``_limit_up``. A
 cone from W over the diagram's objects is one atom-preserving hom W -> o per
 object o, on which the diagram's ``commutes`` holds; W ranges over the
@@ -61,6 +68,12 @@ UNION_FAMILIES = (
     ("m31", "c2"),
     ("h2", "c2"),
     ("one", "m31", "c2"),
+)
+RECOGNITION_FAMILIES = (
+    ("one", "c2"),
+    ("one", "one"),
+    ("c2", "c2"),
+    ("h2", "c2"),
 )
 PRODUCT_FAMILIES = (
     ("one", "one"),
@@ -243,24 +256,19 @@ def suite_coproduct_reduction(rng, budget):
 
 
 def suite_coproduct_recognition(rng, budget):
-    family_names = (("one", "c2"), ("one", "one"), ("c2", "c2"), ("h2", "c2"))
-    for names in family_names:
+    for names in RECOGNITION_FAMILIES:
         fam = _family(names)
         words = list(oracles.reduced_words_upto(fam, 3))
         unit_flags = {w: fp_is_unit(fam, w) for w in words}
+        non_units = [w for w in words if not unit_flags[w]]
+        reducible = {fp_mul(fam, u, v) for u in non_units for v in non_units}
         for w in words:
             definitional_unit = any(
                 fp_mul(fam, w, v) == fam.eps and fp_mul(fam, v, w) == fam.eps
                 for v in words
             )
             yield unit_flags[w] != definitional_unit and f"{names}: unit test disagrees on {word_to_text(fam, w)}"
-            definitional_atom = not unit_flags[w] and not any(
-                fp_mul(fam, u, v) == w
-                for u in words
-                if not unit_flags[u]
-                for v in words
-                if not unit_flags[v]
-            )
+            definitional_atom = not unit_flags[w] and w not in reducible
             yield fp_is_atom(fam, w) != definitional_atom and (
                 f"{names}: atom test disagrees on {word_to_text(fam, w)}"
             )
@@ -283,18 +291,21 @@ def suite_coproduct_lengths(rng, budget):
 
 
 def suite_coproduct_unions(rng, budget):
+    max_k = 4
     for names in UNION_FAMILIES:
         fam = _family(names)
-        for k in range(0, 5):
+        # each word of at most max_k letters, as (letter count, length set),
+        # shortest first; U_k is read off those of at most k letters
+        sets = [(len(w.letters), fp_length_set(fam, w)) for w in oracles.reduced_words_upto(fam, max_k)]
+        for k in range(0, max_k + 1):
             formula = fp_union_k(fam, k)
             if k:  # 0 has no composition into positive parts
                 yield formula != oracles.union_k_oracle(fam, k) and (
                     f"{names} k={k}: {formula!r} vs the composition oracle"
                 )
             direct = EMPTY
-            for w in oracles.reduced_words_upto(fam, k):
-                ls = fp_length_set(fam, w)
-                if k in ls:
+            for n, ls in sets:
+                if n <= k and k in ls:
                     direct = eps_union(direct, ls)
             yield formula != direct and f"{names} k={k}: {formula!r} vs enumerated {direct!r}"
 
@@ -307,19 +318,22 @@ def suite_coproduct_systems(rng, budget):
         yield system.entries != oracles.system_oracle(fam, max_blocks) and (
             f"{names}: system differs from the index-word oracle"
         )
-        # every short non-unit word's length set is listed
-        for w in oracles.reduced_words_upto(fam, max_blocks):
+        # every short non-unit word's length set is listed, and every listed
+        # entry is realized by an actual element: the words come shortest
+        # first, so the longer ones are read only while an entry is unrealized
+        unrealized = set(system.entries)
+        for w in oracles.reduced_words_upto(fam, 2 * max_blocks - 1):
+            short = len(w.letters) <= max_blocks
+            if not short and not unrealized:
+                break
             if not w.letters or fp_is_unit(fam, w):
                 continue
-            yield fp_length_set(fam, w) not in system and f"{names}: system misses L({word_to_text(fam, w)})"
-        # every listed entry is realized by an actual element
-        realized = {
-            fp_length_set(fam, w)
-            for w in oracles.reduced_words_upto(fam, 2 * max_blocks - 1)
-            if w.letters and not fp_is_unit(fam, w)
-        }
+            ls = fp_length_set(fam, w)
+            unrealized.discard(ls)
+            if short:
+                yield ls not in system and f"{names}: system misses L({word_to_text(fam, w)})"
         for entry in system:
-            yield entry not in realized and f"{names}: system entry {entry!r} is not realized"
+            yield entry in unrealized and f"{names}: system entry {entry!r} is not realized"
 
 
 def suite_preserved_properties(rng, budget):

@@ -259,7 +259,7 @@ FAMILY_CONSUMERS = {
     "parse_tuple": lambda fam, w: parse_tuple(fam, "1"),
     "raw_alphabet": lambda fam, w: oracles.raw_alphabet(fam),
     "congruence_moves": lambda fam, w: oracles.congruence_moves(fam, ()),
-    "reduced_words_upto": lambda fam, w: list(reduced_words_upto(fam, 1)),
+    "reduced_words_upto": lambda fam, w: reduced_words_upto(fam, 1),
     "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 2),
     "fp_check_property_bounded": lambda fam, w: fp_check_property_bounded(fam, "cancellative", 1),
     "union_k_oracle": lambda fam, w: union_k_oracle(fam, 1),

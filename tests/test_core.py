@@ -293,7 +293,9 @@ COUNT_CALLS = {
     "brute_force_lengths bound": lambda n: brute_force_lengths(one(), 1, n),
     "fp_brute_force_lengths bound": lambda n: fp_brute_force_lengths(_ONE_C2, _A, n),
     "fp_brute_force_lengths budget": lambda n: fp_brute_force_lengths(_ONE_C2, _A, 3, budget=n),
-    "reduced_words_upto max_len": lambda n: list(reduced_words_upto(_ONE_C2, n)),
+    "reduced_words_upto max_len": lambda n: reduced_words_upto(_ONE_C2, n),
+    "union_k_oracle k": lambda n: oracles.union_k_oracle(_ONE_C2, n),
+    "system_oracle max_blocks": lambda n: oracles.system_oracle(_ONE_C2, n),
     "fp_check_property_bounded max_len": lambda n: fp_check_property_bounded(Family([c2()]), "cancellative", n),
 }
 

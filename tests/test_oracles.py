@@ -21,9 +21,10 @@ import pytest
 import atomon
 from atomon.coproduct import Family, ReducedWord
 from atomon.errors import ValidationError
-from atomon.fixtures import c2, one
+from atomon.fixtures import c2, m31, one
 from atomon.lengths import union_k
-from atomon.oracles import fp_brute_force_lengths, reduced_words_upto, union_k_by_fold
+from atomon.oracles import fp_brute_force_lengths, reduced_words_upto, system_oracle, tuple_mul, union_k_by_fold
+from atomon.oracles import union_k_oracle
 
 SRC = Path(atomon.__file__).resolve().parent
 
@@ -79,6 +80,7 @@ TRUSTS = {
     # fp_union_k's DP, by every admissible index word and composition of k
     "union_k_oracle": {
         "coproduct._check_family",
+        "core._check_count",
         "coproduct.gamma_admissible",
         "lengths.union_k",
         "lengths.eps_sum_many",
@@ -89,6 +91,7 @@ TRUSTS = {
     # choice of member length sets
     "system_oracle": {
         "coproduct._check_family",
+        "core._check_count",
         "coproduct.gamma_admissible",
         "lengths.length_system",
         "lengths.eps_sum_many",
@@ -200,7 +203,28 @@ def test_factorization_search_checks_its_word():
 
 def test_reduced_words_refuse_a_negative_length():
     with pytest.raises(ValidationError, match="max_len must be non-negative"):
-        list(reduced_words_upto(Family([one()]), -1))
+        reduced_words_upto(Family([one()]), -1)
+
+
+def test_reduced_words_stay_lazy():
+    # a huge max_len costs nothing until its words are read, and they come
+    # shortest first: the empty word, then the letters
+    words = reduced_words_upto(Family([c2(), m31()]), 10**9)
+    assert [len(next(words).letters) for _ in range(3)] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("oracle, what", [(union_k_oracle, "k"), (system_oracle, "max_blocks")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_free_product_oracles_refuse_a_count_below_one(oracle, what, value):
+    # a non-integer count is refused in test_core's COUNT_CALLS
+    with pytest.raises(ValidationError, match=f"{what} must be at least 1, not {value}"):
+        oracle(Family([one(), m31()]), value)
+
+
+@pytest.mark.parametrize("s, t", [((0,), (0, 0)), ((0, 0), (0, 0, 0)), ((), ())], ids=["short", "long", "empty"])
+def test_tuple_mul_refuses_a_tuple_of_the_wrong_length(s, t):
+    with pytest.raises(ValidationError, match="tuple must have 2 components"):
+        tuple_mul(Family([one(), c2()]), s, t)
 
 
 def test_union_k_by_fold_refuses_a_negative_k_like_union_k():
