@@ -5,7 +5,9 @@ handler takes the parsed arguments and returns ``(data, lines)`` or
 ``(data, lines, status)``; ``main`` alone prints, ``data`` as JSON under
 ``--json`` and the text ``lines`` otherwise, and returns the status (0 when
 the handler gives none, 1 on an ``AtomonError`` or when stdout is a closed
-pipe).
+pipe). The verification layers (``verify``, ``oracles`` and ``fixtures``) load
+on demand, in the handlers that run them, so every other command starts
+without compiling them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
-from . import verify as verify_mod
 from .coproduct import (
     fp_is_atom,
     fp_is_unit,
@@ -36,7 +36,6 @@ from .limits import (
     pushout_eq_bounded,
     pushout_presentation,
 )
-from .oracles import brute_force_lengths, fp_brute_force_lengths
 from .product import (
     ap_contains,
     ap_length_set,
@@ -74,15 +73,18 @@ def _system(system) -> tuple[list[dict], str]:
     return [eps_to_json(entry) for entry in system], text
 
 
-def _checked(data: dict, ls, bound: int | None, oracle):
-    """A length set, cross-checked on [0, bound] against ``oracle(bound)``
-    when a bound is given; a mismatch gives exit status 1. The oracle runs
-    first: its search budget stops a bound too large to search before the
-    length set is listed up to it."""
+def _checked(data: dict, ls, bound: int | None, oracle: str, *args):
+    """A length set, cross-checked on [0, bound] against the function named
+    ``oracle`` of ``oracles``, called as ``oracle(*args, bound)``, when a bound
+    is given; a mismatch gives exit status 1. Only then is ``oracles``
+    imported. The oracle runs first: its search budget stops a bound too
+    large to search before the length set is listed up to it."""
     data, lines = _eps_result("length_set", ls, **data)
     if bound is None:
         return data, lines
-    expected = oracle(bound)
+    from . import oracles
+
+    expected = getattr(oracles, oracle)(*args, bound)
     agrees = set(ls.members_upto(bound)) == expected
     data.update(oracle_bound=bound, oracle_agrees=agrees)
     lines.append(f"oracle on [0,{bound}]: {'agrees' if agrees else 'MISMATCH'}")
@@ -132,8 +134,7 @@ def cmd_analyze(args):
 def cmd_lengthset(args):
     m = load_monoid(args.monoid)
     x = m.elem(args.element)
-    oracle = partial(brute_force_lengths, m, x)
-    return _checked({"element": args.element}, length_set(m, x), args.bound, oracle)
+    return _checked({"element": args.element}, length_set(m, x), args.bound, "brute_force_lengths", m, x)
 
 
 def cmd_unions(args):
@@ -163,8 +164,8 @@ def cmd_fp_atom(args):
 def cmd_fp_lengthset(args):
     fam = load_family(args.family)
     w = parse_word(fam, args.word)
-    oracle = partial(fp_brute_force_lengths, fam, w)
-    return _checked({"word": word_to_text(fam, w)}, fp_length_set(fam, w), args.bound, oracle)
+    data = {"word": word_to_text(fam, w)}
+    return _checked(data, fp_length_set(fam, w), args.bound, "fp_brute_force_lengths", fam, w)
 
 
 def cmd_fp_unionk(args):
@@ -244,6 +245,8 @@ def cmd_pushout_eq(args):
 
 
 def cmd_verify(args):
+    from . import verify as verify_mod
+
     if args.all or args.suite is None:
         reports = verify_mod.run_all(args.seed, args.budget)
     else:

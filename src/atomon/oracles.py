@@ -7,8 +7,10 @@ library against them. ``tests/test_oracles.py`` lists, for each public
 oracle, the library names it may use (directly or through its private
 helpers), and checks that list against this file.
 
-Import rule: only ``cli`` and ``verify`` import this module, so importing
-``atomon`` never loads an oracle.
+Import rule: only ``verify`` imports this module at its top, and ``cli``
+imports it only inside the handlers that run an oracle (``lengthset
+--bound`` and ``coproduct lengthset --bound``). So importing ``atomon`` or
+``atomon.cli`` never loads an oracle.
 """
 
 from __future__ import annotations

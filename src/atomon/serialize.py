@@ -55,8 +55,14 @@ def _load_json(path: str | Path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def load_hom(path: str | Path) -> MonoidHom:

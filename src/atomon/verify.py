@@ -51,6 +51,7 @@ from .serialize import word_to_text
 
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
 _ATOMIC_NAMED = ("zero", "one", "c2", "h2", "m31")
+_PERIODIC = ((3, 4), (5, 3), (2, 6))  # (preperiod, period) of the cyclic monoids
 
 COPRODUCT_FAMILIES = (
     ("one", "one"),
@@ -107,13 +108,14 @@ class VerifyReport:
         status = "ok" if self.ok else f"{len(self.mismatches)} mismatch(es)"
         header = f"suite {self.suite}: {self.cases} cases, {status}"
         if timings:
-            header += f" [{self.wall_time:.2f}s]"
+            header += f" [{self.wall_time:.3f}s]"
         return [header] + [f"  mismatch: {m}" for m in self.mismatches]
 
 
 # built once, on first use rather than at import; the monoids are immutable
 _named_fixtures = functools.cache(fixtures.named_fixtures)
 _random_monoid = functools.cache(fixtures.random_monoid)
+_cyclic = functools.cache(fixtures.cyclic)
 
 
 def _named(name: str) -> FiniteMonoid:
@@ -124,6 +126,13 @@ def _monoids(names, randoms: int = 0) -> list[tuple[str, FiniteMonoid]]:
     """The named fixtures, then the random monoids of seeds 0 .. randoms - 1,
     each with its label."""
     return [(n, _named(n)) for n in names] + [(f"random{i}", _random_monoid(i)) for i in range(randoms)]
+
+
+def _periodic() -> list[tuple[str, FiniteMonoid]]:
+    """The cyclic monoids of ``_PERIODIC``, each with its label. Every named
+    and random fixture has power-layer period 1; in these the period exceeds
+    1 and need not divide the preperiod."""
+    return [(f"C({i},{p})", _cyclic(i, p)) for i, p in _PERIODIC]
 
 
 def _family(names) -> Family:
@@ -146,7 +155,7 @@ def _composite(g, f) -> tuple[int, ...]:
 
 def suite_length_oracle(rng, budget):
     bound = 12
-    for name, m in _monoids(_NAMED, 20):
+    for name, m in _monoids(_NAMED, 20) + _periodic():
         rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
         for x, oracle in enumerate(rows):
             closed = set(length_set(m, x).members_upto(bound))
@@ -161,7 +170,7 @@ def suite_length_oracle(rng, budget):
 
 
 def suite_length_invariance(rng, budget):
-    for name, m in _monoids(_ATOMIC_NAMED, 8):
+    for name, m in _monoids(_ATOMIC_NAMED, 8) + _periodic():
         us = sorted(units(m))
         for x in range(m.size):
             if x in units(m):
@@ -626,7 +635,6 @@ def suite_core_axioms(rng, budget):
 
 _PERTURBED_COPIES = 4
 _HOM_SPACE_LIMIT = 4096
-_PERIODIC = ((3, 4), (5, 3), (2, 6))  # (preperiod, period) of the cyclic monoids
 
 
 def suite_generator_oracles(rng, budget):
@@ -660,10 +668,8 @@ def suite_generator_oracles(rng, budget):
             expected = oracles.ijk_scan(table)
             yield got != expected and f"{label}: Light's test gives {got}, the scan {expected}"
     # union_k reads U(T + (k - T) mod p) from T + p on, and the fold reads no
-    # period. Every oracle monoid has period 1, so cyclic monoids whose
-    # period does not divide their preperiod are added for the wrap-around
-    periodic = [(f"C({i},{p})", fixtures.cyclic(i, p)) for i, p in _PERIODIC]
-    for name, m in monoids + periodic:
+    # period, so the cyclic monoids of period > 1 are added for the wrap-around
+    for name, m in monoids + _periodic():
         seq = power_layers(m)
         for k in range(seq.preperiod + 2 * seq.period + 1):
             got, expected = union_k(m, k), oracles.union_k_by_fold(m, k)

@@ -75,8 +75,8 @@ CASES_AT_SEED_0 = {
     "core-axioms": 512,
     "epset-arithmetic": 1540,
     "generator-oracles": 534,
-    "length-invariance": 75,
-    "length-oracle": 408,
+    "length-invariance": 121,
+    "length-oracle": 470,
     "preserved-properties": 21,
     "product-formulas": 276,
     "product-unions": 56,

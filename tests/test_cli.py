@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from atomon.errors import ParseError, ValidationError
 from atomon.fixtures import c2, h2, one, zero
 from atomon.serialize import monoid_to_json
 from atomon.verify import cmd_verify
+
+from test_acceptance import CASES_AT_SEED_0
 
 
 @pytest.fixture
@@ -113,6 +116,34 @@ def test_family_members_must_be_a_list(files, capsys):
     assert "'members' must be a list" in err and "no such file" not in err
 
 
+def _one_error_line(capsys, path) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+    return err[0]
+
+
+def test_a_directory_as_input_is_a_parse_error(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert "Is a directory" in _one_error_line(capsys, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze", "{}"], ["coproduct", "unionk", "{}", "2"], ["limits", "equalizer", "{}", "{}"]]
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main([arg.format(path) for arg in command]) == 1
+    assert "not UTF-8" in _one_error_line(capsys, path)
+
+
+def test_json_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 200_000)
+    assert main(["analyze", str(path)]) == 1
+    assert "nested too deeply" in _one_error_line(capsys, path)
+
+
 def test_analyze(files, capsys):
     code, out = run(capsys, "analyze", files["one"])
     assert code == 0
@@ -197,8 +228,8 @@ def test_limits_commands(files, capsys):
 
 
 def test_lengthset_oracle_mismatch_exits_1(files, capsys, monkeypatch):
-    monkeypatch.setattr("atomon.cli.brute_force_lengths", lambda *args: set())
-    monkeypatch.setattr("atomon.cli.fp_brute_force_lengths", lambda *args: set())
+    monkeypatch.setattr("atomon.oracles.brute_force_lengths", lambda *args: set())
+    monkeypatch.setattr("atomon.oracles.fp_brute_force_lengths", lambda *args: set())
     for argv in (
         ["lengthset", files["one"], "0", "--bound", "8"],
         ["coproduct", "lengthset", files["fam"], "(0@0)*(u@1)*(a@0)", "--bound", "8"],
@@ -265,12 +296,19 @@ def test_every_leaf_has_one_handler_and_runs(files, capsys):
 def test_verify_command(files, capsys):
     code, out = run(capsys, "verify", "--suite", "length-oracle")
     assert code == 0
-    assert out.strip() == "suite length-oracle: 408 cases, ok"
+    assert out.strip() == f"suite length-oracle: {CASES_AT_SEED_0['length-oracle']} cases, ok"
     code, out = run(capsys, "verify", "--suite", "length-oracle", "--json", "--timings")
     [report] = json.loads(out)
-    assert code == 0 and report["cases"] == 408 and report["wall_time"] >= 0
+    assert code == 0 and report["cases"] == CASES_AT_SEED_0["length-oracle"] and report["wall_time"] >= 0
     code, _ = run(capsys, "verify", "--suite", "nope")
     assert code == 1
+
+
+def test_verify_timings_read_to_the_millisecond(capsys):
+    # the text rounds as the JSON wall_time does, so a suite under 15 ms
+    # does not read as [0.01s]
+    code, out = run(capsys, "verify", "--suite", "length-invariance", "--timings")
+    assert code == 0 and re.fullmatch(r"suite length-invariance: \d+ cases, ok \[\d+\.\d{3}s\]", out.strip())
 
 
 def test_verify_refuses_all_beside_a_suite(capsys):

@@ -1,13 +1,21 @@
-"""No library module imports a name it never reads.
+"""No library module imports a name it never reads, and the CLI loads the
+verification layers only for the commands that run them.
 
 No linter ships with the project, so this reads each module of ``atomon``
 with ``ast``: every name bound by an ``import`` must be read somewhere in the
 module. A deletion that leaves its imports behind fails here. ``from
 __future__`` imports bind nothing and are skipped, and so is ``__init__``,
 whose imports are the package's public names.
+
+The import boundary is read in a fresh interpreter, since the test process
+has loaded every module already.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +53,26 @@ def test_every_import_is_read(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("from .errors import ParseError, ValidationError\nimport os.path\n\nraise ParseError()\n")
     assert {name for name in _imported(tree) if name not in _read(tree)} == {"ValidationError", "os"}
+
+
+VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")
+
+
+def _layers_loaded_after(code: str) -> list[str]:
+    """The verification layers a fresh interpreter holds after running code."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {VERIFICATION_LAYERS!r} if m in sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(atomon.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_verification_layer():
+    assert _layers_loaded_after("import atomon.cli") == []
+
+
+def test_only_a_bounded_lengthset_loads_the_oracles(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"names": ["1", "g", "0"], "identity": 0, "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}))
+    argv, run = ["lengthset", str(path), "g"], "from atomon.cli import main\nassert main({!r}) == 0"
+    assert _layers_loaded_after(run.format(argv)) == []
+    assert _layers_loaded_after(run.format(argv + ["--bound", "3"])) == ["atomon.oracles"]
