@@ -124,7 +124,7 @@ def _one_error_line(capsys, path) -> str:
 
 def test_a_directory_as_input_is_a_parse_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path)]) == 1
-    assert "Is a directory" in _one_error_line(capsys, tmp_path)
+    assert "cannot read" in _one_error_line(capsys, tmp_path)
 
 
 @pytest.mark.parametrize(
