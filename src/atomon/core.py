@@ -66,13 +66,17 @@ class FiniteMonoid:
     assuming associativity. A failure reports the same lexicographically
     first triple as a full i-j-k scan.
 
-    The n² entries are read by C-level passes: one flatten, one type pass and
-    one count. The count's at most n keys give the range check and rank the
-    candidate generators. Then come the |G| Light rows, each comparing n pairs
-    of rows. Only the identity column and the generator columns are built,
-    and a failed check scans for its culprit only then. A non-associative
-    table adds a few more column passes and Python work set by the size of
-    the fault (see ``_first_nonassociative``).
+    The n² entries are read by C-level passes: one type pass through a chain
+    of the rows, and one set of the products x·y with x, y != identity. With
+    the identity row and column that set gives the range check, and the
+    non-identity elements outside it are the irreducibles, with which the
+    greedy for G starts (see ``_generating_set``). Only if they do not
+    generate is the whole table counted, to rank the other candidates. Then
+    come the |G| Light rows, each comparing n pairs of rows. Only the
+    identity column and the generator columns are built, and a failed check
+    scans for its culprit only then. A non-associative table adds a few more
+    column passes and Python work set by the size of the fault (see
+    ``_first_nonassociative``).
     """
 
     __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_atomic", "_lengths", "_unions")
@@ -89,10 +93,17 @@ class FiniteMonoid:
         tab = tuple([_sequence(row, rows) for row in _sequence(table, rows)])
         if len(tab) != n or any(len(row) != n for row in tab):
             raise ValidationError(f"table must be {n}x{n}")
-        flat = tuple(itertools.chain.from_iterable(tab))
-        _check_type(flat, int, "table entry", "an integer")
-        counts = Counter(flat)
-        _check_range(flat, counts, n, "table entry")
+        entries = itertools.chain.from_iterable
+        if not set(map(type, entries(tab))) <= {int}:  # only a failure flattens, to find the culprit
+            _check_type(tuple(entries(tab)), int, "table entry", "an integer")
+        if type(identity) is int and 0 <= identity < n:
+            products = set()  # x·y for x, y != identity
+            for row in tab[:identity] + tab[identity + 1 :]:
+                products.update(row[:identity], row[identity + 1 :])
+            seen = products.union(tab[identity], map(itemgetter(identity), tab))
+        else:  # an identity error follows the range check
+            seen = set(entries(tab))
+        _check_range(entries(tab), seen, n, "table entry")
         if type(identity) is not int:
             raise ValidationError(f"identity index {identity!r} is not an integer")
         if not 0 <= identity < n:
@@ -100,7 +111,8 @@ class FiniteMonoid:
         ident = tuple(range(n))
         if tab[identity] != ident or tuple(map(itemgetter(identity), tab)) != ident:
             raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
-        gens = _generating_set(tab, identity, counts)
+        irreducibles = [x for x in ident if x not in products and x != identity]
+        gens = _generating_set(tab, identity, irreducibles)
         # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p] (a
         # generator exists only when n >= 2)
         good = [list(_holds_at(tab, tab, g)) for g in gens]
@@ -154,7 +166,8 @@ def _check_type(values: Sequence, kind: type, what: str, noun: str) -> None:
 def _check_range(values: Sequence[int], distinct, bound: int, what: str) -> None:
     """Each of the int values (there is at least one) must lie in [0, bound).
     ``distinct`` holds the distinct values, or is ``values`` itself; min and
-    max read it, and only a failure scans the values for the first culprit."""
+    max read it, and only a failure scans the values, which may be an
+    iterator, for the first culprit."""
     if not (0 <= min(distinct) and max(distinct) < bound):
         bad = next(v for v in values if not 0 <= v < bound)
         raise ValidationError(f"{what} {bad} out of range [0, {bound})")
@@ -218,29 +231,43 @@ def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: in
     return added
 
 
-def _generating_set(table, identity: int, counts: Counter) -> tuple[int, ...]:
+def _generating_set(table, identity: int, irreducibles: Sequence[int]) -> tuple[int, ...]:
     """A small generating set, by greedy right-multiplication closure.
 
-    ``counts`` counts the entries of the whole table. Candidates go rarest
-    product first: an element that is no product of two non-identity
-    elements must be a generator, and a frequent product is likely reached
-    anyway. Counting the whole table adds exactly two to every non-identity
-    element (its identity row and column entries), so it ranks as counting
-    the non-identity products alone would; the sort is stable, so ties go by
-    index.
+    Candidates go rarest product first: an element that is no product of
+    two non-identity elements must be a generator, and a frequent product is
+    likely reached anyway. ``irreducibles`` are the non-identity elements
+    that are no such product, in index order; the table is counted only if
+    they do not generate.
+
+    This is the greedy over all elements ranked by their count in the whole
+    table, ties by index, with the count deferred. An irreducible x occurs
+    exactly twice, as 1·x and x·1; every other non-identity element occurs
+    at least three times, and the identity is taken from the start. The
+    closure adds only a generator or a product x·g of two non-identity
+    elements, so it never reaches an irreducible: the greedy takes all of
+    them first, in index order, before any element of count three or more.
     """
+    n = len(table)
     mul = lambda x, g: table[x][g]
     found = {identity: None}
     gens: list[int] = []
-    for c in sorted(range(len(table)), key=counts.__getitem__):
-        if len(found) == len(table):
-            break
-        if c in found:
-            continue
-        gens.append(c)
-        # the old elements are closed under the old generators: multiply them
-        # by c alone, then close whatever is new under all generators
-        _closure(_closure(list(found), [c], mul, found), gens, mul, found)
+
+    def take(candidates: Iterable[int]) -> None:
+        for c in candidates:
+            if len(found) == n:
+                return
+            if c in found:
+                continue
+            gens.append(c)
+            # the old elements are closed under the old generators: multiply
+            # them by c alone, then close whatever is new under all generators
+            _closure(_closure(list(found), [c], mul, found), gens, mul, found)
+
+    take(irreducibles)
+    if len(found) < n:
+        counts = Counter(itertools.chain.from_iterable(table))
+        take(sorted(range(n), key=counts.__getitem__))
     return tuple(gens)
 
 

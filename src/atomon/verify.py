@@ -40,11 +40,12 @@ from . import fixtures, oracles
 from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
-from .core import enumerate_homs, eval_word, is_atomon_mono, new_monoid, terminal, units
+from .core import enumerate_homs, eval_word, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
 from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
-from .limits import congruence_closure, coequalizer, equalizer, pullback
+from .limits import Reachability, congruence_closure, coequalizer, equalizer, pullback, pushout_eq_bounded
+from .limits import pushout_presentation
 from .product import ap_contains, ap_generators, ap_is_atom, ap_is_unit, ap_length_set, ap_length_system
 from .product import ap_materialize, ap_union_k
 from .serialize import word_to_text
@@ -447,6 +448,7 @@ def suite_universal_properties(rng, budget):
     yield from _coproduct_up()
     yield from _product_up()
     yield from _mono_up()
+    yield from _pushout_sound()
 
 
 def _limit_up(label, apex, legs, objects, commutes):
@@ -540,6 +542,59 @@ def _coproduct_up():
                         lhs = induced(fp_mul(fam, w1, w2))
                         rhs = k.mul(induced(w1), induced(w2))
                         yield lhs != rhs and f"induced coproduct map not multiplicative on {names}"
+
+
+def _pushout_sound():
+    """pushout_eq_bounded against the cocones of its span, in its sound
+    direction. A cocone (u, v) from the span f, g into K, with u∘f = v∘g,
+    factors through the pushout, so two words EQUAL there have equal images
+    under it. Over the pushout of identity_hom(h2) with itself, each pair of
+    words of at most two letters that some cocone into an atomic fixture
+    separates is one case; it passes when the depth-1 answer is UNKNOWN. The
+    pairs no cocone separates cannot fail, so they are not asked. Both legs
+    of the span are one hom, so swapping the two members maps the
+    presentation onto itself, and a pair and its mirror image have one
+    answer. So only the pairs whose first word has no letter of member 1
+    are asked; every other separated pair is the mirror image of one of
+    them.
+
+    Then the depth bound. Over the span one -> h2 <- one with both legs
+    a -> a, the relations identify a@0 with a@1 and 0@0 with 0@1. One
+    rewrite takes (a@0)(b@1) only to (a@1)(b@1) = 0@1, one takes (b@0)(a@1)
+    only to (b@0)(a@0) = 0@0, and a third joins 0@1 to 0@0. So the two
+    words, and their mirror images, first meet at depth 2. Each pair is one
+    case: UNKNOWN at depth 1, EQUAL at depth 2, and separated by no cocone.
+    """
+    h2 = _named("h2")
+    pres, images = _span_images(identity_hom(h2))
+    words = [(w, images(w)) for w in oracles.reduced_words_upto(pres.family, 2)]
+    for (w1, i1), (w2, i2) in itertools.combinations(words, 2):
+        if i1 != i2 and all(letter.mon == 0 for letter in w1.letters):
+            yield pushout_eq_bounded(pres, w1, w2, 1) is Reachability.EQUAL and (
+                f"pushout of id_h2 with itself: {word_to_text(pres.family, w1)} and "
+                f"{word_to_text(pres.family, w2)} are EQUAL, but a cocone separates them"
+            )
+    pres, images = _span_images(new_hom(_named("one"), h2, (0, 1, 3)))
+    for i, j in ((0, 1), (1, 0)):
+        w1, w2 = reduce(pres.family, ((i, 1), (j, 2))), reduce(pres.family, ((i, 2), (j, 1)))
+        answers = [pushout_eq_bounded(pres, w1, w2, depth).value for depth in (1, 2)]
+        yield (answers != ["unknown", "equal"] or images(w1) != images(w2)) and (
+            f"pushout of one -> h2 <- one: {word_to_text(pres.family, w1)} and "
+            f"{word_to_text(pres.family, w2)} answer {answers} at depths 1 and 2"
+        )
+
+
+def _span_images(f):
+    """The pushout presentation of the span f, f, and a function giving a
+    word's images under every cocone from that span into an atomic fixture."""
+    pres = pushout_presentation(f, f)
+    cocones = [
+        Cocone(pres.family, (u, v))
+        for _, k in _monoids(_ATOMIC_NAMED)
+        for u, v in itertools.product(_hom_list(f.target, k), repeat=2)
+        if _composite(u, f) == _composite(v, f)
+    ]
+    return pres, lambda w: tuple(c(w) for c in cocones)
 
 
 def _refines(fine, coarse) -> bool:

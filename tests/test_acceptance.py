@@ -81,7 +81,7 @@ CASES_AT_SEED_0 = {
     "product-formulas": 276,
     "product-unions": 56,
     "terminal-uniqueness": 9,
-    "universal-properties": 1532,
+    "universal-properties": 1603,
 }
 
 

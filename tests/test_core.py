@@ -97,6 +97,15 @@ def test_new_monoid_reports_the_first_failing_check():
     # an entry error beats an identity error
     _refused(ValidationError, ("1", "x"), ((0, 0), (1, 7)), 0, match=r"table entry 7 out of range \[0, 2\)")
     _refused(ValidationError, ("1", "x"), ((0, 1), (1, 7)), 2.0, match="table entry 7 out of range")
+    # the products x·y with x, y != identity leave out the identity row and
+    # column; an entry out of range there, and only there, is still found
+    # first, and so it is when the identity index is unusable
+    for identity in (0, 1, -1, 2, 2.0, True):
+        for bad in (7, -1):
+            for x, y in itertools.product(range(2), repeat=2):
+                table = [[0, 1], [1, 1]]
+                table[x][y] = bad
+                _refused(ValidationError, ("1", "x"), table, identity, match=rf"table entry {bad} out of range \[0, 2\)")
     # a name error beats both
     _refused(ValidationError, (1, "x"), ((0, 0), (1.5, 7)), 0, match="name 1 is not a string")
     _refused(ValidationError, ("1", 1), ((0, 1), (1, 7)), 2.0, match="name 1 is not a string")

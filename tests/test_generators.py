@@ -2,7 +2,7 @@
 exhaustive algorithms they replaced, which live on as verify oracles."""
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -131,11 +131,16 @@ def tables_with_a_small_fault(draw):
         m = numerical(k, draw(st.integers(30, 60)) - 1 + k * (k - 1) // 2)
     table = perturb(draw, m)
     sigma = draw(st.permutations(range(m.size)))
-    relabelled = [[0] * m.size for _ in table]
+    return relabel(table, sigma), sigma[m.identity]
+
+
+def relabel(table, sigma):
+    """The table with element x renamed sigma[x]."""
+    relabelled = [[0] * len(table) for _ in table]
     for x, row in enumerate(table):
         for y, v in enumerate(row):
             relabelled[sigma[x]][sigma[y]] = sigma[v]
-    return relabelled, sigma[m.identity]
+    return relabelled
 
 
 @PROPERTY
@@ -266,6 +271,64 @@ def test_stored_generators_generate_the_monoid(m):
     found = {m.identity: None}
     _closure([m.identity], m.generators, m.mul, found)
     assert sorted(found) == list(range(m.size))
+
+
+def rarest_product_first(m):
+    """The greedy generating set with the count up front: candidates ranked
+    by their count in the whole table, ties by index, each closed under
+    right multiplication in turn."""
+    counts = Counter(itertools.chain.from_iterable(m.table))
+    found = {m.identity: None}
+    gens = []
+    for c in sorted(range(m.size), key=counts.__getitem__):
+        if len(found) == m.size:
+            break
+        if c in found:
+            continue
+        gens.append(c)
+        _closure(_closure(list(found), [c], m.mul, found), gens, m.mul, found)
+    return tuple(gens)
+
+
+def irreducibles_generate(m):
+    """Whether the non-identity elements that are no product of two
+    non-identity elements generate m."""
+    others = [x for x in range(m.size) if x != m.identity]
+    products = {m.mul(x, y) for x in others for y in others}
+    found = {m.identity: None}
+    _closure([m.identity], [x for x in others if x not in products], m.mul, found)
+    return len(found) == m.size
+
+
+@st.composite
+def relabelled_monoids(draw):
+    """A monoid relabelled at random, and whether its irreducibles generate
+    it (None where that varies). They do not in T_3, nor in the cyclic
+    groups of order >= 3, where every element is a product of two
+    non-identity ones. They do in c2, whose one non-identity element
+    squares to the identity, and in numerical, monogenic and null monoids
+    that are more than an idempotent over the identity."""
+    kind = draw(st.sampled_from(["t3", "group", "c2", "numerical", "monogenic", "null", "random"]))
+    m, generate = {
+        "t3": lambda: (LARGER[0], False),
+        "group": lambda: (cyclic(0, draw(st.integers(3, 12))), False),
+        "c2": lambda: (named_fixtures()["c2"], True),
+        "numerical": lambda: (numerical(draw(st.integers(2, 6)), draw(st.integers(7, 40))), True),
+        "monogenic": lambda: (monogenic(draw(st.integers(3, 40))), True),
+        "null": lambda: (null_monoid(draw(st.integers(3, 12))), True),
+        "random": lambda: (random_monoid(draw(st.integers(0, 500)), draw(st.integers(2, 8))), None),
+    }[kind]()
+    sigma = draw(st.permutations(range(m.size)))
+    relabelled = new_monoid([m.names[sigma.index(x)] for x in range(m.size)], relabel(m.table, sigma), sigma[m.identity])
+    return relabelled, generate
+
+
+@PROPERTY
+@given(relabelled_monoids())
+def test_generators_match_the_rarest_product_first_greedy(case):
+    m, generate = case
+    assert generate is None or irreducibles_generate(m) is generate
+    assert m.generators == rarest_product_first(m)
 
 
 def test_generating_sets_of_known_size():

@@ -335,6 +335,20 @@ def test_universal_properties_catch_a_limit_that_ignores_the_arrows_on_atoms(mon
     assert verify.cmd_verify("universal-properties").mismatches
 
 
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        (lambda pres, w1, w2, depth: Reachability.EQUAL, "are EQUAL, but a cocone separates them"),
+        (lambda pres, w1, w2, depth: pushout_eq_bounded(pres, w1, w2, min(depth, 1)), "['unknown', 'unknown']"),
+    ],
+)
+def test_universal_properties_catch_a_wrong_pushout_answer(monkeypatch, wrong, message):
+    # an EQUAL for words a cocone separates, and a search that stops after
+    # one round whatever the depth
+    monkeypatch.setattr(verify, "pushout_eq_bounded", wrong)
+    assert any(message in m for m in verify.cmd_verify("universal-properties").mismatches)
+
+
 def test_limit_oracle_refuses_an_apex_with_two_factorizations():
     # h2 x h2 over h2 alone: a cone from one sending a to a lifts to (a,a) and (a,b)
     mat, (p1, p2) = ap_materialize(Family([h2(), h2()]), 60)
