@@ -8,7 +8,9 @@ built.
 ``Congruence`` and ``PushoutPresentation`` check themselves when built. A
 congruence is stored in canonical form, each element led by the least
 element of its class, and is checked to be compatible with multiplication;
-``quotient`` takes only a congruence on the monoid it is given."""
+``quotient`` takes only a congruence on the monoid it is given. A pushout
+presentation stores each relation side reduced, so rewriting in
+``pushout_eq_bounded`` needs only junction products."""
 
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .core import (
     new_hom,
     units,
 )
-from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, reduce
+from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _join, reduce
 from .errors import ValidationError
 from .product import _product_submonoid
 
@@ -186,9 +188,9 @@ class PushoutPresentation:
     targets modulo the relations identifying both images of the source.
 
     Checked when built: the family is a ``Family``, and each relation is a
-    tuple of two sequences of letters, each read by ``Family._checked`` into
-    a tuple of canonical letters. A side need not be reduced: ``_rules``
-    reduces it."""
+    tuple of two sequences of letters. A side need not be reduced: it is
+    stored as the letters of its reduced word, each letter checked by
+    ``reduce``, so ``pushout_eq_bounded`` never reduces a relation again."""
 
     family: Family
     relation_pairs: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]
@@ -200,8 +202,8 @@ class PushoutPresentation:
         if bad is not None:
             raise ValidationError(f"{bad!r} is not a pair of words")
         side = "relation side {!r} is not a sequence of letters"
-        checked = self.family._checked
-        pairs = tuple((checked(_sequence(l, side)), checked(_sequence(r, side))) for l, r in pairs)
+        family = self.family
+        pairs = tuple(tuple(reduce(family, _sequence(w, side)).letters for w in pair) for pair in pairs)
         object.__setattr__(self, "relation_pairs", pairs)
 
 
@@ -220,24 +222,15 @@ class Reachability(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _rules(presentation: PushoutPresentation) -> list[tuple[tuple[Letter, ...], tuple[Letter, ...]]]:
-    """Each relation reduced and oriented both ways, as (pattern, replacement)."""
-    family = presentation.family
-    rules = []
-    for lhs, rhs in presentation.relation_pairs:
-        l = reduce(family, lhs).letters
-        r = reduce(family, rhs).letters
-        rules.append((l, r))
-        rules.append((r, l))
-    return rules
-
-
 def _rewrites(family: Family, rules, word: tuple[Letter, ...]):
+    """The reduced words one rule away from ``word``. Prefix, suffix and
+    replacement are all reduced, so two junction products give the reduced
+    word of their concatenation (``coproduct._join``)."""
     for pattern, replacement in rules:
         span = len(pattern)
         for start in range(len(word) - span + 1):
             if word[start : start + span] == pattern:
-                yield reduce(family, word[:start] + replacement + word[start + span :]).letters
+                yield _join(family, _join(family, word[:start], replacement), word[start + span :])
 
 
 def pushout_eq_bounded(
@@ -252,12 +245,16 @@ def pushout_eq_bounded(
     Searching from both ends keeps the answer symmetric in (w1, w2) even
     though a single rewrite step is not (reduction after a rewrite cannot be
     undone without splitting letters). Never answers "not equal".
+
+    The rules are the stored, reduced relation pairs, read both ways and
+    each kept once. A pair with equal sides, such as the identity relation
+    (ε, ε) of every presentation, rewrites a word only to itself: skipped.
     """
     _check_count(depth, "depth")
     if not isinstance(presentation, PushoutPresentation):
         raise ValidationError(f"{presentation!r} is not a PushoutPresentation")
     ends = (_check_word(presentation.family, w1), _check_word(presentation.family, w2))
-    rules = _rules(presentation)
+    rules = dict.fromkeys(rule for l, r in presentation.relation_pairs if l != r for rule in ((l, r), (r, l)))
     visited = ({ends[0]}, {ends[1]})
     frontiers = [{ends[0]}, {ends[1]}]
     if visited[0] & visited[1]:

@@ -344,6 +344,14 @@ def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
     is every word. ``laws_hold`` then skips every triple for ``acyclic`` and
     ``unit_cancellative``: those two answers are True without one product.
     Only ``cancellative`` multiplies words, and so checks ``_join``.
+
+    A free product of finite monoids satisfies each law iff every member is
+    a group: a non-unit x of a member has a non-unit idempotent power e, and
+    the one-letter word e breaks all three laws (see ``check_property``).
+    The product of atomic monoids satisfies each law iff some member is a
+    group: then there is no atom tuple and the unit tuples generate a group,
+    and otherwise an atom tuple is a non-unit. ``preserved-properties``
+    checks both theorems where they can fail.
     """
     _check_family(family)
     if prop not in _LAWS:

@@ -347,13 +347,10 @@ def suite_coproduct_systems(rng, budget):
 
 
 def suite_preserved_properties(rng, budget):
+    # The theorems are stated beside ``oracles.fp_check_property_bounded``.
+    # Over the group families every word is a unit, so of their free-product
+    # outcomes only cancellative multiplies words; every other case can fail.
     props = ("acyclic", "unit_cancellative", "cancellative")
-    # 6 of the 9 free-product outcomes below cannot fail: a member passes any
-    # of these laws only if it is a group, so every word of the family is a
-    # unit, and ``laws_hold`` decides acyclic and unit_cancellative without
-    # one product (see ``oracles.fp_check_property_bounded``). Only
-    # cancellative multiplies words. The product outcomes read the
-    # materialized table.
     for names in GROUP_FAMILIES:
         fam = _family(names)
         mat, _ = ap_materialize(fam, 60)
@@ -374,6 +371,19 @@ def suite_preserved_properties(rng, budget):
             yield None
         else:
             yield f"({prop}) accepted a family whose members fail it"
+    # every one of these families has a non-group member
+    for names in COPRODUCT_FAMILIES:
+        fam = _family(names)
+        words = list(oracles.reduced_words_upto(fam, 3))
+        mul, is_unit = functools.partial(fp_mul, fam), functools.partial(fp_is_unit, fam)
+        for prop in props:
+            yield oracles.laws_hold(prop, words, mul, is_unit) and f"coproduct of {names} satisfies {prop}"
+    for names in PRODUCT_FAMILIES:
+        fam = _family(names)
+        mat, _ = ap_materialize(fam, 60)
+        group = any(len(units(m)) == m.size for m in fam.members)
+        for prop in props:
+            yield check_property(mat, prop) != group and f"product of {names}: {prop} is not {group}"
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +670,9 @@ def suite_core_axioms(rng, budget):
         )
         yield not (closed and has_inverses) and f"{name}: units do not form a group"
         yield bool(us & atoms(m)) and f"{name}: an atom is a unit"
-        yield not check_property(m, "dedekind_finite") and f"{name}: not Dedekind-finite"
+        inverses = [(x, y) for x in range(m.size) for y in range(m.size) if m.mul(x, y) == m.identity]
+        dedekind = all(m.mul(y, x) == m.identity for x, y in inverses)
+        yield check_property(m, "dedekind_finite") != dedekind and f"{name}: dedekind_finite is not {dedekind}"
         if check_property(m, "atomic"):
             ats = atoms(m)
             for u in sorted(us):

@@ -77,7 +77,7 @@ CASES_AT_SEED_0 = {
     "generator-oracles": 534,
     "length-invariance": 121,
     "length-oracle": 470,
-    "preserved-properties": 21,
+    "preserved-properties": 63,
     "product-formulas": 276,
     "product-unions": 56,
     "terminal-uniqueness": 9,

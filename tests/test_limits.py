@@ -27,9 +27,10 @@ from atomon import (
     terminal,
     units,
 )
-from atomon import verify
+from atomon import limits, verify
 from atomon.errors import SourceMismatchError, TargetMismatchError, ValidationError
 from atomon.fixtures import c2, h2, m31, one, zero
+from atomon.oracles import reduced_words_upto
 from atomon.product import _product_submonoid
 
 
@@ -437,3 +438,42 @@ def test_a_hand_built_pushout_presentation_matches_the_built_one():
     assert pushout_eq_bounded(by_hand, w1, w2, 1) is Reachability.EQUAL
     with pytest.raises(ValidationError, match="not a PushoutPresentation"):
         pushout_eq_bounded(5, w1, w2, 1)
+
+
+def test_pushout_eq_runs_no_reduce(monkeypatch):
+    # one -> h2 <- one, both legs a -> a: (a@0)(b@1) and (b@0)(a@1) meet at depth 2
+    f = new_hom(one(), h2(), (0, 1, 3))
+    pres = pushout_presentation(f, f)
+    w1, w2 = reduce(pres.family, ((0, 1), (1, 2))), reduce(pres.family, ((0, 2), (1, 1)))
+
+    def refuse(*args):
+        raise AssertionError("reduce called")
+
+    monkeypatch.setattr(limits, "reduce", refuse)
+    assert pushout_eq_bounded(pres, w1, w2, 1) is Reachability.UNKNOWN
+    assert pushout_eq_bounded(pres, w1, w2, 2) is Reachability.EQUAL
+
+
+def test_rewrites_are_the_reduced_concatenations():
+    f = identity_hom(h2())
+    pres = pushout_presentation(f, f)
+    fam = pres.family
+    # both ways, the equal-sided identity relation included: its empty
+    # pattern matches everywhere and exercises the empty replacement
+    rules = pres.relation_pairs + tuple((r, l) for l, r in pres.relation_pairs)
+    for w in reduced_words_upto(fam, 3):
+        word = w.letters
+        expected = [
+            reduce(fam, word[:start] + replacement + word[start + len(pattern) :]).letters
+            for pattern, replacement in rules
+            for start in range(len(word) - len(pattern) + 1)
+            if word[start : start + len(pattern)] == pattern
+        ]
+        assert list(limits._rewrites(fam, rules, word)) == expected
+
+
+def test_pushout_presentation_stores_its_sides_reduced():
+    fam = Family([one(), h2()])
+    # a·a = 0 in one, the identity of member 1 drops, and b·a = 0 in h2
+    pres = PushoutPresentation(fam, [([(0, 1), (1, 0), (0, 1)], [(1, 2), (1, 1), (0, 0)])])
+    assert pres.relation_pairs == ((((0, 2),), ((1, 3),)),)

@@ -6,7 +6,11 @@ the suites see it. The call counts are deterministic at seed 0: each bound
 below fails for a suite that rescans its definition per case.
 """
 
-from atomon import oracles, verify
+import functools
+import sys
+import types
+
+from atomon import coproduct, core, lengths, limits, oracles, product, verify
 from atomon.lengths import EPSet, LengthSystem, eps_finite, eps_minkowski_sum
 from atomon.verify import COPRODUCT_FAMILIES, RECOGNITION_FAMILIES, UNION_FAMILIES, cmd_verify
 
@@ -85,3 +89,60 @@ def test_systems_stop_once_every_entry_is_realized(monkeypatch):
     # all, after the words of at most 3 letters, makes 3,166
     bound = sum(_word_counts(COPRODUCT_FAMILIES, 5))
     assert _count_calls(monkeypatch, "fp_length_set", "coproduct-systems") < bound
+
+
+# public callables no verify suite enters, each with the reason it is not
+# yet under an oracle; an entry whose callable a suite starts to enter fails
+# the test below and must be removed
+NOT_ENTERED_BY_VERIFY = {
+    "core.compose": "suites compose hom maps through verify._composite, on the maps alone",
+    "core.extend_atom_map": "no suite checks it against multiplying out words of atoms",
+    "core.FiniteMonoid.elem": "suites index elements directly; names are an input format",
+    "core.MonoidHom.__call__": "suites read hom.map directly",
+    "lengths.eps_finite": "epset-arithmetic draws its sets with the EPSet constructor",
+    "lengths.eps_cofinite": "no library code calls it; tests state expected length sets with it",
+    "lengths.eps_from_window": "the library builds from bitmasks through the private _from_mask",
+    "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
+    "coproduct.fp_couniversal": "a wrapper over Cocone, which universal-properties calls directly",
+    "product.ap_universal": "universal-properties checks ap_materialize's projections instead",
+    "limits.Congruence.classes": "coequalizers reads the partition from Congruence.leader",
+}
+
+
+def _public_callables():
+    """(module.qualname, code) for each public function, and each public
+    method, property or ``__call__`` of a public class, that the module
+    defines. Dataclass-generated dunders are left out with the rest of the
+    dunders."""
+    for mod in (core, lengths, coproduct, product, limits):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(obj, types.FunctionType):
+                yield f"{short}.{name}", obj.__code__
+            elif isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    member = member.fget if isinstance(member, property) else member
+                    if isinstance(member, types.FunctionType) and (not attr.startswith("_") or attr == "__call__"):
+                        yield f"{short}.{name}.{attr}", member.__code__
+
+
+def test_verify_all_enters_every_public_callable(monkeypatch):
+    # fresh fixture caches, so every fixture is built under the profile, as
+    # in a new process
+    for name in ("_named_fixtures", "_random_monoid", "_cyclic", "_hom_list"):
+        monkeypatch.setattr(verify, name, functools.cache(getattr(verify, name).__wrapped__))
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        verify.run_all(seed=0)
+    finally:
+        sys.setprofile(None)
+    missed = {name for name, code in _public_callables() if code not in entered}
+    assert missed == set(NOT_ENTERED_BY_VERIFY)
