@@ -13,8 +13,8 @@ The homs of a ``Cocone`` must be AtoMon arrows, atom-preserving homs
 between atomic monoids, as ``core._arrows`` checks.
 
 This module holds the construction only; its oracles (the bounded
-factorization search, the bounded property check and the enumeration of
-reduced words) are in ``oracles``.
+factorization search and the enumeration of reduced words) are in
+``oracles``.
 """
 
 from __future__ import annotations

@@ -85,10 +85,6 @@ class SearchBudgetExceededError(AtomonError):
         self.limit = limit
 
 
-class PreconditionError(AtomonError):
-    """An operation refused to run because its precondition is unmet."""
-
-
 class UnknownSuiteError(AtomonError):
     pass
 

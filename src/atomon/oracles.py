@@ -22,8 +22,8 @@ from typing import Callable, Iterator, Sequence
 
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _is_unit_letter, _join
 from .coproduct import fp_is_unit, gamma_admissible
-from .core import _LAWS, FiniteMonoid, _check_count, _check_indices, _check_monoid, atoms, check_property, units
-from .errors import ParseError, PreconditionError, SearchBudgetExceededError, ValidationError
+from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, atoms, units
+from .errors import ParseError, SearchBudgetExceededError, ValidationError
 from .lengths import EMPTY, ZERO_ONLY, eps_intersect, eps_sum_many, eps_union, length_system, union_k
 from .serialize import eps_to_json
 
@@ -333,36 +333,6 @@ def fp_brute_force_lengths(
         if not frontier:
             break
     return found
-
-
-def fp_check_property_bounded(family: Family, prop: str, max_len: int) -> bool:
-    """Verify a cancellativity-style property over all reduced words of
-    bounded length. Members must already satisfy the property.
-
-    ``check_property`` says a member satisfies one of these laws exactly when
-    it is a group, so under this precondition every letter is a unit and so
-    is every word. ``laws_hold`` then skips every triple for ``acyclic`` and
-    ``unit_cancellative``: those two answers are True without one product.
-    Only ``cancellative`` multiplies words, and so checks ``_join``.
-
-    A free product of finite monoids satisfies each law iff every member is
-    a group: a non-unit x of a member has a non-unit idempotent power e, and
-    the one-letter word e breaks all three laws (see ``check_property``).
-    The product of atomic monoids satisfies each law iff some member is a
-    group: then there is no atom tuple and the unit tuples generate a group,
-    and otherwise an atom tuple is a non-unit. ``preserved-properties``
-    checks both theorems where they can fail.
-    """
-    _check_family(family)
-    if prop not in _LAWS:
-        raise ValidationError(f"unsupported property {prop!r}")
-    _check_count(max_len, "max_len")
-    for i, m in enumerate(family.members):
-        if not check_property(m, prop):
-            raise PreconditionError(f"family member {i} does not satisfy {prop}")
-    words = [w.letters for w in reduced_words_upto(family, max_len)]
-    is_unit = {w: all(_is_unit_letter(family, lt) for lt in w) for w in words}
-    return laws_hold(prop, words, functools.partial(_join, family), is_unit.__getitem__)
 
 
 def _admissible_words(fam: Family, max_len: int):

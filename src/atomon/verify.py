@@ -41,13 +41,13 @@ from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
 from .core import enumerate_homs, eval_word, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
-from .errors import NonAssociativeError, PreconditionError, UnknownSuiteError
+from .errors import NonAssociativeError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
 from .limits import Reachability, congruence_closure, coequalizer, equalizer, pullback, pushout_eq_bounded
 from .limits import pushout_presentation
 from .product import ap_contains, ap_generators, ap_is_atom, ap_is_unit, ap_length_set, ap_length_system
-from .product import ap_materialize, ap_union_k
+from .product import ap_materialize, ap_union_k, ap_universal
 from .serialize import word_to_text
 
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
@@ -347,42 +347,36 @@ def suite_coproduct_systems(rng, budget):
 
 
 def suite_preserved_properties(rng, budget):
-    # The theorems are stated beside ``oracles.fp_check_property_bounded``.
-    # Over the group families every word is a unit, so of their free-product
-    # outcomes only cancellative multiplies words; every other case can fail.
-    props = ("acyclic", "unit_cancellative", "cancellative")
-    for names in GROUP_FAMILIES:
+    """The cancellation laws ``core._LAWS`` on the free product and the
+    product, one case per family and law, against two theorems. Each loop
+    has families on both sides of its theorem.
+
+    The free product satisfies each law iff every member is a group. If
+    every member is one, every word is a unit and the free product is a
+    group, where all three laws hold (see ``check_property``). Otherwise a
+    member's non-unit has a non-unit idempotent power e, and the one-letter
+    word e breaks all three laws. ``oracles.laws_hold`` decides them over
+    the words of at most three letters, with ``fp_mul`` and ``fp_is_unit``.
+
+    The product of atomic monoids satisfies each law iff some member is a
+    group: then there is no atom tuple, and the unit tuples generate a
+    group; otherwise an atom tuple is a non-unit, which breaks every law in
+    a finite monoid.
+    """
+    for names in GROUP_FAMILIES + COPRODUCT_FAMILIES:
         fam = _family(names)
-        mat, _ = ap_materialize(fam, 60)
-        for prop in props:
-            try:
-                holds = oracles.fp_check_property_bounded(fam, prop, 3)
-            except PreconditionError:
-                yield f"members of {names} unexpectedly fail {prop}"
-            else:
-                yield not holds and f"coproduct of {names} violates {prop}"
-            yield not check_property(mat, prop) and f"product of {names} violates {prop}"
-    # non-qualifying members must be refused
-    fam = _family(("one", "c2"))
-    for prop in props:
-        try:
-            oracles.fp_check_property_bounded(fam, prop, 2)
-        except PreconditionError:
-            yield None
-        else:
-            yield f"({prop}) accepted a family whose members fail it"
-    # every one of these families has a non-group member
-    for names in COPRODUCT_FAMILIES:
-        fam = _family(names)
+        group = all(len(units(m)) == m.size for m in fam.members)
         words = list(oracles.reduced_words_upto(fam, 3))
         mul, is_unit = functools.partial(fp_mul, fam), functools.partial(fp_is_unit, fam)
-        for prop in props:
-            yield oracles.laws_hold(prop, words, mul, is_unit) and f"coproduct of {names} satisfies {prop}"
-    for names in PRODUCT_FAMILIES:
+        for prop in _LAWS:
+            yield oracles.laws_hold(prop, words, mul, is_unit) != group and (
+                f"coproduct of {names}: {prop} is not {group}"
+            )
+    for names in GROUP_FAMILIES + PRODUCT_FAMILIES:
         fam = _family(names)
         mat, _ = ap_materialize(fam, 60)
         group = any(len(units(m)) == m.size for m in fam.members)
-        for prop in props:
+        for prop in _LAWS:
             yield check_property(mat, prop) != group and f"product of {names}: {prop} is not {group}"
 
 
@@ -504,10 +498,23 @@ def _pullback_up():
 
 
 def _product_up():
+    """The materialized product as a limit, then ``ap_universal``: for each
+    cone from W, the map w -> ap_universal(cone, w), read as elements of the
+    table through the projections, must be one of the homs W -> product and
+    give back each leg of the cone after the projection. One case per cone."""
     for names in (("one", "one"), ("one", "c2"), ("h2", "h2")):
         fam = _family(names)
         mat, projections = ap_materialize(fam, 60)
         yield from _limit_up(f"product of {names}", mat, projections, fam.members, lambda c: True)
+        index = {t: i for i, t in enumerate(zip(*(p.map for p in projections)))}
+        for wn, w in _monoids(_ATOMIC_NAMED):
+            homs = {h.map for h in _hom_list(w, mat)}
+            for cone in itertools.product(*(_hom_list(w, m) for m in fam.members)):
+                tau = tuple(index.get(ap_universal(cone, x)) for x in range(w.size))
+                legs = [tuple(map(p.map.__getitem__, tau)) for p in projections] if tau in homs else None
+                yield legs != [c.map for c in cone] and (
+                    f"product of {names}: ap_universal sends the cone {[c.map for c in cone]} from {wn} to {tau}"
+                )
 
 
 def _mono_up():
@@ -607,11 +614,17 @@ def _span_images(f):
     return pres, lambda w: tuple(c(w) for c in cocones)
 
 
+def _blocks(labels) -> list[frozenset[int]]:
+    """The blocks of the partition in which x and y share a block when
+    labels[x] == labels[y], in the order of their least elements."""
+    blocks: dict = {}
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, set()).add(x)
+    return [frozenset(block) for block in blocks.values()]
+
+
 def _refines(fine, coarse) -> bool:
-    blocks = {}
-    for x, lead in enumerate(fine):
-        blocks.setdefault(lead, []).append(x)
-    return all(len({coarse[x] for x in block}) == 1 for block in blocks.values())
+    return all(len({coarse[x] for x in block}) == 1 for block in _blocks(fine))
 
 
 def suite_coequalizers(rng, budget):
@@ -634,17 +647,22 @@ def suite_coequalizers(rng, budget):
                 f"coequalizer of {hn}->{kn}: class of {x} not preserved"
             )
         seeds = [(f.map[h], g.map[h]) for h in range(f.source.size)]
-        computed = congruence_closure(k, seeds).leader
+        closure = congruence_closure(k, seeds)
         compatible = [
             leader
             for leader in oracles.all_partitions(k.size)
             if oracles.is_congruence(k, leader) and all(leader[a] == leader[b] for a, b in seeds)
         ]
         # the least compatible partition: it refines every one, and one refines it
-        least = all(_refines(computed, other) for other in compatible) and any(
-            _refines(other, computed) for other in compatible
+        least = all(_refines(closure.leader, other) for other in compatible) and any(
+            _refines(other, closure.leader) for other in compatible
         )
-        yield not least and f"coequalizer of {hn}->{kn}: closure {computed} is not least for {seeds}"
+        yield not least and f"coequalizer of {hn}->{kn}: closure {closure.leader} is not least for {seeds}"
+        # the classes against the blocks of the least partition, found among the oracle's alone
+        oracle = next((_blocks(p) for p in compatible if all(_refines(p, other) for other in compatible)), None)
+        yield closure.classes() != oracle and (
+            f"coequalizer of {hn}->{kn}: classes {closure.classes()} are not the least partition {oracle}"
+        )
 
 
 def suite_terminal_uniqueness(rng, budget):

@@ -43,7 +43,6 @@ from atomon import (
 )
 from atomon.errors import (
     NotAtomicError,
-    PreconditionError,
     SearchBudgetExceededError,
     ValidationError,
 )
@@ -52,7 +51,7 @@ from atomon.coproduct import _join
 from atomon.core import units
 from atomon.fixtures import atomic_fixtures, c2, h2, m31, one, sl2
 from atomon.lengths import eps_minkowski_sum, eps_sum_many, eps_union, length_set
-from atomon.oracles import fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto, system_oracle, union_k_oracle
+from atomon.oracles import fp_brute_force_lengths, reduced_words_upto, system_oracle, union_k_oracle
 from atomon.serialize import parse_tuple, parse_word, word_to_text
 from test_core import annotated_parameters
 
@@ -261,7 +260,6 @@ FAMILY_CONSUMERS = {
     "congruence_moves": lambda fam, w: oracles.congruence_moves(fam, ()),
     "reduced_words_upto": lambda fam, w: reduced_words_upto(fam, 1),
     "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 2),
-    "fp_check_property_bounded": lambda fam, w: fp_check_property_bounded(fam, "cancellative", 1),
     "union_k_oracle": lambda fam, w: union_k_oracle(fam, 1),
     "system_oracle": lambda fam, w: system_oracle(fam, 1),
     "tuple_mul": lambda fam, w: oracles.tuple_mul(fam, (0, 0), (0, 0)),
@@ -546,11 +544,13 @@ def test_formula_matches_search(one_c2):
 
 
 def test_check_property_bounded():
-    groups = Family([c2(), c2()])
-    for prop in ("acyclic", "unit_cancellative", "cancellative"):
-        assert fp_check_property_bounded(groups, prop, 3)
-    with pytest.raises(PreconditionError):
-        fp_check_property_bounded(Family([one(), c2()]), "unit_cancellative", 2)
+    # the laws over the words of at most three letters hold in a free
+    # product of groups, and fail once a member is not a group
+    for fam, group in ((Family([c2(), c2()]), True), (Family([one(), c2()]), False)):
+        words = list(reduced_words_upto(fam, 3))
+        mul, is_unit = functools.partial(fp_mul, fam), functools.partial(fp_is_unit, fam)
+        for prop in ("acyclic", "unit_cancellative", "cancellative"):
+            assert oracles.laws_hold(prop, words, mul, is_unit) is group
 
 
 def test_free_product_gains_atoms():

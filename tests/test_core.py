@@ -42,7 +42,7 @@ from atomon.lengths import eps_from_window, length_set, length_system, power_lay
 from atomon.limits import Congruence, coequalizer, congruence_closure, equalizer, pullback, quotient
 from atomon.limits import pushout_eq_bounded, pushout_presentation
 from atomon import oracles
-from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, fp_check_property_bounded, reduced_words_upto
+from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, reduced_words_upto
 from atomon.product import ap_contains, ap_materialize, ap_union_k, ap_universal
 from atomon.serialize import monoid_to_json
 
@@ -305,7 +305,6 @@ COUNT_CALLS = {
     "reduced_words_upto max_len": lambda n: reduced_words_upto(_ONE_C2, n),
     "union_k_oracle k": lambda n: oracles.union_k_oracle(_ONE_C2, n),
     "system_oracle max_blocks": lambda n: oracles.system_oracle(_ONE_C2, n),
-    "fp_check_property_bounded max_len": lambda n: fp_check_property_bounded(Family([c2()]), "cancellative", n),
 }
 
 

@@ -65,18 +65,6 @@ TRUSTS = {
         "coproduct._is_unit_letter",
         "coproduct.fp_is_unit",
     },
-    # the three laws over the free product's short words. Its precondition
-    # makes every member a group, so every word is all units: acyclic and
-    # unit_cancellative hold without one product, and only cancellative
-    # exercises _join
-    "fp_check_property_bounded": {
-        "coproduct._check_family",
-        "core._LAWS",
-        "core.check_property",
-        "core._check_count",
-        "coproduct._join",
-        "coproduct._is_unit_letter",
-    },
     # fp_union_k's DP, by every admissible index word and composition of k
     "union_k_oracle": {
         "coproduct._check_family",

@@ -104,8 +104,6 @@ NOT_ENTERED_BY_VERIFY = {
     "lengths.eps_from_window": "the library builds from bitmasks through the private _from_mask",
     "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
     "coproduct.fp_couniversal": "a wrapper over Cocone, which universal-properties calls directly",
-    "product.ap_universal": "universal-properties checks ap_materialize's projections instead",
-    "limits.Congruence.classes": "coequalizers reads the partition from Congruence.leader",
 }
 
 

@@ -14,9 +14,9 @@ the change first in even ones. A run's value per end-to-end metric is the
 one bench/run.py reports (a median over its passes, or a peak). The file
 holds, per workload and metric, both sides' runs with their median and
 quartiles (``statistics.quantiles``, exclusive method), the number of pairs
-in which the change is better, and the change of the median in percent,
-together with the commits, the Python version, the host and the
-``src/atomon`` line counts. Standard library only.
+in which the change is better, the change of the median in percent and a
+verdict (see ``verdict``), together with the commits, the Python version,
+the host and the ``src/atomon`` line counts. Standard library only.
 """
 
 from __future__ import annotations
@@ -85,6 +85,33 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdict(entry: dict, better: str, bound: float) -> str:
+    """One metric's verdict from its ``compare`` entry, with the metric's
+    ``better`` direction and relative ``bound`` from BENCHMARK.json:
+
+    - "gain": the change is better in at least 9 of 10 pairs, and its median
+      is better than the parent's by more than the parent's interquartile
+      range;
+    - "regression": the change's median is worse than the parent's by more
+      than bound times the parent's median;
+    - "unresolved": the parent's interquartile range is wider than bound
+      times its median, unless every change run beats every parent run;
+    - "no regression" otherwise.
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if better == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    spread = parent["q3"] - parent["q1"]
+    if 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > spread:
+        return "gain"
+    if -gain > bound * parent["median"]:
+        return "regression"
+    beats_all = all(sign * c < sign * p for c in change["runs"] for p in parent["runs"])
+    if spread > bound * parent["median"] and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", required=True, type=int, help="n in BENCH_<n>.json")
@@ -109,10 +136,10 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     runs[side].append(run_once(trees[side], workload, args.seed, seconds))
                     print(workload, i + 1, side, runs[side][-1], file=sys.stderr, flush=True)
-            entry = {
-                m["name"]: compare(*([r[m["name"]] for r in runs[s]] for s in ("parent", "change")), m["better"])
-                for m in spec["end_to_end"]
-            }
+            entry = {}
+            for m in spec["end_to_end"]:
+                metric = compare(*([r[m["name"]] for r in runs[s]] for s in ("parent", "change")), m["better"])
+                entry[m["name"]] = {**metric, "verdict": verdict(metric, m["better"], m["bound"])}
             for count in ("failed", "attempted"):
                 entry[count] = {side: sum(r[count] for r in runs[side]) for side in runs}
             entry["passes_per_run"] = {side: [r["passes"] for r in runs[side]] for side in runs}
@@ -131,7 +158,8 @@ def main(argv=None) -> int:
         "run from a git archive export of each commit with PYTHONDONTWRITEBYTECODE=1 by tools/bench_pairs.py; "
         f"{PAIRS} pairs per workload, parent first in odd pairs and the change first in even ones. Each run's "
         "value is bench/run.py's own median (pass_s, setup_s) or peak (peak_rss_mb); median, q1 and q3 below are "
-        f"over the {PAIRS} runs of each side.",
+        f"over the {PAIRS} runs of each side. Each metric's verdict follows the rules of verdict() in "
+        "tools/bench_pairs.py, with the metric's bound from BENCHMARK.json.",
         "seeds": {"claimed_runs": args.seed, "used_during_development": args.dev_seeds},
         "workloads": workloads,
     }
