@@ -24,7 +24,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _sequence, atoms, check_property, units
 from .errors import NotAtomicError, ValidationError
@@ -61,12 +61,13 @@ class Family:
     the family's empty word, built once. Length sets are not tabled here:
     they stay lazy, per member. ``_pooled`` and ``_totals`` hold the rows of
     ``fp_union_k``'s DP computed so far; they start empty and grow to the
-    largest k asked for. ``_sums`` maps each multiset of letter length sets
-    that ``fp_length_set`` has summed, as the frozenset of its (length set,
-    count) pairs, to the sum; it starts empty.
+    largest k asked for. ``_pair_sums`` maps each unordered pair of length
+    sets {A, B} that a free-product DP has added, as ``frozenset((A, B))``,
+    to A + B (``_sum_once``); it starts empty. All three are filled only by
+    calls on this family, so a new family over the same members starts cold.
     """
 
-    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_sums")
+    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_pair_sums")
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -88,7 +89,7 @@ class Family:
         self.eps = _word(self, ())
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
-        self._sums: dict[frozenset[tuple[EPSet, int]], EPSet] = {}
+        self._pair_sums: dict[frozenset[EPSet], EPSet] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -258,15 +259,28 @@ def fp_is_atom(family: Family, w: ReducedWord) -> bool:
     return x in atoms(family.members[i])
 
 
+def _sum_once(family: Family, miss: Callable[[EPSet, EPSet], EPSet], a: EPSet, b: EPSet) -> EPSet:
+    """a + b, summed once per family: looked up in ``family._pair_sums``
+    under the unordered pair {a, b}, and only a pair the family has not
+    added before costs ``miss(a, b)``. The free-product DPs add through
+    here; EPSets are canonical and the sum is commutative, so a kept sum is
+    the one a fresh call would give."""
+    key = frozenset((a, b))
+    total = family._pair_sums.get(key)
+    if total is None:
+        total = family._pair_sums[key] = miss(a, b)
+    return total
+
+
 def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     """Length set of a reduced word: the sum of its non-unit letters' length
     sets, read from each member's cached table. Equal letters are counted
     first, then their counts merged per distinct length set.
 
-    A word of n letters costs one counting pass over them. The sum of the
-    counted multiset is looked up in ``family._sums``; only a multiset this
-    family has not summed before costs Minkowski sums, O(d·log n) of them for
-    d distinct length sets (``lengths._sum_counted``)."""
+    A word of n letters costs one counting pass over them, then
+    O(d·log n) additions for d distinct length sets: the doubles and the
+    fold of ``lengths._sum_counted``, each through ``_sum_once``, so only a
+    pair this family has not added before costs a Minkowski sum."""
     letters = _check_word(family, w)
     if not letters:
         return ZERO_ONLY
@@ -276,11 +290,7 @@ def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
     counts = collections.Counter()
     for (i, x), c in non_unit.items():
         counts[_length_sets(family.members[i])[x]] += c
-    key = frozenset(counts.items())
-    total = family._sums.get(key)
-    if total is None:
-        total = family._sums[key] = _sum_counted(counts)
-    return total
+    return _sum_counted(counts, functools.partial(_sum_once, family, eps_minkowski_sum))
 
 
 def gamma_admissible(family: Family, index_word: Sequence[int]) -> bool:
@@ -323,16 +333,18 @@ def fp_length_system_bounded(family: Family, max_blocks: int) -> LengthSystem:
     of the current length that end in i. The words one block longer ending in
     i extend those ending in a member that may precede i, and these are all
     the admissible ones, since admissibility is a condition on adjacent pairs.
+    Each sum goes through ``_sum_once``, so a recurring pair is summed once.
     """
     _check_family(family)
     _check_count(max_blocks, "max_blocks", 1)
     systems = [length_system(m, nonzero_only=True).entries for m in family.members]
     follows = _follows(family)
+    add = functools.partial(_sum_once, family, eps_minkowski_sum)
     sums = [set(system) for system in systems]
     entries = set().union(*sums)
     for _ in range(1, max_blocks):
         before = [set().union(*(sums[h] for h in hs)) for hs in follows]
-        sums = [{eps_minkowski_sum(s, e) for s in prev for e in system} for prev, system in zip(before, systems)]
+        sums = [{add(s, e) for s in prev for e in system} for prev, system in zip(before, systems)]
         entries.update(*sums)
     return LengthSystem(frozenset(entries), truncated_at=max_blocks)
 
@@ -353,16 +365,20 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     {0}: only the empty word has length 0.
 
     Row j reads only earlier rows, so the rows live on the family and grow
-    only to the largest k asked for: the first call up to k costs O(k² +
-    k·|family|) EPSet operations, a call at or below a k already reached is
-    one lookup, and a sweep of k = 1..K costs one O(K²) DP in any order.
+    only to the largest k asked for; a call at or below a k already reached
+    is one lookup. A DP up to K makes O(K²) lookups, one sum per distinct
+    pair: each totals[s] + U(j-s) goes through ``_sum_once`` (a new pair
+    through ``eps_sum_many``), and each row folds only its distinct sums.
+    The U_i repeat and the rows settle, so (one, m31, c2) at K = 48 makes
+    1,128 lookups and 3 sums.
     """
     _check_family(family)
     _check_count(k, "k")
     pooled, totals = family._pooled, family._totals
+    add = functools.partial(_sum_once, family, lambda a, b: eps_sum_many((a, b)))
     for j in range(len(totals), k + 1):
         pooled_j = functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY)
-        sums = (eps_sum_many((totals[s], pooled[j - s])) for s in range(1, j))
+        sums = dict.fromkeys(add(totals[s], pooled[j - s]) for s in range(1, j))
         total_j = functools.reduce(eps_union, sums, pooled_j)
         pooled.append(pooled_j)
         totals.append(total_j)

@@ -42,7 +42,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, _sequence, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
@@ -319,30 +319,32 @@ def eps_sum_many(parts: Iterable[EPSet]) -> EPSet:
     canonical, so a lone part already is the set {0} + part would give, and
     comes back as given.
     """
-    return _sum_counted(collections.Counter(parts))
+    return _sum_counted(collections.Counter(parts), eps_minkowski_sum)
 
 
-def _sum_counted(counts: Mapping[EPSet, int]) -> EPSet:
+def _sum_counted(counts: Mapping[EPSet, int], add: Callable[[EPSet, EPSet], EPSet]) -> EPSet:
     """The sum of c copies of A over the counts {A: c}, each c >= 1: the
-    doubles of each distinct part, then one fold. {0} for no parts."""
+    doubles of each distinct part, then one fold, each sum of two sets an
+    ``add`` call (``coproduct.fp_length_set`` adds through its family's
+    pair sums). {0} for no parts."""
     if not counts:
         return ZERO_ONLY
     if len(counts) > 1 and any(part.is_empty for part in counts):
         return EMPTY
-    return functools.reduce(eps_minkowski_sum, itertools.starmap(_multiple, counts.items()))
+    return functools.reduce(add, (_multiple(a, c, add) for a, c in counts.items()))
 
 
-def _multiple(a: EPSet, c: int) -> EPSet:
+def _multiple(a: EPSet, c: int, add: Callable[[EPSet, EPSet], EPSet]) -> EPSet:
     """c·A = A + ... + A for c >= 1: the sum of the doubles 2^i·A over the
-    set bits i of c, bit_length(c) + popcount(c) - 2 Minkowski sums."""
+    set bits i of c, bit_length(c) + popcount(c) - 2 calls of add."""
     result = None
     while True:
         if c & 1:
-            result = a if result is None else eps_minkowski_sum(result, a)
+            result = a if result is None else add(result, a)
         c >>= 1
         if not c:
             return result
-        a = eps_minkowski_sum(a, a)
+        a = add(a, a)
 
 
 @dataclass(frozen=True)

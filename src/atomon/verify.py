@@ -42,7 +42,8 @@ from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
 from .core import enumerate_homs, eval_word, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
 from .errors import NonAssociativeError, UnknownSuiteError
-from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_intersect, eps_minkowski_sum, eps_sum_many, eps_union
+from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_cofinite, eps_finite, eps_from_window, eps_intersect
+from .lengths import eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
 from .limits import Reachability, congruence_closure, coequalizer, equalizer, pullback, pushout_eq_bounded
 from .limits import pushout_presentation
@@ -224,6 +225,23 @@ def suite_epset_arithmetic(rng, budget):
         rng.shuffle(parts)
         fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
         yield eps_sum_many(parts) != fold and f"sum of {parts!r} is not the fold {fold!r}"
+    # the three plain constructors, read back through the JSON lists
+    for _ in range(20):
+        members = {n for n in range(rng.randint(0, 20)) if rng.random() < 0.4}
+        yield oracles.json_members(eps_finite(members), bound) != members and f"eps_finite({sorted(members)}) wrong"
+        start = rng.randint(0, 20)
+        yield oracles.json_members(eps_cofinite(start), bound) != set(range(start, bound + 1)) and (
+            f"eps_cofinite({start}) wrong"
+        )
+        t, p = rng.randint(0, 8), rng.randint(1, 8)
+        head = {n for n in range(t) if rng.random() < 0.5}
+        tail = {r for r in range(p) if rng.random() < 0.4}
+        inside = lambda n: n in head if n < t else n % p in tail
+        bits = [inside(n) for n in range(t + 2 * p + rng.randint(0, 5))]
+        expected = set(filter(inside, range(bound + 1)))
+        yield oracles.json_members(eps_from_window(bits, p, t), bound) != expected and (
+            f"eps_from_window({bits}, {p}, {t}) wrong"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ CASES_AT_SEED_0 = {
     "coproduct-systems": 366,
     "coproduct-unions": 63,
     "core-axioms": 512,
-    "epset-arithmetic": 1540,
+    "epset-arithmetic": 1600,
     "generator-oracles": 534,
     "length-invariance": 121,
     "length-oracle": 470,

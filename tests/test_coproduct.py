@@ -392,10 +392,71 @@ def test_fp_union_examples(two_ones):
 def test_union_k_rows_kept_on_a_family_give_the_answers_of_a_fresh_one(order):
     members = (one(), m31(), c2())
     fam = Family(members)
-    assert fam._pooled == [] and fam._totals == [] and fam._sums == {}
+    assert fam._pooled == [] and fam._totals == [] and fam._pair_sums == {}
     for k in order:
         assert fp_union_k(fam, k) == fp_union_k(Family(members), k)
     assert len(fam._totals) == len(fam._pooled) == max(order) + 1
+
+
+WARM_MEMBERS = (one(), m31(), c2(), h2())
+
+
+def _random_letters(members, n, seed):
+    """n letters of a reduced word over members: no identity letter, and no
+    two adjacent letters from one member."""
+    rng = random.Random(seed)
+    letters = []
+    for _ in range(n):
+        i = rng.choice([i for i in range(len(members)) if not letters or letters[-1].mon != i])
+        m = members[i]
+        letters.append(Letter(i, rng.choice([x for x in range(m.size) if x != m.identity])))
+    return tuple(letters)
+
+
+def _dp_answers(fam, n):
+    """fp_union_k, fp_length_system_bounded and fp_length_set on fam, each
+    at a size drawn from n."""
+    word = ReducedWord(fam, _random_letters(fam.members, 5 * n, n))
+    return fp_union_k(fam, n), fp_length_system_bounded(fam, 1 + n % 4), fp_length_set(fam, word)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [range(9), range(8, -1, -1), [3, 3, 1, 6, 6, 2, 8, 0, 8, 5]],
+    ids=["ascending", "descending", "repeated"],
+)
+def test_a_warm_family_gives_the_answers_of_a_fresh_one(order):
+    # the three DPs share the family's pair sums, in any order of calls
+    fam = Family(WARM_MEMBERS)
+    for n in order:
+        assert _dp_answers(fam, n) == _dp_answers(Family(WARM_MEMBERS), n)
+    assert fam._pair_sums
+    for copied in (copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+        assert copied._pair_sums == fam._pair_sums
+        for n in order:
+            assert _dp_answers(copied, n) == _dp_answers(Family(WARM_MEMBERS), n)
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """The Minkowski sums made while the test runs, one entry per call,
+    counted under every name the library calls the primitive by."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return eps_minkowski_sum(a, b)
+
+    for module in (lengths, coproduct):
+        monkeypatch.setattr(module, "eps_minkowski_sum", counted)
+    return calls
+
+
+def test_union_k_sums_each_distinct_pair_once(sums):
+    # the DP makes 1,128 additions at k = 48; all but a few repeat a pair
+    fam = Family([one(), m31(), c2()])
+    fp_union_k(fam, 48)
+    assert 0 < len(sums) <= 8 and len(fam._pair_sums) == len(sums)
 
 
 def test_union_matches_word_enumeration():
@@ -609,30 +670,34 @@ def test_join_matches_reducing_the_concatenation(case):
     assert fp_mul(fam, ReducedWord(fam, x), ReducedWord(fam, y)).letters == _join(fam, x, y)
 
 
-def test_long_word_length_set_needs_few_sums(monkeypatch):
+def _letter_parts(fam, w):
+    return [length_set(fam.members[i], x) for i, x in w.letters if x not in units(fam.members[i])]
+
+
+def test_long_word_length_set_needs_few_sums(sums):
     # equal letter length sets are summed by doubling: O(d·log n) Minkowski
     # sums for n non-unit letters with d distinct length sets, not n - 1
     fam = Family([one(), m31(), c2()])
-    rng = random.Random(7)
-    letters = []
-    for _ in range(400):
-        i = rng.choice([i for i in range(3) if not letters or letters[-1].mon != i])
-        m = fam.members[i]
-        letters.append(Letter(i, rng.choice([x for x in range(m.size) if x != m.identity])))
-    w = reduce(fam, letters)
+    w = reduce(fam, _random_letters(fam.members, 400, 7))
     assert len(w.letters) == 400
-    parts = [length_set(fam.members[i], x) for i, x in w.letters if x not in units(fam.members[i])]
+    parts = _letter_parts(fam, w)
     n, d = len(parts), len(set(parts))
     fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
-    calls = []
-
-    def counted(a, b):
-        calls.append(None)
-        return eps_minkowski_sum(a, b)
-
-    monkeypatch.setattr(lengths, "eps_minkowski_sum", counted)
+    sums.clear()
     assert fp_length_set(fam, w) == fold
-    assert n > 200 and len(calls) <= 2 * d * math.ceil(math.log2(n))
+    assert n > 200 and 0 < len(sums) <= 2 * d * math.ceil(math.log2(n))
+
+
+def test_a_second_long_word_reuses_the_doubles_of_the_first(sums):
+    # the doubles 2^i·A of a letter length set A are kept on the family, so
+    # a second word over the same letter length sets sums fewer new pairs
+    fam = Family([one(), m31(), c2()])
+    first, second = (reduce(fam, _random_letters(fam.members, 400, seed)) for seed in (7, 8))
+    assert set(_letter_parts(fam, first)) == set(_letter_parts(fam, second))
+    fp_length_set(fam, first)
+    made_first = len(sums)
+    fp_length_set(fam, second)
+    assert 0 < len(sums) - made_first < made_first
 
 
 MEMO_FAMILY = Family([h2(), m31(), c2(), one()])
@@ -649,7 +714,7 @@ def call_orders(draw):
 @settings(max_examples=200)
 @given(call_orders())
 def test_length_sets_summed_once_per_family_match_a_fresh_sum(words):
-    # MEMO_FAMILY lives across every example, so its sums table fills up
+    # MEMO_FAMILY lives across every example, so its pair sums fill up
     for w in words:
         parts = [length_set(MEMO_FAMILY[i], x) for i, x in w.letters if x not in units(MEMO_FAMILY[i])]
         # a non-empty word of units only is not a product of atoms

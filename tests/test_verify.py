@@ -99,9 +99,6 @@ NOT_ENTERED_BY_VERIFY = {
     "core.extend_atom_map": "no suite checks it against multiplying out words of atoms",
     "core.FiniteMonoid.elem": "suites index elements directly; names are an input format",
     "core.MonoidHom.__call__": "suites read hom.map directly",
-    "lengths.eps_finite": "epset-arithmetic draws its sets with the EPSet constructor",
-    "lengths.eps_cofinite": "no library code calls it; tests state expected length sets with it",
-    "lengths.eps_from_window": "the library builds from bitmasks through the private _from_mask",
     "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
     "coproduct.fp_couniversal": "a wrapper over Cocone, which universal-properties calls directly",
 }
