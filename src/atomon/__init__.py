@@ -32,7 +32,6 @@ from .coproduct import (
     Letter,
     ReducedWord,
     coprojection,
-    fp_couniversal,
     fp_is_atom,
     fp_is_unit,
     fp_length_set,

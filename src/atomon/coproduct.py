@@ -9,8 +9,9 @@ junction (``_join``); ``reduce`` is for raw words only. A ``ReducedWord``
 carries its family and checks itself when built, so every public function
 taking one only asks whether it is a word over the family it is given.
 Every function taking a family refuses anything that is not a ``Family``.
-The homs of a ``Cocone`` must be AtoMon arrows, atom-preserving homs
-between atomic monoids, as ``core._arrows`` checks.
+A ``Cocone`` is the one spelling of the induced map out of a free product:
+built from its homs, which must be AtoMon arrows, atom-preserving homs
+between atomic monoids, as ``core._arrows`` checks, then called on words.
 
 This module holds the construction only; its oracles (the bounded
 factorization search and the enumeration of reduced words) are in
@@ -90,12 +91,6 @@ class Family:
         self._pooled: list[EPSet] = []
         self._totals: list[EPSet] = []
         self._pair_sums: dict[frozenset[EPSet], EPSet] = {}
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i: int) -> FiniteMonoid:
-        return self.members[i]
 
     def check_letter(self, letter) -> Letter:
         """The letter as a Letter: a tuple of two ints (not bools), each in
@@ -418,13 +413,3 @@ class Cocone:
         for i, x in letters:
             acc = target.mul(acc, self.homs[i].map[x])
         return acc
-
-
-def fp_couniversal(
-    family: Family,
-    homs: Sequence[MonoidHom],
-    w: ReducedWord,
-) -> int:
-    """Evaluate the induced morphism out of the free product at a word:
-    ``Cocone(family, homs)(w)``."""
-    return Cocone(family, homs)(w)

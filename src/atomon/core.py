@@ -465,9 +465,6 @@ class MonoidHom:
         object.__setattr__(self, "map", mp)
         object.__setattr__(self, "atom_preserving", _preserves_atoms(source, target, mp))
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def __repr__(self) -> str:
         return f"MonoidHom({self.source!r} -> {self.target!r}, map={self.map})"
 

@@ -1,9 +1,10 @@
 """Remaining limits and colimits: equalizers, pullbacks, coequalizers via
-congruence closure, pushout presentations. The initial and terminal objects
-are built in ``core`` (``core.initial``, ``core.terminal``). Every arrow
-argument must be an AtoMon arrow, an atom-preserving hom between atomic
-monoids; ``core._arrows`` checks it, and the shared ends, before anything is
-built.
+congruence closure, pushout presentations. Equalizers and pullbacks are
+built by the one limit construction, ``product._limit``. The initial and
+terminal objects are built in ``core`` (``core.initial``, ``core.terminal``).
+Every arrow argument must be an AtoMon arrow, an atom-preserving hom between
+atomic monoids; ``core._arrows`` checks it, and the shared ends, before
+anything is built.
 
 ``Congruence`` and ``PushoutPresentation`` check themselves when built. A
 congruence is stored in canonical form, each element led by the least
@@ -20,51 +21,33 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import (
-    FiniteMonoid,
-    MonoidHom,
-    _arrows,
-    _check_count,
-    _check_indices,
-    _check_monoid,
-    _closure,
-    _sequence,
-    _tabulate,
-    atoms,
-    check_property,
-    new_hom,
-    units,
-)
+from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _check_monoid, _sequence, _tabulate
+from .core import check_property, new_hom
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _join, reduce
 from .errors import ValidationError
-from .product import _product_submonoid
+from .product import _limit
 
 
 def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
-    """The submonoid generated by the agreeing atoms and agreeing units,
-    with its inclusion. Strictly smaller than the plain-monoid equalizer in
-    general: agreeing elements outside that closure are left out."""
+    """The limit of the parallel pair, ``product._limit`` over the source
+    read back onto it, so it keeps the source's order and names: the
+    submonoid generated by the agreeing atoms and units, with its inclusion.
+    Strictly smaller than the plain-monoid equalizer in general: agreeing
+    elements outside that closure are left out."""
     _arrows((f, g), "source", "target")
     h = f.source
-    gens = [a for a in atoms(h) if f.map[a] == g.map[a]]
-    gens += [u for u in units(h) if f.map[u] == g.map[u]]
-    found = {h.identity: None}
-    _closure([h.identity], gens, h.mul, found)
-    elements = sorted(found)
+    _, (inclusion,) = _limit((h,), lambda x: f.map[x] == g.map[x])
+    elements = sorted(inclusion.map)
     sub = _tabulate(elements, h.mul, [h.names[x] for x in elements], h.identity)
     return sub, new_hom(sub, h, tuple(elements))
 
 
 def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, MonoidHom]:
-    """Pairs over a cospan: the submonoid of the direct product generated by
-    agreeing atom pairs and agreeing unit pairs, with both projections. Built
-    by the same routine as the materialized product, so elements are indexed
-    in discovery order and named "(x,y)"."""
+    """The limit of the cospan, ``product._limit`` over both sources: the
+    submonoid of the direct product generated by agreeing atom pairs and
+    agreeing unit pairs, with both projections, indexed and named as there."""
     _arrows((f, g), "target")
-    h, k = f.source, g.source
-    gens = [(x, y) for x in atoms(h) for y in atoms(k) if f.map[x] == g.map[y]]
-    gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
-    p, (p1, p2) = _product_submonoid((h, k), gens)
+    p, (p1, p2) = _limit((f.source, g.source), lambda x, y: f.map[x] == g.map[y])
     return p, p1, p2
 
 

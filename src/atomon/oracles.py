@@ -336,7 +336,7 @@ def fp_brute_force_lengths(
 
 
 def _admissible_words(fam: Family, max_len: int):
-    words = (w for n in range(1, max_len + 1) for w in itertools.product(range(len(fam)), repeat=n))
+    words = (w for n in range(1, max_len + 1) for w in itertools.product(range(len(fam.members)), repeat=n))
     return [w for w in words if gamma_admissible(fam, w)]
 
 
@@ -349,7 +349,7 @@ def union_k_oracle(fam: Family, k: int):
     for word in _admissible_words(fam, k):
         for cuts in itertools.combinations(range(1, k), len(word) - 1):
             parts = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
-            acc = eps_union(acc, eps_sum_many(union_k(fam[i], p) for i, p in zip(word, parts)))
+            acc = eps_union(acc, eps_sum_many(union_k(fam.members[i], p) for i, p in zip(word, parts)))
     return acc
 
 
@@ -369,8 +369,8 @@ def system_oracle(fam: Family, max_blocks: int):
 def tuple_mul(family: Family, s: tuple, t: tuple) -> tuple:
     """The componentwise product of two tuples of the direct product."""
     _check_family(family)
-    if len(s) != len(family) or len(t) != len(family):
-        raise ValidationError(f"tuple must have {len(family)} components")
+    if not len(s) == len(t) == len(family.members):
+        raise ValidationError(f"tuple must have {len(family.members)} components")
     return tuple(m.mul(x, y) for m, x, y in zip(family.members, s, t))
 
 

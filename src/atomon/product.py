@@ -2,14 +2,14 @@
 product generated by all-unit tuples and all-atom tuples.
 
 Membership and length sets are decided by exact length-set intersection;
-materialization is optional and size-capped. ``_product_submonoid`` builds
-the submonoid of a direct product generated by given tuples, with its
-projections: ``core._closure`` finds the tuples and ``core._tabulate``, which
-the equalizer and the quotient in ``limits`` also use, reads off the table.
-It materializes the product here and the pullback in ``limits``. The homs
-given to ``ap_universal`` must be AtoMon arrows, atom-preserving homs between
-atomic monoids, as ``core._arrows`` checks. Every function taking a family
-refuses anything that is not a ``Family``.
+materialization is optional and size-capped. ``_limit`` is the one
+construction of a limit in AtoMon: the submonoid of a direct product
+generated by the compatible all-unit and all-atom tuples, with its
+projections. It materializes the product here, and the pullback and the
+equalizer in ``limits``; ``_tuples`` picks the tuples, for it and for
+``ap_generators``. The homs given to ``ap_universal`` must be AtoMon arrows,
+atom-preserving homs between atomic monoids, as ``core._arrows`` checks.
+Every function taking a family refuses anything that is not a ``Family``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _closure, _sequence, _tabulate, atoms
 from .core import new_hom, units
@@ -63,11 +63,16 @@ def _product_element(family: Family, t: Sequence[int]) -> TupleElem:
     return t
 
 
+def _tuples(objects: Sequence[FiniteMonoid], kind: Callable, agree: Callable | None = None) -> list[TupleElem]:
+    """The tuples of one element of ``kind(o)`` per object o, ``kind`` being
+    ``units`` or ``atoms``, in sorted order; those on which ``agree`` holds."""
+    tuples = itertools.product(*(sorted(kind(o)) for o in objects))
+    return list(tuples) if agree is None else [t for t in tuples if agree(*t)]
+
+
 def ap_generators(family: Family) -> ProductGenerators:
     _check_family(family)
-    unit_tuples = frozenset(itertools.product(*(sorted(units(m)) for m in family.members)))
-    atom_tuples = frozenset(itertools.product(*(sorted(atoms(m)) for m in family.members)))
-    return ProductGenerators(unit_tuples, atom_tuples)
+    return ProductGenerators(frozenset(_tuples(family.members, units)), frozenset(_tuples(family.members, atoms)))
 
 
 def _intersection(family: Family, t: TupleElem) -> EPSet:
@@ -84,27 +89,28 @@ def ap_contains(family: Family, t: Sequence[int]) -> bool:
     return _intersection(family, t).has_positive()
 
 
-def _product_submonoid(
-    members: Sequence[FiniteMonoid],
-    generators: Iterable[TupleElem],
-    cap: int | None = None,
+def _limit(
+    objects: Sequence[FiniteMonoid], agree: Callable | None = None, cap: int | None = None
 ) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:
-    """The submonoid of the direct product of the members generated by the
-    given tuples, with one projection onto each member.
+    """The limit in AtoMon of a diagram on ``objects``: the submonoid of
+    their direct product generated by the all-unit and all-atom tuples
+    (x1, ..., xk) on which the diagram's arrows agree, ``agree(x1, ..., xk)``
+    (every tuple when it is None), with one projection onto each object.
 
     Elements are indexed in breadth-first discovery order from the identity
     tuple over the sorted generators and named "(x1,...,xk)". Raises
     CapExceededError once more than ``cap`` elements are found.
     """
     def mul(s: TupleElem, t: TupleElem) -> TupleElem:
-        return tuple(m.mul(x, y) for m, x, y in zip(members, s, t))
+        return tuple(m.mul(x, y) for m, x, y in zip(objects, s, t))
 
-    found = {tuple(m.identity for m in members): None}
-    _closure(list(found), sorted(set(generators)), mul, found, cap)
+    gens = sorted({*_tuples(objects, units, agree), *_tuples(objects, atoms, agree)})
+    found = {tuple(m.identity for m in objects): None}
+    _closure(list(found), gens, mul, found, cap)
     elements = list(found)
-    names = ["(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")" for t in elements]
+    names = ["(" + ",".join(m.names[x] for m, x in zip(objects, t)) + ")" for t in elements]
     apex = _tabulate(elements, mul, names, elements[0])
-    return apex, tuple(new_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(members))
+    return apex, tuple(new_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(objects))
 
 
 def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:
@@ -114,8 +120,8 @@ def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[Monoid
     The tuple of element i is ``tuple(p.map[i] for p in projections)``.
     """
     _check_count(cap, "cap", 1)
-    gens = ap_generators(family)
-    return _product_submonoid(family.members, gens.unit_tuples | gens.atom_tuples, cap)
+    _check_family(family)
+    return _limit(family.members, cap=cap)
 
 
 def ap_is_unit(family: Family, t: Sequence[int]) -> bool:

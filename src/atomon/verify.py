@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from . import fixtures, oracles
 from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
-from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify
-from .core import enumerate_homs, eval_word, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
-from .errors import NonAssociativeError, UnknownSuiteError
+from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify, compose, enumerate_homs
+from .core import eval_word, extend_atom_map, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
+from .errors import ImageNotAtomError, NonAssociativeError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_cofinite, eps_finite, eps_from_window, eps_intersect
 from .lengths import eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
@@ -724,12 +724,41 @@ def suite_core_axioms(rng, budget):
                 f"{name}: word evaluation is not multiplicative"
             )
     # atom-preserving homs preserve the unit/atom/reducible classes
-    for (hn, h), (kn, k) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2):
-        for f in _hom_list(h, k):
-            for x in range(h.size):
-                yield classify(h, x).value != classify(k, f.map[x]).value and (
-                    f"hom {hn}->{kn} moves class of {x}"
-                )
+    pairs = itertools.product(_monoids(_ATOMIC_NAMED), repeat=2)
+    arrows = [(hn, kn, f) for (hn, h), (kn, k) in pairs for f in _hom_list(h, k)]
+    for hn, kn, f in arrows:
+        for x in range(f.source.size):
+            yield classify(f.source, x).value != classify(f.target, f.map[x]).value and (
+                f"hom {hn}->{kn} moves class of {x}"
+            )
+    # compose gives the atom-preserving composite of the maps, and is
+    # associative on composable triples
+    homs = [f for _, _, f in arrows]
+    composites = {(j, i): compose(g, f) for i, f in enumerate(homs) for j, g in enumerate(homs) if f.target == g.source}
+    for (j, i), gf in composites.items():
+        bad = gf.map != _composite(homs[j], homs[i]) or not gf.atom_preserving
+        yield bad and f"compose of {homs[j].map} after {homs[i].map} is {gf.map}"
+    for (j, i), (k, after) in itertools.product(composites, repeat=2):
+        if after == j:
+            bad = compose(homs[k], composites[j, i]) != compose(composites[k, j], homs[i])
+            yield bad and f"compose is not associative on {homs[k].map}, {homs[j].map}, {homs[i].map}"
+    # extend_atom_map, for each map of the symbols x and y to atoms: on a
+    # concatenation w1 + w2 it gives the product of w1 and w2, each multiplied
+    # out; and it refuses a non-atom image
+    words = [w for n in range(3) for w in itertools.product("xy", repeat=n)]
+    for name, m in _monoids(_ATOMIC_NAMED):
+        for images in (dict(zip("xy", ab)) for ab in itertools.product(sorted(atoms(m)), repeat=2)):
+            value = {w: functools.reduce(m.mul, map(images.get, w), m.identity) for w in words}
+            for w1, w2 in itertools.product(words, repeat=2):
+                bad = extend_atom_map(m, images, w1 + w2) != m.mul(value[w1], value[w2])
+                yield bad and f"{name}: extend_atom_map of {images} is not multiplicative on {w1}, {w2}"
+        for x in sorted(set(range(m.size)) - atoms(m)):
+            try:
+                extend_atom_map(m, {"x": x}, ())
+                refused = None
+            except ImageNotAtomError as exc:
+                refused = exc.symbol
+            yield refused != "x" and f"{name}: extend_atom_map does not refuse the non-atom image {x}"
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ CASES_AT_SEED_0 = {
     "coproduct-reduction": 4756,
     "coproduct-systems": 366,
     "coproduct-unions": 63,
-    "core-axioms": 512,
+    "core-axioms": 1400,
     "epset-arithmetic": 1600,
     "generator-oracles": 534,
     "length-invariance": 121,

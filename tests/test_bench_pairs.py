@@ -39,7 +39,12 @@ BOUNDS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text()
 def test_verdicts_of_bench_19():
     workloads = json.loads((ROOT / "BENCH_19.json").read_text())["workloads"]
     verdicts = {
-        (workload, name): bench_pairs.verdict(metrics[name], BOUNDS[name]["better"], BOUNDS[name]["bound"])
+        (workload, name): bench_pairs.verdict(
+            metrics[name],
+            BOUNDS[name]["better"],
+            BOUNDS[name]["bound"],
+            bench_pairs.failed_shares(metrics["failed"], metrics["attempted"]),
+        )
         for workload, metrics in workloads.items()
         for name in BOUNDS
     }
@@ -55,8 +60,11 @@ PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.03]
 WIDE = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
 
 
-def _verdict(parent, change, better="lower", bound=0.25):
-    return bench_pairs.verdict(bench_pairs.compare(parent, change, better), better, bound)
+NO_FAILURES = {"parent": 0.0, "change": 0.0}
+
+
+def _verdict(parent, change, better="lower", bound=0.25, shares=NO_FAILURES):
+    return bench_pairs.verdict(bench_pairs.compare(parent, change, better), better, bound, shares)
 
 
 def test_synthetic_verdicts():
@@ -75,3 +83,23 @@ def test_synthetic_verdicts():
     # a higher-is-better metric turns each comparison round
     assert _verdict(PARENT, [p + 0.1 for p in PARENT], "higher") == "gain"
     assert _verdict(PARENT, [p * 0.7 for p in PARENT], "higher") == "regression"
+
+
+def test_failed_shares():
+    shares = bench_pairs.failed_shares({"parent": 0, "change": 3}, {"parent": 100, "change": 60})
+    assert shares == {"parent": 0.0, "change": 0.05}
+    assert bench_pairs.failed_shares({"parent": 0, "change": 0}, {"parent": 0, "change": 10}) == NO_FAILURES
+
+
+def test_a_change_that_fails_more_operations_gets_no_gain():
+    faster = [p - 0.1 for p in PARENT]
+    more = {"parent": 0.0, "change": 0.01}
+    assert _verdict(PARENT, faster, shares=more) == "more failures"
+    assert _verdict(PARENT, [p + 0.1 for p in PARENT], "higher", shares=more) == "more failures"
+    # nor does it read as a regression or a no regression
+    assert _verdict(PARENT, [p * 1.3 for p in PARENT], shares=more) == "more failures"
+    assert _verdict(PARENT, PARENT, shares=more) == "more failures"
+    # an equal or a smaller failed share keeps the verdict of the timings
+    assert _verdict(PARENT, faster, shares={"parent": 0.01, "change": 0.01}) == "gain"
+    assert _verdict(PARENT, faster, shares={"parent": 0.02, "change": 0.01}) == "gain"
+    assert _verdict(PARENT, [p * 1.3 for p in PARENT], shares={"parent": 0.02, "change": 0.0}) == "regression"

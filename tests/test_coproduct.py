@@ -29,7 +29,6 @@ from atomon import (
     coprojection,
     eps_cofinite,
     eps_finite,
-    fp_couniversal,
     fp_is_atom,
     fp_is_unit,
     fp_length_set,
@@ -179,10 +178,6 @@ def test_letters_must_be_pairs_of_indices_in_range(one_c2, word, message):
         reduce(one_c2, word)
 
 
-def _couniversal(fam, w):
-    return fp_couniversal(fam, [identity_hom(one()), new_hom(c2(), one(), (0, 0))], w)
-
-
 def _cocone(fam, w):
     return Cocone(fam, [identity_hom(one()), new_hom(c2(), one(), (0, 0))])(w)
 
@@ -191,7 +186,6 @@ WORD_CONSUMERS = {
     "fp_length_set": fp_length_set,
     "fp_is_unit": fp_is_unit,
     "fp_is_atom": fp_is_atom,
-    "fp_couniversal": _couniversal,
     "Cocone": _cocone,
     "fp_brute_force_lengths": lambda fam, w: fp_brute_force_lengths(fam, w, 3),
     "fp_mul left": lambda fam, w: fp_mul(fam, w, fam.eps),
@@ -241,7 +235,6 @@ FAMILY_CONSUMERS = {
     "fp_length_system_bounded": lambda fam, w: fp_length_system_bounded(fam, 2),
     "gamma_admissible": lambda fam, w: gamma_admissible(fam, (0,)),
     "coprojection": lambda fam, w: coprojection(fam, 0, 1),
-    "fp_couniversal": lambda fam, w: fp_couniversal(fam, [identity_hom(one())], w),
     "Cocone": lambda fam, w: Cocone(fam, [identity_hom(one())]),
     "ReducedWord": lambda fam, w: ReducedWord(fam, ()),
     "PushoutPresentation": lambda fam, w: PushoutPresentation(fam, ()),
@@ -478,18 +471,19 @@ def test_coprojection(one_c2):
 
 
 def test_couniversal(one_c2):
-    phi = [identity_hom(one()), new_hom(c2(), one(), (0, 0))]
+    induced = Cocone(one_c2, [identity_hom(one()), new_hom(c2(), one(), (0, 0))])
     w = reduce(one_c2, [(0, 1), (1, 1), (0, 1)])
-    assert fp_couniversal(one_c2, phi, w) == 2  # a*1*a = 0
-    assert fp_couniversal(one_c2, phi, one_c2.eps) == 0
+    assert induced(w) == 2  # a*1*a = 0
+    assert induced(one_c2.eps) == 0
     for i, member in enumerate(one_c2.members):
         for x in range(member.size):
-            assert fp_couniversal(one_c2, phi, coprojection(one_c2, i, x)) == phi[i].map[x]
+            assert induced(coprojection(one_c2, i, x)) == induced.homs[i].map[x]
 
 
 def test_couniversal_respects_reduction(one_c2):
     # evaluating a raw word letterwise agrees with evaluating its normal form
     phi = [identity_hom(one()), new_hom(c2(), one(), (0, 0))]
+    induced = Cocone(one_c2, phi)
     rng = random.Random(9)
     alphabet = [(i, x) for i, m in enumerate(one_c2.members) for x in range(m.size)]
     target = one()
@@ -498,7 +492,7 @@ def test_couniversal_respects_reduction(one_c2):
         direct = target.identity
         for i, x in raw:
             direct = target.mul(direct, phi[i].map[x])
-        assert fp_couniversal(one_c2, phi, reduce(one_c2, raw)) == direct
+        assert induced(reduce(one_c2, raw)) == direct
 
 
 def test_a_cocone_checks_its_homs_when_built_not_when_called(one_c2, monkeypatch):
@@ -512,7 +506,9 @@ def test_a_cocone_checks_its_homs_when_built_not_when_called(one_c2, monkeypatch
     # or hashed
     assert induced != Cocone(one_c2, phi) and induced in {induced}
     words = list(reduced_words_upto(one_c2, 3))
-    expected = [fp_couniversal(one_c2, phi, w) for w in words]
+    # the letterwise fold into the target, as in the test above
+    target = one()
+    expected = [functools.reduce(target.mul, (phi[i].map[x] for i, x in w.letters), target.identity) for w in words]
 
     def refuse(*args):
         raise AssertionError("the homs were checked again")
@@ -716,7 +712,7 @@ def call_orders(draw):
 def test_length_sets_summed_once_per_family_match_a_fresh_sum(words):
     # MEMO_FAMILY lives across every example, so its pair sums fill up
     for w in words:
-        parts = [length_set(MEMO_FAMILY[i], x) for i, x in w.letters if x not in units(MEMO_FAMILY[i])]
+        parts = [length_set(MEMO_FAMILY.members[i], x) for i, x in w.letters if x not in units(MEMO_FAMILY.members[i])]
         # a non-empty word of units only is not a product of atoms
         want = EMPTY if w.letters and not parts else eps_sum_many(parts)
         assert fp_length_set(MEMO_FAMILY, w) == want
@@ -831,7 +827,7 @@ def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
     assert fp_mul(fam, w, w) == fp_mul(fam, ReducedWord(fam, tuple(letters)), w)
     fp_length_set(fam, w)
     fp_is_unit(fam, w)
-    fp_couniversal(fam, homs, w)
+    Cocone(fam, homs)(w)
     assert calls == []
     with pytest.raises(ValidationError, match="two integers"):
         reduce(fam, letters + [(1, 1.0)])

@@ -23,7 +23,7 @@ from atomon import (
     new_monoid,
     units,
 )
-from atomon.coproduct import Cocone, Family, ReducedWord, fp_couniversal, fp_length_system_bounded, fp_union_k
+from atomon.coproduct import Cocone, Family, ReducedWord, fp_length_system_bounded, fp_union_k
 from atomon.coproduct import gamma_admissible, reduce
 from atomon.core import FiniteMonoid, MonoidHom, terminal
 from atomon.errors import (
@@ -333,10 +333,6 @@ SEQUENCE_CALLS = {
     "ap_contains tuple": (lambda v: ap_contains(Family([one(), one()]), v), (2, 2)),
     "eps_from_window bits": (lambda v: eps_from_window(v, 1, 1), (False, True, True)),
     "ap_universal homs": (lambda v: ap_universal(v, 2), (identity_hom(one()), identity_hom(one()))),
-    "fp_couniversal homs": (
-        lambda v: fp_couniversal(_ONE_C2, v, reduce(_ONE_C2, [(0, 1), (1, 1)])),
-        (identity_hom(one()), new_hom(c2(), one(), (0, 0))),
-    ),
     "Cocone homs": (
         lambda v: Cocone(_ONE_C2, v)(reduce(_ONE_C2, [(0, 1), (1, 1)])),
         (identity_hom(one()), new_hom(c2(), one(), (0, 0))),
@@ -373,7 +369,6 @@ ARROW_CALLS = {
     "pullback": lambda f: pullback(f, f),
     "pushout_presentation": lambda f: pushout_presentation(f, f),
     "ap_universal": lambda f: ap_universal([f], 0),
-    "fp_couniversal": lambda f: fp_couniversal(_C2, [f], _C2.eps),
     "Cocone": lambda f: Cocone(_C2, [f]),
     "is_atomon_mono": is_atomon_mono,
 }

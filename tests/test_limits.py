@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from atomon import (
@@ -19,6 +21,7 @@ from atomon import (
     identity_hom,
     initial,
     new_hom,
+    new_monoid,
     pullback,
     pushout_eq_bounded,
     pushout_presentation,
@@ -29,9 +32,10 @@ from atomon import (
 )
 from atomon import limits, verify
 from atomon.errors import SourceMismatchError, TargetMismatchError, ValidationError
-from atomon.fixtures import c2, h2, m31, one, zero
+from atomon.core import _closure, _tabulate
+from atomon.fixtures import atomic_fixtures, c2, cyclic, h2, m31, one, zero
 from atomon.oracles import reduced_words_upto
-from atomon.product import _product_submonoid
+from atomon.product import _limit
 
 
 def test_initial_and_terminal():
@@ -74,6 +78,16 @@ def test_equalizer_collapse_example():
     assert e_monoid.size == 3
     assert [h.names[v] for v in e.map] == ["1", "a", "0"]
     assert atoms(e_monoid) == {e.map.index(1)}
+
+
+def test_an_equalizer_keeps_the_order_and_names_of_its_source():
+    # g3 comes before g and g2 here, so the breadth-first order from 1,
+    # (1, g, g2, g3), is not the source's
+    power = (0, 3, 1, 2)
+    m = new_monoid(("1", "g3", "g", "g2"), [[power.index(min(i + j, 3)) for j in power] for i in power], 0)
+    e_monoid, e = equalizer(identity_hom(m), identity_hom(m))
+    assert e.map == (0, 1, 2, 3)
+    assert (e_monoid.names, e_monoid.table) == (m.names, m.table)
 
 
 def test_equalizer_guards():
@@ -313,16 +327,13 @@ def test_congruence_closure_refuses_non_element_pairs(pairs):
 
 def _equalizer_keeping_every_atom(f, g):
     h = f.source
-    gens = [(a,) for a in atoms(h)] + [(u,) for u in units(h) if f.map[u] == g.map[u]]
-    e_monoid, (e,) = _product_submonoid((h,), gens)
+    e_monoid, (e,) = _limit((h,), lambda x: x in atoms(h) or f.map[x] == g.map[x])
     return e_monoid, e
 
 
 def _pullback_keeping_every_atom_pair(f, g):
-    h, k = f.source, g.source
-    gens = [(x, y) for x in atoms(h) for y in atoms(k)]
-    gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
-    p, (p1, p2) = _product_submonoid((h, k), gens)
+    h = f.source
+    p, (p1, p2) = _limit((h, g.source), lambda x, y: x in atoms(h) or f.map[x] == g.map[y])
     return p, p1, p2
 
 
@@ -477,3 +488,71 @@ def test_pushout_presentation_stores_its_sides_reduced():
     # a·a = 0 in one, the identity of member 1 drops, and b·a = 0 in h2
     pres = PushoutPresentation(fam, [([(0, 1), (1, 0), (0, 1)], [(1, 2), (1, 1), (0, 0)])])
     assert pres.relation_pairs == ((((0, 2),), ((1, 3),)),)
+
+
+# The tuple pickers of equalizer, pullback and ap_materialize as they were
+# before all three built through product._limit, with the closure each fed,
+# kept as the reference that the one limit routine must reproduce.
+
+
+def _submonoid_by_hand(members, gens, cap=None):
+    def mul(s, t):
+        return tuple(m.mul(x, y) for m, x, y in zip(members, s, t))
+
+    found = {tuple(m.identity for m in members): None}
+    _closure(list(found), sorted(set(gens)), mul, found, cap)
+    elements = list(found)
+    names = ["(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")" for t in elements]
+    apex = _tabulate(elements, mul, names, elements[0])
+    return apex, tuple(new_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(members))
+
+
+def _equalizer_by_hand(f, g):
+    h = f.source
+    gens = [a for a in atoms(h) if f.map[a] == g.map[a]]
+    gens += [u for u in units(h) if f.map[u] == g.map[u]]
+    found = {h.identity: None}
+    _closure([h.identity], gens, h.mul, found)
+    elements = sorted(found)
+    sub = _tabulate(elements, h.mul, [h.names[x] for x in elements], h.identity)
+    return sub, (new_hom(sub, h, tuple(elements)),)
+
+
+def _pullback_by_hand(f, g):
+    h, k = f.source, g.source
+    gens = [(x, y) for x in atoms(h) for y in atoms(k) if f.map[x] == g.map[y]]
+    gens += [(x, y) for x in units(h) for y in units(k) if f.map[x] == g.map[y]]
+    return _submonoid_by_hand((h, k), gens)
+
+
+def _product_by_hand(members, cap):
+    unit_tuples = frozenset(itertools.product(*(sorted(units(m)) for m in members)))
+    atom_tuples = frozenset(itertools.product(*(sorted(atoms(m)) for m in members)))
+    return _submonoid_by_hand(members, unit_tuples | atom_tuples, cap)
+
+
+def _drawn(apex, legs):
+    return apex.names, apex.table, apex.identity, [leg.map for leg in legs]
+
+
+def test_the_limits_match_their_tuple_pickers_by_hand():
+    objects = [*atomic_fixtures().values(), cyclic(3, 4), cyclic(5, 3), cyclic(2, 6), cyclic(2, 2)]
+    homs = {(s, t): list(enumerate_homs(objects[s], objects[t])) for s in range(9) for t in range(9)}
+    built = 0
+    for parallel in homs.values():
+        for f, g in itertools.product(parallel, repeat=2):
+            e_monoid, e = equalizer(f, g)
+            assert _drawn(e_monoid, (e,)) == _drawn(*_equalizer_by_hand(f, g))
+            built += 1
+    for (s, t), (r, u) in itertools.product(homs, repeat=2):
+        if u != t:
+            continue
+        for f, g in itertools.product(homs[s, t], homs[r, u]):
+            p, p1, p2 = pullback(f, g)
+            assert _drawn(p, (p1, p2)) == _drawn(*_pullback_by_hand(f, g))
+            built += 1
+    for pair in itertools.product(objects, repeat=2):
+        cap = pair[0].size * pair[1].size
+        assert _drawn(*ap_materialize(Family(pair), cap)) == _drawn(*_product_by_hand(pair, cap))
+        built += 1
+    assert built == 653

@@ -95,12 +95,8 @@ def test_systems_stop_once_every_entry_is_realized(monkeypatch):
 # yet under an oracle; an entry whose callable a suite starts to enter fails
 # the test below and must be removed
 NOT_ENTERED_BY_VERIFY = {
-    "core.compose": "suites compose hom maps through verify._composite, on the maps alone",
-    "core.extend_atom_map": "no suite checks it against multiplying out words of atoms",
     "core.FiniteMonoid.elem": "suites index elements directly; names are an input format",
-    "core.MonoidHom.__call__": "suites read hom.map directly",
     "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
-    "coproduct.fp_couniversal": "a wrapper over Cocone, which universal-properties calls directly",
 }
 
 

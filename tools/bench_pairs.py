@@ -85,10 +85,20 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def verdict(entry: dict, better: str, bound: float) -> str:
-    """One metric's verdict from its ``compare`` entry, with the metric's
-    ``better`` direction and relative ``bound`` from BENCHMARK.json:
+def failed_shares(failed: dict, attempted: dict) -> dict:
+    """Each side's share of failed operations, from a workload's summed
+    ``failed`` and ``attempted`` counts; 0 for a side that attempted none."""
+    return {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in attempted}
 
+
+def verdict(entry: dict, better: str, bound: float, shares: dict) -> str:
+    """One metric's verdict from its ``compare`` entry, with the metric's
+    ``better`` direction and relative ``bound`` from BENCHMARK.json, and the
+    workload's ``failed_shares``:
+
+    - "more failures": the change fails a larger share of its operations
+      than the parent; its timings then cover other work, so no other
+      verdict is given;
     - "gain": the change is better in at least 9 of 10 pairs, and its median
       is better than the parent's by more than the parent's interquartile
       range;
@@ -98,6 +108,8 @@ def verdict(entry: dict, better: str, bound: float) -> str:
       times its median, unless every change run beats every parent run;
     - "no regression" otherwise.
     """
+    if shares["change"] > shares["parent"]:
+        return "more failures"
     parent, change = entry["parent"], entry["change"]
     sign = 1 if better == "lower" else -1
     gain = sign * (parent["median"] - change["median"])
@@ -136,12 +148,13 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     runs[side].append(run_once(trees[side], workload, args.seed, seconds))
                     print(workload, i + 1, side, runs[side][-1], file=sys.stderr, flush=True)
+            counts = {c: {side: sum(r[c] for r in runs[side]) for side in runs} for c in ("failed", "attempted")}
+            shares = failed_shares(counts["failed"], counts["attempted"])
             entry = {}
             for m in spec["end_to_end"]:
                 metric = compare(*([r[m["name"]] for r in runs[s]] for s in ("parent", "change")), m["better"])
-                entry[m["name"]] = {**metric, "verdict": verdict(metric, m["better"], m["bound"])}
-            for count in ("failed", "attempted"):
-                entry[count] = {side: sum(r[count] for r in runs[side]) for side in runs}
+                entry[m["name"]] = {**metric, "verdict": verdict(metric, m["better"], m["bound"], shares)}
+            entry.update(counts)
             entry["passes_per_run"] = {side: [r["passes"] for r in runs[side]] for side in runs}
             workloads[workload] = entry
         lines = {side: src_lines(tree) for side, tree in trees.items()}
