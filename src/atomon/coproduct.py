@@ -92,6 +92,10 @@ class Family:
         self._totals: list[EPSet] = []
         self._pair_sums: dict[frozenset[EPSet], EPSet] = {}
 
+    def __len__(self) -> int:
+        # bench/jobs.py checks a loaded family by its length; the library reads .members
+        return len(self.members)
+
     def check_letter(self, letter) -> Letter:
         """The letter as a Letter: a tuple of two ints (not bools), each in
         range. A list, a range or a dict of two is refused, not read as a pair."""

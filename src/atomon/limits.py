@@ -21,8 +21,18 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _check_monoid, _sequence, _tabulate
-from .core import check_property, new_hom
+from .core import (
+    FiniteMonoid,
+    MonoidHom,
+    _arrows,
+    _check_count,
+    _check_indices,
+    _check_monoid,
+    _sequence,
+    _tabulate,
+    check_property,
+    new_hom,
+)
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _join, reduce
 from .errors import ValidationError
 from .product import _limit

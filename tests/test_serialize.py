@@ -54,7 +54,7 @@ def test_hom_and_family_files(tmp_path):
     h = load_hom(tmp_path / "hom.json")
     assert h.map == (0, 0) and h.atom_preserving
     fam = load_family(tmp_path / "fam.json")
-    assert len(fam.members) == 2
+    assert len(fam) == len(fam.members) == 2
     (tmp_path / "hom.json").write_text(json.dumps({"source": "c2.json", "target": "one.json"}))
     with pytest.raises(ParseError, match="malformed hom file"):
         load_hom(tmp_path / "hom.json")
