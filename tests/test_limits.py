@@ -490,9 +490,9 @@ def test_pushout_presentation_stores_its_sides_reduced():
     assert pres.relation_pairs == ((((0, 2),), ((1, 3),)),)
 
 
-# The tuple pickers of equalizer, pullback and ap_materialize as they were
-# before all three built through product._limit, with the closure each fed,
-# kept as the reference that the one limit routine must reproduce.
+# The equalizer, the pullback and the materialized product, each with its own
+# tuple picker and closure: the reference that product._limit must
+# reproduce, element order and names included.
 
 
 def _submonoid_by_hand(members, gens, cap=None):
@@ -537,7 +537,7 @@ def _drawn(apex, legs):
 
 def test_the_limits_match_their_tuple_pickers_by_hand():
     objects = [*atomic_fixtures().values(), cyclic(3, 4), cyclic(5, 3), cyclic(2, 6), cyclic(2, 2)]
-    homs = {(s, t): list(enumerate_homs(objects[s], objects[t])) for s in range(9) for t in range(9)}
+    homs = {(s, t): list(enumerate_homs(a, b)) for (s, a), (t, b) in itertools.product(enumerate(objects), repeat=2)}
     built = 0
     for parallel in homs.values():
         for f, g in itertools.product(parallel, repeat=2):
