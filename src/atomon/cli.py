@@ -50,6 +50,7 @@ from .serialize import (
     load_hom,
     load_monoid,
     monoid_to_json,
+    parse_element,
     parse_tuple,
     parse_word,
     word_to_text,
@@ -133,7 +134,7 @@ def cmd_analyze(args):
 
 def cmd_lengthset(args):
     m = load_monoid(args.monoid)
-    x = m.elem(args.element)
+    x = parse_element(m, args.element)
     return _checked({"element": args.element}, length_set(m, x), args.bound, "brute_force_lengths", m, x)
 
 

@@ -142,9 +142,10 @@ class ReducedWord:
     ``==`` and ``hash`` cover the family and the letters. ``Family`` has no
     ``__eq__``, so families compare by identity: equal letters over two
     families, even with the same members, are two words. ``repr`` shows the
-    letters only. A ``copy.copy`` keeps its family; a ``deepcopy`` or a
-    pickle round trip carries a copy of the family, which the original
-    family refuses.
+    letters only. A word has no ``len`` and is always true: read its length
+    and emptiness off ``letters``. A ``copy.copy`` keeps its family; a
+    ``deepcopy`` or a pickle round trip carries a copy of the family, which
+    the original family refuses.
     """
 
     family: Family = field(repr=False)
@@ -162,12 +163,6 @@ class ReducedWord:
                 if pos and letters[pos - 1].mon == i:
                     raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
         object.__setattr__(self, "letters", letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
 
 
 def _word(family: Family, letters: tuple[Letter, ...]) -> ReducedWord:

@@ -132,13 +132,6 @@ class FiniteMonoid:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def elem(self, name: str) -> int:
-        """Index of the element with the given name."""
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"no element named {name!r}") from None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteMonoid)

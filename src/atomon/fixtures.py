@@ -32,6 +32,12 @@ def m31() -> FiniteMonoid:
     return new_monoid(names, table, 0)
 
 
+def ab() -> FiniteMonoid:
+    """{1, a, b, ab, 0}: a·b = ab, and every other product of non-units is 0."""
+    table = ((0, 1, 2, 3, 4), (1, 4, 3, 4, 4), (2, 4, 4, 4, 4), (3, 4, 4, 4, 4), (4, 4, 4, 4, 4))
+    return new_monoid(("1", "a", "b", "ab", "0"), table, 0)
+
+
 def sl2() -> FiniteMonoid:
     """Two-element semilattice {1, e}, e*e = e. Not atomic."""
     return new_monoid(("1", "e"), ((0, 1), (1, 1)), 0)
@@ -55,6 +61,7 @@ def named_fixtures() -> dict[str, FiniteMonoid]:
         "h2": h2(),
         "m31": m31(),
         "sl2": sl2(),
+        "ab": ab(),
     }
 
 

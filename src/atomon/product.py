@@ -55,14 +55,6 @@ def _check_tuple(family: Family, t: Sequence[int]) -> TupleElem:
     return t
 
 
-def _product_element(family: Family, t: Sequence[int]) -> TupleElem:
-    """t, checked, if it lies in the product; else NotInProductError."""
-    t = _check_tuple(family, t)
-    if not ap_contains(family, t):
-        raise NotInProductError(f"{t} is not in the product")
-    return t
-
-
 def _tuples(objects: Sequence[FiniteMonoid], kind: Callable, agree: Callable | None = None) -> list[TupleElem]:
     """The tuples of one element of ``kind(o)`` per object o, ``kind`` being
     ``units`` or ``atoms``, in sorted order; those on which ``agree`` holds."""
@@ -75,18 +67,24 @@ def ap_generators(family: Family) -> ProductGenerators:
     return ProductGenerators(frozenset(_tuples(family.members, units)), frozenset(_tuples(family.members, atoms)))
 
 
-def _intersection(family: Family, t: TupleElem) -> EPSet:
-    return functools.reduce(eps_intersect, map(length_set, family.members, t))
+def _membership(family: Family, t: Sequence[int], strict: bool = False) -> tuple[TupleElem, EPSet | None]:
+    """t, checked, with its length set ∩ L(t_i) if t lies in the product;
+    else None, or NotInProductError if ``strict``. The one tuple check and
+    intersection of the element queries."""
+    t = _check_tuple(family, t)
+    meet = functools.reduce(eps_intersect, map(length_set, family.members, t))
+    if meet.has_positive() or all(x in units(m) for m, x in zip(family.members, t)):
+        return t, meet
+    if strict:
+        raise NotInProductError(f"{t} is not in the product")
+    return t, None
 
 
 def ap_contains(family: Family, t: Sequence[int]) -> bool:
     """A tuple lies in the product iff it is all-units or a non-empty
     product of all-atom tuples, i.e. the component length sets share a
     positive length."""
-    t = _check_tuple(family, t)
-    if all(x in units(m) for m, x in zip(family.members, t)):
-        return True
-    return _intersection(family, t).has_positive()
+    return _membership(family, t)[1] is not None
 
 
 def _limit(
@@ -126,19 +124,19 @@ def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[Monoid
 
 def ap_is_unit(family: Family, t: Sequence[int]) -> bool:
     """Whether t is a unit tuple: every component a unit of its member."""
-    t = _product_element(family, t)
+    t, _ = _membership(family, t, strict=True)
     return all(x in units(m) for m, x in zip(family.members, t))
 
 
 def ap_is_atom(family: Family, t: Sequence[int]) -> bool:
     """Whether t is an atom tuple: every component an atom of its member."""
-    t = _product_element(family, t)
+    t, _ = _membership(family, t, strict=True)
     return all(x in atoms(m) for m, x in zip(family.members, t))
 
 
 def ap_length_set(family: Family, t: Sequence[int]) -> EPSet:
     """Length set in the product: the intersection of the component length sets."""
-    return _intersection(family, _product_element(family, t))
+    return _membership(family, t, strict=True)[1]
 
 
 def ap_length_system(family: Family, nonzero_only: bool = False) -> LengthSystem:

@@ -118,6 +118,15 @@ def eps_to_text(s: EPSet) -> str:
     return f"{head_part} ∪ {tail_part}"
 
 
+def parse_element(m: FiniteMonoid, name: str) -> int:
+    """The index of the element of m with the given name."""
+    _check_monoid(m)
+    try:
+        return m.names.index(name)
+    except ValueError:
+        raise ParseError(f"no element named {name!r}") from None
+
+
 _LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>\d+)\)$")
 
 
@@ -142,11 +151,7 @@ def parse_word(family: Family, text: str) -> ReducedWord:
         mon = int(match.group("mon"))
         if not 0 <= mon < len(family.members):
             raise ParseError(f"member index {mon} out of range")
-        try:
-            elem = family.members[mon].elem(match.group("name"))
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from None
-        letters.append(Letter(mon, elem))
+        letters.append(Letter(mon, parse_element(family.members[mon], match.group("name"))))
     return reduce(family, letters)
 
 
@@ -158,10 +163,4 @@ def parse_tuple(family: Family, text: str) -> tuple[int, ...]:
     parts = text[1:-1].split(",")
     if len(parts) != len(family.members):
         raise ParseError(f"tuple must have {len(family.members)} components")
-    out = []
-    for member, part in zip(family.members, parts):
-        try:
-            out.append(member.elem(part.strip()))
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from None
-    return tuple(out)
+    return tuple(parse_element(member, part.strip()) for member, part in zip(family.members, parts))

@@ -520,7 +520,7 @@ def _product_up():
     cone from W, the map w -> ap_universal(cone, w), read as elements of the
     table through the projections, must be one of the homs W -> product and
     give back each leg of the cone after the projection. One case per cone."""
-    for names in (("one", "one"), ("one", "c2"), ("h2", "h2")):
+    for names in (("one", "one"), ("one", "c2"), ("h2", "h2"), ("ab", "one")):
         fam = _family(names)
         mat, projections = ap_materialize(fam, 60)
         yield from _limit_up(f"product of {names}", mat, projections, fam.members, lambda c: True)
@@ -561,6 +561,7 @@ def _mono_up():
 def _coproduct_up():
     for names in (("one", "c2"), ("one", "one")):
         fam = _family(names)
+        words = list(oracles.reduced_words_upto(fam, 2))
         for kn in ("one", "h2"):
             k = _named(kn)
             for homs in itertools.product(*(_hom_list(m, k) for m in fam.members)):
@@ -571,7 +572,6 @@ def _coproduct_up():
                         via = induced(coprojection(fam, i, x))
                         yield via != homs[i].map[x] and f"coproduct triangle fails at {names}[{i}]:{x}"
                 # multiplicativity on short words
-                words = list(oracles.reduced_words_upto(fam, 2))
                 for w1 in words:
                     for w2 in words:
                         lhs = induced(fp_mul(fam, w1, w2))
@@ -744,10 +744,10 @@ def suite_core_axioms(rng, budget):
             yield bad and f"compose is not associative on {homs[k].map}, {homs[j].map}, {homs[i].map}"
     # extend_atom_map, for each map of the symbols x and y to atoms: on a
     # concatenation w1 + w2 it gives the product of w1 and w2, each multiplied
-    # out; and it refuses a non-atom image
+    # out; and it refuses a non-atom image. ab tells x·y from y·x.
     words = [w for n in range(3) for w in itertools.product("xy", repeat=n)]
-    for name, m in _monoids(_ATOMIC_NAMED):
-        for images in (dict(zip("xy", ab)) for ab in itertools.product(sorted(atoms(m)), repeat=2)):
+    for name, m in _monoids(_ATOMIC_NAMED + ("ab",)):
+        for images in (dict(zip("xy", pair)) for pair in itertools.product(sorted(atoms(m)), repeat=2)):
             value = {w: functools.reduce(m.mul, map(images.get, w), m.identity) for w in words}
             for w1, w2 in itertools.product(words, repeat=2):
                 bad = extend_atom_map(m, images, w1 + w2) != m.mul(value[w1], value[w2])

@@ -72,7 +72,7 @@ CASES_AT_SEED_0 = {
     "coproduct-reduction": 4756,
     "coproduct-systems": 366,
     "coproduct-unions": 63,
-    "core-axioms": 1400,
+    "core-axioms": 1599,
     "epset-arithmetic": 1600,
     "generator-oracles": 534,
     "length-invariance": 121,
@@ -81,7 +81,7 @@ CASES_AT_SEED_0 = {
     "product-formulas": 276,
     "product-unions": 56,
     "terminal-uniqueness": 9,
-    "universal-properties": 1637,
+    "universal-properties": 1653,
 }
 
 

@@ -103,3 +103,16 @@ def test_a_change_that_fails_more_operations_gets_no_gain():
     assert _verdict(PARENT, faster, shares={"parent": 0.01, "change": 0.01}) == "gain"
     assert _verdict(PARENT, faster, shares={"parent": 0.02, "change": 0.01}) == "gain"
     assert _verdict(PARENT, [p * 1.3 for p in PARENT], shares={"parent": 0.02, "change": 0.0}) == "regression"
+
+
+def test_module_line_counts_sum_to_the_total(tmp_path):
+    package = tmp_path / "src" / "atomon"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "sub" / "b.py").write_text("\n\nz = 3")
+    (package / "notes.txt").write_text("not a module\n")
+    assert bench_pairs.module_lines(tmp_path) == {"a.py": 2, "sub/b.py": 3}
+    counts = bench_pairs.module_lines(ROOT)
+    files = sorted((ROOT / "src" / "atomon").rglob("*.py"))
+    assert len(counts) == len(files)
+    assert sum(counts.values()) == sum(sum(1 for _ in p.open(encoding="utf-8")) for p in files)

@@ -169,6 +169,12 @@ def test_lengthset(files, capsys):
     assert out.strip() == "{0}"
 
 
+def test_lengthset_refuses_an_unknown_element_name(files, capsys):
+    assert main(["lengthset", files["one"], "zzz"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: no element named 'zzz'"]
+
+
 def test_unions(files, capsys):
     code, out = run(capsys, "unions", files["one"], "3")
     assert code == 0 and out.strip() == "(2 + {0} mod 1)"

@@ -44,7 +44,7 @@ from atomon.limits import pushout_eq_bounded, pushout_presentation
 from atomon import oracles
 from atomon.oracles import brute_force_lengths, fp_brute_force_lengths, reduced_words_upto
 from atomon.product import ap_contains, ap_materialize, ap_union_k, ap_universal
-from atomon.serialize import monoid_to_json
+from atomon.serialize import monoid_to_json, parse_element
 
 
 def test_new_monoid_accepts_terminal_table():
@@ -429,6 +429,7 @@ MONOID_CALLS = {
         "cong": lambda v: quotient(one(), v),
     },
     "monoid_to_json": {"m": monoid_to_json},
+    "parse_element": {"m": lambda v: parse_element(v, "1")},
     "units_by_pairs": {"m": oracles.units_by_pairs},
     "atoms_by_pairs": {"m": oracles.atoms_by_pairs},
     "exhaustive_homs": {

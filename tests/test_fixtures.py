@@ -7,14 +7,14 @@ from atomon.fixtures import atomic_fixtures, named_fixtures, random_monoid
 
 def test_named_fixtures_validate():
     fixtures = named_fixtures()
-    assert set(fixtures) == {"zero", "one", "c2", "h2", "m31", "sl2"}
+    assert set(fixtures) == {"zero", "one", "c2", "h2", "m31", "sl2", "ab"}
     sizes = {name: m.size for name, m in fixtures.items()}
-    assert sizes == {"zero": 1, "one": 3, "c2": 2, "h2": 4, "m31": 4, "sl2": 2}
+    assert sizes == {"zero": 1, "one": 3, "c2": 2, "h2": 4, "m31": 4, "sl2": 2, "ab": 5}
 
 
 def test_atomicity_flags():
     atomic = set(atomic_fixtures())
-    assert atomic == {"zero", "one", "c2", "h2", "m31"}
+    assert atomic == {"zero", "one", "c2", "h2", "m31", "ab"}
     assert not check_property(named_fixtures()["sl2"], "atomic")
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from atomon import product
 from atomon import (
     EMPTY,
     Family,
@@ -250,3 +251,29 @@ def test_projections_preserve_atoms():
             t = tuple(p.map[i] for p in projections)
             assert ap_contains(fam, t)
             assert mat.names[i] == "(" + ",".join(m.names[x] for m, x in zip(members, t)) + ")"
+
+
+@pytest.mark.parametrize("query", [ap_contains, ap_is_unit, ap_is_atom, ap_length_set])
+def test_an_element_query_checks_its_tuple_once_and_intersects_at_most_once(monkeypatch, query):
+    fam = Family([one(), c2(), m31()])
+    counts = {"_check_tuple": 0, "length_set": 0, "eps_intersect": 0}
+
+    def counted(name):
+        real = getattr(product, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(product, name, call)
+
+    for name in counts:
+        counted(name)
+    for t in itertools.product(*(range(m.size) for m in fam.members)):
+        counts.update(dict.fromkeys(counts, 0))
+        try:
+            query(fam, t)
+        except NotInProductError:
+            pass
+        # one intersection of the three component length sets at most
+        assert counts["_check_tuple"] == 1 and counts["length_set"] <= 3 and counts["eps_intersect"] <= 2, (t, counts)

@@ -95,7 +95,6 @@ def test_systems_stop_once_every_entry_is_realized(monkeypatch):
 # yet under an oracle; an entry whose callable a suite starts to enter fails
 # the test below and must be removed
 NOT_ENTERED_BY_VERIFY = {
-    "core.FiniteMonoid.elem": "suites index elements directly; names are an input format",
     "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
 }
 

@@ -16,7 +16,8 @@ holds, per workload and metric, both sides' runs with their median and
 quartiles (``statistics.quantiles``, exclusive method), the number of pairs
 in which the change is better, the change of the median in percent and a
 verdict (see ``verdict``), together with the commits, the Python version,
-the host and the ``src/atomon`` line counts. Standard library only.
+the host and the ``src/atomon`` line counts, in total and per module.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ def export(commit: str, into: Path) -> None:
         tar.extractall(into)
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src" / "atomon").rglob("*.py")))
+def module_lines(tree: Path) -> dict[str, int]:
+    """The line count of each module of src/atomon, keyed by its path there."""
+    package = tree / "src" / "atomon"
+    files = sorted(package.rglob("*.py"))
+    return {p.relative_to(package).as_posix(): len(p.read_text().splitlines()) for p in files}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -157,7 +161,7 @@ def main(argv=None) -> int:
             entry.update(counts)
             entry["passes_per_run"] = {side: [r["passes"] for r in runs[side]] for side in runs}
             workloads[workload] = entry
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        modules = {side: module_lines(tree) for side, tree in trees.items()}
 
     bench = {
         "change": args.note,
@@ -166,7 +170,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "host": f"{platform.system().lower()} {platform.machine()}, nproc {os.cpu_count()}, "
         "each run pinned to one CPU by bench/run.py",
-        "src_atomon_lines": lines,
+        "src_atomon_lines": {side: sum(counts.values()) for side, counts in modules.items()},
+        "src_atomon_module_lines": modules,
         "method": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0, "
         "run from a git archive export of each commit with PYTHONDONTWRITEBYTECODE=1 by tools/bench_pairs.py; "
         f"{PAIRS} pairs per workload, parent first in odd pairs and the change first in even ones. Each run's "
