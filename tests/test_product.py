@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -256,24 +257,22 @@ def test_projections_preserve_atoms():
 @pytest.mark.parametrize("query", [ap_contains, ap_is_unit, ap_is_atom, ap_length_set])
 def test_an_element_query_checks_its_tuple_once_and_intersects_at_most_once(monkeypatch, query):
     fam = Family([one(), c2(), m31()])
-    counts = {"_check_tuple": 0, "length_set": 0, "eps_intersect": 0}
+    calls = Counter()
 
-    def counted(name):
-        real = getattr(product, name)
-
+    def counted(name, real):
         def call(*args):
-            counts[name] += 1
+            calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(product, name, call)
+        return call
 
-    for name in counts:
-        counted(name)
+    for name in ("_check_tuple", "length_set", "eps_intersect"):
+        monkeypatch.setattr(product, name, counted(name, getattr(product, name)))
     for t in itertools.product(*(range(m.size) for m in fam.members)):
-        counts.update(dict.fromkeys(counts, 0))
+        calls.clear()
         try:
             query(fam, t)
         except NotInProductError:
             pass
-        # one intersection of the three component length sets at most
-        assert counts["_check_tuple"] == 1 and counts["length_set"] <= 3 and counts["eps_intersect"] <= 2, (t, counts)
+        # at most one intersection of the three component length sets
+        assert calls["_check_tuple"] == 1 and calls["length_set"] <= 3 and calls["eps_intersect"] <= 2, (t, calls)
