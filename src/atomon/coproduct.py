@@ -27,7 +27,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _sequence, atoms, check_property, units
+from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _check_pairs, _sequence
+from .core import atoms, check_property, units
 from .errors import NotAtomicError, ValidationError
 from .lengths import (
     EMPTY,
@@ -96,11 +97,10 @@ class Family:
         # bench/jobs.py checks a loaded family by its length; the library reads .members
         return len(self.members)
 
-    def check_letter(self, letter) -> Letter:
+    def _check_letter(self, letter) -> Letter:
         """The letter as a Letter: a tuple of two ints (not bools), each in
         range. A list, a range or a dict of two is refused, not read as a pair."""
-        if not isinstance(letter, tuple) or len(letter) != 2:
-            raise ValidationError(f"letter {letter!r} is not a (member, element) pair")
+        _check_pairs((letter,), "letter {!r} is not a (member, element) pair")
         i, x = letter
         if type(i) is not int or type(x) is not int:
             raise ValidationError(f"letter {letter!r} does not hold two integers")
@@ -111,12 +111,12 @@ class Family:
         return Letter(i, x)
 
     def _checked(self, word) -> tuple[Letter, ...]:
-        """The word's letters as ``check_letter`` accepts them, read once.
+        """The word's letters as ``_check_letter`` accepts them, read once.
 
         Each letter is looked up in ``_letters``, whose hits are in range. A
         hit cannot tell 1 from True or 1.0, so the letters must also be the
         canonical ones or hold only ints. All of this runs in C; a word that
-        fails it goes through ``check_letter``, which names the first culprit.
+        fails it goes through ``_check_letter``, which names the first culprit.
         """
         letters = _sequence(word, "word {!r} is not an iterable of letters")
         try:
@@ -125,7 +125,7 @@ class Family:
                 return checked
         except (KeyError, TypeError):
             pass
-        return tuple(map(self.check_letter, letters))
+        return tuple(map(self._check_letter, letters))
 
     def __repr__(self) -> str:
         return f"Family({list(self.members)!r})"

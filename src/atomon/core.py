@@ -11,12 +11,13 @@ table and derives its generators from it; ``new_monoid`` is its public
 spelling. ``MonoidHom`` validates its map; ``new_hom`` is its public
 spelling.
 
-Three primitives check arguments for the whole library. ``_sequence`` reads
+Four primitives check arguments for the whole library. ``_sequence`` reads
 an ordered argument as a tuple and refuses a str, bytes, set, mapping or
-non-iterable. ``_check_monoid`` refuses a monoid argument that is not a
-``FiniteMonoid``. ``_arrows`` refuses an arrow argument that is not an arrow
-of AtoMon (an atom-preserving hom between atomic monoids) or does not share
-the ends its construction needs.
+non-iterable. ``_check_pairs`` refuses an item that is not a tuple of two.
+``_check_monoid`` refuses a monoid argument that is not a ``FiniteMonoid``.
+``_arrows`` refuses an arrow argument that is not an arrow of AtoMon (an
+atom-preserving hom between atomic monoids) or does not share the ends its
+construction needs.
 """
 
 from __future__ import annotations
@@ -196,6 +197,14 @@ def _sequence(values, message: str) -> tuple:
     if values.__class__ is list or isinstance(values, Iterable) and not isinstance(values, (str, bytes, Set, Mapping)):
         return tuple(values)
     raise ValidationError(message.format(values))
+
+
+def _check_pairs(items: Iterable, message: str) -> None:
+    """Each item must be a tuple of two; the first that is not, a list, a
+    range or a dict of two included, raises ValidationError(message.format(item))."""
+    for item in items:
+        if not isinstance(item, tuple) or len(item) != 2:
+            raise ValidationError(message.format(item))
 
 
 def _closure(frontier: list, gens: Sequence, mul: Callable, found: dict, cap: int | None = None) -> list:

@@ -28,6 +28,7 @@ from .core import (
     _check_count,
     _check_indices,
     _check_monoid,
+    _check_pairs,
     _sequence,
     _tabulate,
     check_property,
@@ -114,9 +115,7 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
     if not isinstance(pairs, Iterable):
         raise ValidationError(f"pairs {pairs!r} are not a collection of pairs")
     pairs = list(pairs)
-    bad = next((p for p in pairs if not isinstance(p, tuple) or len(p) != 2), None)
-    if bad is not None:
-        raise ValidationError(f"{bad!r} is not a pair of element indices")
+    _check_pairs(pairs, "{!r} is not a pair of element indices")
     if pairs:
         _check_indices(tuple(itertools.chain.from_iterable(pairs)), n, "element index")
     tab, gens = m.table, m.generators
@@ -191,9 +190,7 @@ class PushoutPresentation:
     def __post_init__(self) -> None:
         _check_family(self.family)
         pairs = _sequence(self.relation_pairs, "relation pairs {!r} are not a sequence")
-        bad = next((p for p in pairs if not isinstance(p, tuple) or len(p) != 2), None)
-        if bad is not None:
-            raise ValidationError(f"{bad!r} is not a pair of words")
+        _check_pairs(pairs, "{!r} is not a pair of words")
         side = "relation side {!r} is not a sequence of letters"
         family = self.family
         pairs = tuple(tuple(reduce(family, _sequence(w, side)).letters for w in pair) for pair in pairs)

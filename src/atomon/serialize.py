@@ -127,7 +127,7 @@ def parse_element(m: FiniteMonoid, name: str) -> int:
         raise ParseError(f"no element named {name!r}") from None
 
 
-_LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>\d+)\)$")
+_LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>[0-9]+)\)$")
 
 
 def word_to_text(family: Family, w: ReducedWord) -> str:

@@ -6,13 +6,19 @@ inputs. This module holds the suites, their fixtures and the runner; the
 oracles themselves live in ``oracles``. Suite names are stable identifiers
 used by the CLI `verify` command.
 
-A suite is a generator `(rng, budget)` that yields exactly one outcome per
-case: a falsy value when the case passes, or the mismatch message (a
-non-empty str) when it fails. Messages are written `bad and f"..."`, so a
-passing case never formats one. `cmd_verify` alone counts the cases and
-collects the mismatches; an `AtomonError` raised by a suite propagates.
+A suite is a tuple of parts ``(inputs, check)``, run in order with one
+seeded rng. ``inputs(rng)`` gives ``(label, value)`` pairs, and
+``check(value, rng, budget)`` yields one outcome per case of that input: a
+falsy value when it passes, or the mismatch message (a non-empty str),
+written `bad and f"..."` so a passing case formats none; a label is
+formatted only for a mismatch too, so it may be the value itself.
+`cmd_verify` alone loops over the inputs, counts the cases and prefixes
+each mismatch with its input's label. An `AtomonError` raised while an
+input is checked counts as one failing case, "<label>: raised <Type>:
+<message>", and the next input runs; any other exception propagates. The
+search budget is resolved before any case runs, so a bad one is an error.
 
-A suite builds the set that a definition quantifies over once per family,
+A check builds the set that a definition quantifies over once per family,
 then tests each case by membership in it: the products of two non-units for
 the atoms of a free product, the length sets of the short words for U_k. A
 search for witnesses stops when every target has one, as the realization of
@@ -41,7 +47,7 @@ from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
 from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify, compose, enumerate_homs
 from .core import eval_word, extend_atom_map, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
-from .errors import ImageNotAtomError, NonAssociativeError, UnknownSuiteError
+from .errors import AtomonError, ImageNotAtomError, NonAssociativeError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_cofinite, eps_finite, eps_from_window, eps_intersect
 from .lengths import eps_minkowski_sum, eps_sum_many, eps_union
 from .lengths import length_set, length_system, power_layers, union_k
@@ -54,45 +60,18 @@ from .serialize import word_to_text
 _NAMED = ("zero", "one", "c2", "h2", "m31", "sl2")
 _ATOMIC_NAMED = ("zero", "one", "c2", "h2", "m31")
 _PERIODIC = ((3, 4), (5, 3), (2, 6))  # (preperiod, period) of the cyclic monoids
+_EPS_BOUND = 60  # EPSets are compared on [0, _EPS_BOUND]
 
-COPRODUCT_FAMILIES = (
-    ("one", "one"),
-    ("one", "c2"),
-    ("one", "h2"),
-    ("c2", "m31"),
-    ("h2", "m31"),
-    ("one", "c2", "m31"),
-)
+COPRODUCT_FAMILIES = (("one", "one"), ("one", "c2"), ("one", "h2"), ("c2", "m31"), ("h2", "m31"), ("one", "c2", "m31"))
 UNION_FAMILIES = (
-    ("one", "m31"),
-    ("one", "h2"),
-    ("one", "c2"),
-    ("m31", "h2"),
-    ("m31", "c2"),
-    ("h2", "c2"),
-    ("one", "m31", "c2"),
+    ("one", "m31"), ("one", "h2"), ("one", "c2"), ("m31", "h2"), ("m31", "c2"), ("h2", "c2"), ("one", "m31", "c2"),
 )
-RECOGNITION_FAMILIES = (
-    ("one", "c2"),
-    ("one", "one"),
-    ("c2", "c2"),
-    ("h2", "c2"),
-)
+RECOGNITION_FAMILIES = (("one", "c2"), ("one", "one"), ("c2", "c2"), ("h2", "c2"))
 PRODUCT_FAMILIES = (
-    ("one", "one"),
-    ("one", "c2"),
-    ("c2", "c2"),
-    ("one", "m31"),
-    ("h2", "m31"),
-    ("h2", "h2"),
-    ("one", "one", "one"),
+    ("one", "one"), ("one", "c2"), ("c2", "c2"), ("one", "m31"), ("h2", "m31"), ("h2", "h2"), ("one", "one", "one"),
     ("one", "c2", "m31"),
 )
-GROUP_FAMILIES = (
-    ("c2", "c2"),
-    ("zero", "c2"),
-    ("c2", "c2", "c2"),
-)
+GROUP_FAMILIES = (("c2", "c2"), ("zero", "c2"), ("c2", "c2", "c2"))
 
 
 @dataclass
@@ -124,21 +103,31 @@ def _named(name: str) -> FiniteMonoid:
     return _named_fixtures()[name]
 
 
-def _monoids(names, randoms: int = 0) -> list[tuple[str, FiniteMonoid]]:
+def _monoids(names, randoms: int = 0, periodic: bool = False) -> list[tuple[str, FiniteMonoid]]:
     """The named fixtures, then the random monoids of seeds 0 .. randoms - 1,
-    each with its label."""
-    return [(n, _named(n)) for n in names] + [(f"random{i}", _random_monoid(i)) for i in range(randoms)]
-
-
-def _periodic() -> list[tuple[str, FiniteMonoid]]:
-    """The cyclic monoids of ``_PERIODIC``, each with its label. Every named
-    and random fixture has power-layer period 1; in these the period exceeds
-    1 and need not divide the preperiod."""
-    return [(f"C({i},{p})", _cyclic(i, p)) for i, p in _PERIODIC]
+    then, if ``periodic``, the cyclic monoids of ``_PERIODIC``, each with its
+    label. Every named and random fixture has power-layer period 1; in the
+    cyclic ones the period exceeds 1 and need not divide the preperiod."""
+    return (
+        [(n, _named(n)) for n in names]
+        + [(f"random{i}", _random_monoid(i)) for i in range(randoms)]
+        + [(f"C({i},{p})", _cyclic(i, p)) for i, p in _PERIODIC if periodic]
+    )
 
 
 def _family(names) -> Family:
     return Family([_named(n) for n in names])
+
+
+def _families(*groups, prefix: str = ""):
+    """Inputs: the family of each tuple of fixture names in the groups, labelled by ``prefix`` and the names."""
+    return lambda rng: [(f"{prefix}{names}", _family(names)) for group in groups for names in group]
+
+
+def _homs_among(names) -> list[tuple]:
+    """Each atom-preserving hom between two of the named fixtures, labelled by its ends and map."""
+    pairs = itertools.product(_monoids(names), repeat=2)
+    return [(f"{hn}->{kn} {f.map}", f) for (hn, h), (kn, k) in pairs for f in _hom_list(h, k)]
 
 
 @functools.cache
@@ -155,43 +144,39 @@ def _composite(g, f) -> tuple[int, ...]:
 # lenset suites
 
 
-def suite_length_oracle(rng, budget):
+def _length_oracle(m, rng, budget):
     bound = 12
-    for name, m in _monoids(_NAMED, 20) + _periodic():
-        rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
-        for x, oracle in enumerate(rows):
-            closed = set(length_set(m, x).members_upto(bound))
-            yield closed != oracle and (
-                f"{name} elem {m.names[x]}: length_set {sorted(closed)} vs oracle {sorted(oracle)}"
-            )
-        # up to the bound, U_k is the union of the rows that hold k
-        for k in range(bound + 1):
-            got = set(union_k(m, k).members_upto(bound))
-            expected = set().union(*(row for row in rows if k in row))
-            yield got != expected and f"{name} k={k}: union_k {sorted(got)} vs the oracle rows {sorted(expected)}"
+    rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
+    for x, oracle in enumerate(rows):
+        closed = set(length_set(m, x).members_upto(bound))
+        yield closed != oracle and f"elem {m.names[x]}: length_set {sorted(closed)} vs oracle {sorted(oracle)}"
+    # up to the bound, U_k is the union of the rows that hold k
+    for k in range(bound + 1):
+        got = set(union_k(m, k).members_upto(bound))
+        expected = set().union(*(row for row in rows if k in row))
+        yield got != expected and f"k={k}: union_k {sorted(got)} vs the oracle rows {sorted(expected)}"
 
 
-def suite_length_invariance(rng, budget):
-    for name, m in _monoids(_ATOMIC_NAMED, 8) + _periodic():
-        us = sorted(units(m))
-        for x in range(m.size):
-            if x in units(m):
-                continue
-            base = length_set(m, x)
-            for u in us:
-                for v in us:
-                    moved = length_set(m, m.mul(m.mul(u, x), v))
-                    yield moved != base and f"{name}: L({u}*{x}*{v}) != L({x})"
-        # only the identity's length set may contain 0
-        for x in range(m.size):
-            yield 0 in length_set(m, x) and x != m.identity and f"{name}: L({m.names[x]}) contains 0"
-        # the layer cycle certificate must re-verify
-        seq = power_layers(m)
-        ats = sorted(atoms(m))
-        recomputed = seq.layers[seq.preperiod - 1]
-        for _ in range(seq.period):
-            recomputed = frozenset(m.mul(y, a) for y in recomputed for a in ats)
-        yield recomputed != seq.layers[seq.preperiod - 1] and f"{name}: layer cycle certificate failed"
+def _length_invariance(m, rng, budget):
+    us = sorted(units(m))
+    for x in range(m.size):
+        if x in units(m):
+            continue
+        base = length_set(m, x)
+        for u in us:
+            for v in us:
+                moved = length_set(m, m.mul(m.mul(u, x), v))
+                yield moved != base and f"L({u}*{x}*{v}) != L({x})"
+    # only the identity's length set may contain 0
+    for x in range(m.size):
+        yield 0 in length_set(m, x) and x != m.identity and f"L({m.names[x]}) contains 0"
+    # the layer cycle certificate must re-verify
+    seq = power_layers(m)
+    ats = sorted(atoms(m))
+    recomputed = seq.layers[seq.preperiod - 1]
+    for _ in range(seq.period):
+        recomputed = frozenset(m.mul(y, a) for y in recomputed for a in ats)
+    yield recomputed != seq.layers[seq.preperiod - 1] and "layer cycle certificate failed"
 
 
 def _random_eps(rng):
@@ -202,172 +187,175 @@ def _random_eps(rng):
     return EPSet(t, head, p, tail)
 
 
-def suite_epset_arithmetic(rng, budget):
-    bound = 60
+def _eps_pairs(rng):
     for _ in range(500):
-        a, b = _random_eps(rng), _random_eps(rng)
-        mem_a, mem_b = oracles.json_members(a, bound), oracles.json_members(b, bound)
-        direct_sum = {x + y for x in mem_a for y in mem_b if x + y <= bound}
-        checks = [
-            ("sum", eps_minkowski_sum(a, b), direct_sum),
-            ("union", eps_union(a, b), mem_a | mem_b),
-            ("intersect", eps_intersect(a, b), mem_a & mem_b),
-        ]
-        for label, result, expected in checks:
-            yield set(result.members_upto(bound)) != expected and (
-                f"{label} of {a!r} and {b!r} wrong on [0,{bound}]"
-            )
-    # eps_sum_many sums equal parts by doubling; the plain fold is its oracle
+        pair = _random_eps(rng), _random_eps(rng)
+        yield pair, pair
+
+
+def _eps_operations(pair, rng, budget):
+    a, b = pair
+    mem_a, mem_b = oracles.json_members(a, _EPS_BOUND), oracles.json_members(b, _EPS_BOUND)
+    direct_sum = {x + y for x in mem_a for y in mem_b if x + y <= _EPS_BOUND}
+    checks = [
+        ("sum", eps_minkowski_sum(a, b), direct_sum),
+        ("union", eps_union(a, b), mem_a | mem_b),
+        ("intersect", eps_intersect(a, b), mem_a & mem_b),
+    ]
+    for op, result, expected in checks:
+        yield set(result.members_upto(_EPS_BOUND)) != expected and f"{op} wrong on [0,{_EPS_BOUND}]"
+
+
+def _eps_summands(rng):
     for _ in range(40):
         parts = []
         for _ in range(rng.randint(2, 3)):
             parts += [_random_eps(rng)] * rng.randint(1, 8)
         rng.shuffle(parts)
-        fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
-        yield eps_sum_many(parts) != fold and f"sum of {parts!r} is not the fold {fold!r}"
-    # the three plain constructors, read back through the JSON lists
+        yield parts, parts
+
+
+def _eps_sum_many(parts, rng, budget):
+    # eps_sum_many sums equal parts by doubling; the plain fold is its oracle
+    fold = functools.reduce(eps_minkowski_sum, parts, ZERO_ONLY)
+    yield eps_sum_many(parts) != fold and f"eps_sum_many is not the fold {fold!r}"
+
+
+def _eps_draws(rng):
+    # a finite set, the start of a cofinite one, and a window with its period and preperiod
     for _ in range(20):
         members = {n for n in range(rng.randint(0, 20)) if rng.random() < 0.4}
-        yield oracles.json_members(eps_finite(members), bound) != members and f"eps_finite({sorted(members)}) wrong"
         start = rng.randint(0, 20)
-        yield oracles.json_members(eps_cofinite(start), bound) != set(range(start, bound + 1)) and (
-            f"eps_cofinite({start}) wrong"
-        )
         t, p = rng.randint(0, 8), rng.randint(1, 8)
         head = {n for n in range(t) if rng.random() < 0.5}
         tail = {r for r in range(p) if rng.random() < 0.4}
         inside = lambda n: n in head if n < t else n % p in tail
         bits = [inside(n) for n in range(t + 2 * p + rng.randint(0, 5))]
-        expected = set(filter(inside, range(bound + 1)))
-        yield oracles.json_members(eps_from_window(bits, p, t), bound) != expected and (
-            f"eps_from_window({bits}, {p}, {t}) wrong"
-        )
+        expected = set(filter(inside, range(_EPS_BOUND + 1)))
+        label = f"eps_finite({sorted(members)}), eps_cofinite({start}), eps_from_window({bits}, {p}, {t})"
+        yield label, (members, start, (bits, p, t), expected)
+
+
+def _eps_constructors(draw, rng, budget):
+    # each read back through the JSON lists
+    members, start, window, expected = draw
+    read = functools.partial(oracles.json_members, bound=_EPS_BOUND)
+    yield read(eps_finite(members)) != members and "eps_finite wrong"
+    yield read(eps_cofinite(start)) != set(range(start, _EPS_BOUND + 1)) and "eps_cofinite wrong"
+    yield read(eps_from_window(*window)) != expected and "eps_from_window wrong"
 
 
 # ---------------------------------------------------------------------------
 # coproduct suites
 
 
-def suite_coproduct_reduction(rng, budget):
-    families = [_family(names) for names in (("one", "c2"), ("one", "one"))]
-    for fam in families:
-        alphabet = oracles.raw_alphabet(fam)
-        # soundness of single moves, and confluence under random move orders
-        for _ in range(150):
-            length = rng.randint(0, 5)
-            raw = tuple(rng.choice(alphabet) for _ in range(length))
-            normal = reduce(fam, raw)
-            for moved in oracles.congruence_moves(fam, raw):
-                yield reduce(fam, moved) != normal and f"move changed the normal form of {raw}"
-            word = raw
-            while True:
-                moves = oracles.congruence_moves(fam, word)
-                if not moves:
-                    break
-                word = rng.choice(moves)
-            yield word != normal.letters and f"random move order on {raw} missed the normal form"
-        # words congruent to eps have only unit letters (exhaustive, length <= 4)
-        for length in range(1, 5):
-            for raw in itertools.product(alphabet, repeat=length):
-                yield reduce(fam, raw) == fam.eps and not all(
-                    x in units(fam.members[i]) for i, x in raw
-                ) and f"non-unit letters in empty-class word {raw}"
+def _reduction_moves(fam, rng, budget):
+    alphabet = oracles.raw_alphabet(fam)
+    # soundness of single moves, and confluence under random move orders
+    for _ in range(150):
+        length = rng.randint(0, 5)
+        raw = tuple(rng.choice(alphabet) for _ in range(length))
+        normal = reduce(fam, raw)
+        for moved in oracles.congruence_moves(fam, raw):
+            yield reduce(fam, moved) != normal and f"move changed the normal form of {raw}"
+        word = raw
+        while True:
+            moves = oracles.congruence_moves(fam, word)
+            if not moves:
+                break
+            word = rng.choice(moves)
+        yield word != normal.letters and f"random move order on {raw} missed the normal form"
+    # words congruent to eps have only unit letters (exhaustive, length <= 4)
+    for length in range(1, 5):
+        for raw in itertools.product(alphabet, repeat=length):
+            yield reduce(fam, raw) == fam.eps and not all(
+                x in units(fam.members[i]) for i, x in raw
+            ) and f"non-unit letters in empty-class word {raw}"
+
+
+def _junction_products(fam, rng, budget):
     # the junction product against the normal form of the concatenation;
     # c2's unit letters make the merges cascade
-    for names in (("one", "c2"), ("one", "one"), ("h2", "c2")):
-        fam = _family(names)
-        words = list(oracles.reduced_words_upto(fam, 3))
-        for x, y in itertools.product(words, repeat=2):
-            yield fp_mul(fam, x, y) != reduce(fam, x.letters + y.letters) and (
-                f"{names}: fp_mul differs from reduce on {word_to_text(fam, x)} * {word_to_text(fam, y)}"
-            )
+    words = list(oracles.reduced_words_upto(fam, 3))
+    for x, y in itertools.product(words, repeat=2):
+        yield fp_mul(fam, x, y) != reduce(fam, x.letters + y.letters) and (
+            f"fp_mul differs from reduce on {word_to_text(fam, x)} * {word_to_text(fam, y)}"
+        )
 
 
-def suite_coproduct_recognition(rng, budget):
-    for names in RECOGNITION_FAMILIES:
-        fam = _family(names)
-        words = list(oracles.reduced_words_upto(fam, 3))
-        unit_flags = {w: fp_is_unit(fam, w) for w in words}
-        non_units = [w for w in words if not unit_flags[w]]
-        reducible = {fp_mul(fam, u, v) for u in non_units for v in non_units}
-        for w in words:
-            definitional_unit = any(
-                fp_mul(fam, w, v) == fam.eps and fp_mul(fam, v, w) == fam.eps
-                for v in words
-            )
-            yield unit_flags[w] != definitional_unit and f"{names}: unit test disagrees on {word_to_text(fam, w)}"
-            definitional_atom = not unit_flags[w] and w not in reducible
-            yield fp_is_atom(fam, w) != definitional_atom and (
-                f"{names}: atom test disagrees on {word_to_text(fam, w)}"
-            )
+def _recognition(fam, rng, budget):
+    words = list(oracles.reduced_words_upto(fam, 3))
+    unit_flags = {w: fp_is_unit(fam, w) for w in words}
+    non_units = [w for w in words if not unit_flags[w]]
+    reducible = {fp_mul(fam, u, v) for u in non_units for v in non_units}
+    for w in words:
+        definitional_unit = any(
+            fp_mul(fam, w, v) == fam.eps and fp_mul(fam, v, w) == fam.eps
+            for v in words
+        )
+        yield unit_flags[w] != definitional_unit and f"unit test disagrees on {word_to_text(fam, w)}"
+        definitional_atom = not unit_flags[w] and w not in reducible
+        yield fp_is_atom(fam, w) != definitional_atom and f"atom test disagrees on {word_to_text(fam, w)}"
+
+
+def _atoms_outnumber_the_members(fam, rng, budget):
     # atoms of a free product outnumber the member atoms (finite-scale contrast)
-    fam = _family(("c2", "one"))
     atom_words = [w for w in oracles.reduced_words_upto(fam, 3) if fp_is_atom(fam, w)]
     member_atoms = sum(len(atoms(m)) for m in fam.members)
     yield len(atom_words) <= member_atoms and "free product did not gain atoms over its members"
 
 
-def suite_coproduct_lengths(rng, budget):
-    for names in COPRODUCT_FAMILIES:
-        fam = _family(names)
-        for w in oracles.reduced_words_upto(fam, 3):
-            closed = set(fp_length_set(fam, w).members_upto(10))
-            oracle = oracles.fp_brute_force_lengths(fam, w, 10, budget=budget)
-            yield closed != oracle and (
-                f"{names} word {word_to_text(fam, w)}: formula {sorted(closed)} vs search {sorted(oracle)}"
-            )
-
-
-def suite_coproduct_unions(rng, budget):
-    max_k = 4
-    for names in UNION_FAMILIES:
-        fam = _family(names)
-        # each word of at most max_k letters, as (letter count, length set),
-        # shortest first; U_k is read off those of at most k letters
-        sets = [(len(w.letters), fp_length_set(fam, w)) for w in oracles.reduced_words_upto(fam, max_k)]
-        for k in range(0, max_k + 1):
-            formula = fp_union_k(fam, k)
-            if k:  # 0 has no composition into positive parts
-                yield formula != oracles.union_k_oracle(fam, k) and (
-                    f"{names} k={k}: {formula!r} vs the composition oracle"
-                )
-            direct = EMPTY
-            for n, ls in sets:
-                if n <= k and k in ls:
-                    direct = eps_union(direct, ls)
-            yield formula != direct and f"{names} k={k}: {formula!r} vs enumerated {direct!r}"
-
-
-def suite_coproduct_systems(rng, budget):
-    max_blocks = 3
-    for names in COPRODUCT_FAMILIES:
-        fam = _family(names)
-        system = fp_length_system_bounded(fam, max_blocks)
-        yield system.entries != oracles.system_oracle(fam, max_blocks) and (
-            f"{names}: system differs from the index-word oracle"
+def _coproduct_lengths(fam, rng, budget):
+    for w in oracles.reduced_words_upto(fam, 3):
+        closed = set(fp_length_set(fam, w).members_upto(10))
+        oracle = oracles.fp_brute_force_lengths(fam, w, 10, budget=budget)
+        yield closed != oracle and (
+            f"word {word_to_text(fam, w)}: formula {sorted(closed)} vs search {sorted(oracle)}"
         )
-        # every short non-unit word's length set is listed, and every listed
-        # entry is realized by an actual element: the words come shortest
-        # first, so the longer ones are read only while an entry is unrealized
-        unrealized = set(system.entries)
-        for w in oracles.reduced_words_upto(fam, 2 * max_blocks - 1):
-            short = len(w.letters) <= max_blocks
-            if not short and not unrealized:
-                break
-            if not w.letters or fp_is_unit(fam, w):
-                continue
-            ls = fp_length_set(fam, w)
-            unrealized.discard(ls)
-            if short:
-                yield ls not in system and f"{names}: system misses L({word_to_text(fam, w)})"
-        for entry in system:
-            yield entry in unrealized and f"{names}: system entry {entry!r} is not realized"
 
 
-def suite_preserved_properties(rng, budget):
-    """The cancellation laws ``core._LAWS`` on the free product and the
-    product, one case per family and law, against two theorems. Each loop
-    has families on both sides of its theorem.
+def _coproduct_unions(fam, rng, budget):
+    max_k = 4
+    # each word of at most max_k letters, as (letter count, length set),
+    # shortest first; U_k is read off those of at most k letters
+    sets = [(len(w.letters), fp_length_set(fam, w)) for w in oracles.reduced_words_upto(fam, max_k)]
+    for k in range(0, max_k + 1):
+        formula = fp_union_k(fam, k)
+        if k:  # 0 has no composition into positive parts
+            yield formula != oracles.union_k_oracle(fam, k) and f"k={k}: {formula!r} vs the composition oracle"
+        direct = EMPTY
+        for n, ls in sets:
+            if n <= k and k in ls:
+                direct = eps_union(direct, ls)
+        yield formula != direct and f"k={k}: {formula!r} vs enumerated {direct!r}"
+
+
+def _coproduct_systems(fam, rng, budget):
+    max_blocks = 3
+    system = fp_length_system_bounded(fam, max_blocks)
+    yield system.entries != oracles.system_oracle(fam, max_blocks) and "system differs from the index-word oracle"
+    # every short non-unit word's length set is listed, and every listed
+    # entry is realized by an actual element: the words come shortest
+    # first, so the longer ones are read only while an entry is unrealized
+    unrealized = set(system.entries)
+    for w in oracles.reduced_words_upto(fam, 2 * max_blocks - 1):
+        short = len(w.letters) <= max_blocks
+        if not short and not unrealized:
+            break
+        if not w.letters or fp_is_unit(fam, w):
+            continue
+        ls = fp_length_set(fam, w)
+        unrealized.discard(ls)
+        if short:
+            yield ls not in system and f"system misses L({word_to_text(fam, w)})"
+    for entry in system:
+        yield entry in unrealized and f"system entry {entry!r} is not realized"
+
+
+def _coproduct_laws(fam, rng, budget):
+    """The cancellation laws ``core._LAWS`` on the free product, one case per
+    law. With ``_product_laws`` this is the `preserved-properties` suite,
+    which checks two theorems over families on both sides of each.
 
     The free product satisfies each law iff every member is a group. If
     every member is one, every word is a unit and the free product is a
@@ -375,105 +363,80 @@ def suite_preserved_properties(rng, budget):
     member's non-unit has a non-unit idempotent power e, and the one-letter
     word e breaks all three laws. ``oracles.laws_hold`` decides them over
     the words of at most three letters, with ``fp_mul`` and ``fp_is_unit``.
-
-    The product of atomic monoids satisfies each law iff some member is a
-    group: then there is no atom tuple, and the unit tuples generate a
-    group; otherwise an atom tuple is a non-unit, which breaks every law in
-    a finite monoid.
     """
-    for names in GROUP_FAMILIES + COPRODUCT_FAMILIES:
-        fam = _family(names)
-        group = all(len(units(m)) == m.size for m in fam.members)
-        words = list(oracles.reduced_words_upto(fam, 3))
-        mul, is_unit = functools.partial(fp_mul, fam), functools.partial(fp_is_unit, fam)
-        for prop in _LAWS:
-            yield oracles.laws_hold(prop, words, mul, is_unit) != group and (
-                f"coproduct of {names}: {prop} is not {group}"
-            )
-    for names in GROUP_FAMILIES + PRODUCT_FAMILIES:
-        fam = _family(names)
-        mat, _ = ap_materialize(fam, 60)
-        group = any(len(units(m)) == m.size for m in fam.members)
-        for prop in _LAWS:
-            yield check_property(mat, prop) != group and f"product of {names}: {prop} is not {group}"
+    group = all(len(units(m)) == m.size for m in fam.members)
+    words = list(oracles.reduced_words_upto(fam, 3))
+    mul, is_unit = functools.partial(fp_mul, fam), functools.partial(fp_is_unit, fam)
+    for prop in _LAWS:
+        yield oracles.laws_hold(prop, words, mul, is_unit) != group and f"{prop} is not {group}"
+
+
+def _product_laws(fam, rng, budget):
+    """The cancellation laws on the product of atomic monoids, one case per
+    law. It satisfies each law iff some member is a group: then there is no
+    atom tuple, and the unit tuples generate a group; otherwise an atom tuple
+    is a non-unit, which breaks every law in a finite monoid."""
+    mat, _ = ap_materialize(fam, 60)
+    group = any(len(units(m)) == m.size for m in fam.members)
+    for prop in _LAWS:
+        yield check_property(mat, prop) != group and f"{prop} is not {group}"
 
 
 # ---------------------------------------------------------------------------
 # product suites
 
 
-def suite_product_formulas(rng, budget):
-    for names in PRODUCT_FAMILIES:
-        fam = _family(names)
-        mat, projections = ap_materialize(fam, 60)
-        order = list(zip(*(p.map for p in projections)))
-        index = {t: i for i, t in enumerate(order)}
-        gens = ap_generators(fam)
-        # formula length sets match table-level dynamic programming
-        for t, i in index.items():
-            yield ap_length_set(fam, t) != length_set(mat, i) and (
-                f"{names}: L{t} disagrees with materialized table"
-            )
-        yield ap_length_system(fam).entries != length_system(mat).entries and (
-            f"{names}: length systems disagree"
+def _product_formulas(fam, rng, budget):
+    mat, projections = ap_materialize(fam, 60)
+    order = list(zip(*(p.map for p in projections)))
+    index = {t: i for i, t in enumerate(order)}
+    gens = ap_generators(fam)
+    # formula length sets match table-level dynamic programming
+    for t, i in index.items():
+        yield ap_length_set(fam, t) != length_set(mat, i) and f"L{t} disagrees with materialized table"
+    yield ap_length_system(fam).entries != length_system(mat).entries and "length systems disagree"
+    yield ap_length_system(fam, True).entries != length_system(mat, True).entries and (
+        "non-zero length systems disagree"
+    )
+    # the fold against the intersections of every choice
+    for nonzero in (False, True):
+        yield ap_length_system(fam, nonzero).entries != oracles.product_system_oracle(fam, nonzero) and (
+            f"length system (nonzero_only={nonzero}) differs from the product of choices"
         )
-        yield ap_length_system(fam, True).entries != length_system(mat, True).entries and (
-            f"{names}: non-zero length systems disagree"
-        )
-        # the fold against the intersections of every choice
-        for nonzero in (False, True):
-            yield ap_length_system(fam, nonzero).entries != oracles.product_system_oracle(fam, nonzero) and (
-                f"{names}: length system (nonzero_only={nonzero}) differs from the product of choices"
-            )
-        # membership criterion matches the closure, over the full direct product
-        for t in itertools.product(*(range(m.size) for m in fam.members)):
-            yield ap_contains(fam, t) != (t in index) and f"{names}: membership of {t} wrong"
-        # units and atoms of the materialized table are the generator tuples,
-        # and the tuples the unit and atom tests accept
-        mat_units, mat_atoms = units(mat), atoms(mat)
-        yield {order[u] for u in mat_units} != set(gens.unit_tuples) and f"{names}: unit tuples disagree"
-        yield {order[a] for a in mat_atoms} != set(gens.atom_tuples) and f"{names}: atom tuples disagree"
-        for i, t in enumerate(order):
-            yield ap_is_unit(fam, t) != (i in mat_units) and f"{names}: ap_is_unit{t} disagrees with the table"
-            yield ap_is_atom(fam, t) != (i in mat_atoms) and f"{names}: ap_is_atom{t} disagrees with the table"
-        # projections restricted to the product preserve atoms
-        for comp, member in enumerate(fam.members):
-            member_atoms = atoms(member)
-            yield not all(t[comp] in member_atoms for t in gens.atom_tuples) and (
-                f"{names}: projection {comp} not atom-preserving"
-            )
-        # unit * atom * unit stays an atom
-        for u1 in sorted(gens.unit_tuples):
-            for a in sorted(gens.atom_tuples):
-                for u2 in sorted(gens.unit_tuples):
-                    conj = oracles.tuple_mul(fam, oracles.tuple_mul(fam, u1, a), u2)
-                    yield conj not in gens.atom_tuples and f"{names}: {u1}*{a}*{u2} left the atom tuples"
+    # membership criterion matches the closure, over the full direct product
+    for t in itertools.product(*(range(m.size) for m in fam.members)):
+        yield ap_contains(fam, t) != (t in index) and f"membership of {t} wrong"
+    # units and atoms of the materialized table are the generator tuples,
+    # and the tuples the unit and atom tests accept
+    mat_units, mat_atoms = units(mat), atoms(mat)
+    yield {order[u] for u in mat_units} != set(gens.unit_tuples) and "unit tuples disagree"
+    yield {order[a] for a in mat_atoms} != set(gens.atom_tuples) and "atom tuples disagree"
+    for i, t in enumerate(order):
+        yield ap_is_unit(fam, t) != (i in mat_units) and f"ap_is_unit{t} disagrees with the table"
+        yield ap_is_atom(fam, t) != (i in mat_atoms) and f"ap_is_atom{t} disagrees with the table"
+    # projections restricted to the product preserve atoms
+    for comp, member in enumerate(fam.members):
+        member_atoms = atoms(member)
+        yield not all(t[comp] in member_atoms for t in gens.atom_tuples) and f"projection {comp} not atom-preserving"
+    # unit * atom * unit stays an atom
+    for u1 in sorted(gens.unit_tuples):
+        for a in sorted(gens.atom_tuples):
+            for u2 in sorted(gens.unit_tuples):
+                conj = oracles.tuple_mul(fam, oracles.tuple_mul(fam, u1, a), u2)
+                yield conj not in gens.atom_tuples and f"{u1}*{a}*{u2} left the atom tuples"
 
 
-def suite_product_unions(rng, budget):
-    for names in PRODUCT_FAMILIES:
-        fam = _family(names)
-        mat, _ = ap_materialize(fam, 60)
-        for k in range(0, 7):
-            yield ap_union_k(fam, k) != union_k(mat, k) and (
-                f"{names} k={k}: union formula disagrees with table"
-            )
+def _product_unions(fam, rng, budget):
+    mat, _ = ap_materialize(fam, 60)
+    for k in range(0, 7):
+        yield ap_union_k(fam, k) != union_k(mat, k) and f"k={k}: union formula disagrees with table"
 
 
 # ---------------------------------------------------------------------------
 # limit suites
 
 
-def suite_universal_properties(rng, budget):
-    yield from _equalizer_up()
-    yield from _pullback_up()
-    yield from _coproduct_up()
-    yield from _product_up()
-    yield from _mono_up()
-    yield from _pushout_sound()
-
-
-def _limit_up(label, apex, legs, objects, commutes):
+def _limit_up(apex, legs, objects, commutes):
     """The limit (apex, legs) of a diagram over ``objects``, checked as the
     module docstring says. ``commutes`` takes a tuple of homs, one into each
     object, and tells whether it agrees with the diagram's arrows."""
@@ -486,56 +449,58 @@ def _limit_up(label, apex, legs, objects, commutes):
                 continue
             found = cones_via_apex.count(tuple(c.map for c in cone))
             yield (not legs_form_a_cone or found != 1) and (
-                f"{label}: the cone {[c.map for c in cone]} from {wn} factors {found} times"
+                f"the cone {[c.map for c in cone]} from {wn} factors {found} times"
                 + ("" if legs_form_a_cone else ", and the legs are not an atom-preserving cone")
             )
 
 
-def _equalizer_up():
+def _equalizer_pairs(rng):
     for hn, kn in (("h2", "h2"), ("h2", "one"), ("c2", "c2"), ("m31", "one")):
         for f, g in itertools.product(_hom_list(_named(hn), _named(kn)), repeat=2):
-            e_monoid, e = equalizer(f, g)
-            yield from _limit_up(
-                f"equalizer of {f.map}, {g.map}: {hn}->{kn}", e_monoid, (e,), (f.source,),
-                lambda c: _composite(f, c[0]) == _composite(g, c[0]),
-            )
+            yield f"equalizer of {f.map}, {g.map}: {hn}->{kn}", (f, g)
 
 
-def _pullback_up():
+def _equalizer_up(pair, rng, budget):
+    f, g = pair
+    e_monoid, e = equalizer(f, g)
+    yield from _limit_up(e_monoid, (e,), (f.source,), lambda c: _composite(f, c[0]) == _composite(g, c[0]))
+
+
+def _pullback_pairs(rng):
     # (source of f, source of g, common target); on (h2, h2) -> h2 the
     # identity and the swap disagree on atoms, so atom pairs need the filter
     for hn, kn, tn in (("h2", "one", "one"), ("h2", "h2", "one"), ("m31", "h2", "one"),
                        ("c2", "c2", "c2"), ("h2", "h2", "h2")):
         t = _named(tn)
         for f, g in itertools.product(_hom_list(_named(hn), t), _hom_list(_named(kn), t)):
-            p, p1, p2 = pullback(f, g)
-            yield from _limit_up(
-                f"pullback of {f.map}, {g.map}: {hn}->{tn}<-{kn}", p, (p1, p2), (f.source, g.source),
-                lambda c: _composite(f, c[0]) == _composite(g, c[1]),
-            )
+            yield f"pullback of {f.map}, {g.map}: {hn}->{tn}<-{kn}", (f, g)
 
 
-def _product_up():
+def _pullback_up(pair, rng, budget):
+    f, g = pair
+    p, p1, p2 = pullback(f, g)
+    yield from _limit_up(p, (p1, p2), (f.source, g.source), lambda c: _composite(f, c[0]) == _composite(g, c[1]))
+
+
+def _product_up(fam, rng, budget):
     """The materialized product as a limit, then ``ap_universal``: for each
     cone from W, the map w -> ap_universal(cone, w), read as elements of the
     table through the projections, must be one of the homs W -> product and
     give back each leg of the cone after the projection. One case per cone."""
-    for names in (("one", "one"), ("one", "c2"), ("h2", "h2"), ("ab", "one")):
-        fam = _family(names)
-        mat, projections = ap_materialize(fam, 60)
-        yield from _limit_up(f"product of {names}", mat, projections, fam.members, lambda c: True)
-        index = {t: i for i, t in enumerate(zip(*(p.map for p in projections)))}
-        for wn, w in _monoids(_ATOMIC_NAMED):
-            homs = {h.map for h in _hom_list(w, mat)}
-            for cone in itertools.product(*(_hom_list(w, m) for m in fam.members)):
-                tau = tuple(index.get(ap_universal(cone, x)) for x in range(w.size))
-                legs = [tuple(map(p.map.__getitem__, tau)) for p in projections] if tau in homs else None
-                yield legs != [c.map for c in cone] and (
-                    f"product of {names}: ap_universal sends the cone {[c.map for c in cone]} from {wn} to {tau}"
-                )
+    mat, projections = ap_materialize(fam, 60)
+    yield from _limit_up(mat, projections, fam.members, lambda c: True)
+    index = {t: i for i, t in enumerate(zip(*(p.map for p in projections)))}
+    for wn, w in _monoids(_ATOMIC_NAMED):
+        homs = {h.map for h in _hom_list(w, mat)}
+        for cone in itertools.product(*(_hom_list(w, m) for m in fam.members)):
+            tau = tuple(index.get(ap_universal(cone, x)) for x in range(w.size))
+            legs = [tuple(map(p.map.__getitem__, tau)) for p in projections] if tau in homs else None
+            yield legs != [c.map for c in cone] and (
+                f"ap_universal sends the cone {[c.map for c in cone]} from {wn} to {tau}"
+            )
 
 
-def _mono_up():
+def _mono_up(f, rng, budget):
     """is_atomon_mono against the definition of a mono, in its sound
     direction: when f: S -> T passes the test, no two atom-preserving homs
     g != h from an atomic test object W into S have f∘g = f∘h. Proof: W is
@@ -544,42 +509,35 @@ def _mono_up():
     to atoms. f is injective on the units and atoms of S, so f∘g = f∘h makes
     g and h agree on those generators of W, hence everywhere. The converse,
     that a hom the test refuses has such a pair, needs test objects the five
-    atomic fixtures may lack, so it is not checked. One case per f that
-    passes the test and test object W.
+    atomic fixtures may lack, so it is not checked. One case per test object
+    W, for an f that passes the test.
     """
-    for (sn, s), (tn, t) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2):
-        for f in _hom_list(s, t):
-            if not is_atomon_mono(f):
-                continue
-            for wn, w in _monoids(_ATOMIC_NAMED):
-                homs = _hom_list(w, s)
-                yield len({_composite(f, g) for g in homs}) < len(homs) and (
-                    f"mono {sn}->{tn} {f.map}: two homs from {wn} agree after it"
-                )
+    if is_atomon_mono(f):
+        for wn, w in _monoids(_ATOMIC_NAMED):
+            homs = _hom_list(w, f.source)
+            yield len({_composite(f, g) for g in homs}) < len(homs) and f"two homs from {wn} agree after it"
 
 
-def _coproduct_up():
-    for names in (("one", "c2"), ("one", "one")):
-        fam = _family(names)
-        words = list(oracles.reduced_words_upto(fam, 2))
-        for kn in ("one", "h2"):
-            k = _named(kn)
-            for homs in itertools.product(*(_hom_list(m, k) for m in fam.members)):
-                induced = Cocone(fam, homs)
-                # coprojection triangles
-                for i, m in enumerate(fam.members):
-                    for x in range(m.size):
-                        via = induced(coprojection(fam, i, x))
-                        yield via != homs[i].map[x] and f"coproduct triangle fails at {names}[{i}]:{x}"
-                # multiplicativity on short words
-                for w1 in words:
-                    for w2 in words:
-                        lhs = induced(fp_mul(fam, w1, w2))
-                        rhs = k.mul(induced(w1), induced(w2))
-                        yield lhs != rhs and f"induced coproduct map not multiplicative on {names}"
+def _coproduct_up(fam, rng, budget):
+    words = list(oracles.reduced_words_upto(fam, 2))
+    for kn in ("one", "h2"):
+        k = _named(kn)
+        for homs in itertools.product(*(_hom_list(m, k) for m in fam.members)):
+            induced = Cocone(fam, homs)
+            # coprojection triangles
+            for i, m in enumerate(fam.members):
+                for x in range(m.size):
+                    via = induced(coprojection(fam, i, x))
+                    yield via != homs[i].map[x] and f"triangle into {kn} fails at member {i} element {x}"
+            # multiplicativity on short words
+            for w1 in words:
+                for w2 in words:
+                    lhs = induced(fp_mul(fam, w1, w2))
+                    rhs = k.mul(induced(w1), induced(w2))
+                    yield lhs != rhs and f"induced map into {kn} not multiplicative"
 
 
-def _pushout_sound():
+def _pushout_sound(h2, rng, budget):
     """pushout_eq_bounded against the cocones of its span, in its sound
     direction. A cocone (u, v) from the span f, g into K, with u∘f = v∘g,
     factors through the pushout, so two words EQUAL there have equal images
@@ -592,30 +550,33 @@ def _pushout_sound():
     answer. So only the pairs whose first word has no letter of member 1
     are asked; every other separated pair is the mirror image of one of
     them.
-
-    Then the depth bound. Over the span one -> h2 <- one with both legs
-    a -> a, the relations identify a@0 with a@1 and 0@0 with 0@1. One
-    rewrite takes (a@0)(b@1) only to (a@1)(b@1) = 0@1, one takes (b@0)(a@1)
-    only to (b@0)(a@0) = 0@0, and a third joins 0@1 to 0@0. So the two
-    words, and their mirror images, first meet at depth 2. Each pair is one
-    case: UNKNOWN at depth 1, EQUAL at depth 2, and separated by no cocone.
     """
-    h2 = _named("h2")
     pres, images = _span_images(identity_hom(h2))
     words = [(w, images(w)) for w in oracles.reduced_words_upto(pres.family, 2)]
     for (w1, i1), (w2, i2) in itertools.combinations(words, 2):
         if i1 != i2 and all(letter.mon == 0 for letter in w1.letters):
             yield pushout_eq_bounded(pres, w1, w2, 1) is Reachability.EQUAL and (
-                f"pushout of id_h2 with itself: {word_to_text(pres.family, w1)} and "
-                f"{word_to_text(pres.family, w2)} are EQUAL, but a cocone separates them"
+                f"{word_to_text(pres.family, w1)} and {word_to_text(pres.family, w2)} are EQUAL, "
+                "but a cocone separates them"
             )
+
+
+def _pushout_depth(h2, rng, budget):
+    """The depth bound of pushout_eq_bounded. Over the span one -> h2 <- one
+    with both legs a -> a, the relations identify a@0 with a@1 and 0@0 with
+    0@1. One rewrite takes (a@0)(b@1) only to (a@1)(b@1) = 0@1, one takes
+    (b@0)(a@1) only to (b@0)(a@0) = 0@0, and a third joins 0@1 to 0@0. So
+    the two words, and their mirror images, first meet at depth 2. Each pair
+    is one case: UNKNOWN at depth 1, EQUAL at depth 2, and separated by no
+    cocone.
+    """
     pres, images = _span_images(new_hom(_named("one"), h2, (0, 1, 3)))
     for i, j in ((0, 1), (1, 0)):
         w1, w2 = reduce(pres.family, ((i, 1), (j, 2))), reduce(pres.family, ((i, 2), (j, 1)))
         answers = [pushout_eq_bounded(pres, w1, w2, depth).value for depth in (1, 2)]
         yield (answers != ["unknown", "equal"] or images(w1) != images(w2)) and (
-            f"pushout of one -> h2 <- one: {word_to_text(pres.family, w1)} and "
-            f"{word_to_text(pres.family, w2)} answer {answers} at depths 1 and 2"
+            f"{word_to_text(pres.family, w1)} and {word_to_text(pres.family, w2)} "
+            f"answer {answers} at depths 1 and 2"
         )
 
 
@@ -645,95 +606,86 @@ def _refines(fine, coarse) -> bool:
     return all(len({coarse[x] for x in block}) == 1 for block in _blocks(fine))
 
 
-def suite_coequalizers(rng, budget):
+def _coequalizer_picks(rng):
     pool = [
-        (hn, kn, f, g)
+        (f"coequalizer of {f.map}, {g.map}: {hn}->{kn}", (f, g))
         for (hn, h), (kn, k) in itertools.product(_monoids(_ATOMIC_NAMED), repeat=2)
         for f, g in itertools.product(_hom_list(h, k), repeat=2)
     ]
-    picks = [pool[rng.randrange(len(pool))] for _ in range(50)]
-    for hn, kn, f, g in picks:
-        k = f.target
-        try:
-            q_monoid, q = coequalizer(f, g)
-        except Exception as exc:
-            yield f"coequalizer {hn}->{kn} failed: {exc}"
-            continue
-        yield not check_property(q_monoid, "atomic") and f"coequalizer of {hn}->{kn}: quotient not atomic"
-        for x in range(k.size):
-            yield classify(k, x).value != classify(q_monoid, q.map[x]).value and (
-                f"coequalizer of {hn}->{kn}: class of {x} not preserved"
-            )
-        seeds = [(f.map[h], g.map[h]) for h in range(f.source.size)]
-        closure = congruence_closure(k, seeds)
-        compatible = [
-            leader
-            for leader in oracles.all_partitions(k.size)
-            if oracles.is_congruence(k, leader) and all(leader[a] == leader[b] for a, b in seeds)
-        ]
-        # the least compatible partition: it refines every one, and one refines it
-        least = all(_refines(closure.leader, other) for other in compatible) and any(
-            _refines(other, closure.leader) for other in compatible
-        )
-        yield not least and f"coequalizer of {hn}->{kn}: closure {closure.leader} is not least for {seeds}"
-        # the classes against the blocks of the least partition, found among the oracle's alone
-        oracle = next((_blocks(p) for p in compatible if all(_refines(p, other) for other in compatible)), None)
-        yield closure.classes() != oracle and (
-            f"coequalizer of {hn}->{kn}: classes {closure.classes()} are not the least partition {oracle}"
-        )
+    return [pool[rng.randrange(len(pool))] for _ in range(50)]
 
 
-def suite_terminal_uniqueness(rng, budget):
-    target = terminal()
-    for name, m in _monoids(_ATOMIC_NAMED, 10):
-        if not check_property(m, "atomic"):
-            continue
-        homs = _hom_list(m, target)
+def _coequalizer(pair, rng, budget):
+    f, g = pair
+    k = f.target
+    q_monoid, q = coequalizer(f, g)
+    yield not check_property(q_monoid, "atomic") and "quotient not atomic"
+    for x in range(k.size):
+        yield classify(k, x).value != classify(q_monoid, q.map[x]).value and f"class of {x} not preserved"
+    seeds = [(f.map[h], g.map[h]) for h in range(f.source.size)]
+    closure = congruence_closure(k, seeds)
+    compatible = [
+        leader
+        for leader in oracles.all_partitions(k.size)
+        if oracles.is_congruence(k, leader) and all(leader[a] == leader[b] for a, b in seeds)
+    ]
+    # the least compatible partition: it refines every one, and one refines it
+    least = all(_refines(closure.leader, other) for other in compatible) and any(
+        _refines(other, closure.leader) for other in compatible
+    )
+    yield not least and f"closure {closure.leader} is not least for {seeds}"
+    # the classes against the blocks of the least partition, found among the oracle's alone
+    oracle = next((_blocks(p) for p in compatible if all(_refines(p, other) for other in compatible)), None)
+    yield closure.classes() != oracle and f"classes {closure.classes()} are not the least partition {oracle}"
+
+
+def _terminal_uniqueness(m, rng, budget):
+    if check_property(m, "atomic"):
+        homs = _hom_list(m, terminal())
         canonical = canonical_to_terminal(m)
         yield (len(homs) != 1 or homs[0].map != canonical.map) and (
-            f"{name}: expected exactly the canonical map, found {len(homs)}"
+            f"expected exactly the canonical map, found {len(homs)}"
         )
 
 
-def suite_core_axioms(rng, budget):
-    for name, m in _monoids(_NAMED, 10):
-        us = units(m)
-        yield m.identity not in us and f"{name}: identity is not a unit"
-        closed = all(m.mul(u, v) in us for u in us for v in us)
-        has_inverses = all(
-            any(m.mul(u, v) == m.identity and m.mul(v, u) == m.identity for v in us)
-            for u in us
+def _monoid_axioms(m, rng, budget):
+    us = units(m)
+    yield m.identity not in us and "identity is not a unit"
+    closed = all(m.mul(u, v) in us for u in us for v in us)
+    has_inverses = all(
+        any(m.mul(u, v) == m.identity and m.mul(v, u) == m.identity for v in us)
+        for u in us
+    )
+    yield not (closed and has_inverses) and "units do not form a group"
+    yield bool(us & atoms(m)) and "an atom is a unit"
+    inverses = [(x, y) for x in range(m.size) for y in range(m.size) if m.mul(x, y) == m.identity]
+    dedekind = all(m.mul(y, x) == m.identity for x, y in inverses)
+    yield check_property(m, "dedekind_finite") != dedekind and f"dedekind_finite is not {dedekind}"
+    if check_property(m, "atomic"):
+        ats = atoms(m)
+        for u in sorted(us):
+            for v in sorted(us):
+                for x in range(m.size):
+                    yield (x in ats) != (m.mul(m.mul(u, x), v) in ats) and (
+                        f"unit conjugation moved atom status of {x}"
+                    )
+    for _ in range(20):
+        w1 = [rng.randrange(m.size) for _ in range(rng.randint(0, 4))]
+        w2 = [rng.randrange(m.size) for _ in range(rng.randint(0, 4))]
+        yield eval_word(m, w1 + w2) != m.mul(eval_word(m, w1), eval_word(m, w2)) and (
+            "word evaluation is not multiplicative"
         )
-        yield not (closed and has_inverses) and f"{name}: units do not form a group"
-        yield bool(us & atoms(m)) and f"{name}: an atom is a unit"
-        inverses = [(x, y) for x in range(m.size) for y in range(m.size) if m.mul(x, y) == m.identity]
-        dedekind = all(m.mul(y, x) == m.identity for x, y in inverses)
-        yield check_property(m, "dedekind_finite") != dedekind and f"{name}: dedekind_finite is not {dedekind}"
-        if check_property(m, "atomic"):
-            ats = atoms(m)
-            for u in sorted(us):
-                for v in sorted(us):
-                    for x in range(m.size):
-                        yield (x in ats) != (m.mul(m.mul(u, x), v) in ats) and (
-                            f"{name}: unit conjugation moved atom status of {x}"
-                        )
-        for _ in range(20):
-            w1 = [rng.randrange(m.size) for _ in range(rng.randint(0, 4))]
-            w2 = [rng.randrange(m.size) for _ in range(rng.randint(0, 4))]
-            yield eval_word(m, w1 + w2) != m.mul(eval_word(m, w1), eval_word(m, w2)) and (
-                f"{name}: word evaluation is not multiplicative"
-            )
+
+
+def _hom_classes(f, rng, budget):
     # atom-preserving homs preserve the unit/atom/reducible classes
-    pairs = itertools.product(_monoids(_ATOMIC_NAMED), repeat=2)
-    arrows = [(hn, kn, f) for (hn, h), (kn, k) in pairs for f in _hom_list(h, k)]
-    for hn, kn, f in arrows:
-        for x in range(f.source.size):
-            yield classify(f.source, x).value != classify(f.target, f.map[x]).value and (
-                f"hom {hn}->{kn} moves class of {x}"
-            )
+    for x in range(f.source.size):
+        yield classify(f.source, x).value != classify(f.target, f.map[x]).value and f"moves the class of {x}"
+
+
+def _composition(homs, rng, budget):
     # compose gives the atom-preserving composite of the maps, and is
     # associative on composable triples
-    homs = [f for _, _, f in arrows]
     composites = {(j, i): compose(g, f) for i, f in enumerate(homs) for j, g in enumerate(homs) if f.target == g.source}
     for (j, i), gf in composites.items():
         bad = gf.map != _composite(homs[j], homs[i]) or not gf.atom_preserving
@@ -742,23 +694,25 @@ def suite_core_axioms(rng, budget):
         if after == j:
             bad = compose(homs[k], composites[j, i]) != compose(composites[k, j], homs[i])
             yield bad and f"compose is not associative on {homs[k].map}, {homs[j].map}, {homs[i].map}"
-    # extend_atom_map, for each map of the symbols x and y to atoms: on a
-    # concatenation w1 + w2 it gives the product of w1 and w2, each multiplied
-    # out; and it refuses a non-atom image. ab tells x·y from y·x.
+
+
+def _extend_atom_map(m, rng, budget):
+    # for each map of the symbols x and y to atoms: on a concatenation
+    # w1 + w2 it gives the product of w1 and w2, each multiplied out; and it
+    # refuses a non-atom image. ab tells x·y from y·x.
     words = [w for n in range(3) for w in itertools.product("xy", repeat=n)]
-    for name, m in _monoids(_ATOMIC_NAMED + ("ab",)):
-        for images in (dict(zip("xy", pair)) for pair in itertools.product(sorted(atoms(m)), repeat=2)):
-            value = {w: functools.reduce(m.mul, map(images.get, w), m.identity) for w in words}
-            for w1, w2 in itertools.product(words, repeat=2):
-                bad = extend_atom_map(m, images, w1 + w2) != m.mul(value[w1], value[w2])
-                yield bad and f"{name}: extend_atom_map of {images} is not multiplicative on {w1}, {w2}"
-        for x in sorted(set(range(m.size)) - atoms(m)):
-            try:
-                extend_atom_map(m, {"x": x}, ())
-                refused = None
-            except ImageNotAtomError as exc:
-                refused = exc.symbol
-            yield refused != "x" and f"{name}: extend_atom_map does not refuse the non-atom image {x}"
+    for images in (dict(zip("xy", pair)) for pair in itertools.product(sorted(atoms(m)), repeat=2)):
+        value = {w: functools.reduce(m.mul, map(images.get, w), m.identity) for w in words}
+        for w1, w2 in itertools.product(words, repeat=2):
+            bad = extend_atom_map(m, images, w1 + w2) != m.mul(value[w1], value[w2])
+            yield bad and f"extend_atom_map of {images} is not multiplicative on {w1}, {w2}"
+    for x in sorted(set(range(m.size)) - atoms(m)):
+        try:
+            extend_atom_map(m, {"x": x}, ())
+            refused = None
+        except ImageNotAtomError as exc:
+            refused = exc.symbol
+        yield refused != "x" and f"extend_atom_map does not refuse the non-atom image {x}"
 
 
 # ---------------------------------------------------------------------------
@@ -769,85 +723,125 @@ _PERTURBED_COPIES = 4
 _HOM_SPACE_LIMIT = 4096
 
 
-def suite_generator_oracles(rng, budget):
-    monoids = _monoids(_NAMED, 20)
-    for name, m in monoids:
-        yield units(m) != oracles.units_by_pairs(m) and f"{name}: units {sorted(units(m))} vs the pair scan"
-        yield atoms(m) != oracles.atoms_by_pairs(m) and f"{name}: atoms {sorted(atoms(m))} vs the pair scan"
-        # check_property decides the cancellation laws by counting units
-        for prop in _LAWS:
-            got = check_property(m, prop)
-            expected = oracles.laws_hold(prop, range(m.size), m.mul, units(m).__contains__)
-            yield got != expected and f"{name}: {prop} is {got}, the law scan says {expected}"
-        # copies with one entry changed off the identity row and column, so
-        # the identity law still holds and only associativity can fail:
-        # every such copy of a named fixture, a seeded sample of the others
-        others = [x for x in range(m.size) if x != m.identity]
-        changes = [(x, y, v) for x in others for y in others for v in range(m.size) if v != m.table[x][y]]
-        if name not in _NAMED:
-            changes = rng.sample(changes, min(_PERTURBED_COPIES, len(changes)))
-        tables = [(name, m.table)]
-        for x, y, v in changes:
-            table = [list(row) for row in m.table]
-            table[x][y] = v
-            tables.append((f"{name} with {x}*{y}={v}", table))
-        for label, table in tables:
-            try:
-                new_monoid(m.names, table, m.identity)
-                got = None
-            except NonAssociativeError as exc:
-                got = exc.triple
-            expected = oracles.ijk_scan(table)
-            yield got != expected and f"{label}: Light's test gives {got}, the scan {expected}"
+def _table_oracles(value, rng, budget):
+    m, every_copy = value
+    yield units(m) != oracles.units_by_pairs(m) and f"units {sorted(units(m))} vs the pair scan"
+    yield atoms(m) != oracles.atoms_by_pairs(m) and f"atoms {sorted(atoms(m))} vs the pair scan"
+    # check_property decides the cancellation laws by counting units
+    for prop in _LAWS:
+        got = check_property(m, prop)
+        expected = oracles.laws_hold(prop, range(m.size), m.mul, units(m).__contains__)
+        yield got != expected and f"{prop} is {got}, the law scan says {expected}"
+    # copies with one entry changed off the identity row and column, so
+    # the identity law still holds and only associativity can fail:
+    # every such copy of a named fixture, a seeded sample of the others
+    others = [x for x in range(m.size) if x != m.identity]
+    changes = [(x, y, v) for x in others for y in others for v in range(m.size) if v != m.table[x][y]]
+    if not every_copy:
+        changes = rng.sample(changes, min(_PERTURBED_COPIES, len(changes)))
+    tables = [("the table", m.table)]
+    for x, y, v in changes:
+        table = [list(row) for row in m.table]
+        table[x][y] = v
+        tables.append((f"the table with {x}*{y}={v}", table))
+    for label, table in tables:
+        try:
+            new_monoid(m.names, table, m.identity)
+            got = None
+        except NonAssociativeError as exc:
+            got = exc.triple
+        expected = oracles.ijk_scan(table)
+        yield got != expected and f"{label}: Light's test gives {got}, the scan {expected}"
+
+
+def _union_k_fold(m, rng, budget):
     # union_k reads U(T + (k - T) mod p) from T + p on, and the fold reads no
-    # period, so the cyclic monoids of period > 1 are added for the wrap-around
-    for name, m in monoids + _periodic():
-        seq = power_layers(m)
-        for k in range(seq.preperiod + 2 * seq.period + 1):
-            got, expected = union_k(m, k), oracles.union_k_by_fold(m, k)
-            yield got != expected and f"{name}: union_k at {k} is {got!r}, the fold gives {expected!r}"
+    # period, so the cyclic monoids of period > 1 are in the inputs for the wrap-around
+    seq = power_layers(m)
+    for k in range(seq.preperiod + 2 * seq.period + 1):
+        got, expected = union_k(m, k), oracles.union_k_by_fold(m, k)
+        yield got != expected and f"union_k at {k} is {got!r}, the fold gives {expected!r}"
+
+
+def _hom_space_pairs(rng):
     # equal tables have equal hom lists, so each distinct table is kept once
     distinct: dict = {}
-    for name, m in monoids:
+    for name, m in _monoids(_NAMED, 20):
         distinct.setdefault((m.table, m.identity), (name, m))
     for (sn, s), (tn, t) in itertools.product(distinct.values(), repeat=2):
-        if t.size ** (s.size - 1) > _HOM_SPACE_LIMIT:
-            continue
-        got = [(h.map, h.atom_preserving) for h in enumerate_homs(s, t, atom_preserving_only=False)]
-        yield got != oracles.exhaustive_homs(s, t) and (
-            f"homs {sn}->{tn}: generator search disagrees with exhaustive search"
-        )
+        if t.size ** (s.size - 1) <= _HOM_SPACE_LIMIT:
+            yield f"homs {sn}->{tn}", (s, t)
+
+
+def _hom_search(pair, rng, budget):
+    s, t = pair
+    got = [(h.map, h.atom_preserving) for h in enumerate_homs(s, t, atom_preserving_only=False)]
+    yield got != oracles.exhaustive_homs(s, t) and "generator search disagrees with exhaustive search"
 
 
 SUITES = {
-    "length-oracle": suite_length_oracle,
-    "length-invariance": suite_length_invariance,
-    "epset-arithmetic": suite_epset_arithmetic,
-    "coproduct-reduction": suite_coproduct_reduction,
-    "coproduct-recognition": suite_coproduct_recognition,
-    "coproduct-lengths": suite_coproduct_lengths,
-    "coproduct-unions": suite_coproduct_unions,
-    "coproduct-systems": suite_coproduct_systems,
-    "preserved-properties": suite_preserved_properties,
-    "product-formulas": suite_product_formulas,
-    "product-unions": suite_product_unions,
-    "universal-properties": suite_universal_properties,
-    "coequalizers": suite_coequalizers,
-    "terminal-uniqueness": suite_terminal_uniqueness,
-    "core-axioms": suite_core_axioms,
-    "generator-oracles": suite_generator_oracles,
+    "length-oracle": ((lambda rng: _monoids(_NAMED, 20, periodic=True), _length_oracle),),
+    "length-invariance": ((lambda rng: _monoids(_ATOMIC_NAMED, 8, periodic=True), _length_invariance),),
+    "epset-arithmetic": (
+        (_eps_pairs, _eps_operations), (_eps_summands, _eps_sum_many), (_eps_draws, _eps_constructors),
+    ),
+    "coproduct-reduction": (
+        (_families((("one", "c2"), ("one", "one"))), _reduction_moves),
+        (_families((("one", "c2"), ("one", "one"), ("h2", "c2"))), _junction_products),
+    ),
+    "coproduct-recognition": ((_families(RECOGNITION_FAMILIES), _recognition),
+                              (_families((("c2", "one"),)), _atoms_outnumber_the_members)),
+    "coproduct-lengths": ((_families(COPRODUCT_FAMILIES), _coproduct_lengths),),
+    "coproduct-unions": ((_families(UNION_FAMILIES), _coproduct_unions),),
+    "coproduct-systems": ((_families(COPRODUCT_FAMILIES), _coproduct_systems),),
+    "preserved-properties": ((_families(GROUP_FAMILIES, COPRODUCT_FAMILIES, prefix="coproduct of "), _coproduct_laws),
+                             (_families(GROUP_FAMILIES, PRODUCT_FAMILIES, prefix="product of "), _product_laws)),
+    "product-formulas": ((_families(PRODUCT_FAMILIES), _product_formulas),),
+    "product-unions": ((_families(PRODUCT_FAMILIES), _product_unions),),
+    "universal-properties": (
+        (_equalizer_pairs, _equalizer_up),
+        (_pullback_pairs, _pullback_up),
+        (_families((("one", "c2"), ("one", "one")), prefix="coproduct of "), _coproduct_up),
+        (_families((("one", "one"), ("one", "c2"), ("h2", "h2"), ("ab", "one")), prefix="product of "), _product_up),
+        (lambda rng: [(f"mono {label}", f) for label, f in _homs_among(_ATOMIC_NAMED)], _mono_up),
+        (lambda rng: [("pushout of id_h2 with itself", _named("h2"))], _pushout_sound),
+        (lambda rng: [("pushout of one -> h2 <- one", _named("h2"))], _pushout_depth),
+    ),
+    "coequalizers": ((_coequalizer_picks, _coequalizer),),
+    "terminal-uniqueness": ((lambda rng: _monoids(_ATOMIC_NAMED, 10), _terminal_uniqueness),),
+    "core-axioms": (
+        (lambda rng: _monoids(_NAMED, 10), _monoid_axioms),
+        (lambda rng: [(f"hom {label}", f) for label, f in _homs_among(_ATOMIC_NAMED)], _hom_classes),
+        (lambda rng: [("the atomic fixtures' homs", [f for _, f in _homs_among(_ATOMIC_NAMED)])], _composition),
+        (lambda rng: _monoids(_ATOMIC_NAMED + ("ab",)), _extend_atom_map),
+    ),
+    "generator-oracles": (
+        (lambda rng: [(n, (m, n in _NAMED)) for n, m in _monoids(_NAMED, 20)], _table_oracles),
+        (lambda rng: _monoids(_NAMED, 20, periodic=True), _union_k_fold),
+        (_hom_space_pairs, _hom_search),
+    ),
 }
 
 
 def cmd_verify(suite: str, seed: int = 0, budget: int | None = None) -> VerifyReport:
-    """Run one verification suite to completion."""
+    """Run one verification suite to completion, as the module docstring says."""
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+    budget = oracles._search_budget(budget)
     rng = random.Random(seed)
     start = time.perf_counter()
-    outcomes = list(SUITES[suite](rng, budget))
-    wall_time = time.perf_counter() - start
-    return VerifyReport(suite, len(outcomes), [o for o in outcomes if o], wall_time)
+    cases, mismatches = 0, []
+    for inputs, check in SUITES[suite]:
+        for label, value in inputs(rng):
+            try:
+                for outcome in check(value, rng, budget):
+                    cases += 1
+                    if outcome:
+                        mismatches.append(f"{label}: {outcome}")
+            except AtomonError as exc:
+                cases += 1
+                mismatches.append(f"{label}: raised {type(exc).__name__}: {exc}")
+    return VerifyReport(suite, cases, mismatches, time.perf_counter() - start)
 
 
 def run_all(seed: int = 0, budget: int | None = None) -> list[VerifyReport]:

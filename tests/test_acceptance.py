@@ -5,11 +5,15 @@ Run with `pytest tests/test_acceptance.py -v` for one line per criterion,
 or `atomon verify --all` for the same checks through the CLI.
 """
 
+import json
+
 import pytest
 
-from atomon import verify
-from atomon.errors import SearchBudgetExceededError
-from atomon.verify import SUITES, cmd_verify
+from atomon import oracles, verify
+from atomon.cli import main
+from atomon.errors import SearchBudgetExceededError, ValidationError
+from atomon.limits import coequalizer
+from atomon.verify import COPRODUCT_FAMILIES, SUITES, cmd_verify
 
 CRITERIA = [
     (1, "length-set oracle", ("length-oracle",), 10.0),
@@ -90,21 +94,67 @@ def test_case_counts_at_seed_0():
 
 
 def test_runner_counts_one_outcome_per_case(monkeypatch):
-    def fake(rng, budget):
+    def fake(value, rng, budget):
         yield None
         yield False
-        yield "bad"
+        yield f"bad {value}"
 
-    monkeypatch.setitem(verify.SUITES, "fake", fake)
+    monkeypatch.setitem(verify.SUITES, "fake", ((lambda rng: [("first", 1), ("second", 2)], fake),))
     report = cmd_verify("fake")
-    assert (report.cases, report.mismatches) == (3, ["bad"])
+    assert (report.cases, report.mismatches) == (6, ["first: bad 1", "second: bad 2"])
 
 
-def test_runner_propagates_a_suite_error(monkeypatch):
-    def failing(rng, budget):
-        yield None
-        raise SearchBudgetExceededError(7)
+def _raise_on_the_first_coequalizer(monkeypatch) -> list:
+    """Make verify's ``coequalizer`` raise on its first call, and return the
+    list that receives that call's pair of homs."""
+    first = []
 
-    monkeypatch.setitem(verify.SUITES, "failing", failing)
-    with pytest.raises(SearchBudgetExceededError):
-        cmd_verify("failing")
+    def planted(f, g):
+        if not first:
+            first.append((f, g))
+            raise ValidationError("planted")
+        return coequalizer(f, g)
+
+    monkeypatch.setattr(verify, "coequalizer", planted)
+    return first
+
+
+def test_runner_counts_a_raising_input_as_one_mismatch(monkeypatch):
+    first = _raise_on_the_first_coequalizer(monkeypatch)
+    report = cmd_verify("coequalizers", seed=0)
+    [(f, g)] = first
+    label = f"coequalizer of {f.map}, {g.map}: h2->h2"
+    assert report.mismatches == [f"{label}: raised ValidationError: planted"]
+    # the pick would have given one case for atomicity, one per element of
+    # the target and two for the closure; the raise is one case in their place
+    assert report.cases == CASES_AT_SEED_0["coequalizers"] - (3 + f.target.size) + 1
+
+
+def test_verify_all_reports_every_suite_when_a_check_raises(monkeypatch, capsys):
+    first = _raise_on_the_first_coequalizer(monkeypatch)
+    assert main(["verify", "--all"]) == 1
+    out, err = capsys.readouterr()
+    headers = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert [h.split(":")[0] for h in headers] == [f"suite {name}" for name in sorted(SUITES)]
+    cases = CASES_AT_SEED_0["coequalizers"] - (3 + first[0][0].target.size) + 1
+    assert headers[0] == f"suite coequalizers: {cases} cases, 1 mismatch(es)"
+    assert all(h.endswith(", ok") for h in headers[1:])
+    assert "error:" not in out + err
+
+
+def test_verify_names_each_family_whose_oracle_runs_out_of_budget(capsys):
+    def runs_out(names):
+        fam = verify._family(names)
+        try:
+            for w in oracles.reduced_words_upto(fam, 3):
+                oracles.fp_brute_force_lengths(fam, w, 10, budget=5)
+        except SearchBudgetExceededError:
+            return True
+        return False
+
+    assert main(["verify", "--suite", "coproduct-lengths", "--budget", "5", "--json"]) == 1
+    [report] = json.loads(capsys.readouterr().out)
+    raised = ": raised SearchBudgetExceededError: search budget of 5 expansions exceeded"
+    assert all(m.endswith(raised) for m in report["mismatches"])
+    named = [m[: -len(raised)] for m in report["mismatches"]]
+    assert named == [str(names) for names in COPRODUCT_FAMILIES if runs_out(names)] and named

@@ -175,6 +175,14 @@ def test_lengthset_refuses_an_unknown_element_name(files, capsys):
     assert captured.out == "" and captured.err.splitlines() == ["error: no element named 'zzz'"]
 
 
+def test_a_member_index_in_non_ascii_digits_is_refused(files, capsys):
+    # "٠" is ARABIC-INDIC DIGIT ZERO, which int() would read as 0
+    assert main(["coproduct", "reduce", files["fam"], "(a@\u0660)"]) == 1
+    captured = capsys.readouterr()
+    expected = "error: bad letter '(a@\u0660)'; expected (name@index) or eps"
+    assert captured.out == "" and captured.err.splitlines() == [expected]
+
+
 def test_unions(files, capsys):
     code, out = run(capsys, "unions", files["one"], "3")
     assert code == 0 and out.strip() == "(2 + {0} mod 1)"

@@ -719,11 +719,11 @@ def test_length_sets_summed_once_per_family_match_a_fresh_sum(words):
 
 
 def _reduce_per_letter(fam, word):
-    """reduce letter by letter: each raw letter through check_letter, then
+    """reduce letter by letter: each raw letter through _check_letter, then
     the stack pass."""
     stack = []
     for raw in word:
-        i, x = fam.check_letter(raw)
+        i, x = fam._check_letter(raw)
         member = fam.members[i]
         while x != member.identity:
             if stack and stack[-1].mon == i:
@@ -735,9 +735,9 @@ def _reduce_per_letter(fam, word):
 
 
 def _check_word_per_letter(fam, word):
-    """The reduced-word check letter by letter: check_letter on each letter,
+    """The reduced-word check letter by letter: _check_letter on each letter,
     then the position loop."""
-    letters = tuple(map(fam.check_letter, word))
+    letters = tuple(map(fam._check_letter, word))
     for pos, (i, x) in enumerate(letters):
         if x == fam.members[i].identity:
             raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
@@ -805,7 +805,7 @@ def test_letter_tables_agree_with_the_members(fam):
 
 def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
     # structural guard on the fast path: a well-formed word never reaches
-    # check_letter, which only names the culprit of a malformed one
+    # _check_letter, which only names the culprit of a malformed one
     fam = Family([one(), m31(), c2()])
     rng = random.Random(11)
     letters = []
@@ -815,13 +815,13 @@ def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
         letters.append((i, rng.choice([x for x in range(m.size) if x != m.identity])))
     homs = [canonical_to_terminal(m) for m in fam.members]
     calls = []
-    check_letter = Family.check_letter
+    check_letter = Family._check_letter
 
     def counted(self, letter):
         calls.append(letter)
         return check_letter(self, letter)
 
-    monkeypatch.setattr(Family, "check_letter", counted)
+    monkeypatch.setattr(Family, "_check_letter", counted)
     w = reduce(fam, letters)
     assert w.letters == tuple(letters)
     assert fp_mul(fam, w, w) == fp_mul(fam, ReducedWord(fam, tuple(letters)), w)

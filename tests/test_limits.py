@@ -292,7 +292,9 @@ def test_equalizer_universal_property_enumerated():
             assert compose(e, tau) == alpha
 
 
-@pytest.mark.parametrize("pairs", [[(True, 2)], [(1.5, 2)], [(9, 2)], [(1, -1)], [(1, 2, 3)], [(1,)], [5], 5, [[1, 2]]])
+@pytest.mark.parametrize(
+    "pairs", [[(True, 2)], [(1.5, 2)], [(9, 2)], [(1, -1)], [(1, 2, 3)], [(1,)], [5], 5, [[1, 2]], [None]]
+)
 def test_congruence_closure_refuses_non_element_pairs(pairs):
     with pytest.raises(ValidationError):
         congruence_closure(one(), pairs)
@@ -337,10 +339,10 @@ def test_universal_properties_catch_a_wrong_pushout_answer(monkeypatch, wrong, m
 def test_limit_oracle_refuses_an_apex_with_two_factorizations():
     # h2 x h2 over h2 alone: a cone from one sending a to a lifts to (a,a) and (a,b)
     mat, (p1, p2) = ap_materialize(Family([h2(), h2()]), 60)
-    outcomes = list(verify._limit_up("h2 x h2 over h2", mat, (p1,), (h2(),), lambda cone: True))
-    assert "h2 x h2 over h2: the cone [(0, 1, 3)] from one factors 2 times" in outcomes
+    outcomes = list(verify._limit_up(mat, (p1,), (h2(),), lambda cone: True))
+    assert "the cone [(0, 1, 3)] from one factors 2 times" in outcomes
     # with both legs it is the product, and every cone factors once
-    assert not any(verify._limit_up("h2 x h2", mat, (p1, p2), (h2(), h2()), lambda cone: True))
+    assert not any(verify._limit_up(mat, (p1, p2), (h2(), h2()), lambda cone: True))
 
 
 def test_a_hand_built_congruence_is_checked_and_quotients():
@@ -391,6 +393,7 @@ _W = ((0, 1),)
         (_FAM, ((_W,),), "is not a pair of words"),
         (_FAM, ((_W, _W, _W),), "is not a pair of words"),
         (_FAM, ([_W, _W],), "is not a pair of words"),
+        (_FAM, (None,), "None is not a pair of words"),
         (_FAM, ((_W, 5),), "relation side 5 is not a sequence of letters"),
         (_FAM, (("ab", _W),), "relation side 'ab' is not a sequence of letters"),
     ],

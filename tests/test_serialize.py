@@ -120,6 +120,8 @@ def test_word_literals():
         parse_word(fam, "(zzz@0)")
     with pytest.raises(ParseError):
         parse_word(fam, "a@0")
+    with pytest.raises(ParseError):
+        parse_word(fam, "(a@\u0660)*(u@\u0661)")  # Arabic-Indic digits, not ASCII
 
 
 def test_tuple_literals():

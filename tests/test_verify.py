@@ -94,9 +94,7 @@ def test_systems_stop_once_every_entry_is_realized(monkeypatch):
 # public callables no verify suite enters, each with the reason it is not
 # yet under an oracle; an entry whose callable a suite starts to enter fails
 # the test below and must be removed
-NOT_ENTERED_BY_VERIFY = {
-    "coproduct.Family.check_letter": "suites build only canonical letters, which Family._checked takes in C",
-}
+NOT_ENTERED_BY_VERIFY: dict[str, str] = {}
 
 
 def _public_callables():
