@@ -393,9 +393,9 @@ _W = ((0, 1),)
         (_FAM, ((_W,),), "is not a pair of words"),
         (_FAM, ((_W, _W, _W),), "is not a pair of words"),
         (_FAM, ([_W, _W],), "is not a pair of words"),
-        (_FAM, (None,), "None is not a pair of words"),
         (_FAM, ((_W, 5),), "relation side 5 is not a sequence of letters"),
         (_FAM, (("ab", _W),), "relation side 'ab' is not a sequence of letters"),
+        (_FAM, (None,), "None is not a pair of words"),
     ],
 )
 def test_pushout_presentation_refuses_forged_inputs(family, pairs, message):
