@@ -7,6 +7,10 @@ library against them. ``tests/test_oracles.py`` lists, for each public
 oracle, the library names it may use (directly or through its private
 helpers), and checks that list against this file.
 
+An oracle does a pure piece of work once per call: a pruning verdict per
+product, a sum per multiset of summands, the pinned identity's row for all
+maps. It keeps no state across calls and reads no library cache.
+
 Import rule: only ``verify`` imports this module at its top, and ``cli``
 imports it only inside the handlers that run an oracle (``lengthset
 --bound`` and ``coproduct lengthset --bound``). So importing ``atomon`` or
@@ -15,6 +19,7 @@ imports it only inside the handlers that run an oracle (``lengthset
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -61,7 +66,7 @@ def laws_hold(prop: str, elements: Sequence, mul: Callable, is_unit: Callable) -
     acyclic: no y·x·z = x unless y and z are both units. unit_cancellative:
     no x·y = x or y·x = x with y a non-unit. cancellative: every left and
     right translation is injective on ``elements``, which is the same as no
-    x != y with x·z = y·z or z·x = z·y.
+    x != y with x·z = y·z or z·x = z·y. Any other law raises ValidationError.
     """
     if prop == "acyclic":
         for y in elements:
@@ -80,6 +85,8 @@ def laws_hold(prop: str, elements: Sequence, mul: Callable, is_unit: Callable) -
                 if mul(x, y) == x or mul(y, x) == x:
                     return False
         return True
+    if prop != "cancellative":
+        raise ValidationError(f"unknown law {prop!r}; expected acyclic, unit_cancellative or cancellative")
     n = len(elements)
     for z in elements:
         if len({mul(z, x) for x in elements}) != n or len({mul(x, z) for x in elements}) != n:
@@ -103,16 +110,17 @@ def ijk_scan(table) -> tuple[int, int, int] | None:
 
 def exhaustive_homs(source: FiniteMonoid, target: FiniteMonoid):
     """(map, atom-preserving) for every hom, in map order, by trying every map
-    with the identity pinned and checking every product."""
+    with the identity pinned (which settles its row) and checking the rest."""
     _check_monoid(source)
     _check_monoid(target)
     src, tgt = source.table, target.table
     src_atoms, tgt_atoms = atoms(source), atoms(target)
+    rows = [x for x in range(source.size) if x != source.identity]
     out = []
     for values in itertools.product(range(target.size), repeat=source.size - 1):
         mp = list(values)
         mp.insert(source.identity, target.identity)
-        if all([mp[v] for v in src[x]] == [tgt[mp[x]][w] for w in mp] for x in range(source.size)):
+        if all([mp[v] for v in src[x]] == [tgt[mp[x]][w] for w in mp] for x in rows):
             out.append((tuple(mp), all(mp[a] in tgt_atoms for a in src_atoms)))
     return out
 
@@ -152,11 +160,13 @@ def union_k_by_fold(m: FiniteMonoid, k: int):
 
 
 def json_members(s, bound: int) -> set[int]:
-    """The members n <= bound of s, tested one integer at a time against its
-    JSON lists, so that the expected sets never read the masks."""
+    """The members n <= bound of s, read off its JSON lists, never the masks:
+    the head members, then each tail residue stepped by the period."""
+    _check_count(bound, "bound")
     data = eps_to_json(s)
-    head, tail = set(data["head"]), set(data["tail"])
-    return {n for n in range(bound + 1) if (n in head if n < data["threshold"] else n % data["period"] in tail)}
+    t, p = data["threshold"], data["period"]
+    tails = (range(t + (r - t) % p, bound + 1, p) for r in data["tail"])
+    return {n for n in data["head"] if n < t and n <= bound}.union(*tails)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,8 @@ def fp_brute_force_lengths(
     done: a state's first expansion costs one per candidate, and each later
     level that meets it again costs one more. Every level of a non-empty
     frontier costs at least one, so a search whose frontier never empties
-    stops within ``budget`` levels, whatever ``bound`` is.
+    stops within ``budget`` levels, whatever ``bound`` is. The pruning
+    verdict on each product is taken once per call and costs no budget.
     """
     target = _check_word(family, w)
     _check_count(bound, "bound")
@@ -315,6 +326,7 @@ def fp_brute_force_lengths(
     found: set[int] = set()
     frontier: set[tuple[Letter, ...]] = {()}
     successors: dict[tuple[Letter, ...], set[tuple[Letter, ...]]] = {}
+    verdicts: dict[tuple[Letter, ...], bool] = {}
     expansions = 0
     for k in range(1, bound + 1):
         nxt: set[tuple[Letter, ...]] = set()
@@ -324,8 +336,14 @@ def fp_brute_force_lengths(
             if expansions > limit:
                 raise SearchBudgetExceededError(limit)
             if after is None:
-                products = (_join(family, state, cand) for cand in pool)
-                after = successors[state] = {p for p in products if _can_extend_to(family, p, target, pad)}
+                after = successors[state] = set()
+                for cand in pool:
+                    p = _join(family, state, cand)
+                    keep = verdicts.get(p)
+                    if keep is None:
+                        keep = verdicts[p] = _can_extend_to(family, p, target, pad)
+                    if keep:
+                        after.add(p)
             nxt |= after
         if target in nxt:
             found.add(k)
@@ -340,17 +358,23 @@ def _admissible_words(fam: Family, max_len: int):
     return [w for w in words if gamma_admissible(fam, w)]
 
 
+def _sums(summands) -> list:
+    """eps_sum_many of each distinct multiset of summands, once: a sum ignores their order."""
+    multisets = {frozenset(collections.Counter(parts).items()) for parts in summands}
+    return [eps_sum_many(s for s, count in ms for _ in range(count)) for ms in multisets]
+
+
 def union_k_oracle(fam: Family, k: int):
     """fp_union_k over all admissible index words × compositions of k, for
     k >= 1: k = 0 has no composition into positive parts."""
     _check_family(fam)
     _check_count(k, "k", 1)
-    acc = EMPTY
-    for word in _admissible_words(fam, k):
-        for cuts in itertools.combinations(range(1, k), len(word) - 1):
-            parts = [b - a for a, b in zip((0,) + cuts, cuts + (k,))]
-            acc = eps_union(acc, eps_sum_many(union_k(fam.members[i], p) for i, p in zip(word, parts)))
-    return acc
+    summands = (
+        [union_k(fam.members[i], b - a) for i, a, b in zip(word, (0,) + cuts, cuts + (k,))]
+        for word in _admissible_words(fam, k)
+        for cuts in itertools.combinations(range(1, k), len(word) - 1)
+    )
+    return functools.reduce(eps_union, _sums(summands), EMPTY)
 
 
 def system_oracle(fam: Family, max_blocks: int):
@@ -359,7 +383,7 @@ def system_oracle(fam: Family, max_blocks: int):
     _check_count(max_blocks, "max_blocks", 1)
     systems = [length_system(m, nonzero_only=True).entries for m in fam.members]
     words = _admissible_words(fam, max_blocks)
-    return {eps_sum_many(choice) for w in words for choice in itertools.product(*(systems[i] for i in w))}
+    return set(_sums(choice for w in words for choice in itertools.product(*(systems[i] for i in w))))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +413,7 @@ def product_system_oracle(fam: Family, nonzero_only: bool):
 
 def all_partitions(n: int):
     """All set partitions of range(n) as leader tuples, via restricted growth."""
+    _check_count(n, "n")
     out = []
 
     def grow(prefix, used):

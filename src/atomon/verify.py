@@ -15,8 +15,10 @@ formatted only for a mismatch too, so it may be the value itself.
 `cmd_verify` alone loops over the inputs, counts the cases and prefixes
 each mismatch with its input's label. An `AtomonError` raised while an
 input is checked counts as one failing case, "<label>: raised <Type>:
-<message>", and the next input runs; any other exception propagates. The
-search budget is resolved before any case runs, so a bad one is an error.
+<message>", and the next input runs; one raised while a part's inputs are
+drawn is one failing case labelled "inputs of <check>", and the next part
+runs. Any other exception propagates. The search budget is resolved before
+any case runs, so a bad one is an error.
 
 A check builds the set that a definition quantifies over once per family,
 then tests each case by membership in it: the products of two non-units for
@@ -97,6 +99,7 @@ class VerifyReport:
 _named_fixtures = functools.cache(fixtures.named_fixtures)
 _random_monoid = functools.cache(fixtures.random_monoid)
 _cyclic = functools.cache(fixtures.cyclic)
+_partitions = functools.cache(oracles.all_partitions)
 
 
 def _named(name: str) -> FiniteMonoid:
@@ -196,7 +199,9 @@ def _eps_pairs(rng):
 def _eps_operations(pair, rng, budget):
     a, b = pair
     mem_a, mem_b = oracles.json_members(a, _EPS_BOUND), oracles.json_members(b, _EPS_BOUND)
-    direct_sum = {x + y for x in mem_a for y in mem_b if x + y <= _EPS_BOUND}
+    mask_b = sum(1 << y for y in mem_b)  # the sums: mask_b shifted by each member of mem_a
+    sums = functools.reduce(int.__or__, (mask_b << x for x in mem_a), 0)
+    direct_sum = {n for n in range(_EPS_BOUND + 1) if sums >> n & 1}
     checks = [
         ("sum", eps_minkowski_sum(a, b), direct_sum),
         ("union", eps_union(a, b), mem_a | mem_b),
@@ -289,10 +294,7 @@ def _recognition(fam, rng, budget):
     non_units = [w for w in words if not unit_flags[w]]
     reducible = {fp_mul(fam, u, v) for u in non_units for v in non_units}
     for w in words:
-        definitional_unit = any(
-            fp_mul(fam, w, v) == fam.eps and fp_mul(fam, v, w) == fam.eps
-            for v in words
-        )
+        definitional_unit = any(fp_mul(fam, w, v) == fam.eps == fp_mul(fam, v, w) for v in words)
         yield unit_flags[w] != definitional_unit and f"unit test disagrees on {word_to_text(fam, w)}"
         definitional_atom = not unit_flags[w] and w not in reducible
         yield fp_is_atom(fam, w) != definitional_atom and f"atom test disagrees on {word_to_text(fam, w)}"
@@ -624,18 +626,15 @@ def _coequalizer(pair, rng, budget):
         yield classify(k, x).value != classify(q_monoid, q.map[x]).value and f"class of {x} not preserved"
     seeds = [(f.map[h], g.map[h]) for h in range(f.source.size)]
     closure = congruence_closure(k, seeds)
-    compatible = [
-        leader
-        for leader in oracles.all_partitions(k.size)
-        if oracles.is_congruence(k, leader) and all(leader[a] == leader[b] for a, b in seeds)
-    ]
+    compatible = [leader for leader in _partitions(k.size) if all(leader[a] == leader[b] for a, b in seeds)]
+    compatible = [leader for leader in compatible if oracles.is_congruence(k, leader)]
     # the least compatible partition: it refines every one, and one refines it
-    least = all(_refines(closure.leader, other) for other in compatible) and any(
-        _refines(other, closure.leader) for other in compatible
-    )
+    least = all(_refines(closure.leader, other) for other in compatible)
+    least = least and any(_refines(other, closure.leader) for other in compatible)
     yield not least and f"closure {closure.leader} is not least for {seeds}"
-    # the classes against the blocks of the least partition, found among the oracle's alone
-    oracle = next((_blocks(p) for p in compatible if all(_refines(p, other) for other in compatible)), None)
+    # the classes against the least partition: the compatible one with the most blocks, if it refines every other
+    finest = max(compatible, key=lambda p: len(set(p)))
+    oracle = _blocks(finest) if all(_refines(finest, other) for other in compatible) else None
     yield closure.classes() != oracle and f"classes {closure.classes()} are not the least partition {oracle}"
 
 
@@ -652,10 +651,7 @@ def _monoid_axioms(m, rng, budget):
     us = units(m)
     yield m.identity not in us and "identity is not a unit"
     closed = all(m.mul(u, v) in us for u in us for v in us)
-    has_inverses = all(
-        any(m.mul(u, v) == m.identity and m.mul(v, u) == m.identity for v in us)
-        for u in us
-    )
+    has_inverses = all(any(m.mul(u, v) == m.identity == m.mul(v, u) for v in us) for u in us)
     yield not (closed and has_inverses) and "units do not form a group"
     yield bool(us & atoms(m)) and "an atom is a unit"
     inverses = [(x, y) for x in range(m.size) for y in range(m.size) if m.mul(x, y) == m.identity]
@@ -832,15 +828,19 @@ def cmd_verify(suite: str, seed: int = 0, budget: int | None = None) -> VerifyRe
     start = time.perf_counter()
     cases, mismatches = 0, []
     for inputs, check in SUITES[suite]:
-        for label, value in inputs(rng):
-            try:
-                for outcome in check(value, rng, budget):
+        try:
+            for label, value in inputs(rng):
+                try:
+                    for outcome in check(value, rng, budget):
+                        cases += 1
+                        if outcome:
+                            mismatches.append(f"{label}: {outcome}")
+                except AtomonError as exc:
                     cases += 1
-                    if outcome:
-                        mismatches.append(f"{label}: {outcome}")
-            except AtomonError as exc:
-                cases += 1
-                mismatches.append(f"{label}: raised {type(exc).__name__}: {exc}")
+                    mismatches.append(f"{label}: raised {type(exc).__name__}: {exc}")
+        except AtomonError as exc:
+            cases += 1
+            mismatches.append(f"inputs of {check.__name__}: raised {type(exc).__name__}: {exc}")
     return VerifyReport(suite, cases, mismatches, time.perf_counter() - start)
 
 

@@ -142,6 +142,26 @@ def test_verify_all_reports_every_suite_when_a_check_raises(monkeypatch, capsys)
     assert "error:" not in out + err
 
 
+def test_verify_all_counts_a_raise_while_drawing_inputs_as_one_mismatch(monkeypatch, capsys):
+    # _random_eps draws the inputs of the first two parts of epset-arithmetic;
+    # each part's raise is one case, and the third part runs
+    def planted(rng):
+        raise ValidationError("planted")
+
+    monkeypatch.setattr(verify, "_random_eps", planted)
+    report = cmd_verify("epset-arithmetic", seed=0)
+    assert report.mismatches == [
+        f"inputs of {check}: raised ValidationError: planted" for check in ("_eps_operations", "_eps_sum_many")
+    ]
+    assert report.cases == 2 + 3 * 20  # the 20 draws of _eps_draws give three cases each
+    assert main(["verify", "--all"]) == 1
+    out, err = capsys.readouterr()
+    headers = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert [h.split(":")[0] for h in headers] == [f"suite {name}" for name in sorted(SUITES)]
+    assert f"suite epset-arithmetic: {report.cases} cases, 2 mismatch(es)" in headers
+    assert "error:" not in out + err
+
+
 def test_verify_names_each_family_whose_oracle_runs_out_of_budget(capsys):
     def runs_out(names):
         fam = verify._family(names)

@@ -305,6 +305,8 @@ COUNT_CALLS = {
     "reduced_words_upto max_len": lambda n: reduced_words_upto(_ONE_C2, n),
     "union_k_oracle k": lambda n: oracles.union_k_oracle(_ONE_C2, n),
     "system_oracle max_blocks": lambda n: oracles.system_oracle(_ONE_C2, n),
+    "json_members bound": lambda n: oracles.json_members(length_set(one(), 1), n),
+    "all_partitions n": lambda n: oracles.all_partitions(n),
 }
 
 

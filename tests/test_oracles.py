@@ -22,9 +22,9 @@ import atomon
 from atomon.coproduct import Family, ReducedWord
 from atomon.errors import ValidationError
 from atomon.fixtures import c2, m31, one
-from atomon.lengths import union_k
-from atomon.oracles import fp_brute_force_lengths, reduced_words_upto, system_oracle, tuple_mul, union_k_by_fold
-from atomon.oracles import union_k_oracle
+from atomon.lengths import ZERO_ONLY, union_k
+from atomon.oracles import all_partitions, fp_brute_force_lengths, json_members, laws_hold, reduced_words_upto
+from atomon.oracles import system_oracle, tuple_mul, union_k_by_fold, union_k_oracle
 
 SRC = Path(atomon.__file__).resolve().parent
 
@@ -45,8 +45,10 @@ TRUSTS = {
     # union_k's periodic table, by folding the union over the length sets
     # that contain k
     "union_k_by_fold": {"core._check_count", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
-    # EPSet arithmetic, read off the JSON lists rather than the masks
-    "json_members": {"serialize.eps_to_json"},
+    # EPSet arithmetic, read off the JSON lists rather than the masks: the
+    # head members, then each tail residue stepped by the period; the bound
+    # is checked as a count
+    "json_members": {"core._check_count", "serialize.eps_to_json"},
     # reduce: the letters of raw words
     "raw_alphabet": {"coproduct._check_family"},
     # reduce: the single congruence moves on a raw word
@@ -94,8 +96,9 @@ TRUSTS = {
         "lengths.EMPTY",
         "lengths.ZERO_ONLY",
     },
-    # congruence_closure's minimality: every set partition of the elements
-    "all_partitions": set(),
+    # congruence_closure's minimality: every set partition of the elements;
+    # n is checked as a count
+    "all_partitions": {"core._check_count"},
     # congruence_closure's compatibility, by checking every pair in a block
     "is_congruence": {"core._check_monoid"},
 }
@@ -219,3 +222,16 @@ def test_union_k_by_fold_refuses_a_negative_k_like_union_k():
     for union in (union_k, union_k_by_fold):
         with pytest.raises(ValidationError, match="k must be non-negative"):
             union(one(), -1)
+
+
+def test_oracles_refuse_a_negative_count():
+    # a non-integer count is refused in test_core's COUNT_CALLS
+    with pytest.raises(ValidationError, match="n must be non-negative"):
+        all_partitions(-1)
+    with pytest.raises(ValidationError, match="bound must be non-negative"):
+        json_members(ZERO_ONLY, -1)
+
+
+def test_laws_hold_refuses_an_unknown_law():
+    with pytest.raises(ValidationError, match="unknown law 'bogus'"):
+        laws_hold("bogus", range(2), max, (0).__eq__)

@@ -10,6 +10,8 @@ import functools
 import sys
 import types
 
+import pytest
+
 from atomon import coproduct, core, lengths, limits, oracles, product, verify
 from atomon.lengths import EPSet, LengthSystem, eps_finite, eps_minkowski_sum
 from atomon.verify import COPRODUCT_FAMILIES, RECOGNITION_FAMILIES, UNION_FAMILIES, cmd_verify
@@ -89,6 +91,15 @@ def test_systems_stop_once_every_entry_is_realized(monkeypatch):
     # all, after the words of at most 3 letters, makes 3,166
     bound = sum(_word_counts(COPRODUCT_FAMILIES, 5))
     assert _count_calls(monkeypatch, "fp_length_set", "coproduct-systems") < bound
+
+
+@pytest.mark.parametrize("budget, cases, mismatches", [(0, 13, 6), (10, 17, 6), (100, 207, 1), (1000, 306, 0)])
+def test_search_budget_outcomes_of_coproduct_lengths(budget, cases, mismatches):
+    # each family's first search over budget ends its input as one raising
+    # case, so these counts move with any change to what a search charges
+    report = cmd_verify("coproduct-lengths", seed=0, budget=budget)
+    assert (report.cases, len(report.mismatches)) == (cases, mismatches)
+    assert all(m.endswith(f"search budget of {budget} expansions exceeded") for m in report.mismatches)
 
 
 # public callables no verify suite enters, each with the reason it is not
