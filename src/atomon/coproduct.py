@@ -24,10 +24,9 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _check_pairs, _sequence
+from .core import FiniteMonoid, MonoidHom, _Value, _arrows, _check_count, _check_indices, _check_pairs, _sequence
 from .core import atoms, check_property, units
 from .errors import NotAtomicError, ValidationError
 from .lengths import (
@@ -131,8 +130,7 @@ class Family:
         return f"Family({list(self.members)!r})"
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(_Value, shown=("letters",)):
     """A reduced word over a family: no identity letter, and no two adjacent
     letters from one member. Checked when built; the letters are read by
     ``Family._checked`` and stored as a tuple of canonical ``Letter``s, so a
@@ -148,13 +146,11 @@ class ReducedWord:
     the original family refuses.
     """
 
-    family: Family = field(repr=False)
-    letters: tuple[Letter, ...]
+    __slots__ = ("family", "letters")
 
-    def __post_init__(self) -> None:
-        family = self.family
+    def __init__(self, family: Family, letters: tuple[Letter, ...]) -> None:
         _check_family(family)
-        letters = family._checked(self.letters)
+        letters = family._checked(letters)
         mons = tuple(map(_MON, letters))
         if not family._identities.isdisjoint(letters) or any(map(operator.eq, mons, mons[1:])):
             for pos, (i, x) in enumerate(letters):
@@ -162,7 +158,7 @@ class ReducedWord:
                     raise ValidationError(f"letter {pos} of the word is the identity of member {i}")
                 if pos and letters[pos - 1].mon == i:
                     raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
-        object.__setattr__(self, "letters", letters)
+        self._set(family, letters)
 
 
 def _word(family: Family, letters: tuple[Letter, ...]) -> ReducedWord:
@@ -383,27 +379,26 @@ def coprojection(family: Family, i: int, x: int) -> ReducedWord:
     return reduce(family, [(i, x)])
 
 
-@dataclass(frozen=True, eq=False)
-class Cocone:
+class Cocone(_Value):
     """The morphism out of the free product of ``family`` induced by one
     AtoMon arrow per member, hom i starting at member i, all sharing one
     target. Checked when built, in this order: the family, the homs as
     arrows sharing a target (``core._arrows``), then their sources. Called
     on a word over the family, it folds the word's letters into the target.
 
-    ``eq=False``: a cocone compares and hashes by identity, so no monoid
-    table is ever hashed.
+    A cocone compares and hashes by identity, so no monoid table is ever
+    hashed.
     """
 
-    family: Family
-    homs: tuple[MonoidHom, ...]
+    __slots__ = ("family", "homs")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        _check_family(self.family)
-        homs = _arrows(self.homs, "target")
-        if tuple(h.source for h in homs) != self.family.members:
+    def __init__(self, family: Family, homs: tuple[MonoidHom, ...]) -> None:
+        _check_family(family)
+        homs = _arrows(homs, "target")
+        if tuple(h.source for h in homs) != family.members:
             raise ValidationError("need one hom per family member, hom i starting at member i")
-        object.__setattr__(self, "homs", homs)
+        self._set(family, homs)
 
     def __call__(self, w: ReducedWord) -> int:
         letters = _check_word(self.family, w)

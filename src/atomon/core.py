@@ -6,10 +6,13 @@ the empty sequence being the empty word. The initial object {1} and the
 terminal object {1, a, 0} of AtoMon are built here, by ``initial`` and
 ``terminal``.
 
-Each value type checks itself when built. ``FiniteMonoid`` validates its
-table and derives its generators from it; ``new_monoid`` is its public
-spelling. ``MonoidHom`` validates its map; ``new_hom`` is its public
-spelling.
+Every value type is a ``__slots__`` class on ``_Value``, never one made by
+the standard library's data-class decorator: its module imports ``inspect``
+and builds each class by ``exec``, which costs a process more than the
+algebra on small inputs. Each value type checks itself when built.
+``FiniteMonoid`` validates its table and derives its generators from it;
+``new_monoid`` is its public spelling. ``MonoidHom`` validates its map;
+``new_hom`` is its public spelling.
 
 Four primitives check arguments for the whole library. ``_sequence`` reads
 an ordered argument as a tuple and refuses a str, bytes, set, mapping or
@@ -26,7 +29,6 @@ import enum
 import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Set
-from dataclasses import dataclass, field
 import operator
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
@@ -440,21 +442,59 @@ def classify(m: FiniteMonoid, x: int) -> ElemClass:
     return ElemClass.REDUCIBLE
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class _Value:
+    """The shared behaviour of the value types. A field is a slot, set once
+    by ``_set`` and read-only after. ``==`` and ``hash`` read the fields of
+    the class keyword ``compared``, ``repr`` shows those of ``shown`` (each
+    by default all), and copies and pickles rebuild them unchecked."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared: tuple[str, ...] = (), shown: tuple[str, ...] = ()) -> None:
+        cls._key = attrgetter(*(compared or cls.__slots__))
+        cls._shown = shown or cls.__slots__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {self.__class__.__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # as EPSet's: copies and pickles skip the checks
+        return _rebuild, (self.__class__, tuple(map(self.__getattribute__, self.__slots__)))
+
+
+def _rebuild(cls: type, values: tuple) -> _Value:
+    v = object.__new__(cls)
+    v._set(*values)
+    return v
+
+
+class MonoidHom(_Value):
     """A monoid homomorphism given by its value table, checked when built:
     one target index per source element, sending the identity to the identity
     and respecting products (checked on the source's generators; a failure
     names the first failing pair). atom_preserving is computed, never supplied."""
 
-    source: FiniteMonoid
-    target: FiniteMonoid
-    map: tuple[int, ...]
-    atom_preserving: bool = field(init=False)
+    __slots__ = ("source", "target", "map", "atom_preserving")
 
-    def __post_init__(self) -> None:
-        source, target = self.source, self.target
-        mp = _sequence(self.map, "map must be a sequence, not {0.__class__.__name__}")
+    def __init__(self, source: FiniteMonoid, target: FiniteMonoid, map: tuple[int, ...]) -> None:
+        mp = _sequence(map, "map must be a sequence, not {0.__class__.__name__}")
         _check_monoid(source)
         _check_monoid(target)
         if len(mp) != source.size:
@@ -464,8 +504,7 @@ class MonoidHom:
             raise NotIdentityPreservingError("map does not send identity to identity")
         if not _respects_generators(source, target, mp):
             raise NotMultiplicativeError(*_first_nonmultiplicative(source, target, mp))
-        object.__setattr__(self, "map", mp)
-        object.__setattr__(self, "atom_preserving", _preserves_atoms(source, target, mp))
+        self._set(source, target, mp, _preserves_atoms(source, target, mp))
 
     def __repr__(self) -> str:
         return f"MonoidHom({self.source!r} -> {self.target!r}, map={self.map})"

@@ -41,10 +41,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, _sequence, atoms
+from .core import FiniteMonoid, _Value, _check_count, _check_indices, _check_monoid, _sequence, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -347,13 +346,13 @@ def _multiple(a: EPSet, c: int, add: Callable[[EPSet, EPSet], EPSet]) -> EPSet:
         a = add(a, a)
 
 
-@dataclass(frozen=True)
-class LayerSequence:
+class LayerSequence(_Value):
     """S_k = elements expressible as a product of exactly k atoms, with a cycle certificate."""
 
-    layers: tuple[frozenset[int], ...]
-    preperiod: int
-    period: int
+    __slots__ = ("layers", "preperiod", "period")
+
+    def __init__(self, layers: tuple[frozenset[int], ...], preperiod: int, period: int) -> None:
+        self._set(layers, preperiod, period)
 
 
 def power_layers(m: FiniteMonoid) -> LayerSequence:
@@ -406,12 +405,14 @@ def length_set(m: FiniteMonoid, x: int) -> EPSet:
     return _length_sets(m)[x]
 
 
-@dataclass(frozen=True)
-class LengthSystem:
-    """A deduplicated set of length sets; empty length sets are never stored."""
+class LengthSystem(_Value, compared=("entries",)):
+    """A deduplicated set of length sets; empty length sets are never stored.
+    ``truncated_at`` is not compared."""
 
-    entries: frozenset[EPSet]
-    truncated_at: int | None = field(default=None, compare=False)
+    __slots__ = ("entries", "truncated_at")
+
+    def __init__(self, entries: frozenset[EPSet], truncated_at: int | None = None) -> None:
+        self._set(entries, truncated_at)
 
     def __contains__(self, s: EPSet) -> bool:
         return s in self.entries

@@ -19,11 +19,11 @@ import enum
 import itertools
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .core import (
     FiniteMonoid,
     MonoidHom,
+    _Value,
     _arrows,
     _check_count,
     _check_indices,
@@ -62,8 +62,7 @@ def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, Monoi
     return p, p1, p2
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Value):
     """A monoid congruence on ``carrier`` as a partition, checked when built.
 
     ``leader[x]`` is the least element of x's class. This canonical form is
@@ -74,26 +73,24 @@ class Congruence:
     the carrier and its table is associative.
     """
 
-    carrier: FiniteMonoid
-    leader: tuple[int, ...]
+    __slots__ = ("carrier", "leader")
 
-    def __post_init__(self) -> None:
-        m = self.carrier
-        _check_monoid(m)
-        leader = _sequence(self.leader, "leader {!r} is not a sequence")
-        if len(leader) != m.size:
-            raise ValidationError(f"leader must have length {m.size}")
-        _check_indices(leader, m.size, "leader")
+    def __init__(self, carrier: FiniteMonoid, leader: tuple[int, ...]) -> None:
+        _check_monoid(carrier)
+        leader = _sequence(leader, "leader {!r} is not a sequence")
+        if len(leader) != carrier.size:
+            raise ValidationError(f"leader must have length {carrier.size}")
+        _check_indices(leader, carrier.size, "leader")
         bad = next((x for x, lead in enumerate(leader) if leader[lead] != lead or lead > x), None)
         if bad is not None:
             raise ValidationError(f"leader {leader[bad]} of element {bad} is not the least element of its class")
-        tab = m.table
+        tab = carrier.table
         lead = leader.__getitem__
-        for g in m.generators:
+        for g in carrier.generators:
             for translate in (tuple(row[g] for row in tab), tab[g]):  # x -> x·g, x -> g·x
                 if list(map(lead, translate)) != list(map(lead, map(translate.__getitem__, leader))):
                     raise ValidationError("leader is not a congruence: a class is split by a translate")
-        object.__setattr__(self, "leader", leader)
+        self._set(carrier, leader)
 
     def classes(self) -> list[frozenset[int]]:
         buckets: dict[int, set[int]] = {}
@@ -174,8 +171,7 @@ def coequalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
     return q_monoid, proj
 
 
-@dataclass(frozen=True)
-class PushoutPresentation:
+class PushoutPresentation(_Value):
     """The pushout of a span, presented as the coproduct of the two legs'
     targets modulo the relations identifying both images of the source.
 
@@ -184,17 +180,15 @@ class PushoutPresentation:
     stored as the letters of its reduced word, each letter checked by
     ``reduce``, so ``pushout_eq_bounded`` never reduces a relation again."""
 
-    family: Family
-    relation_pairs: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]
+    __slots__ = ("family", "relation_pairs")
 
-    def __post_init__(self) -> None:
-        _check_family(self.family)
-        pairs = _sequence(self.relation_pairs, "relation pairs {!r} are not a sequence")
+    def __init__(self, family: Family, relation_pairs: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...]):
+        _check_family(family)
+        pairs = _sequence(relation_pairs, "relation pairs {!r} are not a sequence")
         _check_pairs(pairs, "{!r} is not a pair of words")
         side = "relation side {!r} is not a sequence of letters"
-        family = self.family
         pairs = tuple(tuple(reduce(family, _sequence(w, side)).letters for w in pair) for pair in pairs)
-        object.__setattr__(self, "relation_pairs", pairs)
+        self._set(family, pairs)
 
 
 def pushout_presentation(f: MonoidHom, g: MonoidHom) -> PushoutPresentation:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _closure, _sequence, _tabulate, atoms
-from .core import new_hom, units
+from .core import _Value, new_hom, units
 from .coproduct import Family, _check_family
 from .errors import NotInProductError, ValidationError
 from .lengths import (
@@ -37,10 +36,11 @@ from .lengths import (
 TupleElem = tuple  # one element index per family member
 
 
-@dataclass(frozen=True)
-class ProductGenerators:
-    unit_tuples: frozenset[TupleElem]
-    atom_tuples: frozenset[TupleElem]
+class ProductGenerators(_Value):
+    __slots__ = ("unit_tuples", "atom_tuples")
+
+    def __init__(self, unit_tuples: frozenset[TupleElem], atom_tuples: frozenset[TupleElem]) -> None:
+        self._set(unit_tuples, atom_tuples)
 
 
 def _check_tuple(family: Family, t: Sequence[int]) -> TupleElem:

@@ -42,7 +42,7 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fixtures, oracles
 from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
@@ -76,8 +76,7 @@ PRODUCT_FAMILIES = (
 GROUP_FAMILIES = (("c2", "c2"), ("zero", "c2"), ("c2", "c2", "c2"))
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     cases: int
     mismatches: list[str]
@@ -604,8 +603,8 @@ def _blocks(labels) -> list[frozenset[int]]:
     return [frozenset(block) for block in blocks.values()]
 
 
-def _refines(fine, coarse) -> bool:
-    return all(len({coarse[x] for x in block}) == 1 for block in _blocks(fine))
+def _refines(blocks, coarse) -> bool:
+    return all(len({coarse[x] for x in block}) == 1 for block in blocks)
 
 
 def _coequalizer_picks(rng):
@@ -629,12 +628,13 @@ def _coequalizer(pair, rng, budget):
     compatible = [leader for leader in _partitions(k.size) if all(leader[a] == leader[b] for a, b in seeds)]
     compatible = [leader for leader in compatible if oracles.is_congruence(k, leader)]
     # the least compatible partition: it refines every one, and one refines it
-    least = all(_refines(closure.leader, other) for other in compatible)
-    least = least and any(_refines(other, closure.leader) for other in compatible)
+    blocks = _blocks(closure.leader)
+    least = all(_refines(blocks, other) for other in compatible)
+    least = least and any(_refines(_blocks(other), closure.leader) for other in compatible)
     yield not least and f"closure {closure.leader} is not least for {seeds}"
     # the classes against the least partition: the compatible one with the most blocks, if it refines every other
-    finest = max(compatible, key=lambda p: len(set(p)))
-    oracle = _blocks(finest) if all(_refines(finest, other) for other in compatible) else None
+    oracle = _blocks(max(compatible, key=lambda p: len(set(p))))
+    oracle = oracle if all(_refines(oracle, other) for other in compatible) else None
     yield closure.classes() != oracle and f"classes {closure.classes()} are not the least partition {oracle}"
 
 

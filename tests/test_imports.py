@@ -1,5 +1,6 @@
-"""No library module imports a name it never reads, and the CLI loads the
-verification layers only for the commands that run them.
+"""No library module imports a name it never reads, the CLI loads the
+verification layers only for the commands that run them, and neither the
+CLI nor the verify layer loads ``dataclasses`` or ``inspect``.
 
 No linter ships with the project, so this reads each module of ``atomon``
 with ``ast``: every name bound by an ``import`` must be read somewhere in the
@@ -58,21 +59,29 @@ def test_an_unused_import_is_caught():
 VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")
 
 
-def _layers_loaded_after(code: str) -> list[str]:
-    """The verification layers a fresh interpreter holds after running code."""
-    script = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {VERIFICATION_LAYERS!r} if m in sys.modules]))"
+def _loaded_after(code: str, modules: tuple[str, ...] = VERIFICATION_LAYERS) -> list[str]:
+    """Those of modules (by default the verification layers) that a fresh
+    interpreter holds after running code."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     env = {**os.environ, "PYTHONPATH": str(Path(atomon.__file__).resolve().parent.parent)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_importing_the_cli_loads_no_verification_layer():
-    assert _layers_loaded_after("import atomon.cli") == []
+    assert _loaded_after("import atomon.cli") == []
+
+
+@pytest.mark.parametrize("module", ["atomon.cli", "atomon.verify"])
+def test_no_value_type_loads_dataclasses_or_inspect(module):
+    # the value types are plain __slots__ classes (see the core docstring):
+    # dataclasses and inspect would add several ms to every start
+    assert _loaded_after(f"import {module}", ("dataclasses", "inspect")) == []
 
 
 def test_only_a_bounded_lengthset_loads_the_oracles(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"names": ["1", "g", "0"], "identity": 0, "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}))
     argv, run = ["lengthset", str(path), "g"], "from atomon.cli import main\nassert main({!r}) == 0"
-    assert _layers_loaded_after(run.format(argv)) == []
-    assert _layers_loaded_after(run.format(argv + ["--bound", "3"])) == ["atomon.oracles"]
+    assert _loaded_after(run.format(argv)) == []
+    assert _loaded_after(run.format(argv + ["--bound", "3"])) == ["atomon.oracles"]
