@@ -88,35 +88,34 @@ def test_value_type_contract(name):
     value, twin = BUILD[name](), BUILD[name]()
     fields, compared = FIELDS[name]
     compared = fields if compared == "all" else compared
+    hashable = name != "VerifyReport"  # its mismatches are a list
     assert _fields(value) == fields
     # == and hash read exactly the compared fields
     if compared is None:
         assert value == value and value != twin and hash(value) != hash(twin)
     else:
-        assert value == twin
+        assert value == twin and (not hashable or hash(value) == hash(twin))
         for field in fields:
             other = _variant(value, field)
-            assert (other == value) is (field not in compared) and (value == other) is (field not in compared)
-        if name == "VerifyReport":
-            with pytest.raises(TypeError):  # its mismatches are a list
-                hash(value)
-        else:
-            assert hash(value) == hash(twin)
-            assert all(hash(_variant(value, f)) == hash(value) for f in fields if f not in compared)
+            assert (other == value) is (value == other) is (field not in compared)
+            if hashable and field not in compared:
+                assert hash(other) == hash(value)
+    if not hashable:
+        with pytest.raises(TypeError):
+            hash(value)
     assert repr(value) == REPRS[name]
     for field in fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
-    assert _plain(value) == _plain(twin)
     # copies rebuild the fields; a copy keeps the family, a deepcopy or a
     # pickle carries a copy of it, which the original family refuses
     for clone in CLONES:
         far = CLONES[clone](value)
         assert type(far) is type(value) and _plain(far) == _plain(value)
         if "family" not in fields:
-            assert far == value and (compared is None or name == "VerifyReport" or hash(far) == hash(value))
+            assert far == value and (not hashable or hash(far) == hash(value))
         elif clone == "copy":
             assert far.family is value.family and (far == value) is (compared is not None)
         else:
