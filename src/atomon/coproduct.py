@@ -179,17 +179,22 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
     """Normal form of a raw word: one stack pass merging same-member runs
     and dropping identity letters."""
     _check_family(family)
+    members, letters = family.members, family._letters
     stack: list[Letter] = []
-    for i, x in family._checked(word):
-        member = family.members[i]
-        while True:
+    top = -1  # the member of stack's top letter, -1 while stack is empty
+    for letter in family._checked(word):
+        i, x = letter
+        member = members[i]
+        if i == top:
+            x = member.table[stack.pop().elem][x]
             if x == member.identity:
-                break
-            if stack and stack[-1].mon == i:
-                x = member.mul(stack.pop().elem, x)
+                top = stack[-1].mon if stack else -1
                 continue
-            stack.append(family._letters[i, x])
-            break
+            letter = letters[i, x]
+        elif x == member.identity:
+            continue
+        stack.append(letter)
+        top = i
     return _word(family, tuple(stack))
 
 

@@ -30,6 +30,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Set
 import operator
+import types
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -442,29 +443,42 @@ def classify(m: FiniteMonoid, x: int) -> ElemClass:
     return ElemClass.REDUCIBLE
 
 
+_COMPARISONS = {  # ``==`` and ``hash`` over n fields, read as the attributes _0, ..., _{n-1}
+    1: (lambda s, o: (s._0,) == (o._0,) if o.__class__ is s.__class__ else NotImplemented, lambda s: hash((s._0,))),
+    2: (lambda s, o: (s._0, s._1) == (o._0, o._1) if o.__class__ is s.__class__ else NotImplemented,
+        lambda s: hash((s._0, s._1))),
+    3: (lambda s, o: (s._0, s._1, s._2) == (o._0, o._1, o._2) if o.__class__ is s.__class__ else NotImplemented,
+        lambda s: hash((s._0, s._1, s._2))),
+    4: (lambda s, o: (s._0, s._1, s._2, s._3) == (o._0, o._1, o._2, o._3) if o.__class__ is s.__class__ else NotImplemented,
+        lambda s: hash((s._0, s._1, s._2, s._3))),
+}
+
+
 class _Value:
     """The shared behaviour of the value types. A field is a slot, set once
     by ``_set`` and read-only after. ``==`` and ``hash`` read the fields of
     the class keyword ``compared``, ``repr`` shows those of ``shown`` (each
-    by default all), and copies and pickles rebuild them unchecked."""
+    by default all), and copies and pickles rebuild them unchecked. Unless a
+    class defines ``__eq__``, its ``==`` and ``hash`` are those of
+    ``_COMPARISONS`` with its field names put in the code, as the data-class
+    decorator writes them but without ``exec``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, compared: tuple[str, ...] = (), shown: tuple[str, ...] = ()) -> None:
-        cls._key = attrgetter(*(compared or cls.__slots__))
         cls._shown = shown or cls.__slots__
+        if "__eq__" in cls.__dict__:
+            return
+        names = {f"_{i}": name for i, name in enumerate(compared or cls.__slots__)}
+        for attr, template in zip(("__eq__", "__hash__"), _COMPARISONS[len(names)]):
+            code = template.__code__
+            method = types.FunctionType(code.replace(co_names=tuple(names.get(n, n) for n in code.co_names)), globals())
+            method.__name__, method.__qualname__ = attr, f"{cls.__qualname__}.{attr}"
+            setattr(cls, attr, method)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)

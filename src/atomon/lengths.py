@@ -17,8 +17,12 @@ through it or through ``_normalize``, and refuse malformed fields with a
 The operations work on membership windows held as one int bitmask, bit n for
 n: the head mask, then the tail mask tiled up to the window by doubling
 shifts, so a window costs O(log(window / period)) big-int operations rather
-than one membership test per position. Results are normalized straight from
-the window's masks. ``in`` tests one bit of the head or tail mask.
+than one membership test per position. ``_normalize`` reads a result off its
+window in a few big-int operations and O(sqrt(p)) trial divisions, one
+rotation per prime factor of p. A union or intersection is two windows and a
+normalization, a sum a window, a shift per set bit of A, a tiling, a
+normalization and two certificates. ``in`` tests one bit of the head or tail
+mask.
 
 ``eps_sum_many`` sums equal parts by binary doubling (c·A from A, 2A, 4A,
 ...), so n parts with d distinct values cost O(d·log n) Minkowski sums
@@ -66,8 +70,14 @@ class EPSet:
     def __new__(cls, threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
         _check_count(threshold, "threshold")
         _check_count(period, "period", 1)
-        head_mask = sum(1 << n for n in _naturals(head) if n < threshold)
-        return _normalize(head_mask, threshold, period, sum({1 << r % period for r in _naturals(tail)}))
+        head_mask = cycle = 0
+        for n in _naturals(head):
+            if n < threshold:
+                head_mask |= 1 << n
+        # bit j of the cycle is n = threshold + j, a member iff j = (r - threshold) % period for a tail member r
+        for r in _naturals(tail):
+            cycle |= 1 << (r - threshold) % period
+        return _normalize(head_mask | cycle << threshold, threshold, period)
 
     threshold = property(operator.attrgetter("_threshold"))
     period = property(operator.attrgetter("_period"))
@@ -102,10 +112,6 @@ class EPSet:
         # copies and pickles rebuild the canonical fields, unchecked
         return _make, (self._threshold, self._head, self._period, self._tail)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._head and not self._tail
-
     def has_positive(self) -> bool:
         return self._tail != 0 or self._head > 1
 
@@ -129,17 +135,18 @@ def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
     return s
 
 
-def _naturals(members: Iterable[int]) -> set[int]:
-    """members as a set, if they can be iterated and each is an int >= 0;
-    else ValidationError. Each member is checked before the set is built, so
-    an unhashable member is refused too and True is not read as 1."""
+def _naturals(members: Iterable[int]) -> tuple[int, ...]:
+    """members as a tuple, if they can be iterated and each is an int >= 0;
+    else ValidationError. Each member is checked before any mask is built
+    from it, so True is not read as 1 nor 1.0 as 1."""
     try:
         members = tuple(members)
     except TypeError:
         raise ValidationError(f"EPSet members must be a collection of ints, not {members!r}") from None
-    if any(type(n) is not int or n < 0 for n in members):
-        raise ValidationError("EPSet members must be ints >= 0")
-    return set(members)
+    for n in members:
+        if type(n) is not int or n < 0:
+            raise ValidationError("EPSet members must be ints >= 0")
+    return members
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -160,12 +167,16 @@ def _tile(pattern: int, period: int, width: int) -> int:
     return pattern & ((1 << width) - 1)
 
 
-def _least_period(residues: int, period: int) -> int:
-    """The least d such that the period-bit pattern residues repeats every d
-    bits. The periods that divide ``period`` are the multiples of that d, so
-    it is reached from ``period`` by dividing out one prime factor at a time
-    while the quotient is still a period: O(sqrt(period)) trial divisions
-    and one tiling per prime factor."""
+def _least_period(pattern: int, period: int) -> int:
+    """The least d such that the period-bit cyclic pattern repeats every d
+    bits, 1 at once if no bit or every bit is set. The periods that divide
+    ``period`` are the multiples of that d, so it is reached by dividing out
+    one prime factor at a time while the quotient e is still a period, that
+    is, while the pattern rotated by e is itself: O(sqrt(period)) trial
+    divisions and one rotation per prime factor."""
+    full = (1 << period) - 1
+    if not pattern or pattern == full:
+        return 1
     d, rest, q = period, period, 2
     while rest > 1:
         if q * q > rest:
@@ -174,21 +185,10 @@ def _least_period(residues: int, period: int) -> int:
             q += 1
             continue
         rest //= q
-        if _tile(residues & ((1 << d // q) - 1), d // q, period) == residues:
-            d //= q
+        e = d // q
+        if (pattern >> e | pattern << period - e) & full == pattern:
+            d = e
     return d
-
-
-def _normalize(mask: int, threshold: int, period: int, residues: int) -> EPSet:
-    """The canonical EPSet whose members below the threshold are the set
-    bits of mask, and beyond it the n with bit n % period set in residues."""
-    d = _least_period(residues, period)
-    residues &= (1 << d) - 1
-    # the least threshold: one past the last n < threshold where mask and the
-    # periodic pattern disagree
-    head = mask & ((1 << threshold) - 1)
-    t = (head ^ _tile(residues, d, threshold)).bit_length()
-    return _make(t, head & ((1 << t) - 1), d, residues)
 
 
 EMPTY = _make(0, 0, 1, 0)
@@ -196,8 +196,8 @@ ZERO_ONLY = _make(1, 1, 1, 0)
 
 
 def eps_finite(members: Iterable[int]) -> EPSet:
-    mask = sum(1 << n for n in _naturals(members))
-    return _normalize(mask, mask.bit_length(), 1, 0)
+    mask = sum(1 << n for n in set(_naturals(members)))
+    return _normalize(mask, mask.bit_length(), 1)
 
 
 def eps_cofinite(start: int) -> EPSet:
@@ -234,16 +234,22 @@ def _from_mask(mask: int, window: int, period: int, threshold: int) -> EPSet:
     diff = ((mask >> threshold) ^ (mask >> (threshold + period))) & ((1 << (window - period - threshold)) - 1)
     if diff:
         raise PeriodViolatedError(threshold + (diff & -diff).bit_length() - 1)
-    return _decode(mask, period, threshold)
+    return _normalize(mask, threshold, period)
 
 
-def _decode(mask: int, period: int, threshold: int) -> EPSet:
-    """The EPSet whose bits below threshold + period are those of mask and
-    that repeats with the period from the threshold on."""
-    # bit j of one period from the threshold is residue (threshold + j) % period
-    cycle, shift = (mask >> threshold) & ((1 << period) - 1), threshold % period
-    residues = ((cycle << shift) | (cycle >> (period - shift))) & ((1 << period) - 1)
-    return _normalize(mask, threshold, period, residues)
+def _normalize(mask: int, threshold: int, period: int) -> EPSet:
+    """The canonical EPSet whose bits below threshold + period are those of
+    mask and that repeats with the period from the threshold on. Every way
+    of building an EPSet but a copy ends here."""
+    # bit j of the cycle is n = threshold + j, of residue (threshold + j) % d
+    # for the least period d; the least threshold t is one past the last
+    # n < threshold whose bit differs from bit n + d
+    cycle = mask >> threshold & ((1 << period) - 1)
+    d = _least_period(cycle, period)
+    t = ((mask ^ mask >> d) & ((1 << threshold) - 1)).bit_length()
+    low, shift = (1 << d) - 1, threshold % d
+    cycle &= low
+    return _make(t, mask & ((1 << t) - 1), d, (cycle << shift | cycle >> d - shift) & low)
 
 
 def _mask(s: EPSet, window: int) -> int:
@@ -257,7 +263,7 @@ def _mask(s: EPSet, window: int) -> int:
 def _pointwise(a: EPSet, b: EPSet, keep) -> EPSet:
     t = max(a._threshold, b._threshold)
     p = math.lcm(a._period, b._period)
-    return _decode(keep(_mask(a, t + p), _mask(b, t + p)), p, t)
+    return _normalize(keep(_mask(a, t + p), _mask(b, t + p)), t, p)
 
 
 def eps_union(a: EPSet, b: EPSet) -> EPSet:
@@ -281,25 +287,30 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
     The convolution shifts B's mask by each member of A: once per set bit of
     A's head mask, and once per set bit of its tail mask into a pattern that
     is then tiled with A's period. A is the operand with fewer set bits in
-    its two masks; the sum is symmetric and its canonical form unique, so the
-    swap cannot change the answer.
+    its two masks, so an empty operand is A; the sum is symmetric and its
+    canonical form unique, so the swap cannot change the answer.
     """
-    if a.is_empty or b.is_empty:
-        return EMPTY
     if a._head.bit_count() + a._tail.bit_count() > b._head.bit_count() + b._tail.bit_count():
         a, b = b, a
-    lcm = math.lcm(a._period, b._period)
-    window = a._threshold + b._threshold + 3 * lcm
-    bm, conv = _mask(b, 2 * window), 0
-    for h in _bits(a._head):
-        conv |= bm << h
-    if a._tail:
-        pattern = 0
-        for r in _bits(a._tail):
-            pattern |= bm << ((r - a._threshold) % a._period)
-        conv |= _tile(pattern, a._period, 2 * window - a._threshold) << a._threshold
+    ta, head, pa, tail = a._threshold, a._head, a._period, a._tail
+    if not head | tail:
+        return EMPTY
+    lcm, start = math.lcm(pa, b._period), ta + b._threshold
+    window = start + 3 * lcm
+    bm, conv, pattern = _mask(b, 2 * window), 0, 0
+    # walk the set bits low to high, each the lowest one x & -x
+    while head:
+        low = head & -head
+        conv |= bm << low.bit_length() - 1
+        head ^= low
+    while tail:
+        low = tail & -tail
+        pattern |= bm << (low.bit_length() - 1 - ta) % pa
+        tail ^= low
+    if pattern:
+        conv |= _tile(pattern, pa, 2 * window - ta) << ta
     conv &= (1 << 2 * window) - 1
-    result = _from_mask(conv & ((1 << window) - 1), window, lcm, a._threshold + b._threshold + lcm)
+    result = _from_mask(conv & ((1 << window) - 1), window, lcm, start + lcm)
     diff = _mask(result, 2 * window) ^ conv
     if diff:
         raise PeriodViolatedError((diff & -diff).bit_length() - 1)
@@ -328,7 +339,7 @@ def _sum_counted(counts: Mapping[EPSet, int], add: Callable[[EPSet, EPSet], EPSe
     pair sums). {0} for no parts."""
     if not counts:
         return ZERO_ONLY
-    if len(counts) > 1 and any(part.is_empty for part in counts):
+    if len(counts) > 1 and EMPTY in counts:
         return EMPTY
     return functools.reduce(add, (_multiple(a, c, add) for a, c in counts.items()))
 
@@ -388,7 +399,7 @@ def _length_table(m: FiniteMonoid) -> tuple[tuple[EPSet, ...], int, int]:
         for k, layer in enumerate(seq.layers, 1):
             for x in layer:
                 masks[x] |= 1 << k
-        decoded = {mask: _decode(mask, seq.period, seq.preperiod) for mask in set(masks)}
+        decoded = {mask: _normalize(mask, seq.preperiod, seq.period) for mask in set(masks)}
         m._lengths = (tuple(map(decoded.__getitem__, masks)), seq.preperiod, seq.period)
     return m._lengths
 
@@ -442,7 +453,7 @@ def _union_table(sets: Sequence[EPSet], threshold: int, period: int) -> tuple[EP
     for mask in {_mask(s, width) for s in set(sets)}:
         for j in _bits(mask):
             ors[j] |= mask
-    decoded = {mask: _decode(mask, period, threshold) for mask in set(ors)}
+    decoded = {mask: _normalize(mask, threshold, period) for mask in set(ors)}
     return tuple(map(decoded.__getitem__, ors))
 
 

@@ -803,6 +803,56 @@ def test_letter_tables_agree_with_the_members(fam):
         assert {x for j, x in fam._units if j == i} == set(units(m))
 
 
+# the families above that hold c2, whose unit u is its own inverse
+UNIT_FAMILIES = [Family([one(), c2()]), Family([c2(), c2()]), Family([c2(), one()]), *JOIN_FAMILIES, MEMO_FAMILY]
+
+
+@st.composite
+def inflated_words(draw):
+    """A family of UNIT_FAMILIES and a raw word of up to ten pieces, each a
+    letter, an identity letter, a letter split in two (y, z for the letter
+    y·z) or a unit pair u·u⁻¹."""
+    fam = draw(st.sampled_from(UNIT_FAMILIES))
+    word = []
+    for _ in range(draw(st.integers(0, 10))):
+        i = draw(st.integers(0, len(fam.members) - 1))
+        m = fam.members[i]
+        element = st.integers(0, m.size - 1)
+        kind = draw(st.sampled_from(["letter", "identity", "split", "unit pair"]))
+        if kind == "letter":
+            word.append((i, draw(element)))
+        elif kind == "identity":
+            word.append((i, m.identity))
+        elif kind == "split":
+            word += [(i, draw(element)), (i, draw(element))]
+        else:
+            u = draw(st.sampled_from(sorted(units(m))))
+            word += [(i, u), (i, next(v for v in units(m) if m.mul(u, v) == m.identity))]
+    return fam, word
+
+
+def _congruence_fixpoint(fam, word):
+    """The word after congruence moves, any one at a time, until none applies."""
+    letters = tuple(word)
+    while moves := oracles.congruence_moves(fam, letters):
+        letters = moves[0]
+    return letters
+
+
+@settings(max_examples=300)
+@given(inflated_words(), st.sampled_from([None, (1, True), (True, 1), (0, 1.0), (1, 1.0)]), st.integers(0, 20))
+@example((UNIT_FAMILIES[0], [(1, 1), (1, 1)]), (1, True), 1)
+@example((UNIT_FAMILIES[3], [(0, 1), (0, 2)]), (0, 1.0), 2)
+def test_reduce_is_the_fixpoint_of_the_congruence_moves(case, bad, at):
+    fam, word = case
+    if bad is None:
+        assert reduce(fam, word).letters == _congruence_fixpoint(fam, word)
+    else:
+        # a letter holding True or 1.0 is refused wherever it stands
+        with pytest.raises(ValidationError, match="two integers"):
+            reduce(fam, word[:at] + [bad] + word[at:])
+
+
 def test_well_formed_long_words_skip_the_per_letter_check(monkeypatch):
     # structural guard on the fast path: a well-formed word never reaches
     # _check_letter, which only names the culprit of a malformed one

@@ -26,7 +26,7 @@ from atomon import (
 from atomon.core import atoms, units
 from atomon.errors import PeriodViolatedError, ValidationError, WindowTooShortError
 from atomon.fixtures import c2, cyclic, h2, m31, one, random_monoid, sl2, zero
-from atomon.lengths import EPSet, _mask
+from atomon.lengths import EPSet, _least_period, _mask, _normalize
 from atomon.oracles import brute_force_lengths, union_k_by_fold
 from test_generators import full_transformation_3
 
@@ -387,6 +387,53 @@ def test_mask_matches_membership(s, offset, periods):
     window = s.threshold + s.period + offset + periods * s.period
     assert _mask(s, window) == bitmask(s, window - 1)
     assert s.members_upto(window - 1) == [n for n in range(window) if n in s]
+
+
+def brute_least_period(pattern, period):
+    """The least d dividing period with bit i of pattern equal to bit (i + d) % period for every i."""
+    bit = lambda i: pattern >> i & 1
+    return next(
+        d for d in range(1, period + 1) if period % d == 0 and all(bit(i) == bit((i + d) % period) for i in range(period))
+    )
+
+
+@st.composite
+def cyclic_patterns(draw):
+    """A period, among them ones with repeated prime factors and 97·89, and
+    a pattern of that many bits: none set, all set, or a drawn pattern over
+    a drawn divisor of the period, repeated."""
+    period = draw(st.one_of(st.sampled_from([1, 2, 4, 8, 9, 12, 8633]), st.integers(1, 40)))
+    kind = draw(st.sampled_from(["empty", "full", "repeated"]))
+    if kind == "empty":
+        return period, 0
+    if kind == "full":
+        return period, (1 << period) - 1
+    d = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    unit = draw(st.integers(0, (1 << d) - 1))
+    return period, sum(unit << j for j in range(0, period, d))
+
+
+@settings(max_examples=300)
+@given(cyclic_patterns())
+def test_least_period_matches_a_bit_by_bit_search(case):
+    period, pattern = case
+    assert _least_period(pattern, period) == brute_least_period(pattern, period)
+
+
+@settings(max_examples=300)
+@given(cyclic_patterns(), st.integers(0, 30), st.integers(0, (1 << 30) - 1))
+def test_normalize_matches_a_bit_by_bit_search(case, threshold, head):
+    # the set with the head bits below the threshold, then the cycle repeated
+    period, cycle = case
+    head &= (1 << threshold) - 1
+    s = _normalize(head | cycle << threshold, threshold, period)
+    member = lambda n: head >> n & 1 if n < threshold else cycle >> (n - threshold) % period & 1
+    d = brute_least_period(cycle, period)
+    # the least t from which every n agrees with n + d; past the threshold all do
+    t = min(t for t in range(threshold + 1) if all(member(n) == member(n + d) for n in range(t, threshold)))
+    assert (s.threshold, s.period) == (t, d)
+    assert s._head == sum(member(n) << n for n in range(t))
+    assert s._tail == sum(member(n) << n % d for n in range(t, t + d))
 
 
 @settings(max_examples=150)
