@@ -34,7 +34,7 @@ from .lengths import (
     ZERO_ONLY,
     EPSet,
     LengthSystem,
-    _length_sets,
+    _length_table,
     _sum_counted,
     eps_minkowski_sum,
     eps_sum_many,
@@ -130,20 +130,20 @@ class Family:
         return f"Family({list(self.members)!r})"
 
 
-class ReducedWord(_Value, shown=("letters",)):
+class ReducedWord(_Value):
     """A reduced word over a family: no identity letter, and no two adjacent
     letters from one member. Checked when built; the letters are read by
     ``Family._checked`` and stored as a tuple of canonical ``Letter``s, so a
     list of letters is frozen, and only a word that is not reduced runs the
     position loop, to name where it fails.
 
-    ``==`` and ``hash`` cover the family and the letters. ``Family`` has no
-    ``__eq__``, so families compare by identity: equal letters over two
-    families, even with the same members, are two words. ``repr`` shows the
-    letters only. A word has no ``len`` and is always true: read its length
-    and emptiness off ``letters``. A ``copy.copy`` keeps its family; a
-    ``deepcopy`` or a pickle round trip carries a copy of the family, which
-    the original family refuses.
+    ``==`` compares the letters, then the families by identity, and ``hash``
+    covers both: equal letters over two families, even with the same
+    members, are two words. ``repr`` shows the letters only. A word has no
+    ``len`` and is always true: read its length and emptiness off
+    ``letters``. A ``copy.copy`` keeps its family; a ``deepcopy`` or a pickle
+    round trip carries a copy of the family, which the original family
+    refuses.
     """
 
     __slots__ = ("family", "letters")
@@ -159,6 +159,17 @@ class ReducedWord(_Value, shown=("letters",)):
                 if pos and letters[pos - 1].mon == i:
                     raise ValidationError(f"letters {pos - 1} and {pos} of the word are both from member {i}")
         self._set(family, letters)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ReducedWord:
+            return NotImplemented
+        return self.letters == other.letters and self.family is other.family
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.letters))
+
+    def __repr__(self) -> str:
+        return f"ReducedWord(letters={self.letters!r})"
 
 
 def _word(family: Family, letters: tuple[Letter, ...]) -> ReducedWord:
@@ -284,7 +295,7 @@ def fp_length_set(family: Family, w: ReducedWord) -> EPSet:
         return EMPTY
     counts = collections.Counter()
     for (i, x), c in non_unit.items():
-        counts[_length_sets(family.members[i])[x]] += c
+        counts[_length_table(family.members[i])[0][x]] += c
     return _sum_counted(counts, functools.partial(_sum_once, family, eps_minkowski_sum))
 
 

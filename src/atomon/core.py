@@ -6,21 +6,25 @@ the empty sequence being the empty word. The initial object {1} and the
 terminal object {1, a, 0} of AtoMon are built here, by ``initial`` and
 ``terminal``.
 
-Every value type is a ``__slots__`` class on ``_Value``, never one made by
-the standard library's data-class decorator: its module imports ``inspect``
-and builds each class by ``exec``, which costs a process more than the
-algebra on small inputs. Each value type checks itself when built.
-``FiniteMonoid`` validates its table and derives its generators from it;
-``new_monoid`` is its public spelling. ``MonoidHom`` validates its map;
-``new_hom`` is its public spelling.
+The value types are ``__slots__`` classes on ``_Value``, not data classes,
+whose module imports ``inspect`` and runs ``exec``. ``_Value`` gives them
+``==``, ``hash``, ``repr`` and pickling over all fields, read by ``_values``.
+``ReducedWord``, compared thousands of times a run, writes its own: an
+``==`` ten times faster, a faster ``hash`` and a ``repr`` of its letters.
+``LengthSystem`` compares ``entries`` only, ``Cocone`` compares by identity
+and ``MonoidHom`` writes its ``repr``. Each value type checks itself when
+built. ``FiniteMonoid`` validates its table and derives its generators from
+it, ``MonoidHom`` its map; ``new_monoid`` and ``new_hom`` are their public
+spellings.
 
-Four primitives check arguments for the whole library. ``_sequence`` reads
+Six primitives check arguments for the whole library. ``_sequence`` reads
 an ordered argument as a tuple and refuses a str, bytes, set, mapping or
-non-iterable. ``_check_pairs`` refuses an item that is not a tuple of two.
-``_check_monoid`` refuses a monoid argument that is not a ``FiniteMonoid``.
-``_arrows`` refuses an arrow argument that is not an arrow of AtoMon (an
-atom-preserving hom between atomic monoids) or does not share the ends its
-construction needs.
+non-iterable. ``_check_pairs`` refuses an item that is not a tuple of two,
+``_check_count`` a count that is no int or too small, ``_check_indices`` an
+element index that is no int in range, and ``_check_monoid`` a monoid that is
+not a ``FiniteMonoid``. ``_arrows`` refuses an arrow argument that is not an
+arrow of AtoMon (an atom-preserving hom between atomic monoids) or does not
+share the ends its construction needs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Set
 import operator
-import types
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -55,7 +58,8 @@ _LAWS = ("acyclic", "unit_cancellative", "cancellative")  # cancellation laws, s
 
 class FiniteMonoid:
     """A finite monoid, validated when built from its multiplication table.
-    Immutable after construction; ``new_monoid`` is its public spelling.
+    Its fields are read-only by contract, not guarded: ``m.identity = 1`` is
+    accepted, and the caches then answer for the old monoid.
 
     ``generators`` is a small generating set G, derived from the table: every
     element is a product of members of G. The table algorithms
@@ -443,45 +447,32 @@ def classify(m: FiniteMonoid, x: int) -> ElemClass:
     return ElemClass.REDUCIBLE
 
 
-_COMPARISONS = {  # ``==`` and ``hash`` over n fields, read as the attributes _0, ..., _{n-1}
-    1: (lambda s, o: (s._0,) == (o._0,) if o.__class__ is s.__class__ else NotImplemented, lambda s: hash((s._0,))),
-    2: (lambda s, o: (s._0, s._1) == (o._0, o._1) if o.__class__ is s.__class__ else NotImplemented,
-        lambda s: hash((s._0, s._1))),
-    3: (lambda s, o: (s._0, s._1, s._2) == (o._0, o._1, o._2) if o.__class__ is s.__class__ else NotImplemented,
-        lambda s: hash((s._0, s._1, s._2))),
-    4: (lambda s, o: (s._0, s._1, s._2, s._3) == (o._0, o._1, o._2, o._3) if o.__class__ is s.__class__ else NotImplemented,
-        lambda s: hash((s._0, s._1, s._2, s._3))),
-}
-
-
 class _Value:
     """The shared behaviour of the value types. A field is a slot, set once
-    by ``_set`` and read-only after. ``==`` and ``hash`` read the fields of
-    the class keyword ``compared``, ``repr`` shows those of ``shown`` (each
-    by default all), and copies and pickles rebuild them unchecked. Unless a
-    class defines ``__eq__``, its ``==`` and ``hash`` are those of
-    ``_COMPARISONS`` with its field names put in the code, as the data-class
-    decorator writes them but without ``exec``."""
+    by ``_set`` and read-only after. ``_values`` reads the fields in slot
+    order; ``==``, ``hash`` and ``repr`` cover all of them, and copies and
+    pickles rebuild them unchecked. A type that compares or shows fewer
+    fields, or compares often, writes its own methods."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls, compared: tuple[str, ...] = (), shown: tuple[str, ...] = ()) -> None:
-        cls._shown = shown or cls.__slots__
-        if "__eq__" in cls.__dict__:
-            return
-        names = {f"_{i}": name for i, name in enumerate(compared or cls.__slots__)}
-        for attr, template in zip(("__eq__", "__hash__"), _COMPARISONS[len(names)]):
-            code = template.__code__
-            method = types.FunctionType(code.replace(co_names=tuple(names.get(n, n) for n in code.co_names)), globals())
-            method.__name__, method.__qualname__ = attr, f"{cls.__qualname__}.{attr}"
-            setattr(cls, attr, method)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
         return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -490,7 +481,7 @@ class _Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # as EPSet's: copies and pickles skip the checks
-        return _rebuild, (self.__class__, tuple(map(self.__getattribute__, self.__slots__)))
+        return _rebuild, (self.__class__, self._values())
 
 
 def _rebuild(cls: type, values: tuple) -> _Value:

@@ -253,11 +253,13 @@ def _normalize(mask: int, threshold: int, period: int) -> EPSet:
 
 
 def _mask(s: EPSet, window: int) -> int:
-    """Bit n set iff n is in s, for n < window."""
-    mask = s._head
-    if s._tail and window > s._threshold:
-        mask |= _tile(s._tail, s._period, window) >> s._threshold << s._threshold
-    return mask & ((1 << window) - 1)
+    """Bit n set iff n is in s, for n < window. Past the threshold only a
+    tail is tiled and cut, so a set with none costs nothing however wide."""
+    if window <= s._threshold:
+        return s._head & ((1 << window) - 1)
+    if not s._tail:
+        return s._head
+    return s._head | _tile(s._tail, s._period, window) >> s._threshold << s._threshold
 
 
 def _pointwise(a: EPSet, b: EPSet, keep) -> EPSet:
@@ -404,26 +406,29 @@ def _length_table(m: FiniteMonoid) -> tuple[tuple[EPSet, ...], int, int]:
     return m._lengths
 
 
-def _length_sets(m: FiniteMonoid) -> tuple[EPSet, ...]:
-    """L(x) for every element x, from the table cached on m."""
-    return _length_table(m)[0]
-
-
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
     """L(x): lengths of factorizations of x into atoms, as an exact EPSet."""
     _check_monoid(m)
     _check_indices((x,), m.size, "element index")
-    return _length_sets(m)[x]
+    return _length_table(m)[0][x]
 
 
-class LengthSystem(_Value, compared=("entries",)):
+class LengthSystem(_Value):
     """A deduplicated set of length sets; empty length sets are never stored.
-    ``truncated_at`` is not compared."""
+    ``==`` and ``hash`` read ``entries`` only: ``truncated_at`` is not compared."""
 
     __slots__ = ("entries", "truncated_at")
 
     def __init__(self, entries: frozenset[EPSet], truncated_at: int | None = None) -> None:
         self._set(entries, truncated_at)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LengthSystem:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __contains__(self, s: EPSet) -> bool:
         return s in self.entries
@@ -437,7 +442,7 @@ class LengthSystem(_Value, compared=("entries",)):
 
 def length_system(m: FiniteMonoid, nonzero_only: bool = False) -> LengthSystem:
     _check_monoid(m)
-    entries = set(_length_sets(m))
+    entries = set(_length_table(m)[0])
     entries.discard(EMPTY)
     if nonzero_only:
         entries.discard(ZERO_ONLY)

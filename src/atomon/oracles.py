@@ -129,21 +129,27 @@ def exhaustive_homs(source: FiniteMonoid, target: FiniteMonoid):
 # length sets
 
 
-def brute_force_lengths(m: FiniteMonoid, x: int, bound: int) -> set[int]:
+def brute_force_lengths(m: FiniteMonoid, x: int, bound: int, budget: int | None = None) -> set[int]:
     """{k <= bound : x is a product of exactly k atoms}.
 
     Plain dynamic programming over (length, element) with no periodicity
-    reasoning, kept independent from length_set on purpose.
+    reasoning, kept independent from length_set on purpose. Each level
+    costs ``budget`` one per product y·a and at least one, as in
+    ``fp_brute_force_lengths``.
     """
     _check_monoid(m)
     _check_indices((x,), m.size, "element index")
     _check_count(bound, "bound")
+    spare = limit = _search_budget(budget)
     found = set()
     if x == m.identity:
         found.add(0)
     ats = sorted(atoms(m))
     reach = {m.identity}
     for k in range(1, bound + 1):
+        spare -= max(1, len(reach) * len(ats))
+        if spare < 0:
+            raise SearchBudgetExceededError(limit)
         reach = {m.mul(y, a) for y in reach for a in ats}
         if x in reach:
             found.add(k)

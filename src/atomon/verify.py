@@ -148,7 +148,7 @@ def _composite(g, f) -> tuple[int, ...]:
 
 def _length_oracle(m, rng, budget):
     bound = 12
-    rows = [oracles.brute_force_lengths(m, x, bound) for x in range(m.size)]
+    rows = [oracles.brute_force_lengths(m, x, bound, budget) for x in range(m.size)]
     for x, oracle in enumerate(rows):
         closed = set(length_set(m, x).members_upto(bound))
         yield closed != oracle and f"elem {m.names[x]}: length_set {sorted(closed)} vs oracle {sorted(oracle)}"

@@ -372,6 +372,24 @@ def test_budget_stops_an_oracle_search_that_never_ends(files, capsys, monkeypatc
     assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
 
 
+def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monkeypatch):
+    # the zero of {1, a, 0} has lengths {2, 3, ...}: every level of the
+    # dynamic programme reaches it, so only the budget ends it
+    monkeypatch.setenv("ATOMON_BUDGET", "1000")
+    assert main(["lengthset", files["one"], "0", "--bound", str(10**9)]) == 1
+    assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
+
+
+def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys):
+    # no window of 10**11 bits is built for a set with no periodic tail
+    twins = tmp_path / "twins.json"
+    twins.write_text(json.dumps({"members": ["one.json", "one.json"]}))
+    bound = str(10**11)
+    for argv, lengths in (["lengthset", files["zero"], "1"], "{0}"), (["coproduct", "lengthset", str(twins), "(a@0)"], "{1}"):
+        code, out = run(capsys, *argv, "--bound", bound)
+        assert code == 0 and out.splitlines() == [lengths, f"oracle on [0,{bound}]: agrees"]
+
+
 def test_a_closed_stdout_ends_without_a_traceback():
     # the reader of stdout is gone before the child writes, as in `atomon ... | head -1`
     read_end, write_end = os.pipe()

@@ -666,6 +666,31 @@ def test_join_matches_reducing_the_concatenation(case):
     assert fp_mul(fam, ReducedWord(fam, x), ReducedWord(fam, y)).letters == _join(fam, x, y)
 
 
+TWIN_MEMBERS = (one(), c2())
+TWINS = (Family(TWIN_MEMBERS), Family(TWIN_MEMBERS))  # two families on the same member objects
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(TWINS), reduced_letters(TWINS[0])), min_size=1, max_size=6))
+def test_words_are_equal_exactly_when_family_and_letters_are(drawn):
+    # ReducedWord writes its own ==, != and hash: they must agree with the
+    # family object and the letters, whatever the order of the comparison
+    words = [ReducedWord(fam, letters) for fam, letters in drawn]
+    for v in words:
+        clone = copy.copy(v)
+        assert clone == v and hash(clone) == hash(v) and v != v.letters
+        for w in words:
+            same = v.family is w.family and v.letters == w.letters
+            assert (v == w) is (not v != w) is same
+            assert not same or hash(v) == hash(w)
+    # a dict or set keyed by one family's words misses the other family's twins
+    for fam, other in (TWINS, TWINS[::-1]):
+        keyed = {w: w for w in words if w.family is fam}
+        assert all(copy.copy(w) in keyed and w in set(keyed) for w in keyed)
+        twins = [ReducedWord(other, w.letters) for w in keyed]
+        assert not any(t in keyed or t in set(keyed) for t in twins)
+
+
 def _letter_parts(fam, w):
     return [length_set(fam.members[i], x) for i, x in w.letters if x not in units(fam.members[i])]
 

@@ -300,6 +300,7 @@ COUNT_CALLS = {
     "depth": lambda n: pushout_eq_bounded(_PUSHOUT, _PUSHOUT.family.eps, _PUSHOUT.family.eps, n),
     "cap": lambda n: ap_materialize(_ONE_C2, n),
     "brute_force_lengths bound": lambda n: brute_force_lengths(one(), 1, n),
+    "brute_force_lengths budget": lambda n: brute_force_lengths(one(), 1, 3, budget=n),
     "fp_brute_force_lengths bound": lambda n: fp_brute_force_lengths(_ONE_C2, _A, n),
     "fp_brute_force_lengths budget": lambda n: fp_brute_force_lengths(_ONE_C2, _A, 3, budget=n),
     "reduced_words_upto max_len": lambda n: reduced_words_upto(_ONE_C2, n),

@@ -4,9 +4,12 @@ CLI nor the verify layer loads ``dataclasses`` or ``inspect``.
 
 No linter ships with the project, so this reads each module of ``atomon``
 with ``ast``: every name bound by an ``import`` must be read somewhere in the
-module. A deletion that leaves its imports behind fails here. ``from
-__future__`` imports bind nothing and are skipped, and so is ``__init__``,
-whose imports are the package's public names.
+module, and every private name a module binds at its top level (a helper
+function, class or constant) must be read somewhere in the package, as a
+name or as an attribute. A deletion that leaves its imports or its helpers
+behind fails here. ``from __future__`` imports bind nothing and are
+skipped, and so is ``__init__``, whose imports are the package's public
+names.
 
 The import boundary is read in a fresh interpreter, since the test process
 has loaded every module already.
@@ -23,7 +26,8 @@ import pytest
 
 import atomon
 
-MODULES = sorted(p for p in Path(atomon.__file__).resolve().parent.glob("*.py") if p.stem != "__init__")
+PACKAGE = sorted(Path(atomon.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.stem != "__init__"]
 
 
 def _imported(tree) -> dict[str, int]:
@@ -54,6 +58,43 @@ def test_every_import_is_read(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("from .errors import ParseError, ValidationError\nimport os.path\n\nraise ParseError()\n")
     assert {name for name in _imported(tree) if name not in _read(tree)} == {"ValidationError", "os"}
+
+
+def _private(tree) -> dict[str, int]:
+    """Each private name bound at the top level by a def, a class or an
+    assignment, mapped to its line; dunder names are not private."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        bound.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return bound
+
+
+def _read_anywhere(trees) -> set[str]:
+    """The names the modules read, plain or as the attribute of another name."""
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    return set().union(*map(_read, trees)) | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def test_every_private_helper_is_read():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    read = _read_anywhere(trees.values())
+    dead = {f"{path.stem}.{name}": line for path, tree in trees.items() for name, line in _private(tree).items()}
+    dead = {name: line for name, line in dead.items() if name.partition(".")[2] not in read}
+    assert not dead, f"private names bound but never read in the package: {dead}"
+
+
+def test_a_dead_helper_is_caught():
+    source = "_LIMIT = 3\n_a, _b = 1, 2\n\ndef _used():\n    return _LIMIT\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n"
+    user = ast.parse("import m\nm._used()\nprint(_a)\n")
+    trees = [ast.parse(source), user]
+    assert {name for name in _private(trees[0]) if name not in _read_anywhere(trees)} == {"_b", "_dead", "_Gone"}
 
 
 VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")

@@ -20,11 +20,11 @@ import pytest
 
 import atomon
 from atomon.coproduct import Family, ReducedWord
-from atomon.errors import ValidationError
-from atomon.fixtures import c2, m31, one
+from atomon.errors import SearchBudgetExceededError, ValidationError
+from atomon.fixtures import c2, m31, one, zero
 from atomon.lengths import ZERO_ONLY, union_k
-from atomon.oracles import all_partitions, fp_brute_force_lengths, json_members, laws_hold, reduced_words_upto
-from atomon.oracles import system_oracle, tuple_mul, union_k_by_fold, union_k_oracle
+from atomon.oracles import all_partitions, brute_force_lengths, fp_brute_force_lengths, json_members, laws_hold
+from atomon.oracles import reduced_words_upto, system_oracle, tuple_mul, union_k_by_fold, union_k_oracle
 
 SRC = Path(atomon.__file__).resolve().parent
 
@@ -230,6 +230,18 @@ def test_oracles_refuse_a_negative_count():
         all_partitions(-1)
     with pytest.raises(ValidationError, match="bound must be non-negative"):
         json_members(ZERO_ONLY, -1)
+
+
+def test_the_monoid_length_search_charges_every_level():
+    # level k costs its products y·a, and at least one; the zero of {1, a, 0}
+    # is reached on every level from 2 on, so only the budget ends it
+    with pytest.raises(SearchBudgetExceededError, match="budget of 50 "):
+        brute_force_lengths(one(), 2, 10**9, budget=50)
+    assert brute_force_lengths(one(), 2, 24, budget=50) == set(range(2, 25))
+    # {1} has no atoms: level 1 costs one and empties the search
+    assert brute_force_lengths(zero(), 0, 10**9, budget=1) == {0}
+    with pytest.raises(SearchBudgetExceededError):
+        brute_force_lengths(zero(), 0, 1, budget=0)
 
 
 def test_laws_hold_refuses_an_unknown_law():
