@@ -372,7 +372,7 @@ def test_budget_stops_an_oracle_search_that_never_ends(files, capsys, monkeypatc
     assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
 
 
-def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monkeypatch):
+def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monkeypatch, memory_cap):
     # the zero of {1, a, 0} has lengths {2, 3, ...}: every level of the
     # dynamic programme reaches it, so only the budget ends it
     monkeypatch.setenv("ATOMON_BUDGET", "1000")
@@ -380,7 +380,7 @@ def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monk
     assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
 
 
-def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys):
+def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys, memory_cap):
     # no window of 10**11 bits is built for a set with no periodic tail
     twins = tmp_path / "twins.json"
     twins.write_text(json.dumps({"members": ["one.json", "one.json"]}))

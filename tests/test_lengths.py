@@ -389,7 +389,7 @@ def test_mask_matches_membership(s, offset, periods):
     assert s.members_upto(window - 1) == [n for n in range(window) if n in s]
 
 
-def test_a_set_without_a_tail_lists_at_a_huge_bound_at_once():
+def test_a_set_without_a_tail_lists_at_a_huge_bound_at_once(memory_cap):
     # its members lie below its threshold, so the window stops there: a
     # window of 10**11 bits would need 12.5 GB
     for members in ([], [0], [1, 3, 7], [2, 40]):
