@@ -52,23 +52,29 @@ class Letter(NamedTuple):
 _MON = operator.itemgetter(0)
 
 
-class Family:
+class Family(_Value):
     """A non-empty family of atomic monoids, the index set of a free product.
+    A family compares and hashes by identity, as a ``Cocone`` does: a word
+    belongs to the one family it was built over.
 
     Three letter tables are built once, here: ``_letters`` maps every pair
     (i, x) with x in range for member i, identities included, to one
     canonical ``Letter(i, x)``; ``_identities`` and ``_units`` are the
-    frozensets of the identity letters and of the unit letters. ``eps`` is
-    the family's empty word, built once. Length sets are not tabled here:
-    they stay lazy, per member. ``_pooled`` and ``_totals`` hold the rows of
-    ``fp_union_k``'s DP computed so far; they start empty and grow to the
-    largest k asked for. ``_pair_sums`` maps each unordered pair of length
-    sets {A, B} that a free-product DP has added, as ``frozenset((A, B))``,
-    to A + B (``_sum_once``); it starts empty. All three are filled only by
-    calls on this family, so a new family over the same members starts cold.
+    frozensets of the identity letters and of the unit letters. ``eps``, the
+    family's empty word, is built on read, so no field refers back to the
+    family. Length sets are not tabled here: they stay lazy, per member.
+    ``_pooled`` and ``_totals`` hold the rows of ``fp_union_k``'s DP computed
+    so far; they start empty and grow to the largest k asked for.
+    ``_pair_sums`` maps each unordered pair of length sets {A, B} that a
+    free-product DP has added, as ``frozenset((A, B))``, to A + B
+    (``_sum_once``); it starts empty. All three are containers made here and
+    filled only by calls on this family, so a new family over the same
+    members starts cold.
     """
 
-    __slots__ = ("members", "non_reduced", "eps", "_letters", "_identities", "_units", "_pooled", "_totals", "_pair_sums")
+    __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals", "_pair_sums")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    eps = property(lambda self: _word(self, ()))
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -79,18 +85,11 @@ class Family:
                 raise ValidationError(f"family member {i} is {m!r}, not a FiniteMonoid")
             if not check_property(m, "atomic"):
                 raise NotAtomicError(f"family member {i} is not atomic")
-        self.members = members
-        # members whose unit group is non-trivial
-        self.non_reduced = frozenset(
-            i for i, m in enumerate(self.members) if len(units(m)) > 1
-        )
-        self._letters = {(i, x): Letter(i, x) for i, m in enumerate(self.members) for x in range(m.size)}
-        self._identities = frozenset(self._letters[i, m.identity] for i, m in enumerate(self.members))
-        self._units = frozenset(self._letters[i, u] for i, m in enumerate(self.members) for u in units(m))
-        self.eps = _word(self, ())
-        self._pooled: list[EPSet] = []
-        self._totals: list[EPSet] = []
-        self._pair_sums: dict[frozenset[EPSet], EPSet] = {}
+        non_reduced = frozenset(i for i, m in enumerate(members) if len(units(m)) > 1)  # non-trivial unit groups
+        letters = {(i, x): Letter(i, x) for i, m in enumerate(members) for x in range(m.size)}
+        identities = frozenset(letters[i, m.identity] for i, m in enumerate(members))
+        unit_letters = frozenset(letters[i, u] for i, m in enumerate(members) for u in units(m))
+        self._set(members, non_reduced, letters, identities, unit_letters, [], [], {})
 
     def __len__(self) -> int:
         # bench/jobs.py checks a loaded family by its length; the library reads .members

@@ -11,8 +11,13 @@ whose module imports ``inspect`` and runs ``exec``. ``_Value`` gives them
 ``==``, ``hash``, ``repr`` and pickling over all fields, read by ``_values``.
 ``ReducedWord``, compared thousands of times a run, writes its own: an
 ``==`` ten times faster, a faster ``hash`` and a ``repr`` of its letters.
-``LengthSystem`` compares ``entries`` only, ``Cocone`` compares by identity
-and ``MonoidHom`` writes its ``repr``. Each value type checks itself when
+``LengthSystem`` compares ``entries`` only, ``FiniteMonoid`` its names,
+table and identity, ``Cocone`` and ``Family`` compare by identity, and
+``MonoidHom`` writes its ``repr``. Every value type, ``FiniteMonoid`` and
+``Family`` included, is guarded: assigning to or deleting a field raises
+``AttributeError``. A cache is a container made at construction and filled
+in place (``FiniteMonoid._memo``, ``Family``'s DP rows and pair sums), so it
+answers for the value that holds it. Each value type checks itself when
 built. ``FiniteMonoid`` validates its table and derives its generators from
 it, ``MonoidHom`` its map; ``new_monoid`` and ``new_hom`` are their public
 spellings.
@@ -56,17 +61,59 @@ PROPERTIES = ("atomic", "dedekind_finite", "acyclic", "unit_cancellative", "canc
 _LAWS = ("acyclic", "unit_cancellative", "cancellative")  # cancellation laws, see check_property
 
 
-class FiniteMonoid:
+class _Value:
+    """The shared behaviour of the value types. A field is a slot, set once
+    by ``_set`` and read-only after. ``_values`` reads the fields in slot
+    order; ``==``, ``hash`` and ``repr`` cover all of them, and copies and
+    pickles rebuild them unchecked. A type that compares or shows fewer
+    fields, or compares often, writes its own methods."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {self.__class__.__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # as EPSet's: copies and pickles skip the checks
+        return _rebuild, (self.__class__, self._values())
+
+
+def _rebuild(cls: type, values: tuple) -> _Value:
+    v = object.__new__(cls)
+    v._set(*values)
+    return v
+
+
+class FiniteMonoid(_Value):
     """A finite monoid, validated when built from its multiplication table.
-    Its fields are read-only by contract, not guarded: ``m.identity = 1`` is
-    accepted, and the caches then answer for the old monoid.
+    ``==`` and ``hash`` read ``names``, ``table`` and ``identity``.
 
     ``generators`` is a small generating set G, derived from the table: every
     element is a product of members of G. The table algorithms
     (associativity and hom checks, hom search, congruence closure) work over G
-    instead of over all elements. The underscored slots are per-instance
-    caches, filled on first use: units, atoms, atomicity, the length-set
-    table and the U_k table (see ``lengths``).
+    instead of over all elements. ``_memo`` is the per-instance cache, a dict
+    filled on first use under the keys "units", "atoms", "atomic", "lengths"
+    (the length-set table) and "unions" (the U_k table, see ``lengths``).
 
     Associativity is decided by Light's test over G:
     (x·g)·y = x·(g·y) for all x, y and every g in G. The elements g passing it
@@ -87,7 +134,7 @@ class FiniteMonoid:
     ``_first_nonassociative``).
     """
 
-    __slots__ = ("names", "table", "identity", "size", "generators", "_units", "_atoms", "_atomic", "_lengths", "_unions")
+    __slots__ = ("names", "table", "identity", "size", "generators", "_memo")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], identity: int):
         names = _sequence(names, "names {!r} are not a sequence")
@@ -126,16 +173,7 @@ class FiniteMonoid:
         good = [list(_holds_at(tab, tab, g)) for g in gens]
         if not all(map(all, good)):
             raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
-        self.names = names
-        self.table = tab
-        self.identity = identity
-        self.size = n
-        self.generators = gens
-        self._units = None
-        self._atoms = None
-        self._atomic = None
-        self._lengths = None
-        self._unions = None
+        self._set(names, tab, identity, n, gens, {})
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -371,11 +409,11 @@ def units(m: FiniteMonoid) -> frozenset[int]:
     product, so the units are the products of unit generators. O(n·|G|).
     """
     _check_monoid(m)
-    if m._units is None:
+    if "units" not in m._memo:
         found = {m.identity: None}
         _closure([m.identity], [g for g in m.generators if m.identity in m.table[g]], m.mul, found)
-        m._units = frozenset(found)
-    return m._units
+        m._memo["units"] = frozenset(found)
+    return m._memo["units"]
 
 
 def atoms(m: FiniteMonoid) -> frozenset[int]:
@@ -386,13 +424,13 @@ def atoms(m: FiniteMonoid) -> frozenset[int]:
     as g1·…·gk and split x·y at the first gi that is not a unit.
     """
     _check_monoid(m)
-    if m._atoms is None:
+    if "atoms" not in m._memo:
         us = units(m)
         non_units = [x for x in range(m.size) if x not in us]
         reducible = dict.fromkeys(m.table[x][g] for g in m.generators if g not in us for x in non_units)
         _closure(list(reducible), m.generators, m.mul, reducible)
-        m._atoms = frozenset(x for x in non_units if x not in reducible)
-    return m._atoms
+        m._memo["atoms"] = frozenset(x for x in non_units if x not in reducible)
+    return m._memo["atoms"]
 
 
 def _atom_closure(m: FiniteMonoid) -> frozenset[int]:
@@ -419,10 +457,10 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     """
     _check_monoid(m)
     if prop == "atomic":
-        if m._atomic is None:
+        if "atomic" not in m._memo:
             us, covered = units(m), _atom_closure(m)
-            m._atomic = all(x in covered for x in range(m.size) if x not in us)
-        return m._atomic
+            m._memo["atomic"] = all(x in covered for x in range(m.size) if x not in us)
+        return m._memo["atomic"]
     if prop == "dedekind_finite":
         return True
     if prop in _LAWS:
@@ -445,49 +483,6 @@ def classify(m: FiniteMonoid, x: int) -> ElemClass:
     if x in atoms(m):
         return ElemClass.ATOM
     return ElemClass.REDUCIBLE
-
-
-class _Value:
-    """The shared behaviour of the value types. A field is a slot, set once
-    by ``_set`` and read-only after. ``_values`` reads the fields in slot
-    order; ``==``, ``hash`` and ``repr`` cover all of them, and copies and
-    pickles rebuild them unchecked. A type that compares or shows fewer
-    fields, or compares often, writes its own methods."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
-        return f"{self.__class__.__name__}({fields})"
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r} of a {self.__class__.__name__}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # as EPSet's: copies and pickles skip the checks
-        return _rebuild, (self.__class__, self._values())
-
-
-def _rebuild(cls: type, values: tuple) -> _Value:
-    v = object.__new__(cls)
-    v._set(*values)
-    return v
 
 
 class MonoidHom(_Value):
@@ -658,7 +653,9 @@ def enumerate_homs(
     A hom is fixed by its images of the source's generating set G. Each of
     the target.size ** len(G) choices of images is extended along the
     closure of G and kept if it respects the generators (and preserves
-    atoms, when asked). Exponential in |G|: for desk-scale uniqueness checks.
+    atoms, when asked). A kept map has passed both checks of ``MonoidHom``,
+    so it is built unchecked. Exponential in |G|: for desk-scale uniqueness
+    checks.
     """
     _check_monoid(source)
     _check_monoid(target)
@@ -671,6 +668,8 @@ def enumerate_homs(
         for y, x, p in steps:
             mp[y] = tgt[mp[x]][images[p]]
         mp = tuple(mp)
-        if _respects_generators(source, target, mp) and (not atom_preserving_only or _preserves_atoms(source, target, mp)):
-            maps.append(mp)
-    yield from (MonoidHom(source, target, mp) for mp in sorted(maps))
+        if _respects_generators(source, target, mp):
+            ap = _preserves_atoms(source, target, mp)
+            if ap or not atom_preserving_only:
+                maps.append((mp, ap))
+    yield from (_rebuild(MonoidHom, (source, target, mp, ap)) for mp, ap in sorted(maps))

@@ -94,7 +94,7 @@ class VerifyReport(NamedTuple):
         return [header] + [f"  mismatch: {m}" for m in self.mismatches]
 
 
-# built once, on first use rather than at import; the monoids are immutable
+# built once, on first use rather than at import; sharing is sound, as a FiniteMonoid cannot change
 _named_fixtures = functools.cache(fixtures.named_fixtures)
 _random_monoid = functools.cache(fixtures.random_monoid)
 _cyclic = functools.cache(fixtures.cyclic)

@@ -1,9 +1,10 @@
 """Caches stay on the instances they describe.
 
 Every table the library memoizes (units, atoms, length sets, the U_k tables,
-the free-product letter tables, union DP and pair sums) lives in a slot of
-the monoid or family it belongs to, so each new object, each CLI call and
-each benchmark pass starts cold. A module-level ``functools.cache`` or ``lru_cache`` would
+the free-product letter tables, union DP and pair sums) lives in a container
+made when the monoid or family it belongs to is built (``FiniteMonoid._memo``,
+the family's fields), so each new object, each CLI call and each benchmark
+pass starts cold. A module-level ``functools.cache`` or ``lru_cache`` would
 keep answers warm across all of them and hide what a computation costs. The
 test reads every library module with ``ast``; ``cli``, ``verify`` and
 ``oracles`` drive and check the library and may keep their own.

@@ -279,13 +279,13 @@ def test_union_k_far_past_the_period_is_the_fold_at_the_reduced_index():
 
 def test_union_k_table_is_built_on_the_first_call_and_kept():
     m = cyclic(5, 3)
-    assert m._lengths is None and m._unions is None
+    assert "lengths" not in m._memo and "unions" not in m._memo
     length_set(m, 1)
-    assert m._lengths is not None and m._unions is None
+    assert "lengths" in m._memo and "unions" not in m._memo
     first = union_k(m, 7)
-    assert len(m._unions) == 5 + 3
+    assert len(m._memo["unions"]) == 5 + 3
     assert union_k(m, 7) is first is union_k(m, 10)
-    assert cyclic(5, 3)._unions is None
+    assert "unions" not in cyclic(5, 3)._memo
 
 
 def test_unit_translation_invariance():

@@ -1,18 +1,24 @@
-"""The contract of the nine value types the constructions return: which
-fields ``==`` and ``hash`` read, the ``repr``, immutability, and how copies
-and pickles come back. The ``repr`` strings are the ones these instances
-have always printed; a change to any of them is a change of output."""
+"""The contract of the value types the library builds, ``FiniteMonoid`` and
+``Family`` among them: which fields ``==`` and ``hash`` read, the ``repr``,
+immutability, and how copies and pickles come back. The ``repr`` strings are
+the ones these instances have always printed; a change to any of them is a
+change of output. Every class of ``atomon`` with slots is in the table but
+the one named exemption, so a new stateful type cannot skip the rule."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
-from atomon.coproduct import Cocone, Family, fp_length_set, reduce
-from atomon.core import identity_hom, new_hom
+import atomon
+from atomon.coproduct import Cocone, Family, fp_length_set, fp_union_k, reduce
+from atomon.core import check_property, identity_hom, new_hom, units
 from atomon.errors import ValidationError
 from atomon.fixtures import c2, m31, one
-from atomon.lengths import LengthSystem, eps_finite, power_layers
+from atomon.lengths import LengthSystem, eps_finite, power_layers, union_k
 from atomon.limits import PushoutPresentation, congruence_closure
 from atomon.product import ap_generators
 from atomon.verify import VerifyReport
@@ -20,8 +26,17 @@ from atomon.verify import VerifyReport
 ONE_C2 = Family([one(), c2()])
 C2_C2 = Family([c2(), c2()])
 
-# one instance of each type, built afresh on each call over the shared families
+
+def _used(value, use):
+    use(value)
+    return value
+
+
+# one instance of each type, built afresh on each call over the shared families;
+# the monoid and the family have filled their caches
 BUILD = {
+    "FiniteMonoid": lambda: _used(c2(), lambda m: (union_k(m, 3), check_property(m, "atomic"))),
+    "Family": lambda: _used(Family([c2(), m31()]), lambda fam: fp_union_k(fam, 4)),
     "MonoidHom": lambda: new_hom(c2(), one(), (0, 0)),
     "ReducedWord": lambda: reduce(ONE_C2, [(0, 1), (1, 1)]),
     "Cocone": lambda: Cocone(Family([c2()]), (identity_hom(c2()),)),
@@ -35,6 +50,8 @@ BUILD = {
 
 # the fields of each type in order, and those that == and hash read (None: by identity)
 FIELDS = {
+    "FiniteMonoid": (("names", "table", "identity", "size", "generators", "_memo"), ("names", "table", "identity")),
+    "Family": (("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals", "_pair_sums"), None),
     "MonoidHom": (("source", "target", "map", "atom_preserving"), "all"),
     "ReducedWord": (("family", "letters"), "all"),
     "Cocone": (("family", "homs"), None),
@@ -47,6 +64,8 @@ FIELDS = {
 }
 
 REPRS = {
+    "FiniteMonoid": "FiniteMonoid(size=2, names=('1', 'u'))",
+    "Family": "Family([FiniteMonoid(size=2, names=('1', 'u')), FiniteMonoid(size=4, names=('1', 'g', 'g2', 'g3'))])",
     "MonoidHom": "MonoidHom(FiniteMonoid(size=2, names=('1', 'u')) -> FiniteMonoid(size=3, names=('1', 'a', '0')), "
     "map=(0, 0))",
     "ReducedWord": "ReducedWord(letters=(Letter(mon=0, elem=1), Letter(mon=1, elem=1)))",
@@ -114,14 +133,45 @@ def test_value_type_contract(name):
     for clone in CLONES:
         far = CLONES[clone](value)
         assert type(far) is type(value) and _plain(far) == _plain(value)
-        if "family" not in fields:
-            assert far == value and (not hashable or hash(far) == hash(value))
-        elif clone == "copy":
-            assert far.family is value.family and (far == value) is (compared is not None)
-        else:
-            assert far.family is not value.family and far != value
+        if "family" in fields:
+            assert (far.family is value.family) is (clone == "copy")
+        same = compared is not None and ("family" not in fields or clone == "copy")
+        assert (far == value) is same
+        if same and hashable:
+            assert hash(far) == hash(value)
     if name == "ReducedWord":
         for clone in ("deepcopy", "pickle"):
             with pytest.raises(ValidationError, match="over another family"):
                 fp_length_set(ONE_C2, CLONES[clone](value))
         assert fp_length_set(ONE_C2, copy.copy(value)) == fp_length_set(ONE_C2, value)
+
+
+def test_a_used_monoid_or_family_refuses_the_fields_of_another():
+    m, other = one(), c2()
+    assert units(m) == {0}
+    for field in ("names", "table", "identity", "size", "generators"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, getattr(other, field))
+    assert m == one() and units(m) == {0}
+    fam = Family([c2()])
+    with pytest.raises(AttributeError):
+        fam.members = (one(), one())
+    assert fam.members == (c2(),) and set(fam._letters) == {(0, 0), (0, 1)}
+
+
+# slotted classes outside the table, each with the reason
+EXEMPT = {
+    "EPSet": "its slots are private, its public fields are read-only properties, "
+    "and lengths._make, the hot maker of the EPSet kernel, writes the slots unguarded",
+}
+
+
+def test_every_slotted_class_is_in_the_contract():
+    slotted = set()
+    for info in pkgutil.iter_modules(atomon.__path__):
+        module = importlib.import_module(f"atomon.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and cls.__dict__.get("__slots__"):
+                slotted.add(name)
+    assert EXEMPT.keys() <= slotted
+    assert slotted - EXEMPT.keys() <= BUILD.keys()
