@@ -254,7 +254,7 @@ def _eps_constructors(draw, rng, budget):
 
 
 def _reduction_moves(fam, rng, budget):
-    alphabet = oracles.raw_alphabet(fam)
+    alphabet, eps = oracles.raw_alphabet(fam), fam.eps
     # soundness of single moves, and confluence under random move orders
     for _ in range(150):
         length = rng.randint(0, 5)
@@ -272,7 +272,7 @@ def _reduction_moves(fam, rng, budget):
     # words congruent to eps have only unit letters (exhaustive, length <= 4)
     for length in range(1, 5):
         for raw in itertools.product(alphabet, repeat=length):
-            yield reduce(fam, raw) == fam.eps and not all(
+            yield reduce(fam, raw) == eps and not all(
                 x in units(fam.members[i]) for i, x in raw
             ) and f"non-unit letters in empty-class word {raw}"
 
@@ -288,12 +288,12 @@ def _junction_products(fam, rng, budget):
 
 
 def _recognition(fam, rng, budget):
-    words = list(oracles.reduced_words_upto(fam, 3))
+    words, eps = list(oracles.reduced_words_upto(fam, 3)), fam.eps
     unit_flags = {w: fp_is_unit(fam, w) for w in words}
     non_units = [w for w in words if not unit_flags[w]]
     reducible = {fp_mul(fam, u, v) for u in non_units for v in non_units}
     for w in words:
-        definitional_unit = any(fp_mul(fam, w, v) == fam.eps == fp_mul(fam, v, w) for v in words)
+        definitional_unit = any(fp_mul(fam, w, v) == eps == fp_mul(fam, v, w) for v in words)
         yield unit_flags[w] != definitional_unit and f"unit test disagrees on {word_to_text(fam, w)}"
         definitional_atom = not unit_flags[w] and w not in reducible
         yield fp_is_atom(fam, w) != definitional_atom and f"atom test disagrees on {word_to_text(fam, w)}"
