@@ -30,6 +30,13 @@ element index that is no int in range, and ``_check_monoid`` a monoid that is
 not a ``FiniteMonoid``. ``_arrows`` refuses an arrow argument that is not an
 arrow of AtoMon (an atom-preserving hom between atomic monoids) or does not
 share the ends its construction needs.
+
+Check once, at the boundary. Public functions and constructors check what
+arrives from outside. A value that a construction proves correct from
+checked inputs is built through an unchecked maker instead: ``_rebuild``,
+``coproduct._word``, ``lengths._make``, or ``_hom`` for a hom, which
+computes only ``atom_preserving``. Each such construction names, in its
+docstring, the fact that lets it skip the check.
 """
 
 from __future__ import annotations
@@ -515,6 +522,11 @@ def new_hom(source: FiniteMonoid, target: FiniteMonoid, mapping: Sequence[int]) 
     return MonoidHom(source, target, mapping)
 
 
+def _hom(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> MonoidHom:
+    """The hom with map mp, which the caller has proved to be a hom: built unchecked."""
+    return _rebuild(MonoidHom, (source, target, mp, _preserves_atoms(source, target, mp)))
+
+
 def _preserves_atoms(source: FiniteMonoid, target: FiniteMonoid, mp: tuple[int, ...]) -> bool:
     """Whether mp sends every atom of the source to an atom of the target."""
     return atoms(target).issuperset(map(mp.__getitem__, atoms(source)))
@@ -546,15 +558,15 @@ def _first_nonmultiplicative(source: FiniteMonoid, target: FiniteMonoid, mp: tup
 
 def identity_hom(m: FiniteMonoid) -> MonoidHom:
     _check_monoid(m)
-    return new_hom(m, m, tuple(range(m.size)))
+    return _hom(m, m, tuple(range(m.size)))
 
 
 def compose(g: MonoidHom, f: MonoidHom) -> MonoidHom:
-    """g after f."""
+    """g after f, built unchecked: a composite of homs is a hom."""
     _check_type((g, f), MonoidHom, "hom", "a MonoidHom")
     if f.target != g.source:
         raise ValidationError("homs do not compose")
-    return new_hom(f.source, g.target, tuple(g.map[v] for v in f.map))
+    return _hom(f.source, g.target, tuple(g.map[v] for v in f.map))
 
 
 def _arrows(homs, *shared: str) -> tuple[MonoidHom, ...]:
@@ -596,13 +608,17 @@ def initial() -> FiniteMonoid:
 
 
 def canonical_to_terminal(m: FiniteMonoid) -> MonoidHom:
-    """The unique atom-preserving hom into the terminal monoid, by element class."""
+    """The unique atom-preserving hom into the terminal monoid, by element
+    class, built unchecked: the class map of an atomic monoid into {1, a, 0}
+    multiplies as 1, a and 0 do. A unit times a unit is a unit, a unit times
+    an atom is an atom, and any other product of two non-units is reducible,
+    since the non-units form an ideal (see ``units``)."""
     _check_monoid(m)
     if not check_property(m, "atomic"):
         raise NotAtomicError("canonical map to the terminal object needs an atomic source")
     target = terminal()
     tag_to_index = {ElemClass.UNIT: 0, ElemClass.ATOM: 1, ElemClass.REDUCIBLE: 2}
-    return new_hom(m, target, tuple(tag_to_index[classify(m, x)] for x in range(m.size)))
+    return _hom(m, target, tuple(tag_to_index[classify(m, x)] for x in range(m.size)))
 
 
 def eval_word(m: FiniteMonoid, word: Sequence[int]) -> int:

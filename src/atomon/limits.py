@@ -6,12 +6,14 @@ Every arrow argument must be an AtoMon arrow, an atom-preserving hom between
 atomic monoids; ``core._arrows`` checks it, and the shared ends, before
 anything is built.
 
-``Congruence`` and ``PushoutPresentation`` check themselves when built. A
-congruence is stored in canonical form, each element led by the least
-element of its class, and is checked to be compatible with multiplication;
-``quotient`` takes only a congruence on the monoid it is given. A pushout
-presentation stores each relation side reduced, so rewriting in
-``pushout_eq_bounded`` needs only junction products."""
+``Congruence`` and ``PushoutPresentation`` check themselves when built
+from outside input; the constructions here build them unchecked, through
+``core._rebuild``, each from a fact its docstring names. A congruence is
+stored in canonical form, each element led by the least element of its
+class, and is compatible with multiplication; ``quotient`` takes only a
+congruence on the monoid it is given. A pushout presentation stores each
+relation side reduced, so rewriting in ``pushout_eq_bounded`` needs only
+junction products."""
 
 from __future__ import annotations
 
@@ -29,10 +31,10 @@ from .core import (
     _check_indices,
     _check_monoid,
     _check_pairs,
+    _hom,
+    _rebuild,
     _sequence,
     _tabulate,
-    check_property,
-    new_hom,
 )
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _join, reduce
 from .errors import ValidationError
@@ -44,13 +46,14 @@ def equalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
     read back onto it, so it keeps the source's order and names: the
     submonoid generated by the agreeing atoms and units, with its inclusion.
     Strictly smaller than the plain-monoid equalizer in general: agreeing
-    elements outside that closure are left out."""
+    elements outside that closure are left out. The inclusion is built
+    unchecked: it is the leg of ``_limit``, read back onto the source."""
     _arrows((f, g), "source", "target")
     h = f.source
     _, (inclusion,) = _limit((h,), lambda x: f.map[x] == g.map[x])
     elements = sorted(inclusion.map)
     sub = _tabulate(elements, h.mul, [h.names[x] for x in elements], h.identity)
-    return sub, new_hom(sub, h, tuple(elements))
+    return sub, _hom(sub, h, tuple(elements))
 
 
 def pullback(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom, MonoidHom]:
@@ -104,8 +107,13 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
 
     Union-find with a worklist: merging x and y enqueues only the translates
     (g·x, g·y) and (x·g, y·g) by the generators g of m, which suffices because
-    they generate m and the table is associative. The result is checked
-    again by ``Congruence``.
+    they generate m and the table is associative.
+
+    The result is built unchecked. It is canonical: the root of each class
+    is its least element, since a merge keeps the smaller root. It is a
+    congruence: the classes are the equivalence closure of the merged pairs,
+    and each merge enqueues its generator translates, so once the queue is
+    empty a translate by a generator sends each class into one class.
     """
     _check_monoid(m)
     n = m.size
@@ -137,12 +145,14 @@ def congruence_closure(m: FiniteMonoid, pairs: Iterable[tuple[int, int]]) -> Con
         for g in gens:
             queue.append((tab[g][x], tab[g][y]))
             queue.append((row_x[g], row_y[g]))
-    return Congruence(m, tuple(find(x) for x in range(n)))
+    return _rebuild(Congruence, (m, tuple(find(x) for x in range(n))))
 
 
 def quotient(m: FiniteMonoid, cong: Congruence) -> tuple[FiniteMonoid, MonoidHom]:
     """Quotient table of a congruence, with the canonical projection. The
-    classes are indexed in the order of their leaders, and named after them."""
+    classes are indexed in the order of their leaders, and named after them.
+    The projection is built unchecked: ``cong`` is a congruence, so the
+    class of a product is the product of the classes."""
     _check_monoid(m)
     if not isinstance(cong, Congruence):
         raise ValidationError(f"{cong!r} is not a Congruence")
@@ -152,23 +162,34 @@ def quotient(m: FiniteMonoid, cong: Congruence) -> tuple[FiniteMonoid, MonoidHom
     reps = sorted(set(leader))
     q_monoid = _tabulate(reps, lambda x, y: leader[tab[x][y]], [m.names[r] for r in reps], leader[m.identity])
     index = {r: i for i, r in enumerate(reps)}
-    return q_monoid, new_hom(m, q_monoid, tuple(index[x] for x in leader))
+    return q_monoid, _hom(m, q_monoid, tuple(index[x] for x in leader))
 
 
 def coequalizer(f: MonoidHom, g: MonoidHom) -> tuple[FiniteMonoid, MonoidHom]:
-    """Quotient of the common target by the congruence generated by the
-    pairs (f(h), g(h)). The quotient is checked to be atomic with an
-    atom-preserving projection; a failure here would contradict the theory
-    and raises."""
+    """Quotient of the common target K by the congruence ~ generated by the
+    pairs (f(h), g(h)). This is the plain-monoid coequalizer, and it lies in
+    AtoMon, so nothing is checked:
+
+    1. The seed pairs pair unit with unit, atom with atom and reducible with
+       reducible. A hom sends a unit to a unit, f and g send an atom to an
+       atom, and a reducible h is a product of at least two atoms, the
+       source being atomic, so f(h) and g(h) are products of two non-units.
+    2. A two-sided translate keeps that pairing. Unit factors do not change
+       a class, and a product with two non-unit factors is reducible, since
+       the non-units form an ideal (see ``core.units``). So the class of
+       u·x·v is fixed by the classes of u, x and v.
+    3. So the partition of K into units, atoms and reducibles is a
+       congruence holding the seed pairs, and ~, the least one, never joins
+       two classes. A class [x] is a unit exactly when x is, since x·y ~ 1
+       makes x·y, and with it x, a unit; [a] is an atom for every atom a,
+       since a ~ p·q with p, q non-units would join two classes; and every
+       other non-unit class is a product of such [a], K being atomic. So
+       K/~ is atomic and the projection preserves atoms.
+    """
     _arrows((f, g), "source", "target")
     k = f.target
     cong = congruence_closure(k, [(f.map[h], g.map[h]) for h in range(f.source.size)])
-    q_monoid, proj = quotient(k, cong)
-    if not check_property(q_monoid, "atomic"):
-        raise ValidationError("coequalizer quotient is unexpectedly non-atomic")
-    if not proj.atom_preserving:
-        raise ValidationError("coequalizer projection unexpectedly fails to preserve atoms")
-    return q_monoid, proj
+    return quotient(k, cong)
 
 
 class PushoutPresentation(_Value):
@@ -192,13 +213,16 @@ class PushoutPresentation(_Value):
 
 
 def pushout_presentation(f: MonoidHom, g: MonoidHom) -> PushoutPresentation:
+    """The presentation, built unchecked: each side is one canonical letter,
+    a reduced word, or the empty word where that letter is an identity."""
     _arrows((f, g), "source")
     family = Family([f.target, g.target])
+    letters = family._letters
     pairs = tuple(
-        ((Letter(0, f.map[l]),), (Letter(1, g.map[l]),))
+        tuple(() if lt in family._identities else (lt,) for lt in (letters[0, f.map[l]], letters[1, g.map[l]]))
         for l in range(f.source.size)
     )
-    return PushoutPresentation(family, pairs)
+    return _rebuild(PushoutPresentation, (family, pairs))
 
 
 class Reachability(enum.Enum):

@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _arrows, _check_count, _check_indices, _closure, _sequence, _tabulate, atoms
-from .core import _Value, new_hom, units
+from .core import _hom, _Value, units
 from .coproduct import Family, _check_family
 from .errors import NotInProductError, ValidationError
 from .lengths import (
@@ -98,6 +98,13 @@ def _limit(
     Elements are indexed in breadth-first discovery order from the identity
     tuple over the sorted generators and named "(x1,...,xk)". Raises
     CapExceededError once more than ``cap`` elements are found.
+
+    The legs are built unchecked. A leg is a projection of a submonoid of
+    the direct product, so it is a hom. It preserves atoms. An atom x of the
+    apex is a product of generators with exactly one atom tuple: with none
+    it would be a unit, and with two it would split into two non-units. So
+    x = u·a·u′ for an atom tuple a and unit tuples u and u′, and each
+    component of x is a unit times an atom times a unit, an atom.
     """
     def mul(s: TupleElem, t: TupleElem) -> TupleElem:
         return tuple(m.mul(x, y) for m, x, y in zip(objects, s, t))
@@ -108,7 +115,7 @@ def _limit(
     elements = list(found)
     names = ["(" + ",".join(m.names[x] for m, x in zip(objects, t)) + ")" for t in elements]
     apex = _tabulate(elements, mul, names, elements[0])
-    return apex, tuple(new_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(objects))
+    return apex, tuple(_hom(apex, m, tuple(t[i] for t in elements)) for i, m in enumerate(objects))
 
 
 def ap_materialize(family: Family, cap: int) -> tuple[FiniteMonoid, tuple[MonoidHom, ...]]:

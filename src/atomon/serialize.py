@@ -59,7 +59,7 @@ def _load_json(path: str | Path) -> dict:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal of more digits than int() reads
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
@@ -127,7 +127,8 @@ def parse_element(m: FiniteMonoid, name: str) -> int:
         raise ParseError(f"no element named {name!r}") from None
 
 
-_LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>[0-9]+)\)$")
+# a member index has at most nine digits: int() refuses a string of over 4300
+_LETTER_RE = re.compile(r"^\((?P<name>.+)@(?P<mon>[0-9]{1,9})\)$")
 
 
 def word_to_text(family: Family, w: ReducedWord) -> str:

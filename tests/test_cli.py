@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import atomon
 from atomon.cli import build_parser, main
 from atomon.errors import ParseError, ValidationError
-from atomon.fixtures import c2, h2, one, zero
+from atomon.core import enumerate_homs
+from atomon.fixtures import c2, h2, one, sl2, zero
 from atomon.serialize import monoid_to_json
 from atomon.verify import cmd_verify
 
@@ -299,7 +305,7 @@ def test_every_leaf_has_one_handler_and_runs(files, capsys):
         ("limits", "pushout-eq"): [id_one, id_one, "(a@0)", "(a@1)", "--depth", "1"],
         ("verify",): ["--suite", "length-oracle"],
     }
-    assert set(argv) == set(leaves)
+    assert set(argv) == set(leaves) == set(FUZZ_LEAVES)
     for path, args in argv.items():
         assert run(capsys, *path, *args)[0] == 0, path
         code, out = run(capsys, *path, *args, "--json")
@@ -402,3 +408,153 @@ def test_a_closed_stdout_ends_without_a_traceback():
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+# The CLI input fuzzer: every leaf command, run in-process on malformed
+# monoid, family and hom files and malformed literals, must end with exit 0
+# and an answer, or with exit 1 and exactly one error line: never with a
+# traceback. Each command lists the kinds of its arguments.
+FUZZ_LEAVES = {
+    ("validate",): ["monoid"],
+    ("analyze",): ["monoid"],
+    ("lengthset",): ["monoid", "element", "--bound"],
+    ("unions",): ["monoid", "count"],
+    ("coproduct", "reduce"): ["family", "word"],
+    ("coproduct", "mul"): ["family", "word", "word"],
+    ("coproduct", "atom"): ["family", "word"],
+    ("coproduct", "lengthset"): ["family", "word", "--bound"],
+    ("coproduct", "unionk"): ["family", "count"],
+    ("coproduct", "system"): ["family", "count"],
+    ("product", "contains"): ["family", "tuple"],
+    ("product", "lengthset"): ["family", "tuple"],
+    ("product", "system"): ["family", "--nonzero"],
+    ("product", "unionk"): ["family", "count"],
+    ("product", "materialize"): ["family", "--cap"],
+    ("limits", "terminal"): [],
+    ("limits", "initial"): [],
+    ("limits", "equalizer"): ["hom", "hom"],
+    ("limits", "pullback"): ["hom", "hom"],
+    ("limits", "coequalizer"): ["hom", "hom"],
+    ("limits", "pushout-present"): ["hom", "hom"],
+    ("limits", "pushout-eq"): ["hom", "hom", "word", "word", "--depth"],
+    ("verify",): ["--suite", "--seed", "--budget"],
+}
+FUZZ_FIXTURES = {"one": one(), "c2": c2(), "h2": h2(), "zero": zero(), "sl2": sl2()}
+FUZZ_MONOIDS = {name: monoid_to_json(m) for name, m in FUZZ_FIXTURES.items()}
+FUZZ_HOMS = {  # the maps of every hom between two fixtures, by their ends
+    (s, t): [list(h.map) for h in enumerate_homs(FUZZ_FIXTURES[s], FUZZ_FIXTURES[t], atom_preserving_only=False)]
+    for s, t in (("one", "h2"), ("h2", "one"), ("one", "one"), ("c2", "c2"), ("zero", "one"), ("c2", "sl2"))
+}
+HUGE = "9" * 5000  # past the digits int() reads from a string
+FIELDS = ["names", "table", "identity", "members", "source", "target", "map"]
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text("1au0b@", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=3),
+    max_leaves=5,
+)
+RAW_FILES = ['{"names": ["1"], "identity": ' + HUGE + ', "table": [[0]]}', "", "{", "[" * 5000, "\udc80"]
+NAMES = ["1", "a", "b", "0", "u", "e", "(1,a)"]
+LETTERS = [f"(a@{HUGE})", "(a@2)", "(a@-1)", "(zz@0)", "(a@0.0)", "(@0)", "a@0", "(a@0", "", "eps"]
+LETTERS += [f"({x}@{i})" for x in NAMES[:5] for i in (0, 1)]
+
+
+@st.composite
+def fuzz_file(draw, kind: str, spoil: bool, ends=None):
+    """The name of a file of ``kind`` and the writes that make it: a monoid
+    named ``ends``, or a hom with the two ``ends``, when given. A file left
+    whole names only whole files. A spoiled one has a field, an entry or a
+    key spoiled, is a JSON value of the wrong shape, a raw text that is no
+    JSON, or missing, or names one spoiled file."""
+    name = f"{kind}{draw(st.integers(0, 10**6))}.json"
+    how = draw(st.sampled_from(["raw", "junk", "missing", "value", "entry", "drop", "inner"])) if spoil else None
+    if how == "missing":
+        return name, []
+    if how in ("junk", "raw"):
+        return name, [(name, json.dumps(draw(JUNK)) if how == "junk" else draw(st.sampled_from(RAW_FILES)))]
+    if kind == "monoid":
+        doc, writes = json.loads(json.dumps(FUZZ_MONOIDS[ends or draw(st.sampled_from(sorted(FUZZ_MONOIDS)))])), []
+        how = "value" if how == "inner" else how
+    else:
+        members = [None] * draw(st.integers(1, 3)) if kind == "family" else ends
+        inner = draw(st.integers(0, len(members) - 1)) if how == "inner" else None
+        files = [draw(fuzz_file("monoid", i == inner, end)) for i, end in enumerate(members)]
+        writes = [w for _, ws in files for w in ws]
+        names = [file for file, _ in files]
+        doc = {"members": names} if kind == "family" else {"source": names[0], "target": names[1]}
+        if kind == "hom":
+            doc["map"] = draw(st.sampled_from(FUZZ_HOMS[ends]))
+    field = draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[field]
+    elif how == "entry" and isinstance(doc[field], list):
+        items = doc[field][draw(st.integers(0, len(doc[field]) - 1))] if field == "table" else doc[field]
+        items[draw(st.integers(0, len(items) - 1))] = draw(JUNK)
+    elif how in ("value", "entry"):
+        doc[field] = draw(JUNK)
+    return name, writes + [(name, json.dumps(doc))]
+
+
+def fuzz_literal(kind: str):
+    if kind == "element":
+        return st.sampled_from(NAMES) | st.text("1au0b@(),", max_size=4)
+    if kind == "word":
+        return st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3).map("*".join)
+    parts = st.lists(st.sampled_from(NAMES) | st.text("1au0,", max_size=2), max_size=3).map(",".join)
+    return parts.map("({})".format) | parts
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A leaf command's argv and the files it reads."""
+    path = draw(st.sampled_from(sorted(FUZZ_LEAVES)))
+    argv, writes = list(path), []
+    spoiled = draw(st.sampled_from([0, 1, None]))  # the one file argument spoiled, if any
+    ends = draw(st.sampled_from(sorted(FUZZ_HOMS)))  # both homs of a run share their ends
+    files = 0
+    for kind in FUZZ_LEAVES[path]:
+        if kind in ("monoid", "family", "hom"):
+            name, ws = draw(fuzz_file(kind, files == spoiled, ends if kind == "hom" else None))
+            argv.append(name)
+            writes += ws
+            files += 1
+        elif kind == "count":
+            argv.append(str(draw(st.integers(-2, 6))))
+        elif kind == "--nonzero":
+            argv += draw(st.sampled_from([[], [kind]]))
+        elif kind == "--suite":
+            argv += [kind, draw(st.sampled_from(["terminal-uniqueness", "nope", ""]))]
+        elif kind.startswith("--"):
+            argv += draw(st.sampled_from([[], [kind, str(draw(st.integers(-2, 6)))]]))
+        else:
+            argv.append(draw(fuzz_literal(kind)))
+    return argv + draw(st.sampled_from([[], ["--json"]])), writes
+
+
+def test_an_int_past_the_digit_limit_is_a_parse_error(files, tmp_path, capsys):
+    # int() refuses a string of more than 4300 digits with a ValueError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"names": ["1"], "identity": ' + HUGE + ', "table": [[0]]}')
+    assert main(["validate", str(huge)]) == 1
+    assert "invalid JSON" in _one_error_line(capsys, huge)
+    assert main(["coproduct", "reduce", files["fam"], f"(a@{HUGE})"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad letter")
+
+
+@settings(max_examples=200, derandomize=True)
+@given(fuzz_runs())
+def test_malformed_input_ends_in_an_answer_or_one_error_line(run_spec):
+    argv, writes = run_spec
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in writes:
+            Path(tmp, name).write_text(text, encoding="utf-8", errors="surrogateescape")
+        argv = [str(Path(tmp, a)) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue(), argv
+        if "--json" in argv:
+            json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -97,6 +97,45 @@ def test_a_dead_helper_is_caught():
     assert {name for name in _private(trees[0]) if name not in _read_anywhere(trees)} == {"_b", "_dead", "_Gone"}
 
 
+# Check once, at the boundary (see the core docstring): only the modules that
+# read outside input or check the library from outside build through a
+# checked constructor. The one other call is the public wrapper of MonoidHom.
+CHECKED = {"new_hom", "MonoidHom", "Congruence", "PushoutPresentation"}
+BOUNDARY = {"serialize", "verify", "oracles", "fixtures"}
+WRAPPER = ("core", "new_hom", "MonoidHom")
+
+
+def _checked_calls(node, scope: str = "<module>"):
+    """(function, constructor, line) for each call of a name in CHECKED,
+    plain or as an attribute, the function being the innermost def around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = child.func.attr if isinstance(child.func, ast.Attribute) else getattr(child.func, "id", None)
+            if callee in CHECKED:
+                yield scope, callee, child.lineno
+        yield from _checked_calls(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def test_only_the_boundary_calls_a_checked_constructor():
+    calls = [
+        f"{path.stem}.{scope} calls {callee} at line {line}"
+        for path in PACKAGE
+        if path.stem not in BOUNDARY
+        for scope, callee, line in _checked_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, scope, callee) != WRAPPER
+    ]
+    assert not calls, f"a construction builds through a checked constructor: {calls}"
+
+
+def test_a_checked_build_is_caught():
+    source = "def new_hom(s, t, m):\n    return MonoidHom(s, t, m)\n\ndef quotient(m, c):\n    return m, core.new_hom(m, m, c)\n\nC = Congruence(m, ())\n"
+    assert list(_checked_calls(ast.parse(source))) == [
+        ("new_hom", "MonoidHom", 2),
+        ("quotient", "new_hom", 5),
+        ("<module>", "Congruence", 7),
+    ]
+
+
 VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")
 
 

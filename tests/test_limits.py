@@ -532,3 +532,39 @@ def test_the_limits_match_their_tuple_pickers_by_hand():
         assert _drawn(*ap_materialize(Family(pair), cap)) == _drawn(*_product_by_hand(pair, cap))
         built += 1
     assert built == 1268
+
+
+def test_the_unchecked_builds_pass_the_checked_constructors():
+    # every hom, congruence and presentation that a construction builds
+    # unchecked is what the checked constructor builds from the same fields,
+    # and every coequalizer keeps the class of each element (its docstring)
+    objects = [*atomic_fixtures().values(), cyclic(3, 4), cyclic(5, 3), cyclic(2, 6)]
+    homs = {(a, b): list(enumerate_homs(a, b)) for a, b in itertools.product(objects, repeat=2)}
+    built = [identity_hom(m) for m in objects] + [canonical_to_terminal(m) for m in objects]
+    built += [compose(g, f) for (a, b), fs in homs.items() for c in objects for f in fs for g in homs[b, c]]
+    for pair in itertools.product(objects, repeat=2):
+        built += ap_materialize(Family(pair), pair[0].size * pair[1].size)[1]
+    coequalizers = spans = 0
+    for (a, k), parallel in homs.items():
+        for f, g in itertools.product(parallel, repeat=2):
+            coequalizers += 1
+            built += equalizer(f, g)[1:]
+            q_monoid, q = coequalizer(f, g)
+            assert check_property(q_monoid, "atomic") and q.atom_preserving
+            assert all(classify(k, x) is classify(q_monoid, q.map[x]) for x in range(k.size))
+            built.append(q)
+        for (b, c), others in homs.items():
+            for f, g in itertools.product(parallel, others):
+                if c == k:
+                    built += pullback(f, g)[1:]
+                if b == a:
+                    p = pushout_presentation(f, g)
+                    assert p == PushoutPresentation(p.family, p.relation_pairs)
+                    spans += 1
+    for m in objects:
+        for seeds in [[]] + [[pair] for pair in itertools.combinations(range(m.size), 2)]:
+            cong = congruence_closure(m, seeds)
+            assert cong == Congruence(m, cong.leader)
+            built.append(quotient(m, cong)[1])
+    assert all(h == new_hom(h.source, h.target, h.map) for h in built)
+    assert (len(built), coequalizers, spans) == (2659, 119, 489)
