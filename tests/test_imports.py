@@ -9,7 +9,8 @@ function, class or constant) must be read somewhere in the package, as a
 name or as an attribute. A deletion that leaves its imports or its helpers
 behind fails here. ``from __future__`` imports bind nothing and are
 skipped, and so is ``__init__``, whose imports are the package's public
-names.
+names. The same reading finds every call of a checked constructor: only the
+boundary modules make one.
 
 The import boundary is read in a fresh interpreter, since the test process
 has loaded every module already.
