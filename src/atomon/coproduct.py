@@ -27,8 +27,8 @@ import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _Value, _arrows, _check_count, _check_indices, _check_pairs, _sequence
-from .core import atoms, check_property, units
-from .errors import NotAtomicError, ValidationError
+from .core import _search_budget, atoms, check_property, units
+from .errors import NotAtomicError, SearchBudgetExceededError, ValidationError
 from .lengths import (
     EMPTY,
     ZERO_ONLY,
@@ -375,11 +375,16 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     pair: each totals[s] + U(j-s) goes through ``_sum_once`` (a new pair
     through ``eps_sum_many``), and each row folds only its distinct sums.
     The U_i repeat and the rows settle, so (one, m31, c2) at K = 48 makes
-    1,128 lookups and 3 sums.
+    1,128 lookups and 3 sums. Before any work, the rows still to build are
+    charged their lookups, j - 1 for row j, against the search budget.
     """
     _check_family(family)
     _check_count(k, "k")
     pooled, totals = family._pooled, family._totals
+    if k >= len(totals):  # rows 0..done made done(done-1)/2 lookups
+        limit, done = _search_budget(None), max(len(totals) - 1, 0)
+        if (k * (k - 1) - done * (done - 1)) // 2 > limit:
+            raise SearchBudgetExceededError(limit)
     add = functools.partial(_sum_once, family, lambda a, b: eps_sum_many((a, b)))
     for j in range(len(totals), k + 1):
         pooled_j = functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY)

@@ -46,6 +46,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Mapping, Set
 import operator
+import os
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -59,6 +60,7 @@ from .errors import (
     NotAtomPreservingError,
     NotIdentityPreservingError,
     NotMultiplicativeError,
+    ParseError,
     SourceMismatchError,
     TargetMismatchError,
     ValidationError,
@@ -66,6 +68,7 @@ from .errors import (
 
 PROPERTIES = ("atomic", "dedekind_finite", "acyclic", "unit_cancellative", "cancellative")
 _LAWS = ("acyclic", "unit_cancellative", "cancellative")  # cancellation laws, see check_property
+DEFAULT_SEARCH_BUDGET = 250_000
 
 
 class _Value:
@@ -120,7 +123,8 @@ class FiniteMonoid(_Value):
     (associativity and hom checks, hom search, congruence closure) work over G
     instead of over all elements. ``_memo`` is the per-instance cache, a dict
     filled on first use under the keys "units", "atoms", "atomic", "lengths"
-    (the length-set table) and "unions" (the U_k table, see ``lengths``).
+    (the length-set table) and "unions" (the U_k table, see ``lengths``). No
+    value is None, so a reader finds a hit with one ``get``.
 
     Associativity is decided by Light's test over G:
     (x·g)·y = x·(g·y) for all x, y and every g in G. The elements g passing it
@@ -136,9 +140,9 @@ class FiniteMonoid(_Value):
     generate is the whole table counted, to rank the other candidates. Then
     come the |G| Light rows, each comparing n pairs of rows. Only the
     identity column and the generator columns are built, and a failed check
-    scans for its culprit only then. A non-associative table adds a few more
-    column passes and Python work set by the size of the fault (see
-    ``_first_nonassociative``).
+    scans for its culprit only then. A non-associative table adds one C pass
+    over the suspect rows of each closure step by a generator that fails,
+    and Python work set by the size of the fault (see ``_first_nonassociative``).
     """
 
     __slots__ = ("names", "table", "identity", "size", "generators", "_memo")
@@ -238,6 +242,21 @@ def _check_count(value, what: str, least: int = 0) -> None:
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValidationError(f"{what} must be {bound}, not {value}")
+
+
+def _search_budget(budget: int | None) -> int:
+    """The bound on a search's work: ``budget``, a count, or if it is None
+    the environment's ATOMON_BUDGET, or else DEFAULT_SEARCH_BUDGET."""
+    if budget is None:
+        env = os.environ.get("ATOMON_BUDGET") or str(DEFAULT_SEARCH_BUDGET)
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(f"ATOMON_BUDGET must be an integer, not {env!r}") from None
+        if budget < 0:
+            raise ParseError(f"ATOMON_BUDGET must be non-negative, not {env!r}")
+    _check_count(budget, "search budget")
+    return budget
 
 
 def _sequence(values, message: str) -> tuple:
@@ -352,33 +371,29 @@ def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[li
     L_(i·j) = L_((i·j1)·g) = L_(i·j1)∘L_g = L_i∘L_j1∘L_g = L_i∘L_j, provided
     ``good`` holds at (i·j1, g) and at (j1, g).
 
-    Let B_g be the x where ``good`` fails for g. Each x in B_g is a failing
-    row. So is each row i with i·j1 in B_g for some j1 outside B_g: were row
-    i associative, the same chain would give L_((i·j1)·g) = L_(i·j1)∘L_g.
-    Any other row can fail only at the steps j = j1·g with j1 in B_g, and
-    those few steps are compared for all rows at once, as whole columns,
-    the way ``good`` is built. This finds the first failing row i in C
-    passes over the table. Row i then walks the certificate and compares
-    only the j it cannot certify, so the Python work is set by the size of
-    the fault, not by n².
+    Let B_g be the x where ``good`` fails for g. One rule picks the rows to
+    check. If row i fails, take its first failing step j = j1·g in closure
+    order: row i holds at j1, so by the chain j1 or i·j1 lies in B_g. So at
+    each step j = j1·g with B_g non-empty, the suspects are every row if j1
+    is in B_g, else the rows i with i·j1 in B_g (a row x of B_g is one at the
+    step j = g, where x·1 = x). Each step compares its suspects below the
+    first failing row found so far in one C pass, the way ``good`` is built.
+    Every failing row is a suspect at its first failing step, so the last
+    row found is the first failing row.
+    Row i then walks the certificate and compares only the j it cannot
+    certify, so the Python work is set by the size of the fault, not by n².
     """
     n = len(tab)
     bad = [set(itertools.compress(range(n), map(operator.not_, row))) for row in good]
-    every_bad = set().union(*bad)
     steps = _closure_steps(tab, identity, gens)
-    first = min(every_bad)
+    first = n
     for j, j1, p in steps:
-        if j1 in bad[p]:
-            fails = map(operator.not_, _holds_at(tab, tab[:first], j))
-            first = next(itertools.compress(itertools.count(), fails), first)
-    for i, row_i in enumerate(tab[:first]):
-        if not every_bad.isdisjoint(row_i) and any(
-            row_i[j1] in bad_g and j1 not in bad_g
-            for j1 in itertools.compress(range(n), map(every_bad.__contains__, row_i))
-            for bad_g in bad
-        ):
-            first = i
-            break
+        if bad[p]:
+            suspects = range(first)
+            if j1 not in bad[p]:  # only the rows i with i·j1 in B_g
+                suspects = list(itertools.compress(suspects, map(bad[p].__contains__, map(itemgetter(j1), tab))))
+            fails = map(operator.not_, _holds_at(tab, list(map(tab.__getitem__, suspects)), j))
+            first = next(itertools.compress(suspects, fails), first)
 
     def holds(row_i, j) -> bool:  # (i·j)·k == i·(j·k) for every k
         return tab[row_i[j]] == tuple(map(row_i.__getitem__, tab[j]))
@@ -416,11 +431,11 @@ def units(m: FiniteMonoid) -> frozenset[int]:
     product, so the units are the products of unit generators. O(n·|G|).
     """
     _check_monoid(m)
-    if "units" not in m._memo:
+    if (us := m._memo.get("units")) is None:
         found = {m.identity: None}
         _closure([m.identity], [g for g in m.generators if m.identity in m.table[g]], m.mul, found)
-        m._memo["units"] = frozenset(found)
-    return m._memo["units"]
+        us = m._memo["units"] = frozenset(found)
+    return us
 
 
 def atoms(m: FiniteMonoid) -> frozenset[int]:
@@ -431,13 +446,13 @@ def atoms(m: FiniteMonoid) -> frozenset[int]:
     as g1·…·gk and split x·y at the first gi that is not a unit.
     """
     _check_monoid(m)
-    if "atoms" not in m._memo:
+    if (ats := m._memo.get("atoms")) is None:
         us = units(m)
         non_units = [x for x in range(m.size) if x not in us]
         reducible = dict.fromkeys(m.table[x][g] for g in m.generators if g not in us for x in non_units)
         _closure(list(reducible), m.generators, m.mul, reducible)
-        m._memo["atoms"] = frozenset(x for x in non_units if x not in reducible)
-    return m._memo["atoms"]
+        ats = m._memo["atoms"] = frozenset(x for x in non_units if x not in reducible)
+    return ats
 
 
 def _atom_closure(m: FiniteMonoid) -> frozenset[int]:
@@ -464,10 +479,10 @@ def check_property(m: FiniteMonoid, prop: str) -> bool:
     """
     _check_monoid(m)
     if prop == "atomic":
-        if "atomic" not in m._memo:
+        if (atomic := m._memo.get("atomic")) is None:
             us, covered = units(m), _atom_closure(m)
-            m._memo["atomic"] = all(x in covered for x in range(m.size) if x not in us)
-        return m._memo["atomic"]
+            atomic = m._memo["atomic"] = all(x in covered for x in range(m.size) if x not in us)
+        return atomic
     if prop == "dedekind_finite":
         return True
     if prop in _LAWS:

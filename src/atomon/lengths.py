@@ -394,7 +394,7 @@ def _length_table(m: FiniteMonoid) -> tuple[tuple[EPSet, ...], int, int]:
     Every set is decoded with the same T and p, so membership of each n >= T
     repeats with period p in all of them.
     """
-    if "lengths" not in m._memo:
+    if (table := m._memo.get("lengths")) is None:
         seq = power_layers(m)
         masks = [0] * m.size
         masks[m.identity] = 1
@@ -402,8 +402,8 @@ def _length_table(m: FiniteMonoid) -> tuple[tuple[EPSet, ...], int, int]:
             for x in layer:
                 masks[x] |= 1 << k
         decoded = {mask: _normalize(mask, seq.preperiod, seq.period) for mask in set(masks)}
-        m._memo["lengths"] = (tuple(map(decoded.__getitem__, masks)), seq.preperiod, seq.period)
-    return m._memo["lengths"]
+        table = m._memo["lengths"] = (tuple(map(decoded.__getitem__, masks)), seq.preperiod, seq.period)
+    return table
 
 
 def length_set(m: FiniteMonoid, x: int) -> EPSet:
@@ -474,8 +474,8 @@ def union_k(m: FiniteMonoid, k: int) -> EPSet:
     _check_count(k, "k")
     _check_monoid(m)
     sets, threshold, period = _length_table(m)
-    if "unions" not in m._memo:
-        m._memo["unions"] = _union_table(sets, threshold, period)
+    if (unions := m._memo.get("unions")) is None:
+        unions = m._memo["unions"] = _union_table(sets, threshold, period)
     if k >= threshold + period:
         k = threshold + (k - threshold) % period
-    return m._memo["unions"][k]
+    return unions[k]

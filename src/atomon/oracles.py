@@ -22,18 +22,14 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import os
 from typing import Callable, Iterator, Sequence
 
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _is_unit_letter, _join
 from .coproduct import fp_is_unit, gamma_admissible
-from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, atoms, units
-from .errors import ParseError, SearchBudgetExceededError, ValidationError
+from .core import FiniteMonoid, _check_count, _check_indices, _check_monoid, _search_budget, atoms, units
+from .errors import SearchBudgetExceededError, ValidationError
 from .lengths import EMPTY, ZERO_ONLY, eps_intersect, eps_sum_many, eps_union, length_system, union_k
 from .serialize import eps_to_json
-
-DEFAULT_SEARCH_BUDGET = 250_000
-
 
 # ---------------------------------------------------------------------------
 # per-monoid arithmetic
@@ -230,22 +226,6 @@ def _reduced_words(family: Family, max_len: int) -> Iterator[ReducedWord]:
         current = nxt
 
 
-def _search_budget(budget: int | None) -> int:
-    if budget is not None:
-        _check_count(budget, "search budget")
-        return budget
-    env = os.environ.get("ATOMON_BUDGET")
-    if not env:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        raise ParseError(f"ATOMON_BUDGET must be an integer, not {env!r}") from None
-    if value < 0:
-        raise ParseError(f"ATOMON_BUDGET must be non-negative, not {env!r}")
-    return value
-
-
 def _candidate_atoms(family: Family, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
     # unit decorations: contiguous all-unit subwords of w, plus single units
     decorations: set[tuple[Letter, ...]] = {()}
@@ -271,10 +251,6 @@ def _candidate_atoms(family: Family, letters: tuple[Letter, ...]) -> list[tuple[
     return sorted(pool)
 
 
-def _left_divides(m: FiniteMonoid, x: int, y: int) -> bool:
-    return any(m.mul(x, z) == y for z in range(m.size))
-
-
 def _can_extend_to(family: Family, state: tuple[Letter, ...], target: tuple[Letter, ...], pad: int) -> bool:
     """Prune states that provably cannot reach the target by further right
     multiplication: letters before the last non-unit letter are frozen, and
@@ -296,7 +272,7 @@ def _can_extend_to(family: Family, state: tuple[Letter, ...], target: tuple[Lett
     si, sx = state[last_nu]
     if si != ti or _is_unit_letter(family, target[last_nu]):
         return False
-    return sx == tx or _left_divides(family.members[si], sx, tx)
+    return tx in family.members[si].table[sx]  # some z has sx·z = tx, z = 1 when sx = tx
 
 
 def fp_brute_force_lengths(

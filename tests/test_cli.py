@@ -386,6 +386,13 @@ def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monk
     assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
 
 
+def test_budget_stops_a_huge_free_product_union_k_at_once(files, capsys, monkeypatch):
+    # its DP would make about k²/2 lookups; they are charged before any work
+    monkeypatch.delenv("ATOMON_BUDGET", raising=False)
+    assert main(["coproduct", "unionk", files["fam"], str(10**6)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: search budget of 250000 expansions exceeded"]
+
+
 def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys, memory_cap):
     # no window of 10**11 bits is built for a set with no periodic tail
     twins = tmp_path / "twins.json"

@@ -377,6 +377,22 @@ def test_fp_union_examples(two_ones):
         fp_union_k(two_ones, -1)
 
 
+def test_fp_union_k_charges_the_lookups_of_its_new_rows_before_any_work(two_ones, monkeypatch):
+    # row j of the DP makes j - 1 lookups, so rows 1..k make k(k-1)/2
+    monkeypatch.delenv("ATOMON_BUDGET", raising=False)
+    with pytest.raises(SearchBudgetExceededError):
+        fp_union_k(two_ones, 10**6)
+    assert two_ones._totals == []
+    monkeypatch.setenv("ATOMON_BUDGET", "10")
+    fp_union_k(two_ones, 5)  # 0 + 1 + 2 + 3 + 4 lookups
+    with pytest.raises(SearchBudgetExceededError, match="budget of 10 "):
+        fp_union_k(Family([one(), one()]), 6)
+    fp_union_k(two_ones, 6)  # only row 6 is new: 5 lookups
+    with pytest.raises(SearchBudgetExceededError):
+        fp_union_k(two_ones, 8)  # rows 7 and 8: 6 + 7 lookups
+    assert len(two_ones._totals) == 7
+
+
 @pytest.mark.parametrize(
     "order",
     [range(9), range(8, -1, -1), [3, 3, 1, 6, 6, 2, 8, 0, 8, 5]],

@@ -104,15 +104,16 @@ def numerical(k, cap):
 
 @st.composite
 def tables_with_a_small_fault(draw):
-    """An order 30-60 table whose fault touches few rows, so that the failure
-    path's row screen passes almost every row. Either a corrupted nilpotent
-    block, first or last, beside shuffled monogenic powers; or one perturbed
-    entry in a cyclic monoid C(i, p), a null monoid, or a numerical monoid
-    <k, k+1> cut to 30-60 elements, relabelled at random so the fault lands
-    before, among or after the rows the screen passes. The numerical and the
-    relabelled cyclic tables include rows that only the lemma on B, or only
-    the column check, finds failing (see ``_first_nonassociative``). Returns
-    the table and its identity."""
+    """An order 30-60 table whose fault touches few rows, so that most
+    closure steps of the failure path have few suspect rows. Either a
+    corrupted nilpotent block, first or last, beside shuffled monogenic
+    powers; or one perturbed entry in a cyclic monoid C(i, p), a null monoid,
+    or a numerical monoid <k, k+1> cut to 30-60 elements, relabelled at
+    random so the fault lands before, among or after the other rows. The
+    first failing row is found in all three ways the suspect rule allows: as
+    a row of some B_g, as a row i with i·j1 in B_g outside every B_g, and by
+    the whole column pass at a step j1·g with j1 in B_g (see
+    ``_first_nonassociative``). Returns the table and its identity."""
     kind = draw(st.sampled_from(["block", "cyclic", "null", "numerical"]))
     if kind == "block":
         base = draw(st.integers(28, 58))
@@ -155,9 +156,19 @@ def test_light_test_matches_the_scan_on_perturbed_fixtures(case):
 
 @settings(max_examples=100, deadline=None)
 @given(tables_with_a_small_fault())
-def test_light_test_matches_the_scan_when_the_screen_skips_most_rows(case):
+def test_light_test_matches_the_scan_when_few_rows_are_suspects(case):
     table, e = case
     assert outcome([str(x) for x in range(len(table))], table, e) == ijk_scan(table)
+
+
+def test_light_test_finds_a_first_failing_row_outside_every_fault_set():
+    """C(2, 2) = {1, g, g², g³} with g⁴ = g², its entry g³·g² changed from g³
+    to g. Its one generator g fails Light's test at B_g = {g², g³}, and the
+    first failing row g lies outside B_g. Row g holds at every step j1·g
+    with j1 in B_g, so no whole column pass finds it: only the suspect rule's
+    rows i with i·j1 in B_g do, at the step g·g, since g·g = g² is in B_g."""
+    table = [[0, 1, 2, 3], [1, 2, 3, 2], [2, 3, 2, 3], [3, 2, 1, 2]]
+    assert outcome(["1", "g", "g2", "g3"], table, 0) == ijk_scan(table) == (1, 2, 2)
 
 
 @PROPERTY

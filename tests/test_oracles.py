@@ -40,8 +40,14 @@ TRUSTS = {
     # enumerate_homs, by trying every map with the identity pinned
     "exhaustive_homs": {"core._check_monoid", "core.atoms"},
     # length_set, by dynamic programming over (length, element); it does
-    # not trust power_layers
-    "brute_force_lengths": {"core._check_monoid", "core.atoms", "core._check_indices", "core._check_count"},
+    # not trust power_layers; the search budget is read by core's helper
+    "brute_force_lengths": {
+        "core._check_monoid",
+        "core.atoms",
+        "core._check_indices",
+        "core._check_count",
+        "core._search_budget",
+    },
     # union_k's periodic table, by folding the union over the length sets
     # that contain k
     "union_k_by_fold": {"core._check_count", "lengths.length_system", "lengths.eps_union", "lengths.EMPTY"},
@@ -62,6 +68,7 @@ TRUSTS = {
         "core.atoms",
         "core.units",
         "core._check_count",
+        "core._search_budget",
         "coproduct._check_word",
         "coproduct._join",
         "coproduct._is_unit_letter",
