@@ -27,7 +27,7 @@ import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FiniteMonoid, MonoidHom, _Value, _arrows, _check_count, _check_indices, _check_pairs, _sequence
-from .core import _search_budget, atoms, check_property, units
+from .core import _rebuild, _search_budget, atoms, check_property, units
 from .errors import NotAtomicError, SearchBudgetExceededError, ValidationError
 from .lengths import (
     EMPTY,
@@ -74,7 +74,7 @@ class Family(_Value):
 
     __slots__ = ("members", "non_reduced", "_letters", "_identities", "_units", "_pooled", "_totals", "_pair_sums")
     __eq__, __hash__ = object.__eq__, object.__hash__
-    eps = property(lambda self: _word(self, ()))
+    eps = property(lambda self: _rebuild(ReducedWord, (self, ())))
 
     def __init__(self, members: Sequence[FiniteMonoid]):
         members = _sequence(members, "family {!r} is not a sequence of monoids")
@@ -171,15 +171,6 @@ class ReducedWord(_Value):
         return f"ReducedWord(letters={self.letters!r})"
 
 
-def _word(family: Family, letters: tuple[Letter, ...]) -> ReducedWord:
-    """The word over family with these letters, which must already be
-    reduced and canonical: built unchecked."""
-    w = object.__new__(ReducedWord)
-    object.__setattr__(w, "family", family)
-    object.__setattr__(w, "letters", letters)
-    return w
-
-
 def _check_family(family) -> None:
     if not isinstance(family, Family):
         raise ValidationError(f"family {family!r} is not a Family")
@@ -205,7 +196,7 @@ def reduce(family: Family, word: Iterable[tuple[int, int]]) -> ReducedWord:
             continue
         stack.append(letter)
         top = i
-    return _word(family, tuple(stack))
+    return _rebuild(ReducedWord, (family, tuple(stack)))
 
 
 def _check_word(family: Family, w: ReducedWord) -> tuple[Letter, ...]:
@@ -243,7 +234,7 @@ def _join(family: Family, x: tuple[Letter, ...], y: tuple[Letter, ...]) -> tuple
 
 def fp_mul(family: Family, x: ReducedWord, y: ReducedWord) -> ReducedWord:
     """Product of two reduced words, merged at the junction."""
-    return _word(family, _join(family, _check_word(family, x), _check_word(family, y)))
+    return _rebuild(ReducedWord, (family, _join(family, _check_word(family, x), _check_word(family, y))))
 
 
 def fp_is_unit(family: Family, w: ReducedWord) -> bool:
@@ -384,7 +375,7 @@ def fp_union_k(family: Family, k: int) -> EPSet:
     if k >= len(totals):  # rows 0..done made done(done-1)/2 lookups
         limit, done = _search_budget(None), max(len(totals) - 1, 0)
         if (k * (k - 1) - done * (done - 1)) // 2 > limit:
-            raise SearchBudgetExceededError(limit)
+            raise SearchBudgetExceededError(limit, "DP lookups")
     add = functools.partial(_sum_once, family, lambda a, b: eps_sum_many((a, b)))
     for j in range(len(totals), k + 1):
         pooled_j = functools.reduce(eps_union, (union_k(m, j) for m in family.members), EMPTY)

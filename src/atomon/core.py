@@ -13,10 +13,11 @@ whose module imports ``inspect`` and runs ``exec``. ``_Value`` gives them
 ``==`` ten times faster, a faster ``hash`` and a ``repr`` of its letters.
 ``LengthSystem`` compares ``entries`` only, ``FiniteMonoid`` its names,
 table and identity, ``Cocone`` and ``Family`` compare by identity, and
-``MonoidHom`` writes its ``repr``. Every value type, ``FiniteMonoid`` and
-``Family`` included, is guarded: assigning to or deleting a field raises
-``AttributeError``. A cache is a container made at construction and filled
-in place (``FiniteMonoid._memo``, ``Family``'s DP rows and pair sums), so it
+``MonoidHom`` writes its ``repr``. Every value type, ``FiniteMonoid``,
+``Family`` and ``EPSet`` included, is guarded: assigning to or deleting a
+field raises ``AttributeError``, and only ``_setters`` write one (see
+``_Value``). A cache is a container made at construction and filled in
+place (``FiniteMonoid._memo``, ``Family``'s DP rows and pair sums), so it
 answers for the value that holds it. Each value type checks itself when
 built. ``FiniteMonoid`` validates its table and derives its generators from
 it, ``MonoidHom`` its map; ``new_monoid`` and ``new_hom`` are their public
@@ -33,10 +34,10 @@ share the ends its construction needs.
 
 Check once, at the boundary. Public functions and constructors check what
 arrives from outside. A value that a construction proves correct from
-checked inputs is built through an unchecked maker instead: ``_rebuild``,
-``coproduct._word``, ``lengths._make``, or ``_hom`` for a hom, which
-computes only ``atom_preserving``. Each such construction names, in its
-docstring, the fact that lets it skip the check.
+checked inputs is built through one of the two unchecked makers instead,
+``_rebuild``, or ``lengths._make`` for an EPSet (``_hom`` builds a hom by
+``_rebuild``, computing only ``atom_preserving``). Each such construction
+names, in its docstring, the fact that lets it skip the check.
 """
 
 from __future__ import annotations
@@ -72,17 +73,21 @@ DEFAULT_SEARCH_BUDGET = 250_000
 
 
 class _Value:
-    """The shared behaviour of the value types. A field is a slot, set once
-    by ``_set`` and read-only after. ``_values`` reads the fields in slot
-    order; ``==``, ``hash`` and ``repr`` cover all of them, and copies and
-    pickles rebuild them unchecked. A type that compares or shows fewer
-    fields, or compares often, writes its own methods."""
+    """The shared behaviour of the value types. A field is a slot, written
+    once, by ``_set`` or ``_rebuild``, through ``_setters`` (the ``__set__``
+    of each slot's descriptor), and read-only after. ``_values`` reads the
+    fields in slot order; ``==``, ``hash`` and ``repr`` cover all of them,
+    and copies and pickles rebuild them unchecked. A type that compares or
+    shows fewer fields, or compares often, writes its own methods."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -104,13 +109,14 @@ class _Value:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # as EPSet's: copies and pickles skip the checks
+    def __reduce__(self):  # copies and pickles skip the checks
         return _rebuild, (self.__class__, self._values())
 
 
 def _rebuild(cls: type, values: tuple) -> _Value:
-    v = object.__new__(cls)
-    v._set(*values)
+    v = object.__new__(cls)  # _set's loop, not a call of it: every derived word is built here
+    for setter, value in zip(cls._setters, values):
+        setter(v, value)
     return v
 
 

@@ -80,8 +80,8 @@ class CapExceededError(AtomonError):
 
 
 class SearchBudgetExceededError(AtomonError):
-    def __init__(self, limit: int):
-        super().__init__(f"search budget of {limit} expansions exceeded")
+    def __init__(self, limit: int, unit: str = "expansions"):
+        super().__init__(f"search budget of {limit} {unit} exceeded")
         self.limit = limit
 
 

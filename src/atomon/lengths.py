@@ -12,7 +12,9 @@ Every EPSet is canonical. ``EPSet(threshold, head, period, tail)`` reads the
 set from plain fields and canonicalizes them; ``eps_finite``,
 ``eps_cofinite``, ``eps_from_window`` and ``serialize.eps_from_json`` build
 through it or through ``_normalize``, and refuse malformed fields with a
-``ValidationError`` (a ``ParseError`` for JSON).
+``ValidationError`` (a ``ParseError`` for JSON). All of them end in
+``_make``, the unchecked maker of an EPSet, as ``core._rebuild`` is of every
+other value type; an EPSet, like them, refuses assignment.
 
 The operations work on membership windows held as one int bitmask, bit n for
 n: the head mask, then the tail mask tiled up to the window by doubling
@@ -51,7 +53,7 @@ from .core import FiniteMonoid, _Value, _check_count, _check_indices, _check_mon
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
-class EPSet:
+class EPSet(_Value):
     """An eventually periodic set of naturals, in canonical form.
 
     ``EPSet(threshold, head, period, tail)`` is the set of the n < threshold
@@ -108,10 +110,6 @@ class EPSet:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # copies and pickles rebuild the canonical fields, unchecked
-        return _make, (self._threshold, self._head, self._period, self._tail)
-
     def has_positive(self) -> bool:
         return self._tail != 0 or self._head > 1
 
@@ -126,12 +124,16 @@ class EPSet:
         return f"EPSet(T={self._threshold}, head={_bits(self._head)}, p={self._period}, tail={_bits(self._tail)})"
 
 
+_set_threshold, _set_head, _set_period, _set_tail, _set_hash = EPSet._setters
+
+
 def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
     """The EPSet with these fields, which must already be canonical. Every
-    EPSet is made here, so every EPSet holds the hash of its four fields."""
+    EPSet is made here, so every EPSet holds the hash of its four fields.
+    On this hot path ``EPSet._setters`` are called unrolled, not looped."""
     s = object.__new__(EPSet)
-    s._threshold, s._head, s._period, s._tail = threshold, head, period, tail
-    s._hash = hash((threshold, head, period, tail))
+    _set_threshold(s, threshold), _set_head(s, head), _set_period(s, period), _set_tail(s, tail)
+    _set_hash(s, hash((threshold, head, period, tail)))
     return s
 
 

@@ -145,7 +145,7 @@ def brute_force_lengths(m: FiniteMonoid, x: int, bound: int, budget: int | None 
     for k in range(1, bound + 1):
         spare -= max(1, len(reach) * len(ats))
         if spare < 0:
-            raise SearchBudgetExceededError(limit)
+            raise SearchBudgetExceededError(limit, "products")
         reach = {m.mul(y, a) for y in reach for a in ats}
         if x in reach:
             found.add(k)
@@ -316,7 +316,7 @@ def fp_brute_force_lengths(
             after = successors.get(state)
             expansions += len(pool) if after is None else 1
             if expansions > limit:
-                raise SearchBudgetExceededError(limit)
+                raise SearchBudgetExceededError(limit, "expansions")
             if after is None:
                 after = successors[state] = set()
                 for cand in pool:

@@ -383,14 +383,14 @@ def test_budget_stops_a_monoid_length_oracle_that_never_ends(files, capsys, monk
     # dynamic programme reaches it, so only the budget ends it
     monkeypatch.setenv("ATOMON_BUDGET", "1000")
     assert main(["lengthset", files["one"], "0", "--bound", str(10**9)]) == 1
-    assert "search budget of 1000 expansions exceeded" in capsys.readouterr().err
+    assert "search budget of 1000 products exceeded" in capsys.readouterr().err
 
 
 def test_budget_stops_a_huge_free_product_union_k_at_once(files, capsys, monkeypatch):
     # its DP would make about k²/2 lookups; they are charged before any work
     monkeypatch.delenv("ATOMON_BUDGET", raising=False)
     assert main(["coproduct", "unionk", files["fam"], str(10**6)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: search budget of 250000 expansions exceeded"]
+    assert capsys.readouterr().err.splitlines() == ["error: search budget of 250000 DP lookups exceeded"]
 
 
 def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys, memory_cap):

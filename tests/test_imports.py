@@ -17,6 +17,7 @@ has loaded every module already.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import atomon
+from atomon import core
 
 PACKAGE = sorted(Path(atomon.__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.stem != "__init__"]
@@ -135,6 +137,36 @@ def test_a_checked_build_is_caught():
         ("quotient", "new_hom", 5),
         ("<module>", "Congruence", 7),
     ]
+
+
+def _setattr_bypasses(tree) -> list[int]:
+    """The lines that name ``object.__setattr__``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__"
+    ]
+
+
+def test_fields_are_written_only_through_the_slot_setters():
+    # one slot-writing primitive (see the core docstring): no module steps
+    # round the guard, and each value type's _setters are the __set__ of its
+    # own slots' descriptors, in slot order, so a hand-rolled maker has
+    # nothing else to write with
+    bypasses = {path.stem: _setattr_bypasses(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE}
+    assert not {name: lines for name, lines in bypasses.items() if lines}, bypasses
+    for path in MODULES:
+        importlib.import_module(f"atomon.{path.stem}")
+    types = core._Value.__subclasses__()
+    assert {"FiniteMonoid", "Family", "ReducedWord", "EPSet"} <= {cls.__name__ for cls in types}
+    for cls in types:
+        descriptors = [vars(cls)[name] for name in cls.__slots__]
+        assert [(s.__name__, s.__self__) for s in cls._setters] == [("__set__", d) for d in descriptors], cls
+
+
+def test_a_setattr_bypass_is_caught():
+    source = "def _word(f, x):\n    w = object.__new__(W)\n    object.__setattr__(w, 'f', f)\n    return w\n"
+    assert _setattr_bypasses(ast.parse(source)) == [3]
 
 
 VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")

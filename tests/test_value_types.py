@@ -18,7 +18,7 @@ from atomon.coproduct import Cocone, Family, fp_length_set, fp_union_k, reduce
 from atomon.core import check_property, identity_hom, new_hom, units
 from atomon.errors import ValidationError
 from atomon.fixtures import c2, m31, one
-from atomon.lengths import LengthSystem, eps_finite, power_layers, union_k
+from atomon.lengths import EPSet, LengthSystem, eps_finite, power_layers, union_k
 from atomon.limits import PushoutPresentation, congruence_closure
 from atomon.product import ap_generators
 from atomon.verify import VerifyReport
@@ -159,10 +159,26 @@ def test_a_used_monoid_or_family_refuses_the_fields_of_another():
     assert fam.members == (c2(),) and set(fam._letters) == {(0, 0), (0, 1)}
 
 
+def test_an_epset_refuses_its_slots_and_keeps_its_members():
+    s, other = eps_finite([1, 4]), eps_finite([2])
+    members, digest = s.members_upto(10), hash(s)
+    for field in EPSet.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+    assert s.members_upto(10) == members == [1, 4] and hash(s) == digest and s == eps_finite([1, 4])
+    # copies and pickles come back through the shared _Value.__reduce__
+    assert "__reduce__" not in vars(EPSet)
+    for clone in CLONES.values():
+        far = clone(s)
+        assert far == s and hash(far) == digest and far.members_upto(10) == members
+
+
 # slotted classes outside the table, each with the reason
 EXEMPT = {
-    "EPSet": "its slots are private, its public fields are read-only properties, "
-    "and lengths._make, the hot maker of the EPSet kernel, writes the slots unguarded",
+    "EPSet": "a guarded value type whose hash reads the cached _hash slot, so the table's "
+    "rule that a field outside == leaves the hash alone does not hold for it",
 }
 
 
