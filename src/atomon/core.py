@@ -12,9 +12,9 @@ whose module imports ``inspect`` and runs ``exec``. ``_Value`` gives them
 ``ReducedWord``, compared thousands of times a run, writes its own: an
 ``==`` ten times faster, a faster ``hash`` and a ``repr`` of its letters.
 ``LengthSystem`` compares ``entries`` only, ``FiniteMonoid`` its names,
-table and identity, ``Cocone`` and ``Family`` compare by identity, and
-``MonoidHom`` writes its ``repr``. Every value type, ``FiniteMonoid``,
-``Family`` and ``EPSet`` included, is guarded: assigning to or deleting a
+table and identity, ``Cocone`` and ``Family`` compare by identity,
+``MonoidHom`` writes its ``repr``, and ``EPSet`` all three, over its one
+field ``_key``. Every value type is guarded: assigning to or deleting a
 field raises ``AttributeError``, and only ``_setters`` write one (see
 ``_Value``). A cache is a container made at construction and filled in
 place (``FiniteMonoid._memo``, ``Family``'s DP rows and pair sums), so it
@@ -34,10 +34,10 @@ share the ends its construction needs.
 
 Check once, at the boundary. Public functions and constructors check what
 arrives from outside. A value that a construction proves correct from
-checked inputs is built through one of the two unchecked makers instead,
-``_rebuild``, or ``lengths._make`` for an EPSet (``_hom`` builds a hom by
-``_rebuild``, computing only ``atom_preserving``). Each such construction
-names, in its docstring, the fact that lets it skip the check.
+checked inputs is built through the one unchecked maker instead,
+``_rebuild``: every EPSet from ``lengths._normalize``, and ``_hom`` a hom,
+computing only ``atom_preserving``. Each such construction names, in its
+docstring, the fact that lets it skip the check.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .errors import (
     NotIdentityPreservingError,
     NotMultiplicativeError,
     ParseError,
+    SearchBudgetExceededError,
     SourceMismatchError,
     TargetMismatchError,
     ValidationError,
@@ -114,7 +115,7 @@ class _Value:
 
 
 def _rebuild(cls: type, values: tuple) -> _Value:
-    v = object.__new__(cls)  # _set's loop, not a call of it: every derived word is built here
+    v = object.__new__(cls)  # _set's loop, not a call of it: every derived word and EPSet is built here
     for setter, value in zip(cls._setters, values):
         setter(v, value)
     return v
@@ -692,11 +693,14 @@ def enumerate_homs(
     closure of G and kept if it respects the generators (and preserves
     atoms, when asked). A kept map has passed both checks of ``MonoidHom``,
     so it is built unchecked. Exponential in |G|: for desk-scale uniqueness
-    checks.
+    checks. The choices are charged against the search budget before any
+    is tried, and SearchBudgetExceededError is raised past it.
     """
     _check_monoid(source)
     _check_monoid(target)
     gens = source.generators
+    if target.size ** len(gens) > (limit := _search_budget(None)):
+        raise SearchBudgetExceededError(limit, "candidate maps")
     steps = _closure_steps(source.table, source.identity, gens)
     tgt = target.table
     maps = []

@@ -13,8 +13,9 @@ set from plain fields and canonicalizes them; ``eps_finite``,
 ``eps_cofinite``, ``eps_from_window`` and ``serialize.eps_from_json`` build
 through it or through ``_normalize``, and refuse malformed fields with a
 ``ValidationError`` (a ``ParseError`` for JSON). All of them end in
-``_make``, the unchecked maker of an EPSet, as ``core._rebuild`` is of every
-other value type; an EPSet, like them, refuses assignment.
+``_normalize``, which builds the set through ``core._rebuild``, the one
+unchecked maker of every value type; like each of them, an EPSet refuses
+assignment.
 
 The operations work on membership windows held as one int bitmask, bit n for
 n: the head mask, then the tail mask tiled up to the window by doubling
@@ -49,7 +50,7 @@ import math
 import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import FiniteMonoid, _Value, _check_count, _check_indices, _check_monoid, _sequence, atoms
+from .core import FiniteMonoid, _Value, _check_count, _check_indices, _check_monoid, _rebuild, _sequence, atoms
 from .errors import PeriodViolatedError, ValidationError, WindowTooShortError
 
 
@@ -62,12 +63,12 @@ class EPSet(_Value):
     int threshold >= 0, an int period >= 1 and int members >= 0, else
     ``ValidationError``, and it returns the canonical form of that set.
 
-    The four fields are stored as ints (see the module docstring), with
-    their hash, computed once when the set is built. ``head`` and ``tail``
-    are decoded from their masks on each read.
+    Its one field ``_key`` holds the four ints (threshold, head mask,
+    period, tail mask) of the module docstring; ``==`` and ``hash`` read it.
+    ``head`` and ``tail`` are decoded from their masks on each read.
     """
 
-    __slots__ = ("_threshold", "_head", "_period", "_tail", "_hash")
+    __slots__ = ("_key",)
 
     def __new__(cls, threshold: int, head: Iterable[int], period: int, tail: Iterable[int]) -> EPSet:
         _check_count(threshold, "threshold")
@@ -81,60 +82,46 @@ class EPSet(_Value):
             cycle |= 1 << (r - threshold) % period
         return _normalize(head_mask | cycle << threshold, threshold, period)
 
-    threshold = property(operator.attrgetter("_threshold"))
-    period = property(operator.attrgetter("_period"))
+    threshold = property(lambda self: self._key[0])
+    period = property(lambda self: self._key[2])
 
     @property
     def head(self) -> frozenset[int]:
-        return frozenset(_bits(self._head))
+        return frozenset(_bits(self._key[1]))
 
     @property
     def tail(self) -> frozenset[int]:
-        return frozenset(_bits(self._tail))
+        return frozenset(_bits(self._key[3]))
 
     def __contains__(self, n: int) -> bool:
-        if n < self._threshold:
-            return n >= 0 and bool(self._head >> n & 1)
-        return bool(self._tail >> n % self._period & 1)
+        threshold, head, period, tail = self._key
+        if n < threshold:
+            return n >= 0 and bool(head >> n & 1)
+        return bool(tail >> n % period & 1)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not EPSet:
             return NotImplemented
-        return (
-            self._head == other._head
-            and self._tail == other._tail
-            and self._threshold == other._threshold
-            and self._period == other._period
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def has_positive(self) -> bool:
-        return self._tail != 0 or self._head > 1
+        _, head, _, tail = self._key
+        return tail != 0 or head > 1
 
     def members_upto(self, bound: int) -> list[int]:
         """Sorted members n with n <= bound."""
         return _bits(_mask(self, bound + 1)) if bound >= 0 else []
 
     def sort_key(self):
-        return (self._threshold, tuple(_bits(self._head)), self._period, tuple(_bits(self._tail)))
+        threshold, head, period, tail = self._key
+        return (threshold, tuple(_bits(head)), period, tuple(_bits(tail)))
 
     def __repr__(self) -> str:
-        return f"EPSet(T={self._threshold}, head={_bits(self._head)}, p={self._period}, tail={_bits(self._tail)})"
-
-
-_set_threshold, _set_head, _set_period, _set_tail, _set_hash = EPSet._setters
-
-
-def _make(threshold: int, head: int, period: int, tail: int) -> EPSet:
-    """The EPSet with these fields, which must already be canonical. Every
-    EPSet is made here, so every EPSet holds the hash of its four fields.
-    On this hot path ``EPSet._setters`` are called unrolled, not looped."""
-    s = object.__new__(EPSet)
-    _set_threshold(s, threshold), _set_head(s, head), _set_period(s, period), _set_tail(s, tail)
-    _set_hash(s, hash((threshold, head, period, tail)))
-    return s
+        threshold, head, period, tail = self._key
+        return f"EPSet(T={threshold}, head={_bits(head)}, p={period}, tail={_bits(tail)})"
 
 
 def _naturals(members: Iterable[int]) -> tuple[int, ...]:
@@ -193,8 +180,8 @@ def _least_period(pattern: int, period: int) -> int:
     return d
 
 
-EMPTY = _make(0, 0, 1, 0)
-ZERO_ONLY = _make(1, 1, 1, 0)
+EMPTY = _rebuild(EPSet, ((0, 0, 1, 0),))
+ZERO_ONLY = _rebuild(EPSet, ((1, 1, 1, 0),))
 
 
 def eps_finite(members: Iterable[int]) -> EPSet:
@@ -251,22 +238,23 @@ def _normalize(mask: int, threshold: int, period: int) -> EPSet:
     t = ((mask ^ mask >> d) & ((1 << threshold) - 1)).bit_length()
     low, shift = (1 << d) - 1, threshold % d
     cycle &= low
-    return _make(t, mask & ((1 << t) - 1), d, (cycle << shift | cycle >> d - shift) & low)
+    return _rebuild(EPSet, ((t, mask & ((1 << t) - 1), d, (cycle << shift | cycle >> d - shift) & low),))
 
 
 def _mask(s: EPSet, window: int) -> int:
     """Bit n set iff n is in s, for n < window. Past the threshold only a
     tail is tiled and cut, so a set with none costs nothing however wide."""
-    if window <= s._threshold:
-        return s._head & ((1 << window) - 1)
-    if not s._tail:
-        return s._head
-    return s._head | _tile(s._tail, s._period, window) >> s._threshold << s._threshold
+    threshold, head, period, tail = s._key
+    if window <= threshold:
+        return head & ((1 << window) - 1)
+    if not tail:
+        return head
+    return head | _tile(tail, period, window) >> threshold << threshold
 
 
 def _pointwise(a: EPSet, b: EPSet, keep) -> EPSet:
-    t = max(a._threshold, b._threshold)
-    p = math.lcm(a._period, b._period)
+    (ta, _, pa, _), (tb, _, pb, _) = a._key, b._key
+    t, p = max(ta, tb), math.lcm(pa, pb)
     return _normalize(keep(_mask(a, t + p), _mask(b, t + p)), t, p)
 
 
@@ -294,12 +282,13 @@ def eps_minkowski_sum(a: EPSet, b: EPSet) -> EPSet:
     its two masks, so an empty operand is A; the sum is symmetric and its
     canonical form unique, so the swap cannot change the answer.
     """
-    if a._head.bit_count() + a._tail.bit_count() > b._head.bit_count() + b._tail.bit_count():
-        a, b = b, a
-    ta, head, pa, tail = a._threshold, a._head, a._period, a._tail
+    ka, kb = a._key, b._key
+    if ka[1].bit_count() + ka[3].bit_count() > kb[1].bit_count() + kb[3].bit_count():
+        ka, kb, b = kb, ka, a
+    ta, head, pa, tail = ka
     if not head | tail:
         return EMPTY
-    lcm, start = math.lcm(pa, b._period), ta + b._threshold
+    lcm, start = math.lcm(pa, kb[2]), ta + kb[0]
     window = start + 3 * lcm
     bm, conv, pattern = _mask(b, 2 * window), 0, 0
     # walk the set bits low to high, each the lowest one x & -x

@@ -33,11 +33,12 @@ from .core import (
     _check_pairs,
     _hom,
     _rebuild,
+    _search_budget,
     _sequence,
     _tabulate,
 )
 from .coproduct import Family, Letter, ReducedWord, _check_family, _check_word, _join, reduce
-from .errors import ValidationError
+from .errors import SearchBudgetExceededError, ValidationError
 from .product import _limit
 
 
@@ -257,6 +258,8 @@ def pushout_eq_bounded(
     The rules are the stored, reduced relation pairs, read both ways and
     each kept once. A pair with equal sides, such as the identity relation
     (ε, ε) of every presentation, rewrites a word only to itself: skipped.
+    Each rewritten word is charged against the search budget, past which
+    SearchBudgetExceededError is raised (an empty side matches anywhere).
     """
     _check_count(depth, "depth")
     if not isinstance(presentation, PushoutPresentation):
@@ -267,12 +270,15 @@ def pushout_eq_bounded(
     frontiers = [{ends[0]}, {ends[1]}]
     if visited[0] & visited[1]:
         return Reachability.EQUAL
+    spare = limit = _search_budget(None)
     for _ in range(depth):
         progressed = False
         for side in (0, 1):
             nxt = set()
             for word in frontiers[side]:
                 for rewritten in _rewrites(presentation.family, rules, word):
+                    if (spare := spare - 1) < 0:
+                        raise SearchBudgetExceededError(limit, "rewrites")
                     if rewritten not in visited[side]:
                         visited[side].add(rewritten)
                         nxt.add(rewritten)

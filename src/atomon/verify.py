@@ -47,8 +47,9 @@ from typing import NamedTuple
 from . import fixtures, oracles
 from .coproduct import Cocone, Family, coprojection, fp_is_atom, fp_is_unit
 from .coproduct import fp_length_set, fp_length_system_bounded, fp_mul, fp_union_k, reduce
-from .core import _LAWS, FiniteMonoid, atoms, canonical_to_terminal, check_property, classify, compose, enumerate_homs
-from .core import eval_word, extend_atom_map, identity_hom, is_atomon_mono, new_hom, new_monoid, terminal, units
+from .core import _LAWS, FiniteMonoid, _search_budget, atoms, canonical_to_terminal, check_property, classify
+from .core import compose, enumerate_homs, eval_word, extend_atom_map, identity_hom, is_atomon_mono, new_hom
+from .core import new_monoid, terminal, units
 from .errors import AtomonError, ImageNotAtomError, NonAssociativeError, UnknownSuiteError
 from .lengths import EMPTY, ZERO_ONLY, EPSet, eps_cofinite, eps_finite, eps_from_window, eps_intersect
 from .lengths import eps_minkowski_sum, eps_sum_many, eps_union
@@ -823,7 +824,7 @@ def cmd_verify(suite: str, seed: int = 0, budget: int | None = None) -> VerifyRe
     """Run one verification suite to completion, as the module docstring says."""
     if suite not in SUITES:
         raise UnknownSuiteError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    budget = oracles._search_budget(budget)
+    budget = _search_budget(budget)
     rng = random.Random(seed)
     start = time.perf_counter()
     cases, mismatches = 0, []

@@ -393,6 +393,19 @@ def test_budget_stops_a_huge_free_product_union_k_at_once(files, capsys, monkeyp
     assert capsys.readouterr().err.splitlines() == ["error: search budget of 250000 DP lookups exceeded"]
 
 
+def test_budget_stops_a_pushout_word_search(files, tmp_path, capsys, monkeypatch):
+    # over c2 -> {1, a, 0} (u -> 1) and the identity of c2, u@1 can be
+    # inserted at every position of the word: only the budget ends the search
+    f, g = tmp_path / "kill_u.json", tmp_path / "id_c2.json"
+    f.write_text(json.dumps({"source": "c2.json", "target": "one.json", "map": [0, 0]}))
+    g.write_text(json.dumps({"source": "c2.json", "target": "c2.json", "map": [0, 1]}))
+    word = "*".join(["(a@0)*(u@1)"] * 17 + ["(a@0)"])
+    monkeypatch.setenv("ATOMON_BUDGET", "1000")
+    assert main(["limits", "pushout-eq", str(f), str(g), word, "(0@0)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: search budget of 1000 rewrites exceeded"]
+
+
 def test_a_finite_length_set_is_checked_at_a_huge_bound_at_once(files, tmp_path, capsys, memory_cap):
     # no window of 10**11 bits is built for a set with no periodic tail
     twins = tmp_path / "twins.json"

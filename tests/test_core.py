@@ -35,6 +35,7 @@ from atomon.errors import (
     NotAtomPreservingError,
     NotIdentityPreservingError,
     NotMultiplicativeError,
+    SearchBudgetExceededError,
     ValidationError,
 )
 from atomon.fixtures import c2, h2, m31, one, sl2, zero
@@ -210,6 +211,24 @@ def test_canonical_map_is_unique_up_to_size_six():
     for m in (zero(), one(), c2(), h2(), m31()):
         homs = list(enumerate_homs(m, target))
         assert homs == [canonical_to_terminal(m)]
+
+
+def test_hom_search_past_the_budget_raises_at_the_first_next(monkeypatch):
+    # T_4, all self-maps of {0, 1, 2, 3}, has 4 generators: 256**4 candidate maps
+    maps = list(itertools.product(range(4), repeat=4))
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(g[v] for v in f)] for g in maps] for f in maps]
+    t4 = new_monoid([str(i) for i in range(256)], table, index[(0, 1, 2, 3)])
+    monkeypatch.delenv("ATOMON_BUDGET", raising=False)
+    homs = enumerate_homs(t4, t4)
+    with pytest.raises(SearchBudgetExceededError, match="budget of 250000 candidate maps exceeded"):
+        next(homs)
+    # c2 -> c2 has two candidates, the images of u, and both are homs
+    monkeypatch.setenv("ATOMON_BUDGET", "2")
+    assert len(list(enumerate_homs(c2(), c2()))) == 2
+    monkeypatch.setenv("ATOMON_BUDGET", "1")
+    with pytest.raises(SearchBudgetExceededError, match="budget of 1 candidate maps"):
+        list(enumerate_homs(c2(), c2()))
 
 
 def test_eval_word():

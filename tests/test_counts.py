@@ -1,6 +1,7 @@
 """tools/counts.py counts the bytecodes a call executes, and the count is
 deterministic: the same call on fresh inputs counts the same twice, file by
-file, and the hook that was installed before is back afterwards."""
+file, and the hook that was installed before is back afterwards. Its
+targets hold one count per verify suite."""
 
 import importlib.util
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 from atomon.coproduct import Family, fp_union_k
 from atomon.core import new_monoid
 from atomon.lengths import union_k
+from atomon.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("counts", ROOT / "tools" / "counts.py")
@@ -31,3 +33,12 @@ def test_two_counts_of_a_fixed_call_agree():
     assert first == second
     assert {"core.py", "lengths.py", "coproduct.py"} <= {Path(name).name for name in first}
     assert sum(first.values()) > 1000
+
+
+def test_targets_count_every_verify_suite_under_run_all(tmp_path, monkeypatch):
+    # the targets are built, not run; targets() puts src/ and bench/ on the
+    # path and writes no bytecode, both undone here
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    labels = list(counts.targets(0, tmp_path))
+    assert labels[: len(SUITES) + 1] == ["verify.run_all(0)"] + [f"  {name}" for name in SUITES]

@@ -164,9 +164,27 @@ def test_fields_are_written_only_through_the_slot_setters():
         assert [(s.__name__, s.__self__) for s in cls._setters] == [("__set__", d) for d in descriptors], cls
 
 
+def _new_objects(node, scope: str = "<module>"):
+    """(function, line) for each ``object.__new__`` named, the function being
+    the innermost def around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and ast.unparse(child) == "object.__new__":
+            yield scope, child.lineno
+        yield from _new_objects(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
+def test_rebuild_is_the_one_unchecked_maker():
+    # every value built without its checks, an EPSet included, is made by
+    # core._rebuild (see the core docstring): no module has a maker of its own
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    makers = [(name, scope) for name, tree in trees.items() for scope, _ in _new_objects(tree)]
+    assert makers == [("core", "_rebuild")]
+
+
 def test_a_setattr_bypass_is_caught():
     source = "def _word(f, x):\n    w = object.__new__(W)\n    object.__setattr__(w, 'f', f)\n    return w\n"
     assert _setattr_bypasses(ast.parse(source)) == [3]
+    assert list(_new_objects(ast.parse(source))) == [("_word", 2)]
 
 
 VERIFICATION_LAYERS = ("atomon.fixtures", "atomon.oracles", "atomon.verify")

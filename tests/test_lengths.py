@@ -69,7 +69,7 @@ def test_copies_and_pickles_are_equal_sets():
 
 
 def test_equal_sets_built_any_way_hash_alike():
-    # the hash is computed once, when the set is built, from its four fields
+    # the hash is that of the one field, the four ints
     built = EPSet(4, {0, 2}, 3, {2})
     clones = [
         EPSet(7, {0, 2, 5}, 6, {2, 5}),
@@ -78,7 +78,8 @@ def test_equal_sets_built_any_way_hash_alike():
         copy.deepcopy(built),
         pickle.loads(pickle.dumps(built)),
     ]
-    fields = (built.threshold, built._head, built.period, built._tail)
+    fields = built._key
+    assert fields[::2] == (built.threshold, built.period)
     for s in clones:
         assert s == built and hash(s) == hash(built) == hash(fields)
 
@@ -438,9 +439,8 @@ def test_normalize_matches_a_bit_by_bit_search(case, threshold, head):
     d = brute_least_period(cycle, period)
     # the least t from which every n agrees with n + d; past the threshold all do
     t = min(t for t in range(threshold + 1) if all(member(n) == member(n + d) for n in range(t, threshold)))
-    assert (s.threshold, s.period) == (t, d)
-    assert s._head == sum(member(n) << n for n in range(t))
-    assert s._tail == sum(member(n) << n % d for n in range(t, t + d))
+    head_mask, tail_mask = sum(member(n) << n for n in range(t)), sum(member(n) << n % d for n in range(t, t + d))
+    assert s._key == (t, head_mask, d, tail_mask)
 
 
 @settings(max_examples=150)

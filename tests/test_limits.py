@@ -31,7 +31,7 @@ from atomon import (
     units,
 )
 from atomon import limits, verify
-from atomon.errors import SourceMismatchError, TargetMismatchError, ValidationError
+from atomon.errors import SearchBudgetExceededError, SourceMismatchError, TargetMismatchError, ValidationError
 from atomon.core import _closure, _tabulate
 from atomon.fixtures import atomic_fixtures, c2, cyclic, h2, m31, one, zero
 from atomon.oracles import all_partitions, is_congruence, reduced_words_upto
@@ -439,6 +439,20 @@ def test_pushout_eq_runs_no_reduce(monkeypatch):
     monkeypatch.setattr(limits, "reduce", refuse)
     assert pushout_eq_bounded(pres, w1, w2, 1) is Reachability.UNKNOWN
     assert pushout_eq_bounded(pres, w1, w2, 2) is Reachability.EQUAL
+
+
+def test_pushout_eq_past_the_budget_raises(monkeypatch):
+    # over c2 -> {1, a, 0} (u -> 1) and the identity of c2, u@1 = ε: the rule
+    # ε -> u@1 inserts u@1 at every position of a word, so a long word's
+    # frontier grows fast
+    pres = pushout_presentation(new_hom(c2(), one(), (0, 0)), identity_hom(c2()))
+    zero_word = reduce(pres.family, [(0, 2)])
+    long_word = reduce(pres.family, [(0, 1), (1, 1)] * 17 + [(0, 1)])
+    monkeypatch.setenv("ATOMON_BUDGET", "1000")
+    with pytest.raises(SearchBudgetExceededError, match="budget of 1000 rewrites exceeded"):
+        pushout_eq_bounded(pres, long_word, zero_word, 4)
+    short_word = reduce(pres.family, [(0, 1), (1, 1), (0, 1)])
+    assert pushout_eq_bounded(pres, short_word, zero_word, 4) is Reachability.EQUAL
 
 
 def test_rewrites_are_the_reduced_concatenations():

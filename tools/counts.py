@@ -4,12 +4,13 @@ of the wall times of bench/run.py.
     python3 tools/counts.py [--seed 0]
 
 Prints one line per target: a warm ``verify.run_all(seed)``, the work that
-the ``desk-verify`` workload's child process does after its start-up, and
-one warm pass of each ``bench/jobs.py`` workload that has a set-up
-(``tables``, ``free-products``) at ``--seed``, each followed by its count per
-source file. Warm means that the same target ran once, untraced, just
-before; a workload pass gets a fresh context, as in bench/run.py, so it
-loads its inputs again.
+the ``desk-verify`` workload's child process does after its start-up, then
+indented under it a warm ``verify.cmd_verify(name, seed)`` for each suite,
+and one warm pass of each ``bench/jobs.py`` workload that has a set-up
+(``tables``, ``free-products``) at ``--seed``. Each target but a suite is
+followed by its count per source file. Warm means that the same target ran
+once, untraced, just before; a workload pass gets a fresh context, as in
+bench/run.py, so it loads its inputs again.
 
 A ``sys.settrace`` hook sets ``f_trace_opcodes`` on every frame the target
 opens and counts its ``opcode`` events, keyed by the frame's
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import sys
 import sysconfig
 import tempfile
@@ -102,6 +104,8 @@ def targets(seed: int, workdir: Path) -> dict[str, Callable[[], object]]:
     from atomon.errors import AtomonError
 
     found = {f"verify.run_all({seed})": lambda: atomon.verify.run_all(seed)}
+    for name in atomon.verify.SUITES:  # indented: no count per file
+        found[f"  {name}"] = functools.partial(atomon.verify.cmd_verify, name, seed)
     for name, setup in jobs.SETUPS.items():
         found[f"{name} pass"] = workload_pass(setup(seed, workdir), AtomonError)
     return found
@@ -116,7 +120,7 @@ def main(argv=None) -> int:
             call()
             counts = count(call)
             print(f"{label:<24} {sum(counts.values()):>14,}")
-            for filename, n in counts.most_common():
+            for filename, n in counts.most_common() if not label.startswith(" ") else ():
                 print(f"    {shown(filename):<36} {n:>14,}")
     return 0
 
