@@ -145,11 +145,12 @@ class FiniteMonoid(_Value):
     non-identity elements outside it are the irreducibles, with which the
     greedy for G starts (see ``_generating_set``). Only if they do not
     generate is the whole table counted, to rank the other candidates. Then
-    come the |G| Light rows, each comparing n pairs of rows. Only the
-    identity column and the generator columns are built, and a failed check
-    scans for its culprit only then. A non-associative table adds one C pass
-    over the suspect rows of each closure step by a generator that fails,
-    and Python work set by the size of the fault (see ``_first_nonassociative``).
+    Light's test makes |G| C passes, each comparing n pairs of rows: byte
+    rows up to 256 elements, packed once for the check and then dropped, and
+    tuples above (see ``_light_rows``). A failed check scans for its culprit
+    only then. A non-associative table adds one such pass over the suspect
+    rows of each closure step by a generator that fails, and Python work set
+    by the size of the fault (see ``_first_nonassociative``).
     """
 
     __slots__ = ("names", "table", "identity", "size", "generators", "_memo")
@@ -186,11 +187,11 @@ class FiniteMonoid(_Value):
             raise BadIdentityError(next(x for x in range(n) if tab[identity][x] != x or tab[x][identity] != x))
         irreducibles = [x for x in ident if x not in products and x != identity]
         gens = _generating_set(tab, identity, irreducibles)
-        # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p] (a
-        # generator exists only when n >= 2)
-        good = [list(_holds_at(tab, tab, g)) for g in gens]
+        # good[p][x]: (x·g)·y == x·(g·y) for every y, where g = gens[p]
+        holds = _light_rows(tab)
+        good = [list(holds(ident, g)) for g in gens]
         if not all(map(all, good)):
-            raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good))
+            raise NonAssociativeError(*_first_nonassociative(tab, identity, gens, good, holds))
         self._set(names, tab, identity, n, gens, {})
 
     def mul(self, x: int, y: int) -> int:
@@ -361,20 +362,38 @@ def _closure_steps(table, identity: int, gens: Sequence[int]) -> list[tuple[int,
     return [(y, x, position[g]) for y, (x, g) in itertools.islice(found.items(), 1, None)]
 
 
-def _holds_at(tab, rows, j: int) -> Iterator[bool]:
-    """For each row x in ``rows``, lazily: whether (x·j)·y == x·(j·y) for
-    every y. Row x·j is compared in C against row x read through row j, which
-    is a tuple when n >= 2."""
-    return map(operator.eq, map(tab.__getitem__, map(itemgetter(j), rows)), map(itemgetter(*tab[j]), rows))
+def _light_rows(tab) -> Callable[[Sequence[int], int], Iterator[bool]]:
+    """Light's row test on a validated table: ``holds(xs, j)`` yields lazily,
+    for each row index x in the sequence ``xs``, whether (x·j)·y == x·(j·y)
+    for every y, comparing row x·j with row x read through row j. Up to 256
+    elements an index fits in a byte: the rows are packed once into
+    ``bytes``, and row x read through row j is row j translated by row x
+    padded to 256 bytes, one C translate and one memcmp. Above, it is the
+    ``itemgetter`` tuple of row x at the entries of row j, as n >= 2."""
+    if len(tab) > 256:
+        rows = pads = tab
+        through = lambda j: itemgetter(*tab[j])
+    else:
+        rows = list(map(bytes, tab))
+        pads = [row.ljust(256, b"\0") for row in rows]
+        through = lambda j: rows[j].translate
+
+    def holds(xs: Sequence[int], j: int) -> Iterator[bool]:
+        products = map(rows.__getitem__, map(itemgetter(j), map(rows.__getitem__, xs)))  # the rows x·j
+        return map(operator.eq, products, map(through(j), map(pads.__getitem__, xs)))
+
+    return holds
 
 
-def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[list[bool]]) -> tuple[int, int, int]:
+def _first_nonassociative(
+    tab, identity: int, gens: Sequence[int], good: list[list[bool]], holds: Callable
+) -> tuple[int, int, int]:
     """The lexicographically first (i, j, k) with (i·j)·k != i·(j·k).
 
     Write L_x for row x as a map, so row i is associative when
-    L_(i·j) = L_i∘L_j for every j, and ``good[p][x]`` says whether this holds
-    for i = x and j = gens[p]. Walk j along the closure of G from the
-    identity: if j = j1·g and row i already holds at j1, then
+    L_(i·j) = L_i∘L_j for every j. ``holds`` is ``_light_rows``' test, and
+    ``good[p][x]`` its answer for row x at j = gens[p]. Walk j along the
+    closure of G from the identity: if j = j1·g and row i holds at j1, then
     L_(i·j) = L_((i·j1)·g) = L_(i·j1)∘L_g = L_i∘L_j1∘L_g = L_i∘L_j, provided
     ``good`` holds at (i·j1, g) and at (j1, g).
 
@@ -383,11 +402,11 @@ def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[li
     order: row i holds at j1, so by the chain j1 or i·j1 lies in B_g. So at
     each step j = j1·g with B_g non-empty, the suspects are every row if j1
     is in B_g, else the rows i with i·j1 in B_g (a row x of B_g is one at the
-    step j = g, where x·1 = x). Each step compares its suspects below the
-    first failing row found so far in one C pass, the way ``good`` is built.
-    Every failing row is a suspect at its first failing step, so the last
-    row found is the first failing row.
-    Row i then walks the certificate and compares only the j it cannot
+    step j = g, where x·1 = x). Each step passes its suspects below the first
+    failing row found so far to ``holds``, as one C pass of byte or tuple
+    rows, the same test that built ``good``. Every failing row is a suspect
+    at its first failing step, so the last row found is the first failing
+    row. Row i then walks the certificate and tests only the j it cannot
     certify, so the Python work is set by the size of the fault, not by n².
     """
     n = len(tab)
@@ -399,16 +418,12 @@ def _first_nonassociative(tab, identity: int, gens: Sequence[int], good: list[li
             suspects = range(first)
             if j1 not in bad[p]:  # only the rows i with i·j1 in B_g
                 suspects = list(itertools.compress(suspects, map(bad[p].__contains__, map(itemgetter(j1), tab))))
-            fails = map(operator.not_, _holds_at(tab, list(map(tab.__getitem__, suspects)), j))
-            first = next(itertools.compress(suspects, fails), first)
-
-    def holds(row_i, j) -> bool:  # (i·j)·k == i·(j·k) for every k
-        return tab[row_i[j]] == tuple(map(row_i.__getitem__, tab[j]))
+            first = next(itertools.compress(suspects, map(operator.not_, holds(suspects, j))), first)
 
     row_i = tab[first]
     ok = [True] * n
     for j, j1, p in steps:
-        ok[j] = ok[j1] and good[p][j1] and good[p][row_i[j1]] or holds(row_i, j)
+        ok[j] = ok[j1] and good[p][j1] and good[p][row_i[j1]] or next(holds((first,), j))
     j = ok.index(False)
     return first, j, next(k for k in range(n) if tab[row_i[j]][k] != row_i[tab[j][k]])
 

@@ -1,10 +1,12 @@
 """tools/counts.py counts the bytecodes a call executes, and the count is
 deterministic: the same call on fresh inputs counts the same twice, file by
 file, and the hook that was installed before is back afterwards. Its
-targets hold one count per verify suite."""
+targets hold one count per verify suite, and each also gets its traced
+memory peak."""
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 from atomon.coproduct import Family, fp_union_k
@@ -33,6 +35,14 @@ def test_two_counts_of_a_fixed_call_agree():
     assert first == second
     assert {"core.py", "lengths.py", "coproduct.py"} <= {Path(name).name for name in first}
     assert sum(first.values()) > 1000
+
+
+def test_the_peak_of_a_small_call_is_a_positive_int_and_tracing_stays_as_it_was():
+    fixed_call()
+    tracing = tracemalloc.is_tracing()
+    peak = counts.peak(fixed_call)
+    assert type(peak) is int and peak > 0
+    assert tracemalloc.is_tracing() is tracing
 
 
 def test_targets_count_every_verify_suite_under_run_all(tmp_path, monkeypatch):

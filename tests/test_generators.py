@@ -171,6 +171,26 @@ def test_light_test_finds_a_first_failing_row_outside_every_fault_set():
     assert outcome(["1", "g", "g2", "g3"], table, 0) == ijk_scan(table) == (1, 2, 2)
 
 
+@pytest.mark.parametrize("late", [False, True])
+@pytest.mark.parametrize("base", [254, 255])
+def test_light_test_reports_the_block_triple_on_both_sides_of_256_elements(base, late):
+    """n = 256 takes the byte rows and n = 257 the tuple rows. Only the
+    triples starting with b1 fail, and the first is (b1, b1, b1): b1·b1 = b2,
+    the corrupted b1·b2 = b2, and b2·b1 is the zero. b1 is 1 in the early
+    layout and n - 2 in the late one (the scan is too slow at n = 257)."""
+    table = with_corrupted_block(base, late, range(1, base))
+    n = len(table)
+    b1 = n - 2 if late else 1
+    assert n == base + 2
+    assert outcome([str(x) for x in range(n)], table, 0) == (b1, b1, b1)
+
+
+def test_a_numerical_monoid_of_more_than_256_elements_validates_on_tuple_rows():
+    m = numerical(3, 300)  # 0, 3, 4 and 6..300
+    assert m.size == 298
+    assert m.generators == (1, 2)
+
+
 @PROPERTY
 @given(st.sampled_from(FIXTURES), st.sampled_from(FIXTURES), st.booleans())
 def test_hom_search_matches_the_exhaustive_oracle(source, target, atom_preserving_only):

@@ -258,7 +258,7 @@ def test_cyclic_monoid_layers_have_a_shifted_preperiod():
 
 def test_length_set_matches_oracle_on_fixtures():
     mons = [zero(), one(), c2(), h2(), m31(), sl2()]
-    mons += [random_monoid(i) for i in range(6)]
+    mons += [random_monoid(i) for i in (*range(6), 9, 17, 34, 45)]  # 9, 17, 34, 45: the seeds < 60 with lengths > 0
     mons += [cyclic(i, p) for i, p in ((1, 1), (3, 4), (5, 3), (2, 6))] + [full_transformation_3()]
     bound = 24
     for m in mons:

@@ -3,14 +3,18 @@ of the wall times of bench/run.py.
 
     python3 tools/counts.py [--seed 0]
 
-Prints one line per target: a warm ``verify.run_all(seed)``, the work that
+Prints one line per target, its bytecode count and then its
+``tracemalloc`` peak in bytes: a warm ``verify.run_all(seed)``, the work that
 the ``desk-verify`` workload's child process does after its start-up, then
 indented under it a warm ``verify.cmd_verify(name, seed)`` for each suite,
 and one warm pass of each ``bench/jobs.py`` workload that has a set-up
 (``tables``, ``free-products``) at ``--seed``. Each target but a suite is
 followed by its count per source file. Warm means that the same target ran
 once, untraced, just before; a workload pass gets a fresh context, as in
-bench/run.py, so it loads its inputs again.
+bench/run.py, so it loads its inputs again. The peak comes from one more
+warm run, under ``tracemalloc`` and without the opcode hook: the most memory
+the run held at once beyond what was allocated before it, as traced by
+Python's allocators.
 
 A ``sys.settrace`` hook sets ``f_trace_opcodes`` on every frame the target
 opens and counts its ``opcode`` events, keyed by the frame's
@@ -33,6 +37,7 @@ import functools
 import sys
 import sysconfig
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -68,6 +73,22 @@ def count(call: Callable[[], object]) -> collections.Counter:
     finally:
         sys.settrace(previous)
     return counts
+
+
+def peak(call: Callable[[], object]) -> int:
+    """The ``tracemalloc`` peak of call(), in bytes above the memory traced
+    when it starts. Tracing that was on before stays on."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def workload_pass(jobs: list, expected: type[Exception]) -> Callable[[], None]:
@@ -119,7 +140,7 @@ def main(argv=None) -> int:
         for label, call in targets(args.seed, Path(workdir)).items():
             call()
             counts = count(call)
-            print(f"{label:<24} {sum(counts.values()):>14,}")
+            print(f"{label:<24} {sum(counts.values()):>14,} {peak(call):>14,} B")
             for filename, n in counts.most_common() if not label.startswith(" ") else ():
                 print(f"    {shown(filename):<36} {n:>14,}")
     return 0
